@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
+from .clickbait import CLICKBAIT_THRESHOLD
 from .corpus import ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block
 from .embedding import EmbeddingTable, embed_text
 from .nn import AdamState, Mlp, adam_step
@@ -29,6 +29,10 @@ DEFAULT_TAU = 0.8
 DEFAULT_KNN = 5
 DEFAULT_MIN_GROUP = 30
 N_FOLDS = 10
+# two-sided 95% Student-t quantile for N_FOLDS - 1 dof, i.e.
+# float(scipy.stats.t.ppf(0.975, N_FOLDS - 1)); a constant keeps scipy.stats
+# (about a second to import) off every command's start-up
+T_CRIT_95 = 2.262157162798205
 PAIR_SAMPLE_CUTOFF = 2000
 PAIR_SAMPLE_SIZE = 200_000
 
@@ -47,7 +51,8 @@ class Selector:
 
     kind: "edited" | "mirrored" | "cluster" | "shift"
       cluster requires `cluster`; shift requires headline/post classes
-      ("C"/"NC") read off the profile's clickbait scores at threshold 0.5.
+      ("C"/"NC") read off the profile's clickbait scores at
+      clickbait.CLICKBAIT_THRESHOLD.
     """
 
     kind: str
@@ -67,8 +72,8 @@ class Selector:
                 raise ScenarioError(
                     f"record {profile.record_id!r} lacks clickbait scores required by a shift selector"
                 )
-            got_h = "C" if profile.headline_clickbait > 0.5 else "NC"
-            got_p = "C" if profile.post_clickbait > 0.5 else "NC"
+            got_h = "C" if profile.headline_clickbait > CLICKBAIT_THRESHOLD else "NC"
+            got_p = "C" if profile.post_clickbait > CLICKBAIT_THRESHOLD else "NC"
             return got_h == self.headline_class and got_p == self.post_class
         raise ScenarioError(f"unknown selector kind {self.kind!r}")
 
@@ -449,13 +454,12 @@ def run_scenario(corpus: Corpus, profiles: list[EditProfile], scenario: Scenario
             fold_values[metric].append(estimate_eate(matches, outcomes[metric], k=config.knn))
 
     any_balance_failure = any(not b.passed for b in balances)
-    t_crit = float(_sps.t.ppf(0.975, N_FOLDS - 1))
     reports = []
     for metric in ENGAGEMENT_METRICS:
         values = np.asarray(fold_values[metric])
         mean = float(values.mean())
         spread = float(values.std(ddof=1))
-        half = t_crit * spread / np.sqrt(N_FOLDS)
+        half = T_CRIT_95 * spread / np.sqrt(N_FOLDS)
         ci_low, ci_high = float(mean - half), float(mean + half)
         naive = (
             float(np.mean([u.outcomes[metric] for u in treatments]))

@@ -429,7 +429,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (corpus_mod.CorpusError, embedding.EmbeddingError, causal.ScenarioError,
-            ValueError, OSError) as exc:
+            ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,8 +53,8 @@ def load_table(path: str | Path) -> EmbeddingTable:
     """Parse a word-vector text file.
 
     The header line, when present, must agree with the per-line dimension;
-    any line whose float count disagrees is a fatal error with its line
-    number.
+    any line whose float count disagrees, or that holds a nan/inf entry, is
+    a fatal error with its line number.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -82,10 +82,12 @@ def load_table(path: str | Path) -> EmbeddingTable:
         try:
             vec = np.asarray([float(x) for x in parts[1:] if x != ""], dtype=np.float64)
         except ValueError:
-            raise EmbeddingError(f"{path}:{line_no}: non-numeric vector entry") from None
+            raise EmbeddingError(f"{path} line {line_no}: non-numeric vector entry") from None
+        if not np.all(np.isfinite(vec)):
+            raise EmbeddingError(f"{path} line {line_no}: non-finite vector entry")
         if dim is None:
             if vec.size == 0:
-                raise EmbeddingError(f"{path}:{line_no}: no vector values")
+                raise EmbeddingError(f"{path} line {line_no}: no vector values")
             dim = int(vec.size)
         if vec.size != dim:
             raise EmbeddingError(

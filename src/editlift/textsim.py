@@ -2,7 +2,9 @@
 
 Two axes describe how far a post drifted from its headline: normalized
 Levenshtein distance (lexical change) and embedding cosine similarity
-(semantic preservation). Outlet-level distributions are compared with the
+(semantic preservation). The distance uses the bit-vector algorithm of
+Myers (J. ACM 46(3), 1999) in Hyyrö's Levenshtein form (Nordic J.
+Computing 10, 2003). Outlet-level distributions are compared with the
 Mann-Whitney U test; clickbait score shifts with Welch's t.
 """
 
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _sps
 
 from .corpus import Corpus, is_mirrored, normalize
 from .embedding import EmbeddingTable, cosine, embed_text
@@ -34,22 +35,40 @@ def normalized_edit_distance(a: str, b: str) -> float:
     """Levenshtein distance over Unicode scalar values, divided by max length.
 
     Unit-cost insert/delete/substitute. Returns 0.0 for two empty strings.
+    Bit-parallel: Myers' algorithm (J. ACM 46(3), 1999) in the Levenshtein
+    form of Hyyrö (Nordic J. Computing 10, 2003). DP rows index the shorter
+    string; bit i of `pv`/`mv` marks a +1/-1 step from row i to row i+1 of
+    the current DP column, and one pass of word operations per character
+    of the longer string advances to the next column. Python ints are
+    unbounded, so every `~` and `<<` is masked to the shorter length.
     """
     if a == b:
         return 0.0
     if not a or not b:
         return 1.0
-    # keep the inner loop over the shorter string
     if len(b) > len(a):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[-1] / len(a)
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    pv, mv, dist = mask, 0, len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return dist / len(a)
 
 
 @dataclass(frozen=True)
@@ -222,7 +241,13 @@ def mann_whitney_u(x, y, exact_max_n: int = 20) -> TestResult:
 
 
 def welch_t(x, y) -> TestResult:
-    """Two-sided Welch unequal-variance t test."""
+    """Two-sided Welch unequal-variance t test.
+
+    scipy.stats is imported here, not at module level: it takes about a
+    second to import and no command calls this function.
+    """
+    from scipy import stats as _sps
+
     x = np.asarray(list(x), dtype=np.float64)
     y = np.asarray(list(y), dtype=np.float64)
     if x.size < 2 or y.size < 2:

@@ -380,6 +380,10 @@ class TestRunScenario:
         assert r.ci_low == pytest.approx(values.mean() - half, abs=1e-12)
         assert r.ci_high == pytest.approx(values.mean() + half, abs=1e-12)
 
+    def test_t_constant_is_scipy_quantile(self):
+        from scipy import stats as sps
+        assert causal.T_CRIT_95 == float(sps.t.ppf(0.975, causal.N_FOLDS - 1))
+
     def test_insufficient_units_names_selector(self):
         corpus, profiles, scenario, table = small_benchmark(seed=3, n=1200)
         strict = CausalConfig(min_group=10_000)

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from editlift import cli
 from editlift.cli import main
 
 from conftest import record_row, write_jsonl
@@ -183,6 +185,18 @@ class TestClickbaitCommand:
         assert code == 1
         assert "model" in capsys.readouterr().err
 
+    def test_diverging_training_exit_one(self, tmp_path, monkeypatch, capsys):
+        def diverge(args):
+            raise FloatingPointError("non-finite gradient for parameter 'w'")
+
+        monkeypatch.setattr(cli, "cmd_clickbait", diverge)
+        code = main(["clickbait", "train", "--train-data", str(tmp_path / "x.csv"),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite gradient")
+        assert "Traceback" not in err
+
 
 class TestEstimateCommand:
     def test_no_scenarios_exit_two(self, pipeline_dir, tmp_path, capsys):
@@ -259,3 +273,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "editlift" in proc.stdout
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.stats takes about a second to import; no command needs it
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import editlift.cli, sys; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr

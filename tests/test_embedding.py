@@ -37,6 +37,13 @@ class TestLoadTable:
         with pytest.raises(EmbeddingError, match="line 2"):
             load_table(path)
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_fatal(self, tmp_path, entry):
+        path = tmp_path / "v.txt"
+        path.write_text(f"bar 1 0 2\nfoo 1 {entry} 2\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=r"v\.txt line 2: non-finite"):
+            load_table(path)
+
     def test_header_disagreement_fatal(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("1 3\na 1 0\n", encoding="utf-8")

@@ -32,6 +32,33 @@ def reference_levenshtein(a: str, b: str) -> int:
     return d[-1][-1]
 
 
+@st.composite
+def edit_pairs(draw):
+    """String pairs whose lengths cross the 64- and 128-bit word boundaries.
+
+    Small and non-ASCII alphabets, one-character repeats and shared
+    prefixes/suffixes give long runs of matches, which exercise the carries
+    of the bit-parallel distance.
+    """
+    alphabet = draw(st.sampled_from(["a", "ab", "abcde xyz", "éàü€𝄞 a", "日本語ab"]))
+
+    def text(max_len=160):
+        n = draw(st.integers(0, max_len))
+        return draw(st.text(alphabet=alphabet, min_size=n, max_size=n))
+
+    a = text()
+    kind = draw(st.sampled_from(["free", "prefix", "suffix", "repeat"]))
+    if kind == "free":
+        b = text()
+    elif kind == "prefix":
+        b = a[:draw(st.integers(0, len(a)))] + text(40)
+    elif kind == "suffix":
+        b = text(40) + a[draw(st.integers(0, len(a))):]
+    else:
+        b = alphabet[0] * draw(st.integers(0, 160))
+    return a, b
+
+
 class TestEditDistance:
     def test_identical(self):
         assert normalized_edit_distance("abc", "abc") == 0.0
@@ -69,6 +96,13 @@ class TestEditDistance:
                 else reference_levenshtein(a, b) / max(len(a), len(b))
             )
             assert normalized_edit_distance(a, b) == pytest.approx(expected, abs=1e-12)
+
+    @given(edit_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_parallel_matches_reference_dp(self, pair):
+        a, b = pair
+        expected = 0.0 if not a and not b else reference_levenshtein(a, b) / max(len(a), len(b))
+        assert normalized_edit_distance(a, b) == expected
 
 
 class TestProfile:
