@@ -35,6 +35,8 @@ N_FOLDS = 10
 T_CRIT_95 = 2.262157162798205
 PAIR_SAMPLE_CUTOFF = 2000
 PAIR_SAMPLE_SIZE = 200_000
+PAIR_CHUNK = 8192  # sampled pairs per dot-product chunk
+MATCH_CHUNK_CELLS = 1 << 20  # treatment x control gaps held at once by `match`
 
 
 class ScenarioError(Exception):
@@ -213,8 +215,8 @@ def train_propensity(treatments: list[CausalUnit], controls: list[CausalUnit],
         order = rng.permutation(len(x))
         for start in range(0, len(order), batch_size):
             chunk = order[start:start + batch_size]
-            _, grads = net.loss_and_grads(x[chunk], y[chunk])
-            adam_step(opt, net.params, grads)
+            net.loss_and_grads(x[chunk], y[chunk])
+            adam_step(opt, net.buffer)
     return PropensityModel(network=net)
 
 
@@ -224,35 +226,58 @@ def match(treatments: list[CausalUnit], controls: list[CausalUnit],
 
     Matching is with replacement; gap ties break on ascending record id.
     """
+    if k < 1:
+        raise ScenarioError(f"k must be at least 1, got {k}")
     if len(controls) < k:
         raise ScenarioError(f"need at least k={k} controls, got {len(controls)}")
     p_t = model.predict(np.vstack([u.features for u in treatments]))
     p_c = model.predict(np.vstack([u.features for u in controls]))
     control_ids = [u.record_id for u in controls]
     id_rank = np.argsort(np.argsort(control_ids, kind="stable"), kind="stable")
+    chosen = _nearest_controls(p_t, p_c, id_rank, k)
+    gaps = np.abs(p_c[chosen] - p_t[:, None])
 
     control_mat = np.vstack([u.features for u in controls])
     control_norms = np.linalg.norm(control_mat, axis=1)
 
     results = []
-    for unit, p in zip(treatments, p_t):
-        gaps = np.abs(p_c - p)
-        chosen = np.lexsort((id_rank, gaps))[:k]
+    for unit, row, row_gaps in zip(treatments, chosen.tolist(), gaps.tolist()):
         tvec = unit.features
         tnorm = float(np.linalg.norm(tvec))
         sims = []
-        for c in chosen:
+        for c in row:
             denom = tnorm * control_norms[c]
             sims.append(float(control_mat[c] @ tvec / denom) if denom > 0 else 0.0)
         results.append(
             MatchResult(
                 treatment_id=unit.record_id,
-                matched_control_ids=tuple(control_ids[c] for c in chosen),
-                propensity_gaps=tuple(float(gaps[c]) for c in chosen),
+                matched_control_ids=tuple(control_ids[c] for c in row),
+                propensity_gaps=tuple(row_gaps),
                 mean_similarity=float(np.mean(sims)),
             )
         )
     return results
+
+
+def _nearest_controls(p_t: np.ndarray, p_c: np.ndarray, id_rank: np.ndarray,
+                      k: int) -> np.ndarray:
+    """Control indices [len(p_t), k]: each treatment's k smallest |p_c - p|,
+    ties broken on ascending `id_rank`, nearest first.
+
+    Works on chunks of treatment rows. Only the controls whose gap is at most
+    the row's k-th smallest gap can be chosen, so only those are sorted.
+    """
+    chosen = np.empty((len(p_t), k), dtype=np.int64)
+    step = max(1, MATCH_CHUNK_CELLS // len(p_c))
+    for start in range(0, len(p_t), step):
+        gaps = np.abs(p_c[None, :] - p_t[start:start + step, None])
+        kth = np.partition(gaps, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(gaps <= kth[:, None])  # rows ascending
+        order = np.lexsort((id_rank[cols], gaps[rows, cols], rows))
+        counts = np.bincount(rows, minlength=len(gaps))
+        first = np.cumsum(counts) - counts  # each row's first candidate in `order`
+        chosen[start:start + len(gaps)] = cols[order][first[:, None] + np.arange(k)]
+    return chosen
 
 
 def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0,
@@ -261,7 +286,8 @@ def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0,
     """Mean and standard deviation of cosine similarity over document pairs.
 
     Exact over all n(n-1)/2 pairs up to `exact_cutoff` documents; beyond that,
-    a seeded uniform sample of pairs.
+    a seeded uniform sample of pairs, whose dot products are taken in chunks
+    of PAIR_CHUNK rows.
     """
     vec = np.asarray(vectors, dtype=np.float64)
     n = len(vec)
@@ -280,7 +306,11 @@ def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0,
         i = rng.integers(0, n, size=sample_size)
         j = rng.integers(0, n - 1, size=sample_size)
         j = np.where(j >= i, j + 1, j)  # uniform over ordered pairs with i != j
-        sims = np.einsum("nd,nd->n", unit[i], unit[j])
+        sims = np.empty(sample_size, dtype=np.float64)
+        for start in range(0, sample_size, PAIR_CHUNK):
+            stop = start + PAIR_CHUNK
+            np.einsum("nd,nd->n", unit[i[start:stop]], unit[j[start:stop]],
+                      out=sims[start:stop])
     return float(sims.mean()), float(sims.std())
 
 
@@ -301,15 +331,15 @@ def balance_check(matches: list[MatchResult], mu: float, sigma: float,
     )
 
 
-def estimate_eate(matches: list[MatchResult], outcomes: dict[str, float],
-                  k: int = DEFAULT_KNN) -> float:
+def estimate_eate(matches: list[MatchResult], outcomes: dict[str, float]) -> float:
     """Average over treatment units of the mean outcome gap to their matches."""
     if not matches:
         raise ValueError("no matches to aggregate")
     total = 0.0
     for m in matches:
         y_t = _lookup_outcome(outcomes, m.treatment_id)
-        total += sum(y_t - _lookup_outcome(outcomes, c) for c in m.matched_control_ids) / k
+        gaps = sum(y_t - _lookup_outcome(outcomes, c) for c in m.matched_control_ids)
+        total += gaps / len(m.matched_control_ids)
     return total / len(matches)
 
 
@@ -451,7 +481,7 @@ def run_scenario(corpus: Corpus, profiles: list[EditProfile], scenario: Scenario
         matches = match(held_out, train_controls, model, k=config.knn)
         balances.append(balance_check(matches, mu, sigma, config.alpha, config.tau))
         for metric in ENGAGEMENT_METRICS:
-            fold_values[metric].append(estimate_eate(matches, outcomes[metric], k=config.knn))
+            fold_values[metric].append(estimate_eate(matches, outcomes[metric]))
 
     any_balance_failure = any(not b.passed for b in balances)
     reports = []

@@ -159,8 +159,8 @@ def train(dataset: list[LabeledHeadline], split_seed: int = 0, epochs: int = 10,
         order = rng.permutation(len(fit_seqs))
         for start in range(0, len(order), batch_size):
             chunk = order[start:start + batch_size]
-            _, grads = network.loss_and_grads([fit_seqs[i] for i in chunk], fit_y[chunk])
-            adam_step(opt, network.params, grads)
+            network.loss_and_grads([fit_seqs[i] for i in chunk], fit_y[chunk])
+            adam_step(opt, network.buffer)
         val_pred = (network.score_batch(val_seqs) > model.threshold).astype(int)
         val_f1 = f1_score(val_y.astype(int), val_pred)
         if val_f1 > best_val:

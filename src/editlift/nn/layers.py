@@ -11,12 +11,11 @@ EPS = 1e-12
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from e^-|x|,
+    # so neither branch overflows
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _identity(x):
@@ -62,17 +61,6 @@ def forward_dense(layer: DenseLayer, x: np.ndarray):
     act, _ = ACTIVATIONS[layer.activation]
     out = act(x @ layer.weights + layer.bias)
     return out, (x, out)
-
-
-def backward_dense(layer: DenseLayer, dout: np.ndarray, cache):
-    """Gradients of a dense layer: returns (dx, dW, db)."""
-    x, out = cache
-    _, act_grad = ACTIVATIONS[layer.activation]
-    dz = dout * act_grad(out)
-    dw = x.T @ dz
-    db = dz.sum(axis=0)
-    dx = dz @ layer.weights.T
-    return dx, dw, db
 
 
 def binary_cross_entropy(prediction: float | np.ndarray, label: float | np.ndarray) -> float:

@@ -1,8 +1,12 @@
 """The two fixed architectures: a feed-forward binary classifier and a
 bidirectional GRU sequence classifier with attention pooling.
 
-Both expose a flat parameter dict plus loss_and_grads(), which is the whole
-contract the optimizer and the gradient checker need.
+Each network keeps its parameters in one flat float64 buffer with named
+views (`buffer`, a ParamBuffer; `params` maps names to the views) and
+writes its gradients into a second buffer of the same layout. `buffer` plus
+loss_and_grads() is the whole contract the optimizer and the gradient
+checker need. The gradients loss_and_grads() returns are views into the
+gradient buffer, valid until the next call.
 """
 
 from __future__ import annotations
@@ -14,16 +18,17 @@ from .layers import (
     AttentionHead,
     DenseLayer,
     GruCell,
-    backward_dense,
     forward_dense,
     xavier_uniform,
     EPS,
     _sigmoid,
 )
+from .params import ParamBuffer
 
 
 class Mlp:
-    """Fully-connected sigmoid-output classifier (or plain regressor).
+    """Fully-connected classifier (sigmoid output, binary cross-entropy) or
+    regressor (mean squared error).
 
     `l2_penalty` adds penalty = lambda * sum(W^2) over the weights of the
     layer at `l2_layer` (default: the last hidden layer) to the training
@@ -41,11 +46,18 @@ class Mlp:
             raise ValueError("one activation per layer required")
         if loss not in ("bce", "mse"):
             raise ValueError(f"unknown loss {loss!r}")
+        if loss == "bce" and activations[-1] != "sigmoid":
+            raise ValueError("loss 'bce' needs a sigmoid output layer")
         rng = np.random.default_rng(seed)
         self.layers = [
             DenseLayer.init(rng, layer_sizes[i], layer_sizes[i + 1], activations[i])
             for i in range(n_layers)
         ]
+        self.buffer = ParamBuffer.adopt(
+            [(f"{kind}{i}", layer, attr)
+             for i, layer in enumerate(self.layers)
+             for kind, attr in (("w", "weights"), ("b", "bias"))]
+        )
         self.loss = loss
         self.l2_penalty = float(l2_penalty)
         if l2_layer is None:
@@ -55,16 +67,11 @@ class Mlp:
 
     @property
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"w{i}"] = layer.weights
-            out[f"b{i}"] = layer.bias
-        return out
+        """Named views into the parameter buffer: w0, b0, w1, b1, ..."""
+        return dict(self.buffer.params)
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        for i, layer in enumerate(self.layers):
-            layer.weights = np.asarray(params[f"w{i}"], dtype=np.float64)
-            layer.bias = np.asarray(params[f"b{i}"], dtype=np.float64)
+        self.buffer.assign(params)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
@@ -73,53 +80,50 @@ class Mlp:
         return out[:, 0] if out.shape[-1] == 1 else out
 
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
+        """Mean loss over a batch x [n, features] with targets y [n], and the
+        gradient of every parameter.
+
+        The gradients are views into the network's gradient buffer, valid
+        until the next call.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         n = x.shape[0]
-
-        caches = []
-        out = x
+        acts = [x]  # input of each layer, then the network output
         for layer in self.layers:
-            out, cache = forward_dense(layer, out)
-            caches.append(cache)
-        pred = out[:, 0]
+            act, _ = ACTIVATIONS[layer.activation]
+            z = acts[-1] @ layer.weights
+            z += layer.bias
+            acts.append(act(z))
+        pred = acts[-1][:, 0]
 
+        last = len(self.layers) - 1
         if self.loss == "bce":
             p = np.clip(pred, EPS, 1.0 - EPS)
             value = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-            if self.layers[-1].activation == "sigmoid":
-                # combined sigmoid+BCE gradient w.r.t. the pre-activation
-                dz_last = ((pred - y) / n)[:, None]
-                dpred = None
-            else:
-                dpred = ((p - y) / (p * (1.0 - p)) / n)[:, None]
-                dz_last = None
+            # combined sigmoid+BCE gradient w.r.t. the pre-activation
+            dz = ((pred - y) / n)[:, None]
         else:
             diff = pred - y
             value = float(np.mean(diff * diff))
-            dpred = (2.0 * diff / n)[:, None]
-            dz_last = None
+            _, act_grad = ACTIVATIONS[self.layers[last].activation]
+            dz = (2.0 * diff / n)[:, None] * act_grad(acts[-1])
 
-        grads: dict[str, np.ndarray] = {}
-        if dz_last is not None:
-            x_last, _ = caches[-1]
-            grads[f"w{len(self.layers) - 1}"] = x_last.T @ dz_last
-            grads[f"b{len(self.layers) - 1}"] = dz_last.sum(axis=0)
-            dx = dz_last @ self.layers[-1].weights.T
-            rest = range(len(self.layers) - 2, -1, -1)
-        else:
-            dx = dpred
-            rest = range(len(self.layers) - 1, -1, -1)
-
-        for i in rest:
-            dx, dw, db = backward_dense(self.layers[i], dx, caches[i])
-            grads[f"w{i}"] = dw
-            grads[f"b{i}"] = db
+        grads = self.buffer.grad_views
+        for i in range(last, -1, -1):
+            layer = self.layers[i]
+            if i < last:
+                _, act_grad = ACTIVATIONS[layer.activation]
+                dz = dx * act_grad(acts[i + 1])
+            np.matmul(acts[i].T, dz, out=grads[f"w{i}"])
+            np.sum(dz, axis=0, out=grads[f"b{i}"])
+            if i > 0:
+                dx = dz @ layer.weights.T
 
         if self.l2_penalty > 0.0:
             w = self.layers[self.l2_layer].weights
-            value += self.l2_penalty * float(np.sum(w * w))
-            grads[f"w{self.l2_layer}"] = grads[f"w{self.l2_layer}"] + 2.0 * self.l2_penalty * w
+            value += self.l2_penalty * float(np.vdot(w, w))
+            grads[f"w{self.l2_layer}"] += 2.0 * self.l2_penalty * w
         return value, grads
 
 
@@ -144,6 +148,14 @@ class SequenceClassifier:
         self.attention = AttentionHead.init(rng, 2 * hidden_size, attention_size)
         self.out_w = xavier_uniform(rng, 2 * hidden_size, 1, shape=(2 * hidden_size,))
         self.out_b = np.zeros(1, dtype=np.float64)
+        self.buffer = ParamBuffer.adopt(
+            [("embed", self, "embed"), ("out_w", self, "out_w"), ("out_b", self, "out_b")]
+            + [(prefix + gate, cell, gate)
+               for prefix, cell in (("f_", self.fwd), ("b_", self.bwd))
+               for gate in ("wz", "wr", "wc", "uz", "ur", "uc", "bz", "br", "bc")]
+            + [("a_" + field, self.attention, field)
+               for field in ("projection", "proj_bias", "context")]
+        )
         self.vocab_size = vocab_size
         self.embed_size = embed_size
         self.hidden_size = hidden_size
@@ -152,25 +164,12 @@ class SequenceClassifier:
 
     @property
     def params(self) -> dict[str, np.ndarray]:
-        out = {"embed": self.embed, "out_w": self.out_w, "out_b": self.out_b}
-        for prefix, cell in (("f_", self.fwd), ("b_", self.bwd)):
-            for gate in ("wz", "wr", "wc", "uz", "ur", "uc", "bz", "br", "bc"):
-                out[prefix + gate] = getattr(cell, gate)
-        out["a_projection"] = self.attention.projection
-        out["a_proj_bias"] = self.attention.proj_bias
-        out["a_context"] = self.attention.context
-        return out
+        """Named views into the parameter buffer: embed, out_w, out_b, the
+        forward (f_) and backward (b_) GRU gates, then the attention head (a_)."""
+        return dict(self.buffer.params)
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.embed = np.asarray(params["embed"], dtype=np.float64)
-        self.out_w = np.asarray(params["out_w"], dtype=np.float64)
-        self.out_b = np.asarray(params["out_b"], dtype=np.float64)
-        for prefix, cell in (("f_", self.fwd), ("b_", self.bwd)):
-            for gate in ("wz", "wr", "wc", "uz", "ur", "uc", "bz", "br", "bc"):
-                setattr(cell, gate, np.asarray(params[prefix + gate], dtype=np.float64))
-        self.attention.projection = np.asarray(params["a_projection"], dtype=np.float64)
-        self.attention.proj_bias = np.asarray(params["a_proj_bias"], dtype=np.float64)
-        self.attention.context = np.asarray(params["a_context"], dtype=np.float64)
+        self.buffer.assign(params)
 
     def _forward_batch(self, ids: np.ndarray):
         """ids [B, T] (equal lengths) -> (scores [B], cache)."""
@@ -193,10 +192,16 @@ class SequenceClassifier:
         return scores
 
     def loss_and_grads(self, sequences, labels):
-        """Mean BCE over a batch of variable-length sequences, with grads."""
+        """Mean BCE over a batch of variable-length sequences, and the gradient
+        of every parameter.
+
+        The gradients are views into the network's gradient buffer, valid
+        until the next call.
+        """
         labels = np.asarray(labels, dtype=np.float64).reshape(-1)
         n = len(sequences)
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.buffer.grads.fill(0.0)
+        grads = self.buffer.grad_views
         total = 0.0
         for length, idxs in _group_by_length(sequences).items():
             batch = np.asarray([sequences[i] for i in idxs], dtype=np.int64)

@@ -32,7 +32,7 @@ def test_criterion_1_effect_formula_hand_oracle():
     t0 = time.time()
     matches = [MatchResult("t", ("c1", "c2", "c3", "c4", "c5"), (0.0,) * 5, 1.0)]
     outcomes = {"t": 10.0, "c1": 1.0, "c2": 2.0, "c3": 3.0, "c4": 4.0, "c5": 5.0}
-    single = estimate_eate(matches, outcomes, k=5)
+    single = estimate_eate(matches, outcomes)
 
     multi = [
         MatchResult("t1", ("a", "b"), (0.0,) * 2, 1.0),
@@ -42,7 +42,7 @@ def test_criterion_1_effect_formula_hand_oracle():
     outs = {"t1": 12.5, "t2": -3.25, "t3": 8.0, "a": 1.5, "b": 2.5, "c": -1.0, "d": 4.0}
     # hand evaluation: mean over treatments of (y_t - mean of its controls)
     expected = np.mean([12.5 - 2.0, -3.25 - 1.5, 8.0 - 2.75])
-    got = estimate_eate(multi, outs, k=2)
+    got = estimate_eate(multi, outs)
     report(
         "criterion 1: effect-estimate hand oracle",
         single == 7.0 and abs(got - expected) < 1e-12 and time.time() - t0 < 1.0,

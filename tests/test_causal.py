@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from editlift import causal, synthbench as sb, textsim
 from editlift.causal import (
@@ -79,6 +82,80 @@ class TestMatch:
         assert result.propensity_gaps == pytest.approx((0.1, 0.2))
 
 
+def reference_match(treatments, controls, model, k):
+    """Per-treatment full lexsort, as `match` selected before it was vectorized."""
+    p_t = model.predict(np.vstack([u.features for u in treatments]))
+    p_c = model.predict(np.vstack([u.features for u in controls]))
+    control_ids = [u.record_id for u in controls]
+    id_rank = np.argsort(np.argsort(control_ids, kind="stable"), kind="stable")
+    control_mat = np.vstack([u.features for u in controls])
+    control_norms = np.linalg.norm(control_mat, axis=1)
+    results = []
+    for unit, p in zip(treatments, p_t):
+        gaps = np.abs(p_c - p)
+        chosen = np.lexsort((id_rank, gaps))[:k]
+        tvec = unit.features
+        tnorm = float(np.linalg.norm(tvec))
+        sims = []
+        for c in chosen:
+            denom = tnorm * control_norms[c]
+            sims.append(float(control_mat[c] @ tvec / denom) if denom > 0 else 0.0)
+        results.append(MatchResult(
+            treatment_id=unit.record_id,
+            matched_control_ids=tuple(control_ids[c] for c in chosen),
+            propensity_gaps=tuple(float(gaps[c]) for c in chosen),
+            mean_similarity=float(np.mean(sims)),
+        ))
+    return results
+
+
+class KeyedScores:
+    """Propensity stub: feature 0 of a unit is the key of its score."""
+
+    def __init__(self, scores):
+        self.scores = np.asarray(scores, dtype=float)
+
+    def predict(self, features):
+        return self.scores[np.atleast_2d(features)[:, 0].astype(int)]
+
+
+@st.composite
+def match_problems(draw):
+    n_t = draw(st.integers(1, 8))
+    n_c = draw(st.integers(1, 25))
+    # quarter-step propensities make exact gap ties common, on both sides of a treatment
+    levels = draw(st.lists(st.integers(0, 4), min_size=n_t + n_c, max_size=n_t + n_c))
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=n_c, max_size=n_c,
+                        unique=True))
+    k = draw(st.integers(1, n_c))
+    chunk_cells = draw(st.sampled_from([1, 3, causal.MATCH_CHUNK_CELLS]))
+    seed = draw(st.integers(0, 2**16))
+    return n_t, ids, [lv / 4 for lv in levels], k, chunk_cells, seed
+
+
+class TestMatchVectorized:
+    @settings(max_examples=200, deadline=None)
+    @given(match_problems())
+    def test_equals_per_unit_lexsort(self, problem):
+        n_t, ids, scores, k, chunk_cells, seed = problem
+        rng = np.random.default_rng(seed)
+
+        def make(key, rid):
+            vec = np.concatenate([[float(key)], rng.normal(size=3)])
+            return CausalUnit(rid, vec, {})
+
+        treatments = [make(i, f"t{i}") for i in range(n_t)]
+        controls = [make(n_t + j, rid) for j, rid in enumerate(ids)]
+        model = KeyedScores(scores)
+        with mock.patch.object(causal, "MATCH_CHUNK_CELLS", chunk_cells):
+            got = match(treatments, controls, model, k=k)
+        assert got == reference_match(treatments, controls, model, k)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ScenarioError, match="at least 1"):
+            match([unit("t", 1.0)], [unit("c", 1.0)], FixedScores({1.0: 0.5}), k=0)
+
+
 class TestEate:
     def make_matches(self, spec):
         return [
@@ -88,22 +165,22 @@ class TestEate:
     def test_hand_oracle_single_treatment(self):
         matches = self.make_matches([("t", ["c1", "c2", "c3", "c4", "c5"])])
         outcomes = {"t": 10.0, "c1": 1.0, "c2": 2.0, "c3": 3.0, "c4": 4.0, "c5": 5.0}
-        assert estimate_eate(matches, outcomes, k=5) == 7.0
+        assert estimate_eate(matches, outcomes) == 7.0
 
     def test_null_effect(self):
         matches = self.make_matches([("t", ["c1", "c2"])])
         outcomes = {"t": 4.0, "c1": 4.0, "c2": 4.0}
-        assert estimate_eate(matches, outcomes, k=2) == 0.0
+        assert estimate_eate(matches, outcomes) == 0.0
 
     def test_two_treatments_average(self):
         matches = self.make_matches([("t1", ["c1"]), ("t2", ["c2"])])
         outcomes = {"t1": 7.0, "c1": 0.0, "t2": 0.0, "c2": 7.0}
-        assert estimate_eate(matches, outcomes, k=1) == 0.0
+        assert estimate_eate(matches, outcomes) == 0.0
 
     def test_missing_outcome_error(self):
         matches = self.make_matches([("t", ["c1"])])
         with pytest.raises(ValueError, match="no outcome"):
-            estimate_eate(matches, {"t": 1.0}, k=1)
+            estimate_eate(matches, {"t": 1.0})
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
@@ -114,9 +191,9 @@ class TestEate:
         for m in matches:
             for c in m.matched_control_ids:
                 outcomes[c] = float(rng.integers(0, 50))
-        base = estimate_eate(matches, outcomes, k=2)
-        scaled = estimate_eate(matches, {k: 3.0 * v for k, v in outcomes.items()}, k=2)
-        shifted = estimate_eate(matches, {k: v + 17.0 for k, v in outcomes.items()}, k=2)
+        base = estimate_eate(matches, outcomes)
+        scaled = estimate_eate(matches, {k: 3.0 * v for k, v in outcomes.items()})
+        shifted = estimate_eate(matches, {k: v + 17.0 for k, v in outcomes.items()})
         assert scaled == pytest.approx(3.0 * base)
         assert shifted == pytest.approx(base)
 
@@ -126,8 +203,8 @@ class TestEate:
         outcomes = {"a1": 5.0, "b1": 1.0, "a2": 8.0, "b2": 2.0, "a3": 3.0, "b3": 7.0}
         fwd = self.make_matches([(a, [b]) for a, b in pairs])
         rev = self.make_matches([(b, [a]) for a, b in pairs])
-        assert estimate_eate(fwd, outcomes, k=1) == pytest.approx(
-            -estimate_eate(rev, outcomes, k=1))
+        assert estimate_eate(fwd, outcomes) == pytest.approx(
+            -estimate_eate(rev, outcomes))
 
 
 class TestBalance:
@@ -185,6 +262,24 @@ class TestPairwiseStats:
             vecs, seed=2, exact_cutoff=10, sample_size=100_000)
         assert mu_sample == pytest.approx(mu_exact, abs=0.01)
         assert sd_sample == pytest.approx(sd_exact, abs=0.01)
+
+    def test_chunked_sample_equals_unchunked_einsum(self):
+        n = causal.PAIR_SAMPLE_CUTOFF + 1
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(n, 32))
+        vecs[5] = 0.0
+        # the unchunked computation: one gather of every sampled pair
+        norms = np.linalg.norm(vecs, axis=1)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        unit_vecs = vecs / safe[:, None]
+        unit_vecs[norms == 0.0] = 0.0
+        draw = np.random.default_rng(4)
+        i = draw.integers(0, n, size=causal.PAIR_SAMPLE_SIZE)
+        j = draw.integers(0, n - 1, size=causal.PAIR_SAMPLE_SIZE)
+        j = np.where(j >= i, j + 1, j)
+        sims = np.einsum("nd,nd->n", unit_vecs[i], unit_vecs[j])
+        assert causal.PAIR_SAMPLE_SIZE % causal.PAIR_CHUNK != 0  # a partial last chunk
+        assert pairwise_similarity_stats(vecs, seed=4) == (float(sims.mean()), float(sims.std()))
 
     def test_zero_norm_rows_tolerated(self):
         vecs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+from editlift import clickbait
 from editlift.nn import (
     AdamState,
     AttentionHead,
     DenseLayer,
     GruCell,
     Mlp,
+    ParamBuffer,
     SequenceClassifier,
     adam_step,
     attend,
     binary_cross_entropy,
     check_gradients,
-    clip_by_global_norm,
     forward_dense,
     forward_gru_bidirectional,
     load_params,
@@ -141,36 +142,167 @@ class TestAttention:
 class TestAdam:
     def test_zero_gradient_no_move(self):
         state = AdamState()
-        params = {"w": np.array([1.0, -2.0])}
-        adam_step(state, params, {"w": np.zeros(2)})
-        assert np.array_equal(params["w"], [1.0, -2.0])
+        buffer = ParamBuffer({"w": np.array([1.0, -2.0])})
+        buffer.grads[:] = 0.0
+        adam_step(state, buffer)
+        assert np.array_equal(buffer.params["w"], [1.0, -2.0])
 
     def test_global_norm_clipping(self):
-        grads = {"a": np.array([6.0, 0.0]), "b": np.array([0.0, 8.0])}  # norm 10
-        clipped = clip_by_global_norm(grads, 5.0)
-        assert np.allclose(clipped["a"], [3.0, 0.0])
-        assert np.allclose(clipped["b"], [0.0, 4.0])
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in clipped.values()))
+        buffer = ParamBuffer({"a": np.zeros(2), "b": np.zeros(2)})
+        buffer.grad_views["a"][:] = [6.0, 0.0]
+        buffer.grad_views["b"][:] = [0.0, 8.0]  # norm 10
+        adam_step(AdamState(clip_norm=5.0), buffer)  # clips buffer.grads in place
+        assert np.allclose(buffer.grad_views["a"], [3.0, 0.0])
+        assert np.allclose(buffer.grad_views["b"], [0.0, 4.0])
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in buffer.grad_views.values()))
         assert total == pytest.approx(5.0)
 
     def test_no_clip_below_threshold(self):
-        grads = {"a": np.array([3.0])}
-        assert clip_by_global_norm(grads, 5.0)["a"][0] == 3.0
+        buffer = ParamBuffer({"a": np.zeros(1)})
+        buffer.grads[:] = 3.0
+        adam_step(AdamState(clip_norm=5.0), buffer)
+        assert buffer.grad_views["a"][0] == 3.0
 
     def test_first_step_closed_form(self):
         lr, eps = 1e-3, 1e-8
         g = 0.37
         state = AdamState(learning_rate=lr, epsilon=eps)
-        params = {"w": np.array([2.0])}
-        adam_step(state, params, {"w": np.array([g])})
+        buffer = ParamBuffer({"w": np.array([2.0])})
+        buffer.grads[:] = g
+        adam_step(state, buffer)
         # bias-corrected first step: -lr * g / (|g| + eps)
         expected = 2.0 - lr * g / (abs(g) + eps)
-        assert params["w"][0] == pytest.approx(expected, abs=1e-12)
+        assert buffer.params["w"][0] == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_non_finite(self):
         state = AdamState()
+        buffer = ParamBuffer({"w": np.zeros(1)})
+        buffer.grads[:] = np.nan
         with pytest.raises(FloatingPointError):
-            adam_step(state, {"w": np.zeros(1)}, {"w": np.array([np.nan])})
+            adam_step(state, buffer)
+
+
+def reference_clip_by_global_norm(grads, clip_norm):
+    """Per-array global-norm clipping, as the optimizer did before the flat buffer."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = np.sqrt(total)
+    if norm <= clip_norm or norm == 0.0:
+        return grads, norm
+    scale = clip_norm / norm
+    return {k: g * scale for k, g in grads.items()}, norm
+
+
+def reference_adam_step(state, m, v, params, grads):
+    """Per-array Adam with per-name moment dicts; returns the pre-clip norm."""
+    grads, norm = reference_clip_by_global_norm(grads, state.clip_norm)
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, g in grads.items():
+        if name not in m:
+            m[name] = np.zeros_like(params[name])
+            v[name] = np.zeros_like(params[name])
+        m[name] *= state.beta1
+        m[name] += (1.0 - state.beta1) * g
+        v[name] *= state.beta2
+        v[name] += (1.0 - state.beta2) * g * g
+        params[name] -= state.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.epsilon)
+    return norm
+
+
+def small_networks():
+    mlp = (lambda: Mlp([5, 7, 4, 1], seed=13, l2_penalty=0.01),
+           lambda rng: (rng.normal(size=(9, 5)), (rng.random(9) > 0.5).astype(float)))
+    seq = (lambda: SequenceClassifier(vocab_size=12, embed_size=3, hidden_size=4,
+                                      attention_size=3, seed=14),
+           lambda rng: ([list(rng.integers(0, 12, size=int(rng.integers(1, 5))))
+                         for _ in range(6)], (rng.random(6) > 0.5).astype(float)))
+    return {"mlp": mlp, "sequence": seq}
+
+
+class TestFlatAdam:
+    # unclipped, the flat step is bit-identical to the reference for 50 steps;
+    # clipped (every step), the flat norm sums in another order, and the
+    # last-bit difference in the scale feeds back through later gradients,
+    # so that case compares 5 steps by a relative tolerance
+    @pytest.mark.parametrize("kind", ["mlp", "sequence"])
+    @pytest.mark.parametrize("clip_norm, steps", [(5.0, 50), (0.05, 5)])
+    def test_matches_per_array_reference(self, kind, clip_norm, steps):
+        build, make_batch = small_networks()[kind]
+        flat, ref = build(), build()
+        ref_params = {k: v.copy() for k, v in ref.params.items()}
+        state = AdamState(learning_rate=1e-2, clip_norm=clip_norm)
+        ref_state = AdamState(learning_rate=1e-2, clip_norm=clip_norm)
+        m, v = {}, {}
+        rng = np.random.default_rng(15)
+        norms = []
+        for _ in range(steps):
+            batch = make_batch(rng)
+            flat.loss_and_grads(*batch)
+            adam_step(state, flat.buffer)
+            ref.set_params(ref_params)
+            _, grads = ref.loss_and_grads(*batch)
+            norms.append(reference_adam_step(ref_state, m, v, ref_params,
+                                             {k: g.copy() for k, g in grads.items()}))
+            for name, value in flat.params.items():
+                if clip_norm == 5.0:
+                    assert np.array_equal(value, ref_params[name]), name
+                else:
+                    np.testing.assert_allclose(value, ref_params[name], rtol=1e-12, err_msg=name)
+        # the two cases exercise the two paths: never clipped, always clipped
+        assert (max(norms) < clip_norm) if clip_norm == 5.0 else (min(norms) > clip_norm)
+
+    @pytest.mark.parametrize("kind", ["mlp", "sequence"])
+    def test_non_finite_gradient_names_its_parameter(self, kind):
+        build, _ = small_networks()[kind]
+        net = build()
+        for name in net.params:
+            net.buffer.grads[:] = 0.0
+            net.buffer.grad_views[name].reshape(-1)[-1] = np.nan
+            with pytest.raises(FloatingPointError, match=repr(name)):
+                adam_step(AdamState(), net.buffer)
+
+
+class TestParamViews:
+    @staticmethod
+    def assert_views_share_buffer(net):
+        assert list(net.params) == net.buffer.names
+        for name, view in net.params.items():
+            assert np.shares_memory(view, net.buffer.values), name
+
+    def test_after_construction_and_set_params(self):
+        for build, _ in small_networks().values():
+            net = build()
+            self.assert_views_share_buffer(net)
+            donor = {k: np.full(v.shape, 0.5) for k, v in net.params.items()}
+            net.set_params(donor)
+            self.assert_views_share_buffer(net)
+            assert np.all(net.buffer.values == 0.5)
+
+    def test_set_params_rejects_wrong_shape(self):
+        net = Mlp([3, 2, 1], seed=0)
+        params = net.params
+        params["w0"] = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="w0"):
+            net.set_params(params)
+
+    def test_after_load_model(self, tmp_path):
+        network = SequenceClassifier(vocab_size=3, embed_size=2, hidden_size=3, seed=16)
+        model = clickbait.ClickbaitModel(network=network, token_ids={"a": 1, "b": 2})
+        clickbait.save_model(model, tmp_path / "model.bin")
+        loaded = clickbait.load_model(tmp_path / "model.bin")
+        self.assert_views_share_buffer(loaded.network)
+        assert np.array_equal(loaded.network.buffer.values, network.buffer.values)
+        assert loaded.network.score_batch([[1, 2]])[0] == network.score_batch([[1, 2]])[0]
+
+
+class TestMlpConfig:
+    def test_bce_needs_sigmoid_output(self):
+        with pytest.raises(ValueError, match="sigmoid"):
+            Mlp([3, 4, 1], activations=["relu", "identity"], loss="bce")
 
 
 class TestGradientChecks:
@@ -211,8 +343,8 @@ class TestTraining:
             order = order_rng.permutation(len(x))
             for start in range(0, len(order), 16):
                 chunk = order[start:start + 16]
-                _, grads = model.loss_and_grads(x[chunk], y[chunk])
-                adam_step(opt, model.params, grads)
+                model.loss_and_grads(x[chunk], y[chunk])
+                adam_step(opt, model.buffer)
             if np.all((model.predict(x) > 0.5) == (y == 1)):
                 break
         assert np.all((model.predict(x) > 0.5) == (y == 1))
