@@ -1,15 +1,21 @@
 """Matched treatment-effect estimation for editing styles.
 
-For a scenario (treatment selector vs control selector within one outlet),
-the pipeline is: embed article bodies, train a feed-forward propensity model
-(treatment given body text), match each treatment unit to its k nearest
-controls by propensity, gate on the semantic-balance condition, and average
-the per-unit outcome gaps. The robustness interval is cross-fitted over ten
-folds: each fold's propensity model is trained on the other nine folds, and
-only the fold's own held-out treatment units are matched and estimated, so
-every treatment unit is estimated exactly once and the ten fold values rest
-on disjoint treatment outcomes. A scenario whose interval covers zero, or
-that fails balance on any fold, is discarded.
+A `UnitTable` is built once per corpus (per `estimate` command): one row per
+profiled record with body text, holding its filter columns, the profile
+columns the selectors read, its body vector (each body embedded exactly once)
+and its outcomes. The `estimate` command gives that one table to its `--jobs`
+workers when the pool starts, so a scenario task carries only the scenario,
+the seed and the settings. For a scenario (treatment selector vs control
+selector within one outlet), `select_units` masks the table's rows; then the
+pipeline is: train a feed-forward propensity model (treatment given body
+text), match each treatment unit to its k nearest controls by propensity,
+gate on the semantic-balance condition, and average the per-unit outcome
+gaps. The robustness interval is cross-fitted over ten folds: each fold's
+propensity model is trained on the other nine folds, and only the fold's own
+held-out treatment units are matched and estimated, so every treatment unit
+is estimated exactly once and the ten fold values rest on disjoint treatment
+outcomes. A scenario whose interval covers zero, or that fails balance on
+any fold, is discarded.
 """
 
 from __future__ import annotations
@@ -62,21 +68,21 @@ class Selector:
     headline_class: str | None = None
     post_class: str | None = None
 
-    def matches(self, profile: EditProfile) -> bool:
+    def mask(self, units: "UnitTable") -> np.ndarray:
+        """Rows of `units` the selector picks. A shift selector picks no row
+        that lacks clickbait scores; `select_units` reports those rows."""
         if self.kind == "edited":
-            return not profile.mirrored
+            return ~units.mirrored
         if self.kind == "mirrored":
-            return profile.mirrored
+            return units.mirrored
         if self.kind == "cluster":
-            return profile.cluster == self.cluster
+            return units.cluster == self.cluster  # NaN (unclustered) never equals
         if self.kind == "shift":
-            if profile.headline_clickbait is None or profile.post_clickbait is None:
-                raise ScenarioError(
-                    f"record {profile.record_id!r} lacks clickbait scores required by a shift selector"
-                )
-            got_h = "C" if profile.headline_clickbait > CLICKBAIT_THRESHOLD else "NC"
-            got_p = "C" if profile.post_clickbait > CLICKBAIT_THRESHOLD else "NC"
-            return got_h == self.headline_class and got_p == self.post_class
+            # NaN scores compare False; those rows are errors, not "NC"
+            got_h = np.where(units.headline_clickbait > CLICKBAIT_THRESHOLD, "C", "NC")
+            got_p = np.where(units.post_clickbait > CLICKBAIT_THRESHOLD, "C", "NC")
+            return ((got_h == self.headline_class) & (got_p == self.post_class)
+                    & ~units.lacks_scores)
         raise ScenarioError(f"unknown selector kind {self.kind!r}")
 
     @classmethod
@@ -125,7 +131,78 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Units, propensity model, matching
+# Unit table, propensity model, matching
+
+
+@dataclass(frozen=True)
+class UnitTable:
+    """Per-record inputs of every scenario, one row per profiled record with
+    non-blank body text, in corpus order. Missing profile fields are NaN."""
+
+    record_ids: tuple[str, ...]
+    outlet: np.ndarray  # [n] object: str
+    section: np.ndarray  # [n] object: str or None
+    time_block: np.ndarray  # [n] object: "B1" | "B2" | "B3"
+    mirrored: np.ndarray  # [n] bool
+    cluster: np.ndarray  # [n] float64
+    headline_clickbait: np.ndarray  # [n] float64
+    post_clickbait: np.ndarray  # [n] float64
+    features: np.ndarray  # [n, dim] body vectors
+    zero_hit: np.ndarray  # [n] bool: body has no in-vocabulary token
+    outcomes: np.ndarray  # [n, len(ENGAGEMENT_METRICS)]
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+    @property
+    def lacks_scores(self) -> np.ndarray:
+        return np.isnan(self.headline_clickbait) | np.isnan(self.post_clickbait)
+
+
+def _or_nan(value) -> float:
+    return np.nan if value is None else float(value)
+
+
+def build_unit_table(corpus: Corpus, profiles: list[EditProfile], table: EmbeddingTable,
+                     outlets) -> UnitTable:
+    """Embed each eligible record's body once and collect its columns.
+
+    Eligible: the record sits in one of `outlets` and has a profile and
+    non-blank body text.
+    """
+    profile_by_id = {p.record_id: p for p in profiles}
+    outlets = set(outlets)
+    rows = []
+    for record in corpus:
+        if record.outlet not in outlets:
+            continue
+        prof = profile_by_id.get(record.id)
+        if prof is None or not record.body_text.strip():
+            continue
+        rows.append((record, prof))
+
+    features = np.zeros((len(rows), table.dim), dtype=np.float64)
+    zero_hit = np.zeros(len(rows), dtype=bool)
+    for i, (record, _) in enumerate(rows):
+        doc = embed_text(table, record.body_text)
+        features[i] = doc.values
+        zero_hit[i] = doc.is_zero_hit
+    return UnitTable(
+        record_ids=tuple(r.id for r, _ in rows),
+        outlet=np.array([r.outlet for r, _ in rows], dtype=object),
+        section=np.array([r.section for r, _ in rows], dtype=object),
+        time_block=np.array([assign_time_block(r) for r, _ in rows], dtype=object),
+        mirrored=np.array([p.mirrored for _, p in rows], dtype=bool),
+        cluster=np.array([_or_nan(p.cluster) for _, p in rows], dtype=np.float64),
+        headline_clickbait=np.array([_or_nan(p.headline_clickbait) for _, p in rows],
+                                    dtype=np.float64),
+        post_clickbait=np.array([_or_nan(p.post_clickbait) for _, p in rows],
+                                dtype=np.float64),
+        features=features,
+        zero_hit=zero_hit,
+        outcomes=np.array([float(r.engagement(m)) for r, _ in rows for m in ENGAGEMENT_METRICS],
+                          dtype=np.float64).reshape(len(rows), len(ENGAGEMENT_METRICS)),
+    )
 
 
 @dataclass(frozen=True)
@@ -367,49 +444,47 @@ class CausalConfig:
     l2_penalty: float = 0.001
 
 
-def select_units(corpus: Corpus, profiles: list[EditProfile], scenario: Scenario,
-                 table: EmbeddingTable) -> tuple[list[CausalUnit], list[CausalUnit]]:
-    """Apply the scenario's filters and selectors.
+def select_units(units: UnitTable, scenario: Scenario
+                 ) -> tuple[list[CausalUnit], list[CausalUnit]]:
+    """Apply the scenario's filters and selectors to the table's rows.
 
-    Records without body text, or whose body has no in-vocabulary token, are
-    excluded (the propensity model consumes body vectors). Treatment and
-    control selectors must not overlap.
+    Records whose body has no in-vocabulary token are excluded (the
+    propensity model consumes body vectors). The first filtered row, in
+    corpus order, that a shift selector cannot read (no clickbait scores) or
+    that both selectors pick raises `ScenarioError`, zero-hit or not.
     """
-    profile_by_id = {p.record_id: p for p in profiles}
-    treatments: list[CausalUnit] = []
-    controls: list[CausalUnit] = []
-    for record in corpus:
-        if record.outlet != scenario.outlet:
-            continue
-        if scenario.section is not None and record.section != scenario.section:
-            continue
-        if scenario.time_block is not None and assign_time_block(record) != scenario.time_block:
-            continue
-        prof = profile_by_id.get(record.id)
-        if prof is None:
-            continue
-        if scenario.exclude_mirrored and prof.mirrored:
-            continue
-        if not record.body_text.strip():
-            continue
-        in_t = scenario.treatment.matches(prof)
-        in_c = scenario.control.matches(prof)
-        if in_t and in_c:
-            raise ScenarioError(
-                f"scenario {scenario.name!r}: record {record.id!r} matches both selectors"
+    rows = units.outlet == scenario.outlet
+    if scenario.section is not None:
+        rows &= units.section == scenario.section
+    if scenario.time_block is not None:
+        rows &= units.time_block == scenario.time_block
+    if scenario.exclude_mirrored:
+        rows &= ~units.mirrored
+    in_t = scenario.treatment.mask(units) & rows
+    in_c = scenario.control.mask(units) & rows
+    unreadable = np.zeros(len(units), dtype=bool)
+    if "shift" in (scenario.treatment.kind, scenario.control.kind):
+        unreadable = units.lacks_scores & rows
+    errors = np.flatnonzero(unreadable | (in_t & in_c))
+    if len(errors):
+        i = errors[0]
+        if unreadable[i]:
+            raise ScenarioError(f"record {units.record_ids[i]!r} lacks clickbait scores "
+                                "required by a shift selector")
+        raise ScenarioError(f"scenario {scenario.name!r}: record {units.record_ids[i]!r} "
+                            "matches both selectors")
+
+    def take(mask: np.ndarray) -> list[CausalUnit]:
+        return [
+            CausalUnit(
+                record_id=units.record_ids[i],
+                features=units.features[i],
+                outcomes=dict(zip(ENGAGEMENT_METRICS, units.outcomes[i].tolist())),
             )
-        if not (in_t or in_c):
-            continue
-        doc = embed_text(table, record.body_text)
-        if doc.is_zero_hit:
-            continue
-        unit = CausalUnit(
-            record_id=record.id,
-            features=doc.values,
-            outcomes={m: float(record.engagement(m)) for m in ENGAGEMENT_METRICS},
-        )
-        (treatments if in_t else controls).append(unit)
-    return treatments, controls
+            for i in np.flatnonzero(mask & ~units.zero_hit)
+        ]
+
+    return take(in_t), take(in_c)
 
 
 def _fold_indices(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -419,10 +494,10 @@ def _fold_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     return labels
 
 
-def run_scenario(corpus: Corpus, profiles: list[EditProfile], scenario: Scenario,
-                 table: EmbeddingTable, seed: int = 0,
+def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
                  config: CausalConfig = CausalConfig()) -> list[EateReport]:
-    """Full protocol for one scenario; one report per engagement metric.
+    """Full protocol for one scenario of the unit table; one report per
+    engagement metric.
 
     Treatment and control units are each dealt into ten folds. Fold f trains
     its own propensity model on the other nine folds of both arms (fold-
@@ -436,7 +511,7 @@ def run_scenario(corpus: Corpus, profiles: list[EditProfile], scenario: Scenario
     its interval is Student-t (9 dof) over them; `discarded` is set when the
     interval covers zero or any fold fails balance.
     """
-    treatments, controls = select_units(corpus, profiles, scenario, table)
+    treatments, controls = select_units(units, scenario)
     min_treatments = max(config.min_group, N_FOLDS)  # every fold needs a held-out unit
     if len(treatments) < min_treatments:
         raise ScenarioError(

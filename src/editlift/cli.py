@@ -12,9 +12,7 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,21 +26,8 @@ class CommandError(Exception):
     """Runtime failure that should exit with status 1."""
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: Path, payload) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    corpus_mod.write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(args) -> dict:
@@ -253,9 +238,19 @@ def cmd_clickbait(args) -> int:
     return 0
 
 
+# the unit table every scenario task of this process reads; set once per
+# `estimate` command (in each `--jobs` worker by the pool initializer)
+_UNITS: causal.UnitTable | None = None
+
+
+def _init_worker(units: causal.UnitTable | None) -> None:
+    global _UNITS
+    _UNITS = units
+
+
 def _run_one_scenario(payload):
-    loaded, profiles, scenario, table, seed, run_cfg = payload
-    return causal.run_scenario(loaded, profiles, scenario, table, seed=seed, config=run_cfg)
+    scenario, seed, run_cfg = payload
+    return causal.run_scenario(_UNITS, scenario, seed=seed, config=run_cfg)
 
 
 def cmd_estimate(args) -> int:
@@ -264,6 +259,12 @@ def cmd_estimate(args) -> int:
     if not scenario_defs:
         print("error: no scenarios configured (config key 'scenarios')", file=sys.stderr)
         return 2
+    knn = int(_setting(args, cfg, "knn", causal.DEFAULT_KNN))
+    jobs = int(_setting(args, cfg, "jobs", 1))
+    for name, value in (("knn", knn), ("jobs", jobs)):
+        if value < 1:
+            print(f"error: {name} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     loaded, table = _load_inputs(args, cfg)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
     profile_path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
@@ -271,10 +272,9 @@ def cmd_estimate(args) -> int:
         raise CommandError(f"profile CSV not found: {profile_path} (run `profile` first)")
     profiles = textsim.profiles_from_csv(profile_path)
     seed = int(_setting(args, cfg, "seed", 0))
-    jobs = int(_setting(args, cfg, "jobs", 1))
 
     run_cfg = causal.CausalConfig(
-        knn=int(_setting(args, cfg, "knn", causal.DEFAULT_KNN)),
+        knn=knn,
         alpha=float(_setting(args, cfg, "alpha", causal.DEFAULT_ALPHA)),
         tau=float(_setting(args, cfg, "tau", causal.DEFAULT_TAU)),
         min_group=int(_setting(args, cfg, "min_group", causal.DEFAULT_MIN_GROUP)),
@@ -285,22 +285,31 @@ def cmd_estimate(args) -> int:
     except (KeyError, causal.ScenarioError) as exc:
         raise CommandError(f"bad scenario definition: {exc}") from None
 
-    payloads = [(loaded, profiles, s, table, seed, run_cfg) for s in scenarios]
+    # one table for all scenarios: workers get it once, at pool start (forked
+    # workers inherit it), so each task carries only its scenario and settings
+    units = causal.build_unit_table(loaded, profiles, table,
+                                    outlets={s.outlet for s in scenarios})
+    tasks = [(s, seed, run_cfg) for s in scenarios]
     results: list[list[causal.EateReport] | causal.ScenarioError] = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one_scenario, p) for p in payloads]
-            for future, scenario in zip(futures, scenarios):
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(units,)) as pool:
+            futures = [pool.submit(_run_one_scenario, t) for t in tasks]
+            for future in futures:
                 try:
                     results.append(future.result())
                 except causal.ScenarioError as exc:
                     results.append(exc)
     else:
-        for payload in payloads:
-            try:
-                results.append(_run_one_scenario(payload))
-            except causal.ScenarioError as exc:
-                results.append(exc)
+        _init_worker(units)
+        try:
+            for task in tasks:
+                try:
+                    results.append(_run_one_scenario(task))
+                except causal.ScenarioError as exc:
+                    results.append(exc)
+        finally:
+            _init_worker(None)
 
     reports = []
     skipped = []
@@ -324,7 +333,7 @@ def cmd_estimate(args) -> int:
              "true" if r.discarded else "false", str(r.n_treatment), str(r.n_control)]
             + [repr(v) for v in r.fold_eates]
         ))
-    _atomic_write_text(out_dir / "eate_reports.csv", "\n".join(lines) + "\n")
+    corpus_mod.write_text_atomic(out_dir / "eate_reports.csv", "\n".join(lines) + "\n")
     print(f"{len(reports)} reports ({len(skipped)} scenarios skipped) -> {out_dir}")
     return 0
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, write_text_atomic
 from .textsim import EditProfile
 
 ELBOW_THRESHOLD = 0.15
@@ -191,7 +191,7 @@ def save_model(model: ClusterModel, path: str | Path) -> None:
         "inertia": model.inertia,
         "seed": model.seed,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> ClusterModel:

@@ -2,14 +2,17 @@
 
 A corpus is a list of (headline, body, post, engagement) records tied to a
 media outlet. JSONL is the canonical on-disk format; CSV is a convenience
-importer with identical field names.
+importer with identical field names. `write_text_atomic` is the one writer
+every text artifact of the package goes through.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import tempfile
 import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -246,22 +249,39 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> Corpus:
     return Corpus(records=tuple(records), source_path=str(path), rejects=tuple(rejects))
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write `text` (UTF-8, newlines untranslated) to a temporary file in the
+    target's directory and rename it over `path`, so readers see either the
+    old file or the whole new one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write records back out as canonical JSONL (round-trips with load_corpus)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in corpus.records:
-            obj = {
-                "id": r.id,
-                "outlet": r.outlet,
-                "headline": r.headline,
-                "body_text": r.body_text,
-                "post_text": r.post_text,
-                "created_at": r.created_at,
-                "replies": r.replies,
-                "retweets": r.retweets,
-                "likes": r.likes,
-            }
-            if r.section is not None:
-                obj["section"] = r.section
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    lines = []
+    for r in corpus.records:
+        obj = {
+            "id": r.id,
+            "outlet": r.outlet,
+            "headline": r.headline,
+            "body_text": r.body_text,
+            "post_text": r.post_text,
+            "created_at": r.created_at,
+            "replies": r.replies,
+            "retweets": r.retweets,
+            "likes": r.likes,
+        }
+        if r.section is not None:
+            obj["section"] = r.section
+        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_text_atomic(path, "".join(lines))

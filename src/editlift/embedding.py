@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_text_atomic
+
 
 class EmbeddingError(Exception):
     """Malformed vector file."""
@@ -100,12 +102,11 @@ def load_table(path: str | Path) -> EmbeddingTable:
 
 
 def save_table(table: EmbeddingTable, path: str | Path, header: bool = True) -> None:
-    """Write a table in the same text format load_table reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(table.vocab)} {table.dim}\n")
-        for token, vec in table.vocab.items():
-            fh.write(token + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+    """Write a table, atomically, in the same text format load_table reads."""
+    lines = [f"{len(table.vocab)} {table.dim}\n"] if header else []
+    lines.extend(token + " " + " ".join(repr(float(x)) for x in vec) + "\n"
+                 for token, vec in table.vocab.items())
+    write_text_atomic(path, "".join(lines))
 
 
 def embed_text(table: EmbeddingTable, text: str) -> DocVector:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ENGAGEMENT_METRICS, Corpus, PairedRecord
+from .corpus import ENGAGEMENT_METRICS, Corpus, PairedRecord, write_text_atomic
 from .embedding import EmbeddingTable
 
 
@@ -259,15 +259,16 @@ def confounded_spec(n_records: int = 5000, effect_likes: float = 0.0, seed: int 
 
 
 def save_truth(truth: list[TruthRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in truth:
-            fh.write(json.dumps({
-                "id": t.id,
-                "topic": t.topic,
-                "treated": t.treated,
-                "expected": t.expected,
-                "clamped": t.clamped,
-            }, sort_keys=True) + "\n")
+    write_text_atomic(path, "".join(
+        json.dumps({
+            "id": t.id,
+            "topic": t.topic,
+            "treated": t.treated,
+            "expected": t.expected,
+            "clamped": t.clamped,
+        }, sort_keys=True) + "\n"
+        for t in truth
+    ))
 
 
 def load_spec(path: str | Path) -> SynthSpec:

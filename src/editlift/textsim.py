@@ -11,13 +11,14 @@ Mann-Whitney U test; clickbait score shifts with Welch's t.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, is_mirrored, normalize
+from .corpus import Corpus, is_mirrored, normalize, write_text_atomic
 from .embedding import EmbeddingTable, cosine, embed_text
 
 PROFILE_COLUMNS = (
@@ -116,20 +117,22 @@ def profile(corpus: Corpus, table: EmbeddingTable) -> list[EditProfile]:
 
 
 def profiles_to_csv(profiles, path: str | Path) -> None:
-    """Fixed-column CSV export; optional fields are left blank."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_COLUMNS)
-        for p in profiles:
-            writer.writerow([
-                p.record_id,
-                repr(p.edit_distance),
-                repr(p.embedding_similarity),
-                "true" if p.mirrored else "false",
-                "" if p.cluster is None else p.cluster,
-                "" if p.headline_clickbait is None else repr(p.headline_clickbait),
-                "" if p.post_clickbait is None else repr(p.post_clickbait),
-            ])
+    """Fixed-column CSV export, written atomically; optional fields are left
+    blank."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(PROFILE_COLUMNS)
+    for p in profiles:
+        writer.writerow([
+            p.record_id,
+            repr(p.edit_distance),
+            repr(p.embedding_similarity),
+            "true" if p.mirrored else "false",
+            "" if p.cluster is None else p.cluster,
+            "" if p.headline_clickbait is None else repr(p.headline_clickbait),
+            "" if p.post_clickbait is None else repr(p.post_clickbait),
+        ])
+    write_text_atomic(path, buf.getvalue())
 
 
 def profiles_from_csv(path: str | Path) -> list[EditProfile]:

@@ -77,7 +77,8 @@ def _benchmark_run(seed: int, delta: float):
     corpus, truth = sb.generate(spec)
     table = sb.synthetic_table(spec, dim=32, seed=999)
     profiles = textsim.profile(corpus, table)
-    reports = causal.run_scenario(corpus, profiles, SCENARIO, table, seed=seed)
+    units = causal.build_unit_table(corpus, profiles, table, [SCENARIO.outlet])
+    reports = causal.run_scenario(units, SCENARIO, seed=seed)
     likes = next(r for r in reports if r.metric == "likes")
     return likes, corpus, truth
 

@@ -15,6 +15,7 @@ from editlift.causal import (
     ScenarioError,
     Selector,
     balance_check,
+    build_unit_table,
     estimate_eate,
     match,
     pairwise_similarity_stats,
@@ -22,6 +23,8 @@ from editlift.causal import (
     select_units,
     train_propensity,
 )
+from editlift.corpus import ENGAGEMENT_METRICS, assign_time_block
+from editlift.embedding import EmbeddingTable, embed_text
 from editlift.textsim import EditProfile, mann_whitney_u
 
 from conftest import make_corpus, make_record
@@ -375,7 +378,8 @@ class TestSelectUnits:
     def test_outlet_filter_and_selectors(self):
         corpus, profiles = self.corpus_and_profiles()
         scenario = Scenario("s", "x", Selector("edited"), Selector("mirrored"))
-        treatments, controls = select_units(corpus, profiles, scenario, self.table())
+        units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
+        treatments, controls = select_units(units, scenario)
         assert {u.record_id for u in treatments} == {"r1", "r3"}  # r5 has no body
         assert {u.record_id for u in controls} == {"r0", "r2", "r4"}
 
@@ -383,7 +387,8 @@ class TestSelectUnits:
         corpus, profiles = self.corpus_and_profiles()
         scenario = Scenario("s", "x", Selector("edited"), Selector("mirrored"),
                             section="politics")
-        treatments, controls = select_units(corpus, profiles, scenario, self.table())
+        units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
+        treatments, controls = select_units(units, scenario)
         assert {u.record_id for u in treatments} == {"r1", "r3"}
         assert {u.record_id for u in controls} == {"r0", "r2"}
 
@@ -396,7 +401,8 @@ class TestSelectUnits:
         ]
         scenario = Scenario("s", "x", Selector("cluster", cluster=1),
                             Selector("cluster", cluster=0))
-        treatments, controls = select_units(corpus, profiles, scenario, self.table())
+        units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
+        treatments, controls = select_units(units, scenario)
         assert {u.record_id for u in treatments} == {"r1", "r4"}
         assert {u.record_id for u in controls} == {"r0", "r3"}
 
@@ -414,7 +420,8 @@ class TestSelectUnits:
             Selector("shift", headline_class="NC", post_class="NC"),
             exclude_mirrored=True,
         )
-        treatments, controls = select_units(corpus, profiles, scenario, self.table())
+        units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
+        treatments, controls = select_units(units, scenario)
         assert {u.record_id for u in treatments} == {"r1", "r3"}
         # mirrored records are excluded and the only NC->NC candidate (r5)
         # has no body text, so the control side comes back empty
@@ -436,6 +443,216 @@ class TestSelectUnits:
                                 "control": {"kind": "mirrored"}})
 
 
+def reference_matches(selector, profile):
+    """Per-profile selector predicate, as selection ran before the unit table."""
+    if selector.kind == "edited":
+        return not profile.mirrored
+    if selector.kind == "mirrored":
+        return profile.mirrored
+    if selector.kind == "cluster":
+        return profile.cluster == selector.cluster
+    if profile.headline_clickbait is None or profile.post_clickbait is None:
+        raise ScenarioError(
+            f"record {profile.record_id!r} lacks clickbait scores required by a shift selector"
+        )
+    got_h = "C" if profile.headline_clickbait > causal.CLICKBAIT_THRESHOLD else "NC"
+    got_p = "C" if profile.post_clickbait > causal.CLICKBAIT_THRESHOLD else "NC"
+    return got_h == selector.headline_class and got_p == selector.post_class
+
+
+def reference_select_units(corpus, profiles, scenario, table):
+    """Per-record selection, embedding each selected body on the spot."""
+    profile_by_id = {p.record_id: p for p in profiles}
+    treatments, controls = [], []
+    for record in corpus:
+        if record.outlet != scenario.outlet:
+            continue
+        if scenario.section is not None and record.section != scenario.section:
+            continue
+        if (scenario.time_block is not None
+                and assign_time_block(record) != scenario.time_block):
+            continue
+        prof = profile_by_id.get(record.id)
+        if prof is None:
+            continue
+        if scenario.exclude_mirrored and prof.mirrored:
+            continue
+        if not record.body_text.strip():
+            continue
+        in_t = reference_matches(scenario.treatment, prof)
+        in_c = reference_matches(scenario.control, prof)
+        if in_t and in_c:
+            raise ScenarioError(
+                f"scenario {scenario.name!r}: record {record.id!r} matches both selectors"
+            )
+        if not (in_t or in_c):
+            continue
+        doc = embed_text(table, record.body_text)
+        if doc.is_zero_hit:
+            continue
+        unit = CausalUnit(
+            record_id=record.id,
+            features=doc.values,
+            outcomes={m: float(record.engagement(m)) for m in ENGAGEMENT_METRICS},
+        )
+        (treatments if in_t else controls).append(unit)
+    return treatments, controls
+
+
+SELECTION_VOCAB = ("budget", "committee", "vote", "storm", "court", "market")
+SELECTION_SCENARIOS = [
+    Scenario("edited-mirrored", "x", Selector("edited"), Selector("mirrored")),
+    Scenario("mirrored-edited-politics", "x", Selector("mirrored"), Selector("edited"),
+             section="politics"),
+    Scenario("clusters-B2", "x", Selector("cluster", cluster=1),
+             Selector("cluster", cluster=0), time_block="B2"),
+    Scenario("clusters-y", "y", Selector("cluster", cluster=2),
+             Selector("cluster", cluster=0)),
+    Scenario("shift-no-mirrored", "x",
+             Selector("shift", headline_class="NC", post_class="C"),
+             Selector("shift", headline_class="NC", post_class="NC"),
+             exclude_mirrored=True),
+    Scenario("shift-vs-mirrored", "y", Selector("shift", headline_class="C", post_class="C"),
+             Selector("mirrored"), time_block="B3"),
+    Scenario("overlap", "x", Selector("edited"), Selector("cluster", cluster=1)),
+]
+
+
+def selection_corpus(seed, n=80, missing_scores=0.0):
+    """Random records over two outlets, three sections and all time blocks,
+    with blank and zero-hit bodies, unprofiled and unclustered records."""
+    rng = np.random.default_rng(seed)
+    records, profiles = [], []
+    for i in range(n):
+        kind = rng.choice(["words", "words", "words", "blank", "oov"])
+        if kind == "words":
+            body = " ".join(rng.choice(SELECTION_VOCAB, size=rng.integers(1, 6)))
+        else:
+            body = "   " if kind == "blank" else "zzz qqq"
+        rid = f"r{rng.permutation(n)[0]:03d}-{i}"
+        records.append(make_record(
+            rid=rid, outlet=str(rng.choice(["x", "y"])), body_text=body,
+            section=[None, "politics", "sports"][int(rng.integers(3))],
+            created_at=f"2018-06-15T{int(rng.integers(24)):02d}:30:00Z",
+            replies=int(rng.integers(50)), retweets=int(rng.integers(50)),
+            likes=int(rng.integers(500)),
+        ))
+        if rng.random() < 0.1:
+            continue  # no profile
+        scored = rng.random() >= missing_scores
+        profiles.append(EditProfile(
+            rid, 0.5, 0.5, mirrored=bool(rng.random() < 0.4),
+            cluster=None if rng.random() < 0.1 else int(rng.integers(3)),
+            headline_clickbait=float(rng.random()) if scored else None,
+            post_clickbait=float(rng.random()) if scored else None,
+        ))
+    vocab = {w: np.random.default_rng(j).normal(size=3) for j, w in enumerate(SELECTION_VOCAB)}
+    return make_corpus(records), profiles, EmbeddingTable(dim=3, vocab=vocab)
+
+
+class TestUnitTableSelection:
+    """Table-masked selection against the per-record reference."""
+
+    def assert_same(self, corpus, profiles, table, scenario, units):
+        try:
+            expected = reference_select_units(corpus, profiles, scenario, table)
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError) as got:
+                select_units(units, scenario)
+            assert str(got.value) == str(exc)
+            return "error"
+        got = select_units(units, scenario)
+        for exp_arm, got_arm in zip(expected, got):
+            assert [u.record_id for u in got_arm] == [u.record_id for u in exp_arm]
+            assert [u.outcomes for u in got_arm] == [u.outcomes for u in exp_arm]
+            for e, g in zip(exp_arm, got_arm):
+                assert np.array_equal(g.features, e.features)
+        return len(got[0]) + len(got[1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference(self, seed):
+        corpus, profiles, table = selection_corpus(seed)
+        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        outcomes = [self.assert_same(corpus, profiles, table, s, units)
+                    for s in SELECTION_SCENARIOS]
+        assert all(isinstance(o, int) and o > 0 for o in outcomes[:5])
+        assert outcomes[-1] == "error"  # edited records in cluster 1 overlap
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_missing_scores_match_reference(self, seed):
+        corpus, profiles, table = selection_corpus(seed, missing_scores=0.2)
+        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        outcomes = [self.assert_same(corpus, profiles, table, s, units)
+                    for s in SELECTION_SCENARIOS]
+        assert outcomes[4] == "error"
+
+    def zero_hit_case(self, treatment, control, clickbait=0.9):
+        records = [
+            make_record(rid="a", outlet="x", body_text="budget vote"),
+            make_record(rid="z", outlet="x", body_text="zzz qqq"),
+            make_record(rid="b", outlet="x", body_text=""),
+        ]
+        profiles = [
+            EditProfile("a", 0.5, 0.5, mirrored=True, cluster=1,
+                        headline_clickbait=0.1, post_clickbait=0.1),
+            EditProfile("z", 0.5, 0.5, mirrored=False, cluster=1,
+                        headline_clickbait=clickbait, post_clickbait=clickbait),
+            EditProfile("b", 0.5, 0.5, mirrored=False, cluster=1),
+        ]
+        table = EmbeddingTable(dim=2, vocab={"budget": np.array([1.0, 0.0]),
+                                             "vote": np.array([0.0, 1.0])})
+        corpus = make_corpus(records)
+        scenario = Scenario("s", "x", treatment, control)
+        return corpus, profiles, table, scenario
+
+    def test_zero_hit_record_still_raises_overlap(self):
+        corpus, profiles, table, scenario = self.zero_hit_case(
+            Selector("edited"), Selector("cluster", cluster=1))
+        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        assert self.assert_same(corpus, profiles, table, scenario, units) == "error"
+        with pytest.raises(ScenarioError, match="'z' matches both selectors"):
+            select_units(units, scenario)
+
+    def test_zero_hit_record_still_raises_missing_scores(self):
+        corpus, profiles, table, scenario = self.zero_hit_case(
+            Selector("mirrored"), Selector("shift", headline_class="C", post_class="C"),
+            clickbait=None)
+        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        assert self.assert_same(corpus, profiles, table, scenario, units) == "error"
+        with pytest.raises(ScenarioError, match="'z' lacks clickbait scores"):
+            select_units(units, scenario)
+
+    def test_zero_hit_and_blank_bodies_excluded(self):
+        corpus, profiles, table, scenario = self.zero_hit_case(
+            Selector("mirrored"), Selector("shift", headline_class="C", post_class="C"))
+        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        assert units.record_ids == ("a", "z")  # the blank body has no row
+        assert units.zero_hit.tolist() == [False, True]
+        assert self.assert_same(corpus, profiles, table, scenario, units) == 1
+        treatments, controls = select_units(units, scenario)
+        assert [u.record_id for u in treatments] == ["a"] and controls == []
+
+    def test_each_eligible_body_embedded_once(self, monkeypatch):
+        corpus, profiles, table = selection_corpus(0)
+        calls = []
+
+        def counting_embed(tbl, text):
+            calls.append(text)
+            return embed_text(tbl, text)
+
+        monkeypatch.setattr(causal, "embed_text", counting_embed)
+        profiled = {p.record_id for p in profiles}
+        eligible = [r for r in corpus if r.outlet == "x" and r.id in profiled
+                    and r.body_text.strip()]
+        units = build_unit_table(corpus, profiles, table, {"x"})
+        assert len(calls) == len(units) == len(eligible)
+        assert units.record_ids == tuple(r.id for r in eligible)
+        assert calls == [r.body_text for r in eligible]
+        for scenario in SELECTION_SCENARIOS[:3]:
+            select_units(units, scenario)
+        assert len(calls) == len(eligible)  # selection embeds nothing
+
+
 def small_benchmark(seed=0, delta=0.0, n=1200):
     spec = sb.confounded_spec(n_records=n, effect_likes=delta, seed=seed)
     corpus, truth = sb.generate(spec)
@@ -449,8 +666,9 @@ def small_benchmark(seed=0, delta=0.0, n=1200):
 class TestRunScenario:
     def test_reports_structure_and_determinism(self):
         corpus, profiles, scenario, table = small_benchmark(seed=1, delta=40.0)
-        a = run_scenario(corpus, profiles, scenario, table, seed=5)
-        b = run_scenario(corpus, profiles, scenario, table, seed=5)
+        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        a = run_scenario(units, scenario, seed=5)
+        b = run_scenario(units, scenario, seed=5)
         assert [r.metric for r in a] == ["replies", "retweets", "likes"]
         for ra, rb in zip(a, b):
             assert ra == rb
@@ -467,7 +685,8 @@ class TestRunScenario:
 
     def test_ci_uses_student_t_9dof(self):
         corpus, profiles, scenario, table = small_benchmark(seed=2, delta=0.0)
-        [r] = [x for x in run_scenario(corpus, profiles, scenario, table, seed=3)
+        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        [r] = [x for x in run_scenario(units, scenario, seed=3)
                if x.metric == "likes"]
         from scipy import stats as sps
         values = np.array(r.fold_eates)
@@ -483,17 +702,20 @@ class TestRunScenario:
         corpus, profiles, scenario, table = small_benchmark(seed=3, n=1200)
         strict = CausalConfig(min_group=10_000)
         with pytest.raises(ScenarioError, match="edited"):
-            run_scenario(corpus, profiles, scenario, table, seed=0, config=strict)
+            run_scenario(build_unit_table(corpus, profiles, table, corpus.outlets()),
+                         scenario, seed=0, config=strict)
         # fewer treatment units than folds leaves a fold with nothing held out
         few = Scenario("few", "synthwire", Selector("edited"), Selector("mirrored"),
                        section="politics", time_block="B1")
         corpus, profiles, _, table = small_benchmark(seed=3, n=60)
         with pytest.raises(ScenarioError, match=r"edited\] yields 8 units \(minimum 10\)"):
-            run_scenario(corpus, profiles, few, table, seed=0, config=CausalConfig(min_group=1))
+            run_scenario(build_unit_table(corpus, profiles, table, corpus.outlets()),
+                         few, seed=0, config=CausalConfig(min_group=1))
 
     def test_discard_flag_matches_interval_and_balance(self):
         corpus, profiles, scenario, table = small_benchmark(seed=4, delta=0.0)
-        reports = run_scenario(corpus, profiles, scenario, table, seed=4)
+        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        reports = run_scenario(units, scenario, seed=4)
         for r in reports:
             includes_zero = r.ci_low <= 0.0 <= r.ci_high
             any_fail = any(not b.passed for b in r.balance)

@@ -1,15 +1,20 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from editlift import cli
+from editlift import causal, cli
 from editlift.cli import main
 
 from conftest import record_row, write_jsonl
+
+# a `python -m editlift.cli` subprocess finds the package through PYTHONPATH,
+# whichever way pytest itself was started
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def make_corpus_file(tmp_path, n=6):
@@ -198,6 +203,29 @@ class TestClickbaitCommand:
         assert "Traceback" not in err
 
 
+class TestAtomicWrites:
+    def test_failed_rewrite_leaves_profiles_intact(self, pipeline_dir, monkeypatch, capsys):
+        assert main(["profile", "--corpus", pipeline_dir["corpus"],
+                     "--embeddings", pipeline_dir["vectors"],
+                     "--out", pipeline_dir["out"]]) == 0
+        out = Path(pipeline_dir["out"])
+        before = (out / "profiles.csv").read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        # `cluster` rewrites profiles.csv in place with cluster labels; the
+        # rename of the finished temporary file is what fails
+        monkeypatch.setattr(os, "replace", fail_replace)
+        code = main(["cluster", "--corpus", pipeline_dir["corpus"], "--k", "2",
+                     "--out", pipeline_dir["out"]])
+        assert code == 1
+        assert "disk full" in capsys.readouterr().err
+        assert (out / "profiles.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["profile_summary.json",
+                                                         "profiles.csv"]
+
+
 class TestEstimateCommand:
     def test_no_scenarios_exit_two(self, pipeline_dir, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -240,7 +268,7 @@ class TestEstimateCommand:
             [sys.executable, "-m", "editlift.cli", "estimate",
              "--corpus", str(out / "corpus.jsonl"), "--embeddings", str(out / "vectors.txt"),
              "--out", str(out), "--config", str(cfg)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -254,6 +282,79 @@ class TestEstimateCommand:
             cells = dict(zip(columns, row.split(",")))
             for name in ("mean_eate", "ci_low", "ci_high"):
                 float(cells[name])
+
+    @pytest.mark.parametrize("name", ["knn", "jobs"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_knn_and_jobs_below_one_exit_two(self, tmp_path, capsys, name, route):
+        config = {"scenarios": [{
+            "name": "s", "outlet": "synthwire",
+            "treatment": {"kind": "edited"}, "control": {"kind": "mirrored"},
+        }]}
+        flags = []
+        if route == "flag":
+            flags = [f"--{name}", "0"]
+        else:
+            config[name] = 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        # the inputs do not exist: loading them would exit 1, so exit 2 shows
+        # the setting was checked first
+        code = main(["estimate", "--corpus", str(tmp_path / "missing.jsonl"),
+                     "--embeddings", str(tmp_path / "missing.txt"),
+                     "--out", str(tmp_path / "o"), "--config", str(cfg), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be at least 1, got 0")
+        assert not (tmp_path / "o").exists()
+
+    def test_jobs_two_matches_jobs_one(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "o"
+        assert main(["synth", "--n-records", "300", "--seed", "2", "--out", str(out)]) == 0
+        assert main(["profile", "--corpus", str(out / "corpus.jsonl"),
+                     "--embeddings", str(out / "vectors.txt"), "--out", str(out)]) == 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenarios": [
+            {"name": "edited-vs-mirrored", "outlet": "synthwire",
+             "treatment": {"kind": "edited"}, "control": {"kind": "mirrored"}},
+            {"name": "entertainment-B3", "outlet": "synthwire",
+             "section": "entertainment", "time_block": "B3",
+             "treatment": {"kind": "edited"}, "control": {"kind": "mirrored"}},
+            {"name": "politics", "outlet": "synthwire", "section": "politics",
+             "treatment": {"kind": "mirrored"}, "control": {"kind": "edited"}},
+        ], "min_group": 20, "propensity_epochs": 1}))
+
+        submitted = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.initargs = kwargs["initargs"]
+
+            def submit(self, fn, *args):
+                submitted.append((self.initargs, args))
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        outputs = {}
+        for jobs in ("1", "2"):
+            run_out = tmp_path / f"jobs{jobs}"
+            code = main(["estimate", "--corpus", str(out / "corpus.jsonl"),
+                         "--embeddings", str(out / "vectors.txt"),
+                         "--profiles", str(out / "profiles.csv"),
+                         "--out", str(run_out), "--config", str(cfg), "--jobs", jobs])
+            assert code == 0
+            outputs[jobs] = {name: (run_out / name).read_bytes()
+                             for name in ("eate_reports.json", "eate_reports.csv")}
+        assert outputs["2"] == outputs["1"]
+        payload = json.loads(outputs["2"]["eate_reports.json"])
+        assert [s["scenario"] for s in payload["skipped"]] == ["entertainment-B3"]
+        assert len(payload["reports"]) == 6
+
+        # the pool got the unit table once, at start; each task is small
+        assert len(submitted) == 3
+        for initargs, args in submitted:
+            assert isinstance(initargs[0], causal.UnitTable)
+            assert len(pickle.dumps(args)) < 4096
 
     def test_config_env_var(self, pipeline_dir, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "config.json"
@@ -269,17 +370,16 @@ class TestEntryPoint:
     def test_module_help_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "editlift.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0
         assert "editlift" in proc.stdout
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy.stats takes about a second to import; no command needs it
-        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-c",
              "import editlift.cli, sys; assert 'scipy' not in sys.modules"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0, proc.stderr
