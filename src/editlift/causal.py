@@ -5,22 +5,28 @@ profiled record with body text, holding its filter columns, the profile
 columns the selectors read, its body vector (each body embedded exactly once)
 and its outcomes. The `estimate` command gives that one table to its `--jobs`
 workers when the pool starts, so a scenario task carries only the scenario,
-the seed and the settings. For a scenario (treatment selector vs control
-selector within one outlet), `select_units` masks the table's rows; then the
-pipeline is: train a feed-forward propensity model (treatment given body
-text), match each treatment unit to its k nearest controls by propensity,
-gate on the semantic-balance condition, and average the per-unit outcome
-gaps. The robustness interval is cross-fitted over ten folds: each fold's
-propensity model is trained on the other nine folds, and only the fold's own
-held-out treatment units are matched and estimated, so every treatment unit
-is estimated exactly once and the ten fold values rest on disjoint treatment
-outcomes. A scenario whose interval covers zero, or that fails balance on
-any fold, is discarded.
+the seed and the settings.
+
+Every step of a scenario (treatment selector vs control selector within one
+outlet) works on row indices into that table. `select_units` masks the rows
+and returns the treatment and control row arrays; `train_propensity` fits a
+feed-forward propensity model (treatment given body text) on the rows'
+feature matrix; `match` returns, for each treatment row, the table rows of
+its k nearest controls by propensity, as a [T, k] matrix, with their gaps and
+each treatment's mean body cosine to its matches; `balance_check` gates on
+those cosines; and `estimate_eate` averages the outcome gaps of every
+engagement metric at once. The robustness interval is cross-fitted over ten
+folds: each fold's propensity model is trained on the other nine folds, and
+only the fold's own held-out treatment units are matched and estimated, so
+every treatment unit is estimated exactly once and the ten fold values rest
+on disjoint treatment outcomes. A scenario whose interval covers zero, or
+that fails balance on any fold, is discarded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +164,15 @@ class UnitTable:
     def lacks_scores(self) -> np.ndarray:
         return np.isnan(self.headline_clickbait) | np.isnan(self.post_clickbait)
 
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """[n] position of each row's record id in sorted id order; `match`
+        breaks propensity ties on it."""
+        order = sorted(range(len(self)), key=self.record_ids.__getitem__)
+        rank = np.empty(len(self), dtype=np.int64)
+        rank[order] = np.arange(len(self))
+        return rank
+
 
 def _or_nan(value) -> float:
     return np.nan if value is None else float(value)
@@ -205,13 +220,6 @@ def build_unit_table(corpus: Corpus, profiles: list[EditProfile], table: Embeddi
     )
 
 
-@dataclass(frozen=True)
-class CausalUnit:
-    record_id: str
-    features: np.ndarray  # body-text document vector
-    outcomes: dict[str, float]
-
-
 @dataclass
 class PropensityModel:
     """Three-layer feed-forward net on averaged body-text vectors."""
@@ -221,14 +229,6 @@ class PropensityModel:
     def predict(self, features: np.ndarray) -> np.ndarray:
         p = self.network.predict(np.atleast_2d(features))
         return np.clip(p, 1e-9, 1.0 - 1e-9)
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    treatment_id: str
-    matched_control_ids: tuple[str, ...]
-    propensity_gaps: tuple[float, ...]
-    mean_similarity: float  # mean body-vector cosine between treatment and its matches
 
 
 @dataclass(frozen=True)
@@ -260,29 +260,29 @@ class EateReport:
     n_control: int
 
 
-def train_propensity(treatments: list[CausalUnit], controls: list[CausalUnit],
+def train_propensity(x: np.ndarray, y: np.ndarray,
                      seed: int = 0, epochs: int = 3, batch_size: int = 32,
                      hidden: tuple[int, int] = (128, 64), learning_rate: float = 1e-3,
                      l2_penalty: float = 0.001) -> PropensityModel:
-    """Fit treatment-vs-control on body vectors with binary cross-entropy.
+    """Fit treatment (y = 1) vs control (y = 0) on the body vectors x
+    [n, dim] with binary cross-entropy.
 
-    The L2 penalty applies to the last hidden layer's weights only. The few-
-    epoch default is deliberate: the matching step needs the coarse topic-
-    level treatment rates, and longer schedules mostly memorize individual
-    assignments, which destabilizes matching. The schedule does not
-    calibrate the robustness interval; `run_scenario` does that by
-    estimating each fold on treatment units its model never saw.
+    Each epoch shuffles the rows once and steps through consecutive batches
+    of the shuffled arrays. The L2 penalty applies to the last hidden
+    layer's weights only. The few-epoch default is deliberate: the matching
+    step needs the coarse topic-level treatment rates, and longer schedules
+    mostly memorize individual assignments, which destabilizes matching.
+    The schedule does not calibrate the robustness interval; `run_scenario`
+    does that by estimating each fold on treatment units its model never
+    saw.
     """
-    if not treatments or not controls:
+    n_treated = int(np.count_nonzero(y))
+    if n_treated == 0 or n_treated == len(y):
         raise ScenarioError("propensity training needs units in both groups")
-    x = np.vstack([u.features for u in treatments] + [u.features for u in controls])
-    y = np.concatenate([np.ones(len(treatments)), np.zeros(len(controls))])
-    dim = x.shape[1]
     net = Mlp(
-        [dim, hidden[0], hidden[1], 1],
+        [x.shape[1], hidden[0], hidden[1], 1],
         activations=["relu", "relu", "sigmoid"],
         seed=seed,
-        loss="bce",
         l2_penalty=l2_penalty,
         l2_layer=1,
     )
@@ -290,50 +290,42 @@ def train_propensity(treatments: list[CausalUnit], controls: list[CausalUnit],
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(len(x))
-        for start in range(0, len(order), batch_size):
-            chunk = order[start:start + batch_size]
-            net.loss_and_grads(x[chunk], y[chunk])
+        x_epoch, y_epoch = x[order], y[order]
+        for start in range(0, len(x), batch_size):
+            stop = start + batch_size
+            net.gradients(x_epoch[start:stop], y_epoch[start:stop])
             adam_step(opt, net.buffer)
     return PropensityModel(network=net)
 
 
-def match(treatments: list[CausalUnit], controls: list[CausalUnit],
-          model: PropensityModel, k: int = DEFAULT_KNN) -> list[MatchResult]:
-    """k nearest controls by |propensity gap| for each treatment unit.
+def match(treatment_rows: np.ndarray, control_rows: np.ndarray, model: PropensityModel,
+          units: UnitTable, k: int = DEFAULT_KNN
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k nearest controls by |propensity gap| for each treatment row of `units`.
 
+    Returns (chosen, gaps, similarity): `chosen` [T, k] holds the table rows
+    of each treatment's matched controls, nearest first, `gaps` [T, k] their
+    absolute propensity gaps, and `similarity` [T] each treatment's mean
+    body-vector cosine to its matches (0 for a pair with a zero vector).
     Matching is with replacement; gap ties break on ascending record id.
     """
     if k < 1:
         raise ScenarioError(f"k must be at least 1, got {k}")
-    if len(controls) < k:
-        raise ScenarioError(f"need at least k={k} controls, got {len(controls)}")
-    p_t = model.predict(np.vstack([u.features for u in treatments]))
-    p_c = model.predict(np.vstack([u.features for u in controls]))
-    control_ids = [u.record_id for u in controls]
-    id_rank = np.argsort(np.argsort(control_ids, kind="stable"), kind="stable")
-    chosen = _nearest_controls(p_t, p_c, id_rank, k)
-    gaps = np.abs(p_c[chosen] - p_t[:, None])
+    if len(control_rows) < k:
+        raise ScenarioError(f"need at least k={k} controls, got {len(control_rows)}")
+    t_vecs = units.features[treatment_rows]
+    p_t = model.predict(t_vecs)
+    p_c = model.predict(units.features[control_rows])
+    nearest = _nearest_controls(p_t, p_c, units.id_rank[control_rows], k)
+    gaps = np.abs(p_c[nearest] - p_t[:, None])
+    chosen = control_rows[nearest]
 
-    control_mat = np.vstack([u.features for u in controls])
-    control_norms = np.linalg.norm(control_mat, axis=1)
-
-    results = []
-    for unit, row, row_gaps in zip(treatments, chosen.tolist(), gaps.tolist()):
-        tvec = unit.features
-        tnorm = float(np.linalg.norm(tvec))
-        sims = []
-        for c in row:
-            denom = tnorm * control_norms[c]
-            sims.append(float(control_mat[c] @ tvec / denom) if denom > 0 else 0.0)
-        results.append(
-            MatchResult(
-                treatment_id=unit.record_id,
-                matched_control_ids=tuple(control_ids[c] for c in row),
-                propensity_gaps=tuple(row_gaps),
-                mean_similarity=float(np.mean(sims)),
-            )
-        )
-    return results
+    # np.vecdot takes each dot product as the 1-D `@` does, bit for bit
+    c_vecs = units.features[chosen]  # [T, k, dim]
+    denom = np.sqrt(np.vecdot(t_vecs, t_vecs))[:, None] * np.linalg.norm(c_vecs, axis=-1)
+    cosines = np.zeros_like(denom)
+    np.divide(np.vecdot(c_vecs, t_vecs[:, None, :]), denom, out=cosines, where=denom > 0)
+    return chosen, gaps, cosines.mean(axis=1)
 
 
 def _nearest_controls(p_t: np.ndarray, p_c: np.ndarray, id_rank: np.ndarray,
@@ -391,16 +383,17 @@ def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0,
     return float(sims.mean()), float(sims.std())
 
 
-def balance_check(matches: list[MatchResult], mu: float, sigma: float,
+def balance_check(similarity: np.ndarray, mu: float, sigma: float,
                   alpha: float = DEFAULT_ALPHA, tau: float = DEFAULT_TAU) -> BalanceStats:
-    """Semantic-balance gate on the matched pairs.
+    """Semantic-balance gate on one fold's matches.
 
-    The achieved value is the mean over treatment units of their mean matched
-    similarity; it must reach max(mu + alpha * sigma, tau).
+    `similarity` [T] holds each treatment unit's mean cosine to its matched
+    controls (the third array `match` returns). The achieved value is its
+    mean; it must reach max(mu + alpha * sigma, tau).
     """
-    if not matches:
+    if len(similarity) == 0:
         raise ValueError("no matches to check")
-    achieved = float(np.mean([m.mean_similarity for m in matches]))
+    achieved = float(np.mean(similarity))
     threshold = max(mu + alpha * sigma, tau)
     return BalanceStats(
         mu=mu, sigma=sigma, alpha=alpha, tau=tau,
@@ -408,23 +401,21 @@ def balance_check(matches: list[MatchResult], mu: float, sigma: float,
     )
 
 
-def estimate_eate(matches: list[MatchResult], outcomes: dict[str, float]) -> float:
-    """Average over treatment units of the mean outcome gap to their matches."""
-    if not matches:
+def estimate_eate(treatment_rows: np.ndarray, chosen: np.ndarray,
+                  outcomes: np.ndarray) -> np.ndarray:
+    """Average over treatment units of the mean outcome gap to their matches,
+    for every outcome column at once.
+
+    `chosen` [T, k] holds the matched control rows of each treatment row (as
+    `match` returns them) and `outcomes` [n, metrics] is indexed by row.
+    Both averages sum left to right: numpy's pairwise summation would round
+    differently once eight or more terms are summed.
+    """
+    if len(treatment_rows) == 0:
         raise ValueError("no matches to aggregate")
-    total = 0.0
-    for m in matches:
-        y_t = _lookup_outcome(outcomes, m.treatment_id)
-        gaps = sum(y_t - _lookup_outcome(outcomes, c) for c in m.matched_control_ids)
-        total += gaps / len(m.matched_control_ids)
-    return total / len(matches)
-
-
-def _lookup_outcome(outcomes: dict[str, float], record_id: str) -> float:
-    try:
-        return outcomes[record_id]
-    except KeyError:
-        raise ValueError(f"no outcome recorded for {record_id!r}") from None
+    gaps = outcomes[treatment_rows][:, None, :] - outcomes[chosen]  # [T, k, metrics]
+    per_unit = np.add.accumulate(gaps, axis=1)[:, -1] / chosen.shape[1]
+    return np.add.accumulate(per_unit, axis=0)[-1] / len(treatment_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +435,11 @@ class CausalConfig:
     l2_penalty: float = 0.001
 
 
-def select_units(units: UnitTable, scenario: Scenario
-                 ) -> tuple[list[CausalUnit], list[CausalUnit]]:
+def select_units(units: UnitTable, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Apply the scenario's filters and selectors to the table's rows.
 
-    Records whose body has no in-vocabulary token are excluded (the
+    Returns the treatment rows and the control rows, each ascending (corpus
+    order). Rows whose body has no in-vocabulary token are dropped (the
     propensity model consumes body vectors). The first filtered row, in
     corpus order, that a shift selector cannot read (no clickbait scores) or
     that both selectors pick raises `ScenarioError`, zero-hit or not.
@@ -473,18 +464,7 @@ def select_units(units: UnitTable, scenario: Scenario
                                 "required by a shift selector")
         raise ScenarioError(f"scenario {scenario.name!r}: record {units.record_ids[i]!r} "
                             "matches both selectors")
-
-    def take(mask: np.ndarray) -> list[CausalUnit]:
-        return [
-            CausalUnit(
-                record_id=units.record_ids[i],
-                features=units.features[i],
-                outcomes=dict(zip(ENGAGEMENT_METRICS, units.outcomes[i].tolist())),
-            )
-            for i in np.flatnonzero(mask & ~units.zero_hit)
-        ]
-
-    return take(in_t), take(in_c)
+    return np.flatnonzero(in_t & ~units.zero_hit), np.flatnonzero(in_c & ~units.zero_hit)
 
 
 def _fold_indices(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -499,10 +479,10 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
     """Full protocol for one scenario of the unit table; one report per
     engagement metric.
 
-    Treatment and control units are each dealt into ten folds. Fold f trains
+    Treatment and control rows are each dealt into ten folds. Fold f trains
     its own propensity model on the other nine folds of both arms (fold-
     specific initialization and batch order), matches fold f's held-out
-    treatment units against those nine folds' controls, runs the balance
+    treatment rows against those nine folds' control rows, runs the balance
     gate on those matches, and records the effect estimate over them. Every
     treatment unit is thus estimated once, by a model it did not train, and
     the fold values share no treatment outcome, so their spread carries the
@@ -511,41 +491,38 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
     its interval is Student-t (9 dof) over them; `discarded` is set when the
     interval covers zero or any fold fails balance.
     """
-    treatments, controls = select_units(units, scenario)
+    t_rows, c_rows = select_units(units, scenario)
     min_treatments = max(config.min_group, N_FOLDS)  # every fold needs a held-out unit
-    if len(treatments) < min_treatments:
+    if len(t_rows) < min_treatments:
         raise ScenarioError(
             f"scenario {scenario.name!r}: treatment selector "
-            f"[{scenario.treatment.describe()}] yields {len(treatments)} units "
+            f"[{scenario.treatment.describe()}] yields {len(t_rows)} units "
             f"(minimum {min_treatments})"
         )
-    if len(controls) < max(config.min_group, config.knn):
+    if len(c_rows) < max(config.min_group, config.knn):
         raise ScenarioError(
             f"scenario {scenario.name!r}: control selector "
-            f"[{scenario.control.describe()}] yields {len(controls)} units "
+            f"[{scenario.control.describe()}] yields {len(c_rows)} units "
             f"(minimum {config.min_group})"
         )
 
-    all_vectors = np.vstack([u.features for u in treatments] + [u.features for u in controls])
-    mu, sigma = pairwise_similarity_stats(all_vectors, seed=seed)
+    mu, sigma = pairwise_similarity_stats(units.features[np.concatenate([t_rows, c_rows])],
+                                          seed=seed)
 
     rng = np.random.default_rng(seed)
-    t_folds = _fold_indices(len(treatments), rng)
-    c_folds = _fold_indices(len(controls), rng)
+    t_folds = _fold_indices(len(t_rows), rng)
+    c_folds = _fold_indices(len(c_rows), rng)
 
-    fold_values: dict[str, list[float]] = {m: [] for m in ENGAGEMENT_METRICS}
+    # one row per metric, so each metric's ten fold values lie contiguous
+    fold_eates = np.empty((len(ENGAGEMENT_METRICS), N_FOLDS))
     balances: list[BalanceStats] = []
-    outcomes = {
-        m: {u.record_id: u.outcomes[m] for u in treatments + controls}
-        for m in ENGAGEMENT_METRICS
-    }
-
     for fold in range(N_FOLDS):
-        held_out = [u for u, f in zip(treatments, t_folds) if f == fold]
-        train_treatments = [u for u, f in zip(treatments, t_folds) if f != fold]
-        train_controls = [u for u, f in zip(controls, c_folds) if f != fold]
+        held_out = t_rows[t_folds == fold]
+        train_t = t_rows[t_folds != fold]
+        train_c = c_rows[c_folds != fold]
         model = train_propensity(
-            train_treatments, train_controls,
+            units.features[np.concatenate([train_t, train_c])],
+            np.concatenate([np.ones(len(train_t)), np.zeros(len(train_c))]),
             seed=seed * N_FOLDS + fold + 1,
             epochs=config.epochs,
             batch_size=config.batch_size,
@@ -553,23 +530,20 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
             learning_rate=config.learning_rate,
             l2_penalty=config.l2_penalty,
         )
-        matches = match(held_out, train_controls, model, k=config.knn)
-        balances.append(balance_check(matches, mu, sigma, config.alpha, config.tau))
-        for metric in ENGAGEMENT_METRICS:
-            fold_values[metric].append(estimate_eate(matches, outcomes[metric]))
+        chosen, _, similarity = match(held_out, train_c, model, units, k=config.knn)
+        balances.append(balance_check(similarity, mu, sigma, config.alpha, config.tau))
+        fold_eates[:, fold] = estimate_eate(held_out, chosen, units.outcomes)
 
     any_balance_failure = any(not b.passed for b in balances)
     reports = []
-    for metric in ENGAGEMENT_METRICS:
-        values = np.asarray(fold_values[metric])
+    for i, metric in enumerate(ENGAGEMENT_METRICS):
+        values = fold_eates[i]
         mean = float(values.mean())
         spread = float(values.std(ddof=1))
         half = T_CRIT_95 * spread / np.sqrt(N_FOLDS)
         ci_low, ci_high = float(mean - half), float(mean + half)
-        naive = (
-            float(np.mean([u.outcomes[metric] for u in treatments]))
-            - float(np.mean([u.outcomes[metric] for u in controls]))
-        )
+        naive = (float(np.mean(units.outcomes[t_rows, i]))
+                 - float(np.mean(units.outcomes[c_rows, i])))
         reports.append(
             EateReport(
                 scenario=scenario.name,
@@ -581,8 +555,8 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
                 discarded=bool(ci_low <= 0.0 <= ci_high or any_balance_failure),
                 balance=tuple(balances),
                 naive_difference=naive,
-                n_treatment=len(treatments),
-                n_control=len(controls),
+                n_treatment=len(t_rows),
+                n_control=len(c_rows),
             )
         )
     return reports

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,6 +25,10 @@ CONFIG_ENV_VAR = "EDITLIFT_CONFIG"
 
 class CommandError(Exception):
     """Runtime failure that should exit with status 1."""
+
+
+class UsageError(Exception):
+    """Bad setting or missing configuration that should exit with status 2."""
 
 
 def _write_json(path: Path, payload) -> None:
@@ -53,6 +58,36 @@ def _setting(args, cfg: dict, name: str, default):
     if name in cfg and cfg[name] is not None:
         return cfg[name]
     return default
+
+
+# estimate's numeric settings, each a flag (where one exists) and a config key
+# of the same name: (type, minimum); floats must be finite
+_ESTIMATE_SETTINGS = {
+    "knn": (int, 1),
+    "jobs": (int, 1),
+    "propensity_epochs": (int, 1),
+    "min_group": (int, 0),
+    "alpha": (float, None),
+    "tau": (float, None),
+}
+
+
+def _checked_setting(args, cfg: dict, name: str, default):
+    """`_setting` of one of _ESTIMATE_SETTINGS, checked; UsageError names the
+    key. A bool, or a float with a fractional part where an integer is due,
+    is rejected rather than coerced."""
+    kind, minimum = _ESTIMATE_SETTINGS[name]
+    value = _setting(args, cfg, name, default)
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        if not (is_number and math.isfinite(value)):
+            raise UsageError(f"{name} must be a finite number, got {value!r}")
+        return float(value)
+    if not is_number or (isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise UsageError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def _load_inputs(args, cfg, need_embeddings=True):
@@ -257,14 +292,16 @@ def cmd_estimate(args) -> int:
     cfg = _load_config(args)
     scenario_defs = cfg.get("scenarios", [])
     if not scenario_defs:
-        print("error: no scenarios configured (config key 'scenarios')", file=sys.stderr)
-        return 2
-    knn = int(_setting(args, cfg, "knn", causal.DEFAULT_KNN))
-    jobs = int(_setting(args, cfg, "jobs", 1))
-    for name, value in (("knn", knn), ("jobs", jobs)):
-        if value < 1:
-            print(f"error: {name} must be at least 1, got {value}", file=sys.stderr)
-            return 2
+        raise UsageError("no scenarios configured (config key 'scenarios')")
+    # every setting is checked before any input is read
+    jobs = _checked_setting(args, cfg, "jobs", 1)
+    run_cfg = causal.CausalConfig(
+        knn=_checked_setting(args, cfg, "knn", causal.DEFAULT_KNN),
+        alpha=_checked_setting(args, cfg, "alpha", causal.DEFAULT_ALPHA),
+        tau=_checked_setting(args, cfg, "tau", causal.DEFAULT_TAU),
+        min_group=_checked_setting(args, cfg, "min_group", causal.DEFAULT_MIN_GROUP),
+        epochs=_checked_setting(args, cfg, "propensity_epochs", causal.CausalConfig.epochs),
+    )
     loaded, table = _load_inputs(args, cfg)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
     profile_path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
@@ -273,13 +310,6 @@ def cmd_estimate(args) -> int:
     profiles = textsim.profiles_from_csv(profile_path)
     seed = int(_setting(args, cfg, "seed", 0))
 
-    run_cfg = causal.CausalConfig(
-        knn=knn,
-        alpha=float(_setting(args, cfg, "alpha", causal.DEFAULT_ALPHA)),
-        tau=float(_setting(args, cfg, "tau", causal.DEFAULT_TAU)),
-        min_group=int(_setting(args, cfg, "min_group", causal.DEFAULT_MIN_GROUP)),
-        epochs=int(cfg.get("propensity_epochs", causal.CausalConfig.epochs)),
-    )
     try:
         scenarios = [causal.Scenario.from_dict(d) for d in scenario_defs]
     except (KeyError, causal.ScenarioError) as exc:
@@ -434,6 +464,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, write_bytes_atomic
 from .embedding import EmbeddingTable, tokenize
-from .nn import AdamState, SequenceClassifier, adam_step, load_params, save_params
+from .nn import AdamState, SequenceClassifier, adam_step, load_params, params_to_bytes
 from .textsim import EditProfile
 
 MIN_DATASET_SIZE = 20
@@ -249,6 +249,7 @@ def load_labeled_csv(path: str | Path) -> list[LabeledHeadline]:
 
 
 def save_model(model: ClickbaitModel, path: str | Path) -> None:
+    """Write the model atomically: a failed write leaves the previous file."""
     tokens = sorted(model.token_ids, key=model.token_ids.get)
     meta = {
         "kind": "clickbait",
@@ -260,7 +261,7 @@ def save_model(model: ClickbaitModel, path: str | Path) -> None:
         "attention_size": model.network.attention_size,
         "seed": model.network.seed,
     }
-    save_params(path, model.network.params, meta)
+    write_bytes_atomic(path, params_to_bytes(model.network.params, meta))
 
 
 def load_model(path: str | Path) -> ClickbaitModel:

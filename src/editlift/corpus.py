@@ -2,8 +2,9 @@
 
 A corpus is a list of (headline, body, post, engagement) records tied to a
 media outlet. JSONL is the canonical on-disk format; CSV is a convenience
-importer with identical field names. `write_text_atomic` is the one writer
-every text artifact of the package goes through.
+importer with identical field names. `write_bytes_atomic` is the one writer
+every artifact of the package goes through; `write_text_atomic` encodes text
+for it.
 """
 
 from __future__ import annotations
@@ -249,21 +250,25 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> Corpus:
     return Corpus(records=tuple(records), source_path=str(path), rejects=tuple(rejects))
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write `text` (UTF-8, newlines untranslated) to a temporary file in the
-    target's directory and rename it over `path`, so readers see either the
-    old file or the whole new one."""
+def write_bytes_atomic(path: str | Path, data: bytes) -> None:
+    """Write `data` to a temporary file in the target's directory and rename
+    it over `path`, so readers see either the old file or the whole new one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """`write_bytes_atomic` of `text` as UTF-8, newlines untranslated."""
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -24,7 +24,7 @@ from .models import Mlp, SequenceClassifier
 from .optim import AdamState, adam_step
 from .params import ParamBuffer
 from .gradcheck import check_gradients
-from .serialize import load_params, save_params
+from .serialize import load_params, params_to_bytes
 
 __all__ = [
     "ACTIVATIONS",
@@ -42,5 +42,5 @@ __all__ = [
     "forward_dense",
     "forward_gru_bidirectional",
     "load_params",
-    "save_params",
+    "params_to_bytes",
 ]

@@ -23,7 +23,9 @@ def _identity(x):
 
 
 ACTIVATIONS = {
-    "relu": (lambda x: np.maximum(x, 0.0), lambda out: (out > 0.0).astype(np.float64)),
+    # the ReLU derivative is the boolean mask: multiplying by it is exact and
+    # skips building a float copy
+    "relu": (lambda x: np.maximum(x, 0.0), lambda out: out > 0.0),
     "sigmoid": (_sigmoid, lambda out: out * (1.0 - out)),
     "identity": (_identity, lambda out: np.ones_like(out)),
 }

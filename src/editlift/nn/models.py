@@ -6,7 +6,9 @@ views (`buffer`, a ParamBuffer; `params` maps names to the views) and
 writes its gradients into a second buffer of the same layout. `buffer` plus
 loss_and_grads() is the whole contract the optimizer and the gradient
 checker need. The gradients loss_and_grads() returns are views into the
-gradient buffer, valid until the next call.
+gradient buffer, valid until the next call. `Mlp.gradients` is the training
+step: it fills the same gradient buffer from the same code, without the loss
+value or any input conversion.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .layers import (
     AttentionHead,
     DenseLayer,
     GruCell,
+    binary_cross_entropy,
     forward_dense,
     xavier_uniform,
     EPS,
@@ -27,8 +30,8 @@ from .params import ParamBuffer
 
 
 class Mlp:
-    """Fully-connected classifier (sigmoid output, binary cross-entropy) or
-    regressor (mean squared error).
+    """Fully-connected binary classifier: sigmoid output, binary
+    cross-entropy loss.
 
     `l2_penalty` adds penalty = lambda * sum(W^2) over the weights of the
     layer at `l2_layer` (default: the last hidden layer) to the training
@@ -36,18 +39,16 @@ class Mlp:
     """
 
     def __init__(self, layer_sizes, activations=None, seed: int = 0,
-                 loss: str = "bce", l2_penalty: float = 0.0, l2_layer: int | None = None):
+                 l2_penalty: float = 0.0, l2_layer: int | None = None):
         if len(layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output sizes")
         n_layers = len(layer_sizes) - 1
         if activations is None:
-            activations = ["relu"] * (n_layers - 1) + ["sigmoid" if loss == "bce" else "identity"]
+            activations = ["relu"] * (n_layers - 1) + ["sigmoid"]
         if len(activations) != n_layers:
             raise ValueError("one activation per layer required")
-        if loss not in ("bce", "mse"):
-            raise ValueError(f"unknown loss {loss!r}")
-        if loss == "bce" and activations[-1] != "sigmoid":
-            raise ValueError("loss 'bce' needs a sigmoid output layer")
+        if activations[-1] != "sigmoid":
+            raise ValueError("binary cross-entropy needs a sigmoid output layer")
         rng = np.random.default_rng(seed)
         self.layers = [
             DenseLayer.init(rng, layer_sizes[i], layer_sizes[i + 1], activations[i])
@@ -58,7 +59,6 @@ class Mlp:
              for i, layer in enumerate(self.layers)
              for kind, attr in (("w", "weights"), ("b", "bias"))]
         )
-        self.loss = loss
         self.l2_penalty = float(l2_penalty)
         if l2_layer is None:
             l2_layer = n_layers - 2 if n_layers >= 2 else 0
@@ -79,16 +79,14 @@ class Mlp:
             out, _ = forward_dense(layer, out)
         return out[:, 0] if out.shape[-1] == 1 else out
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray):
-        """Mean loss over a batch x [n, features] with targets y [n], and the
-        gradient of every parameter.
+    def gradients(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Write the gradient of the mean batch loss into the gradient buffer
+        and return the network's output [n] for the batch.
 
-        The gradients are views into the network's gradient buffer, valid
-        until the next call.
+        x must be a float64 array [n, features] and y a float64 array [n];
+        this is the training step, so nothing is converted or checked, and
+        no loss value is computed.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        n = x.shape[0]
         acts = [x]  # input of each layer, then the network output
         for layer in self.layers:
             act, _ = ACTIVATIONS[layer.activation]
@@ -97,34 +95,39 @@ class Mlp:
             acts.append(act(z))
         pred = acts[-1][:, 0]
 
-        last = len(self.layers) - 1
-        if self.loss == "bce":
-            p = np.clip(pred, EPS, 1.0 - EPS)
-            value = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-            # combined sigmoid+BCE gradient w.r.t. the pre-activation
-            dz = ((pred - y) / n)[:, None]
-        else:
-            diff = pred - y
-            value = float(np.mean(diff * diff))
-            _, act_grad = ACTIVATIONS[self.layers[last].activation]
-            dz = (2.0 * diff / n)[:, None] * act_grad(acts[-1])
-
+        # combined sigmoid+BCE gradient w.r.t. the output pre-activation
+        dz = ((pred - y) / len(y))[:, None]
         grads = self.buffer.grad_views
+        last = len(self.layers) - 1
         for i in range(last, -1, -1):
             layer = self.layers[i]
             if i < last:
                 _, act_grad = ACTIVATIONS[layer.activation]
                 dz = dx * act_grad(acts[i + 1])
             np.matmul(acts[i].T, dz, out=grads[f"w{i}"])
-            np.sum(dz, axis=0, out=grads[f"b{i}"])
+            np.add.reduce(dz, axis=0, out=grads[f"b{i}"])
             if i > 0:
                 dx = dz @ layer.weights.T
 
         if self.l2_penalty > 0.0:
             w = self.layers[self.l2_layer].weights
-            value += self.l2_penalty * float(np.vdot(w, w))
             grads[f"w{self.l2_layer}"] += 2.0 * self.l2_penalty * w
-        return value, grads
+        return pred
+
+    def loss_and_grads(self, x, y):
+        """Mean loss over a batch x [n, features] with targets y [n], and the
+        gradient of every parameter.
+
+        The gradients are views into the network's gradient buffer, valid
+        until the next call.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        value = binary_cross_entropy(self.gradients(x, y), y)
+        if self.l2_penalty > 0.0:
+            w = self.layers[self.l2_layer].weights
+            value += self.l2_penalty * float(np.vdot(w, w))
+        return value, self.buffer.grad_views
 
 
 class SequenceClassifier:

@@ -1,5 +1,6 @@
 """Parameter blobs: a JSON header (layout + metadata) followed by the raw
-float64 bytes of every array in header order."""
+float64 bytes of every array in header order. `params_to_bytes` builds a
+blob in memory, so the caller chooses how to write it (atomically, say)."""
 
 from __future__ import annotations
 
@@ -12,19 +13,19 @@ import numpy as np
 MAGIC = b"ELNN"
 
 
-def save_params(path: str | Path, params: dict[str, np.ndarray], meta: dict | None = None) -> None:
+def params_to_bytes(params: dict[str, np.ndarray], meta: dict | None = None) -> bytes:
+    """The blob `load_params` reads: magic, header length, JSON header, then
+    each array's float64 bytes in `params` order."""
     names = list(params)
     header = {
         "meta": meta or {},
         "arrays": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(params[n], dtype=np.float64).tobytes())
+    return b"".join(
+        [MAGIC, struct.pack("<I", len(blob)), blob]
+        + [np.ascontiguousarray(params[n], dtype=np.float64).tobytes() for n in names]
+    )
 
 
 def load_params(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -16,7 +16,7 @@ import pytest
 from scipy import stats as sps
 
 from editlift import causal, clickbait, cluster, synthbench as sb, textsim
-from editlift.causal import MatchResult, Scenario, Selector, balance_check, estimate_eate
+from editlift.causal import Scenario, Selector, balance_check, estimate_eate
 from editlift.cli import main as cli_main
 from editlift.embedding import cosine
 from editlift.nn import Mlp, SequenceClassifier, check_gradients
@@ -30,19 +30,16 @@ def report(criterion: str, passed: bool, detail: str = ""):
 
 def test_criterion_1_effect_formula_hand_oracle():
     t0 = time.time()
-    matches = [MatchResult("t", ("c1", "c2", "c3", "c4", "c5"), (0.0,) * 5, 1.0)]
-    outcomes = {"t": 10.0, "c1": 1.0, "c2": 2.0, "c3": 3.0, "c4": 4.0, "c5": 5.0}
-    single = estimate_eate(matches, outcomes)
+    # rows: t, c1..c5
+    outcomes = np.array([[10.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
+    [single] = estimate_eate(np.array([0]), np.array([[1, 2, 3, 4, 5]]), outcomes)
 
-    multi = [
-        MatchResult("t1", ("a", "b"), (0.0,) * 2, 1.0),
-        MatchResult("t2", ("c", "d"), (0.0,) * 2, 1.0),
-        MatchResult("t3", ("a", "d"), (0.0,) * 2, 1.0),
-    ]
-    outs = {"t1": 12.5, "t2": -3.25, "t3": 8.0, "a": 1.5, "b": 2.5, "c": -1.0, "d": 4.0}
+    # rows: t1, t2, t3, a, b, c, d
+    outs = np.array([[12.5], [-3.25], [8.0], [1.5], [2.5], [-1.0], [4.0]])
+    a, b, c, d = 3, 4, 5, 6
     # hand evaluation: mean over treatments of (y_t - mean of its controls)
     expected = np.mean([12.5 - 2.0, -3.25 - 1.5, 8.0 - 2.75])
-    got = estimate_eate(multi, outs)
+    [got] = estimate_eate(np.array([0, 1, 2]), np.array([[a, b], [c, d], [a, d]]), outs)
     report(
         "criterion 1: effect-estimate hand oracle",
         single == 7.0 and abs(got - expected) < 1e-12 and time.time() - t0 < 1.0,
@@ -54,16 +51,14 @@ def test_criterion_2_balance_gate_exactness():
     t0 = time.time()
 
     def gate(achieved):
-        m = [MatchResult("t", ("c",), (0.0,), achieved)]
-        return balance_check(m, mu=0.5, sigma=0.1, alpha=1.5, tau=0.8).passed
+        return balance_check(np.array([achieved]), mu=0.5, sigma=0.1, alpha=1.5, tau=0.8).passed
 
     boundary = 0.8
     ok = (
         gate(boundary)
         and gate(boundary + 1e-9)
         and not gate(boundary - 1e-9)
-        and balance_check([MatchResult("t", ("c",), (0.0,), 1.0)],
-                          0.5, 0.1, 1.5, 0.8).threshold == pytest.approx(0.8)
+        and balance_check(np.array([1.0]), 0.5, 0.1, 1.5, 0.8).threshold == pytest.approx(0.8)
     )
     report("criterion 2: balance-gate boundary at 0.8 toggles at ±1e-9",
            ok and time.time() - t0 < 1.0)

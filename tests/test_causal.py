@@ -1,3 +1,5 @@
+import dataclasses
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -6,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from editlift import causal, synthbench as sb, textsim
 from editlift.causal import (
-    BalanceStats,
     CausalConfig,
-    CausalUnit,
-    MatchResult,
+    EateReport,
     PropensityModel,
     Scenario,
     ScenarioError,
     Selector,
+    UnitTable,
     balance_check,
     build_unit_table,
     estimate_eate,
@@ -25,68 +26,91 @@ from editlift.causal import (
 )
 from editlift.corpus import ENGAGEMENT_METRICS, assign_time_block
 from editlift.embedding import EmbeddingTable, embed_text
+from editlift.nn import ACTIVATIONS, AdamState, Mlp, adam_step
 from editlift.textsim import EditProfile, mann_whitney_u
 
 from conftest import make_corpus, make_record
 
 
-class FixedScores:
-    """Propensity stub returning predeclared scores by feature value."""
-
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def predict(self, features):
-        features = np.atleast_2d(features)
-        return np.array([self.mapping[float(f[0])] for f in features])
+# ---------------------------------------------------------------------------
+# The per-unit pipeline, as `run_scenario` computed it before it worked on
+# table rows: one object per unit, a Python loop per match and a dict of
+# outcomes per metric. The columnar code must reproduce it bit for bit.
 
 
-def unit(rid, score_key, likes=0.0, vec=None):
-    features = np.array([score_key]) if vec is None else np.asarray(vec, dtype=float)
-    return CausalUnit(record_id=rid, features=features,
-                      outcomes={"replies": 0.0, "retweets": 0.0, "likes": likes})
+@dataclass(frozen=True)
+class RefUnit:
+    record_id: str
+    features: np.ndarray  # body-text document vector
+    outcomes: dict[str, float]
 
 
-class TestMatch:
-    def test_single_treatment_takes_all_five(self):
-        controls = [unit(f"c{i}", float(i)) for i in range(5)]
-        model = FixedScores({float(i): 0.1 * i for i in range(5)} | {9.0: 0.25})
-        [result] = match([unit("t", 9.0)], controls, model, k=5)
-        assert set(result.matched_control_ids) == {f"c{i}" for i in range(5)}
+@dataclass(frozen=True)
+class RefMatch:
+    treatment_id: str
+    matched_control_ids: tuple[str, ...]
+    propensity_gaps: tuple[float, ...]
+    mean_similarity: float
 
-    def test_excludes_farthest_propensity(self):
-        scores = {1.0: 0.1, 2.0: 0.2, 3.0: 0.8, 4.0: 0.85, 5.0: 0.9, 6.0: 0.95, 9.0: 0.88}
-        controls = [unit(f"c{k}", k) for k in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
-        model = FixedScores(scores)
-        [result] = match([unit("t", 9.0)], controls, model, k=5)
-        assert "c1.0" not in result.matched_control_ids  # gap 0.78 is the largest
 
-    def test_with_replacement_across_treatments(self):
-        scores = {1.0: 0.5, 2.0: 0.5, 9.0: 0.5, 8.0: 0.5}
-        controls = [unit("c1", 1.0), unit("c2", 2.0)]
-        model = FixedScores(scores)
-        results = match([unit("t1", 9.0), unit("t2", 8.0)], controls, model, k=2)
-        assert results[0].matched_control_ids == results[1].matched_control_ids
+def reference_loss_and_grads(net, x, y):
+    """Mlp.loss_and_grads as propensity training called it: a float ReLU mask
+    from the derivative and a loss value on every step."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    n = x.shape[0]
+    acts = [x]
+    for layer in net.layers:
+        act, _ = ACTIVATIONS[layer.activation]
+        z = acts[-1] @ layer.weights
+        z += layer.bias
+        acts.append(act(z))
+    pred = acts[-1][:, 0]
+    p = np.clip(pred, 1e-12, 1.0 - 1e-12)
+    value = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    dz = ((pred - y) / n)[:, None]
+    grads = net.buffer.grad_views
+    last = len(net.layers) - 1
+    for i in range(last, -1, -1):
+        layer = net.layers[i]
+        if i < last:
+            assert layer.activation == "relu"
+            dz = dx * (acts[i + 1] > 0.0).astype(np.float64)
+        np.matmul(acts[i].T, dz, out=grads[f"w{i}"])
+        np.sum(dz, axis=0, out=grads[f"b{i}"])
+        if i > 0:
+            dx = dz @ layer.weights.T
+    if net.l2_penalty > 0.0:
+        w = net.layers[net.l2_layer].weights
+        value += net.l2_penalty * float(np.vdot(w, w))
+        grads[f"w{net.l2_layer}"] += 2.0 * net.l2_penalty * w
+    return value, grads
 
-    def test_ties_break_on_ascending_record_id(self):
-        scores = {k: 0.5 for k in (1.0, 2.0, 3.0, 9.0)}
-        controls = [unit("zeta", 1.0), unit("alpha", 2.0), unit("mid", 3.0)]
-        [result] = match([unit("t", 9.0)], controls, model=FixedScores(scores), k=2)
-        assert result.matched_control_ids == ("alpha", "mid")
 
-    def test_too_few_controls(self):
-        with pytest.raises(ScenarioError):
-            match([unit("t", 1.0)], [unit("c", 1.0)], FixedScores({1.0: 0.5}), k=5)
-
-    def test_gap_values_recorded(self):
-        scores = {1.0: 0.4, 2.0: 0.7, 9.0: 0.5}
-        controls = [unit("c1", 1.0), unit("c2", 2.0)]
-        [result] = match([unit("t", 9.0)], controls, FixedScores(scores), k=2)
-        assert result.propensity_gaps == pytest.approx((0.1, 0.2))
+def reference_train_propensity(treatments, controls, seed=0, epochs=3, batch_size=32,
+                               hidden=(128, 64), learning_rate=1e-3, l2_penalty=0.001):
+    """Stacked unit features, one permutation per epoch, a gather per batch."""
+    if not treatments or not controls:
+        raise ScenarioError("propensity training needs units in both groups")
+    x = np.vstack([u.features for u in treatments] + [u.features for u in controls])
+    y = np.concatenate([np.ones(len(treatments)), np.zeros(len(controls))])
+    net = Mlp([x.shape[1], hidden[0], hidden[1], 1], activations=["relu", "relu", "sigmoid"],
+              seed=seed, l2_penalty=l2_penalty, l2_layer=1)
+    opt = AdamState(learning_rate=learning_rate)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(order), batch_size):
+            chunk = order[start:start + batch_size]
+            reference_loss_and_grads(net, x[chunk], y[chunk])
+            adam_step(opt, net.buffer)
+    return PropensityModel(network=net)
 
 
 def reference_match(treatments, controls, model, k):
-    """Per-treatment full lexsort, as `match` selected before it was vectorized."""
+    """Per-treatment full lexsort and a per-pair cosine loop."""
+    if len(controls) < k:
+        raise ScenarioError(f"need at least k={k} controls, got {len(controls)}")
     p_t = model.predict(np.vstack([u.features for u in treatments]))
     p_c = model.predict(np.vstack([u.features for u in controls]))
     control_ids = [u.record_id for u in controls]
@@ -103,13 +127,168 @@ def reference_match(treatments, controls, model, k):
         for c in chosen:
             denom = tnorm * control_norms[c]
             sims.append(float(control_mat[c] @ tvec / denom) if denom > 0 else 0.0)
-        results.append(MatchResult(
+        results.append(RefMatch(
             treatment_id=unit.record_id,
             matched_control_ids=tuple(control_ids[c] for c in chosen),
             propensity_gaps=tuple(float(gaps[c]) for c in chosen),
             mean_similarity=float(np.mean(sims)),
         ))
     return results
+
+
+def reference_estimate_eate(matches, outcomes: dict[str, float]) -> float:
+    total = 0.0
+    for m in matches:
+        y_t = outcomes[m.treatment_id]
+        gaps = sum(y_t - outcomes[c] for c in m.matched_control_ids)
+        total += gaps / len(m.matched_control_ids)
+    return total / len(matches)
+
+
+def reference_run_scenario(corpus, profiles, table, scenario, seed, config):
+    treatments, controls = reference_select_units(corpus, profiles, scenario, table)
+    min_treatments = max(config.min_group, causal.N_FOLDS)
+    if len(treatments) < min_treatments or len(controls) < max(config.min_group, config.knn):
+        raise ScenarioError("too few units")
+    all_vectors = np.vstack([u.features for u in treatments] + [u.features for u in controls])
+    mu, sigma = pairwise_similarity_stats(all_vectors, seed=seed)
+    rng = np.random.default_rng(seed)
+    t_folds = causal._fold_indices(len(treatments), rng)
+    c_folds = causal._fold_indices(len(controls), rng)
+    fold_values = {m: [] for m in ENGAGEMENT_METRICS}
+    balances = []
+    outcomes = {m: {u.record_id: u.outcomes[m] for u in treatments + controls}
+                for m in ENGAGEMENT_METRICS}
+    for fold in range(causal.N_FOLDS):
+        held_out = [u for u, f in zip(treatments, t_folds) if f == fold]
+        train_t = [u for u, f in zip(treatments, t_folds) if f != fold]
+        train_c = [u for u, f in zip(controls, c_folds) if f != fold]
+        model = reference_train_propensity(
+            train_t, train_c, seed=seed * causal.N_FOLDS + fold + 1, epochs=config.epochs,
+            batch_size=config.batch_size, hidden=config.hidden,
+            learning_rate=config.learning_rate, l2_penalty=config.l2_penalty)
+        matches = reference_match(held_out, train_c, model, config.knn)
+        achieved = float(np.mean([m.mean_similarity for m in matches]))
+        balances.append(causal.BalanceStats(
+            mu=mu, sigma=sigma, alpha=config.alpha, tau=config.tau, achieved=achieved,
+            passed=achieved >= max(mu + config.alpha * sigma, config.tau)))
+        for metric in ENGAGEMENT_METRICS:
+            fold_values[metric].append(reference_estimate_eate(matches, outcomes[metric]))
+    failed = any(not b.passed for b in balances)
+    reports = []
+    for metric in ENGAGEMENT_METRICS:
+        values = np.asarray(fold_values[metric])
+        mean = float(values.mean())
+        half = causal.T_CRIT_95 * float(values.std(ddof=1)) / np.sqrt(causal.N_FOLDS)
+        ci_low, ci_high = float(mean - half), float(mean + half)
+        reports.append(EateReport(
+            scenario=scenario.name, metric=metric,
+            fold_eates=tuple(float(v) for v in values), mean_eate=mean,
+            ci_low=ci_low, ci_high=ci_high,
+            discarded=bool(ci_low <= 0.0 <= ci_high or failed), balance=tuple(balances),
+            naive_difference=(float(np.mean([u.outcomes[metric] for u in treatments]))
+                              - float(np.mean([u.outcomes[metric] for u in controls]))),
+            n_treatment=len(treatments), n_control=len(controls),
+        ))
+    return reports
+
+
+def hand_table(rows) -> UnitTable:
+    """Unit table of (record id, feature vector, likes) rows, in order; the
+    filter and profile columns are placeholders."""
+    n = len(rows)
+    outcomes = np.zeros((n, len(ENGAGEMENT_METRICS)))
+    outcomes[:, ENGAGEMENT_METRICS.index("likes")] = [likes for _, _, likes in rows]
+    return UnitTable(
+        record_ids=tuple(rid for rid, _, _ in rows),
+        outlet=np.full(n, "x", dtype=object),
+        section=np.full(n, None, dtype=object),
+        time_block=np.full(n, "B1", dtype=object),
+        mirrored=np.zeros(n, dtype=bool),
+        cluster=np.full(n, np.nan),
+        headline_clickbait=np.full(n, np.nan),
+        post_clickbait=np.full(n, np.nan),
+        features=np.array([np.atleast_1d(np.asarray(v, dtype=float)) for _, v, _ in rows]),
+        zero_hit=np.zeros(n, dtype=bool),
+        outcomes=outcomes,
+    )
+
+
+def match_units(treatments, controls, model, k):
+    """`match` on a hand table of RefUnits, returned as RefMatches."""
+    units = hand_table([(u.record_id, u.features, 0.0) for u in treatments + controls])
+    t_rows = np.arange(len(treatments))
+    chosen, gaps, similarity = match(t_rows, len(treatments) + np.arange(len(controls)),
+                                     model, units, k=k)
+    return [
+        RefMatch(units.record_ids[t], tuple(units.record_ids[c] for c in row),
+                 tuple(float(g) for g in row_gaps), float(sim))
+        for t, row, row_gaps, sim in zip(t_rows, chosen, gaps, similarity)
+    ]
+
+
+class FixedScores:
+    """Propensity stub returning predeclared scores by feature value."""
+
+    def __init__(self, mapping):
+        self.mapping = mapping
+
+    def predict(self, features):
+        features = np.atleast_2d(features)
+        return np.array([self.mapping[float(f[0])] for f in features])
+
+
+def unit(rid, score_key, likes=0.0, vec=None):
+    features = np.array([score_key]) if vec is None else np.asarray(vec, dtype=float)
+    return RefUnit(record_id=rid, features=features,
+                   outcomes={"replies": 0.0, "retweets": 0.0, "likes": likes})
+
+
+class TestMatch:
+    def test_single_treatment_takes_all_five(self):
+        controls = [unit(f"c{i}", float(i)) for i in range(5)]
+        model = FixedScores({float(i): 0.1 * i for i in range(5)} | {9.0: 0.25})
+        [result] = match_units([unit("t", 9.0)], controls, model, k=5)
+        assert set(result.matched_control_ids) == {f"c{i}" for i in range(5)}
+
+    def test_excludes_farthest_propensity(self):
+        scores = {1.0: 0.1, 2.0: 0.2, 3.0: 0.8, 4.0: 0.85, 5.0: 0.9, 6.0: 0.95, 9.0: 0.88}
+        controls = [unit(f"c{k}", k) for k in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+        model = FixedScores(scores)
+        [result] = match_units([unit("t", 9.0)], controls, model, k=5)
+        assert "c1.0" not in result.matched_control_ids  # gap 0.78 is the largest
+
+    def test_with_replacement_across_treatments(self):
+        scores = {1.0: 0.5, 2.0: 0.5, 9.0: 0.5, 8.0: 0.5}
+        controls = [unit("c1", 1.0), unit("c2", 2.0)]
+        model = FixedScores(scores)
+        results = match_units([unit("t1", 9.0), unit("t2", 8.0)], controls, model, k=2)
+        assert results[0].matched_control_ids == results[1].matched_control_ids
+
+    def test_ties_break_on_ascending_record_id(self):
+        scores = {k: 0.5 for k in (1.0, 2.0, 3.0, 9.0)}
+        controls = [unit("zeta", 1.0), unit("alpha", 2.0), unit("mid", 3.0)]
+        [result] = match_units([unit("t", 9.0)], controls, model=FixedScores(scores), k=2)
+        assert result.matched_control_ids == ("alpha", "mid")
+
+    def test_too_few_controls(self):
+        with pytest.raises(ScenarioError):
+            match_units([unit("t", 1.0)], [unit("c", 1.0)], FixedScores({1.0: 0.5}), k=5)
+
+    def test_gap_values_recorded(self):
+        scores = {1.0: 0.4, 2.0: 0.7, 9.0: 0.5}
+        controls = [unit("c1", 1.0), unit("c2", 2.0)]
+        [result] = match_units([unit("t", 9.0)], controls, FixedScores(scores), k=2)
+        assert result.propensity_gaps == pytest.approx((0.1, 0.2))
+
+    def test_returns_table_rows(self):
+        # controls sit after unrelated rows; `chosen` indexes the whole table
+        units = hand_table([("pad", 0.0, 0.0), ("c1", 1.0, 0.0), ("t", 9.0, 0.0),
+                            ("c2", 2.0, 0.0)])
+        model = FixedScores({1.0: 0.4, 2.0: 0.45, 9.0: 0.5})
+        chosen, gaps, similarity = match(np.array([2]), np.array([1, 3]), model, units, k=2)
+        assert chosen.tolist() == [[3, 1]]
+        assert gaps.shape == (1, 2) and similarity.shape == (1,)
 
 
 class KeyedScores:
@@ -145,58 +324,54 @@ class TestMatchVectorized:
 
         def make(key, rid):
             vec = np.concatenate([[float(key)], rng.normal(size=3)])
-            return CausalUnit(rid, vec, {})
+            return RefUnit(rid, vec, {})
 
         treatments = [make(i, f"t{i}") for i in range(n_t)]
         controls = [make(n_t + j, rid) for j, rid in enumerate(ids)]
         model = KeyedScores(scores)
         with mock.patch.object(causal, "MATCH_CHUNK_CELLS", chunk_cells):
-            got = match(treatments, controls, model, k=k)
+            got = match_units(treatments, controls, model, k=k)
         assert got == reference_match(treatments, controls, model, k)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ScenarioError, match="at least 1"):
-            match([unit("t", 1.0)], [unit("c", 1.0)], FixedScores({1.0: 0.5}), k=0)
+            match_units([unit("t", 1.0)], [unit("c", 1.0)], FixedScores({1.0: 0.5}), k=0)
+
+
+def eate(spec, outcomes):
+    """estimate_eate of hand matches [(treatment id, [control ids])] over
+    `outcomes` (id -> value), one table row per id."""
+    row = {rid: i for i, rid in enumerate(outcomes)}
+    values = np.array([[v] for v in outcomes.values()], dtype=float)
+    t_rows = np.array([row[t] for t, _ in spec])
+    chosen = np.array([[row[c] for c in cs] for _, cs in spec])
+    [value] = estimate_eate(t_rows, chosen, values)
+    return value
 
 
 class TestEate:
-    def make_matches(self, spec):
-        return [
-            MatchResult(t, tuple(cs), (0.0,) * len(cs), 1.0) for t, cs in spec
-        ]
-
     def test_hand_oracle_single_treatment(self):
-        matches = self.make_matches([("t", ["c1", "c2", "c3", "c4", "c5"])])
         outcomes = {"t": 10.0, "c1": 1.0, "c2": 2.0, "c3": 3.0, "c4": 4.0, "c5": 5.0}
-        assert estimate_eate(matches, outcomes) == 7.0
+        assert eate([("t", ["c1", "c2", "c3", "c4", "c5"])], outcomes) == 7.0
 
     def test_null_effect(self):
-        matches = self.make_matches([("t", ["c1", "c2"])])
         outcomes = {"t": 4.0, "c1": 4.0, "c2": 4.0}
-        assert estimate_eate(matches, outcomes) == 0.0
+        assert eate([("t", ["c1", "c2"])], outcomes) == 0.0
 
     def test_two_treatments_average(self):
-        matches = self.make_matches([("t1", ["c1"]), ("t2", ["c2"])])
         outcomes = {"t1": 7.0, "c1": 0.0, "t2": 0.0, "c2": 7.0}
-        assert estimate_eate(matches, outcomes) == 0.0
-
-    def test_missing_outcome_error(self):
-        matches = self.make_matches([("t", ["c1"])])
-        with pytest.raises(ValueError, match="no outcome"):
-            estimate_eate(matches, {"t": 1.0})
+        assert eate([("t1", ["c1"]), ("t2", ["c2"])], outcomes) == 0.0
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
-        matches = self.make_matches(
-            [(f"t{i}", [f"c{i}a", f"c{i}b"]) for i in range(6)]
-        )
-        outcomes = {m.treatment_id: float(rng.integers(0, 50)) for m in matches}
-        for m in matches:
-            for c in m.matched_control_ids:
+        spec = [(f"t{i}", [f"c{i}a", f"c{i}b"]) for i in range(6)]
+        outcomes = {t: float(rng.integers(0, 50)) for t, _ in spec}
+        for _, cs in spec:
+            for c in cs:
                 outcomes[c] = float(rng.integers(0, 50))
-        base = estimate_eate(matches, outcomes)
-        scaled = estimate_eate(matches, {k: 3.0 * v for k, v in outcomes.items()})
-        shifted = estimate_eate(matches, {k: v + 17.0 for k, v in outcomes.items()})
+        base = eate(spec, outcomes)
+        scaled = eate(spec, {k: 3.0 * v for k, v in outcomes.items()})
+        shifted = eate(spec, {k: v + 17.0 for k, v in outcomes.items()})
         assert scaled == pytest.approx(3.0 * base)
         assert shifted == pytest.approx(base)
 
@@ -204,15 +379,37 @@ class TestEate:
         # one-to-one matching both directions on a symmetric design
         pairs = [("a1", "b1"), ("a2", "b2"), ("a3", "b3")]
         outcomes = {"a1": 5.0, "b1": 1.0, "a2": 8.0, "b2": 2.0, "a3": 3.0, "b3": 7.0}
-        fwd = self.make_matches([(a, [b]) for a, b in pairs])
-        rev = self.make_matches([(b, [a]) for a, b in pairs])
-        assert estimate_eate(fwd, outcomes) == pytest.approx(
-            -estimate_eate(rev, outcomes))
+        fwd = [(a, [b]) for a, b in pairs]
+        rev = [(b, [a]) for a, b in pairs]
+        assert eate(fwd, outcomes) == pytest.approx(-eate(rev, outcomes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**16),
+           st.booleans(), st.sampled_from([1, len(ENGAGEMENT_METRICS)]))
+    def test_equals_per_unit_loop(self, n_t, k, n_c, seed, counts, n_metrics):
+        # engagement counts, or arbitrary values where rounding order shows;
+        # one outcome column as well as three, since numpy may reduce a
+        # single column in another order
+        rng = np.random.default_rng(seed)
+        n = n_t + n_c
+        shape = (n, n_metrics)
+        outcomes = (rng.integers(0, 5000, size=shape).astype(float) if counts
+                    else rng.normal(0.0, 1e3, size=shape) * 10.0 ** rng.integers(-6, 6, size=shape))
+        ids = [f"u{i}" for i in range(n)]
+        t_rows = rng.permutation(n_t)
+        chosen = n_t + rng.integers(0, n_c, size=(n_t, k))
+        got = estimate_eate(t_rows, chosen, outcomes)
+        matches = [RefMatch(ids[t], tuple(ids[c] for c in row), (), 0.0)
+                   for t, row in zip(t_rows, chosen)]
+        assert got.shape == (n_metrics,)
+        for i in range(n_metrics):
+            by_id = dict(zip(ids, outcomes[:, i].tolist()))
+            assert got[i] == reference_estimate_eate(matches, by_id)
 
 
 class TestBalance:
     def matches_with_similarity(self, value):
-        return [MatchResult("t", ("c",), (0.0,), value)]
+        return np.array([value])
 
     def test_plugged_in_threshold(self):
         stats = balance_check(self.matches_with_similarity(1.0),
@@ -247,6 +444,23 @@ class TestBalance:
                               mu=0.7, sigma=0.2, alpha=1.5, tau=0.8)
         assert stats.threshold == pytest.approx(1.0)
         assert not stats.passed
+
+
+class TestVecdotGuard:
+    """`match` takes its cosines with np.vecdot and relies on it agreeing, bit
+    for bit, with the 1-D `@` and np.linalg.norm of the per-pair loop. A
+    platform where it does not would drift every report."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 32, 100])
+    def test_row_dots_equal_per_pair_matmul(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(40, 7, dim))
+        b = rng.normal(size=(40, dim))
+        got = np.vecdot(a, b[:, None, :])
+        want = np.array([[a[t, j] @ b[t] for j in range(7)] for t in range(40)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.sqrt(np.vecdot(b, b)),
+                              np.array([np.linalg.norm(v) for v in b]))
 
 
 class TestPairwiseStats:
@@ -294,18 +508,24 @@ def separable_units(n_per, seed, gap=3.0, base_likes=100.0, effect=0.0):
     """Treatments cluster at +gap/2, controls at -gap/2 along one axis."""
     rng = np.random.default_rng(seed)
     treatments = [
-        CausalUnit(f"t{i:03d}", rng.normal((gap / 2, 0.0), 1.0, size=2),
-                   {"replies": 0.0, "retweets": 0.0,
-                    "likes": float(rng.poisson(base_likes + effect))})
+        RefUnit(f"t{i:03d}", rng.normal((gap / 2, 0.0), 1.0, size=2),
+                {"replies": 0.0, "retweets": 0.0,
+                 "likes": float(rng.poisson(base_likes + effect))})
         for i in range(n_per)
     ]
     controls = [
-        CausalUnit(f"c{i:03d}", rng.normal((-gap / 2, 0.0), 1.0, size=2),
-                   {"replies": 0.0, "retweets": 0.0,
-                    "likes": float(rng.poisson(base_likes))})
+        RefUnit(f"c{i:03d}", rng.normal((-gap / 2, 0.0), 1.0, size=2),
+                {"replies": 0.0, "retweets": 0.0,
+                 "likes": float(rng.poisson(base_likes))})
         for i in range(n_per)
     ]
     return treatments, controls
+
+
+def xy(treatments, controls):
+    """Feature matrix (treatments first) and treatment labels."""
+    x = np.array([u.features for u in treatments + controls])
+    return x, np.concatenate([np.ones(len(treatments)), np.zeros(len(controls))])
 
 
 def rank_auc(pos_scores, neg_scores) -> float:
@@ -318,7 +538,7 @@ class TestTrainPropensity:
         treatments, controls = separable_units(150, seed=0)
         fit_t, hold_t = treatments[:100], treatments[100:]
         fit_c, hold_c = controls[:100], controls[100:]
-        model = train_propensity(fit_t, fit_c, seed=1, epochs=30)
+        model = train_propensity(*xy(fit_t, fit_c), seed=1, epochs=30)
         auc = rank_auc(
             model.predict(np.array([u.features for u in hold_t])),
             model.predict(np.array([u.features for u in hold_c])),
@@ -332,7 +552,7 @@ class TestTrainPropensity:
         order = rng.permutation(len(pool))
         relabeled_t = [pool[i] for i in order[:150]]
         relabeled_c = [pool[i] for i in order[150:]]
-        model = train_propensity(relabeled_t[:100], relabeled_c[:100], seed=4, epochs=30)
+        model = train_propensity(*xy(relabeled_t[:100], relabeled_c[:100]), seed=4, epochs=30)
         auc = rank_auc(
             model.predict(np.array([u.features for u in relabeled_t[100:]])),
             model.predict(np.array([u.features for u in relabeled_c[100:]])),
@@ -342,13 +562,25 @@ class TestTrainPropensity:
     def test_one_class_rejected(self):
         treatments, _ = separable_units(5, seed=5)
         with pytest.raises(ScenarioError):
-            train_propensity(treatments, [], seed=0)
+            train_propensity(*xy(treatments, []), seed=0)
 
     def test_outputs_strictly_inside_unit_interval(self):
         treatments, controls = separable_units(50, seed=6)
-        model = train_propensity(treatments, controls, seed=7, epochs=50)
+        model = train_propensity(*xy(treatments, controls), seed=7, epochs=50)
         p = model.predict(np.array([u.features for u in treatments + controls]))
         assert np.all((p > 0) & (p < 1))
+
+    # batch 7 of 5-dim rows puts most batches off a 16-byte boundary
+    @pytest.mark.parametrize("dim,batch_size", [(2, 32), (5, 7), (32, 32)])
+    def test_parameters_equal_reference_loop(self, dim, batch_size):
+        rng = np.random.default_rng(dim)
+        treatments = [RefUnit(f"t{i}", rng.normal(0.5, 1.0, size=dim), {}) for i in range(70)]
+        controls = [RefUnit(f"c{i}", rng.normal(-0.5, 1.0, size=dim), {}) for i in range(90)]
+        got = train_propensity(*xy(treatments, controls), seed=3, epochs=4,
+                               batch_size=batch_size, hidden=(16, 8))
+        want = reference_train_propensity(treatments, controls, seed=3, epochs=4,
+                                          batch_size=batch_size, hidden=(16, 8))
+        assert np.array_equal(got.network.buffer.values, want.network.buffer.values)
 
 
 class TestSelectUnits:
@@ -380,8 +612,8 @@ class TestSelectUnits:
         scenario = Scenario("s", "x", Selector("edited"), Selector("mirrored"))
         units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
         treatments, controls = select_units(units, scenario)
-        assert {u.record_id for u in treatments} == {"r1", "r3"}  # r5 has no body
-        assert {u.record_id for u in controls} == {"r0", "r2", "r4"}
+        assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}  # r5 has no body
+        assert {units.record_ids[i] for i in controls} == {"r0", "r2", "r4"}
 
     def test_section_filter(self):
         corpus, profiles = self.corpus_and_profiles()
@@ -389,8 +621,8 @@ class TestSelectUnits:
                             section="politics")
         units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
         treatments, controls = select_units(units, scenario)
-        assert {u.record_id for u in treatments} == {"r1", "r3"}
-        assert {u.record_id for u in controls} == {"r0", "r2"}
+        assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}
+        assert {units.record_ids[i] for i in controls} == {"r0", "r2"}
 
     def test_cluster_selectors(self):
         corpus, profiles = self.corpus_and_profiles()
@@ -403,8 +635,8 @@ class TestSelectUnits:
                             Selector("cluster", cluster=0))
         units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
         treatments, controls = select_units(units, scenario)
-        assert {u.record_id for u in treatments} == {"r1", "r4"}
-        assert {u.record_id for u in controls} == {"r0", "r3"}
+        assert {units.record_ids[i] for i in treatments} == {"r1", "r4"}
+        assert {units.record_ids[i] for i in controls} == {"r0", "r3"}
 
     def test_shift_selectors_and_exclude_mirrored(self):
         corpus, profiles = self.corpus_and_profiles()
@@ -422,10 +654,10 @@ class TestSelectUnits:
         )
         units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
         treatments, controls = select_units(units, scenario)
-        assert {u.record_id for u in treatments} == {"r1", "r3"}
+        assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}
         # mirrored records are excluded and the only NC->NC candidate (r5)
         # has no body text, so the control side comes back empty
-        assert {u.record_id for u in controls} == set()
+        assert {units.record_ids[i] for i in controls} == set()
 
     def test_scenario_parsing(self):
         scenario = Scenario.from_dict({
@@ -490,7 +722,7 @@ def reference_select_units(corpus, profiles, scenario, table):
         doc = embed_text(table, record.body_text)
         if doc.is_zero_hit:
             continue
-        unit = CausalUnit(
+        unit = RefUnit(
             record_id=record.id,
             features=doc.values,
             outcomes={m: float(record.engagement(m)) for m in ENGAGEMENT_METRICS},
@@ -562,11 +794,12 @@ class TestUnitTableSelection:
             assert str(got.value) == str(exc)
             return "error"
         got = select_units(units, scenario)
-        for exp_arm, got_arm in zip(expected, got):
-            assert [u.record_id for u in got_arm] == [u.record_id for u in exp_arm]
-            assert [u.outcomes for u in got_arm] == [u.outcomes for u in exp_arm]
-            for e, g in zip(exp_arm, got_arm):
-                assert np.array_equal(g.features, e.features)
+        for exp_arm, rows in zip(expected, got):
+            assert [units.record_ids[i] for i in rows] == [u.record_id for u in exp_arm]
+            assert ([dict(zip(ENGAGEMENT_METRICS, units.outcomes[i].tolist())) for i in rows]
+                    == [u.outcomes for u in exp_arm])
+            for e, i in zip(exp_arm, rows):
+                assert np.array_equal(units.features[i], e.features)
         return len(got[0]) + len(got[1])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -630,7 +863,7 @@ class TestUnitTableSelection:
         assert units.zero_hit.tolist() == [False, True]
         assert self.assert_same(corpus, profiles, table, scenario, units) == 1
         treatments, controls = select_units(units, scenario)
-        assert [u.record_id for u in treatments] == ["a"] and controls == []
+        assert [units.record_ids[i] for i in treatments] == ["a"] and len(controls) == 0
 
     def test_each_eligible_body_embedded_once(self, monkeypatch):
         corpus, profiles, table = selection_corpus(0)
@@ -723,3 +956,46 @@ class TestRunScenario:
             # plain Python scalars, so the CLI can serialize the report
             assert type(r.discarded) is bool
             assert type(r.ci_low) is type(r.ci_high) is float
+
+
+def reference_case(name):
+    """(corpus, profiles, table, scenario, config) of one reference case on a
+    900-record confounded corpus with a +40 likes effect."""
+    corpus, profiles, scenario, table = small_benchmark(seed=6, delta=40.0, n=900)
+    config = CausalConfig()
+    if name.startswith("knn"):
+        config = CausalConfig(knn=int(name[3:]))
+    elif name == "exclude-mirrored":
+        # edited records alternate between clusters 1 and 0 and mirrored ones
+        # sit in cluster 1, so only the exclusion keeps them out of treatment
+        profiles = [dataclasses.replace(p, cluster=1 if p.mirrored else i % 2)
+                    for i, p in enumerate(profiles)]
+        scenario = Scenario("clusters", "synthwire", Selector("cluster", cluster=1),
+                            Selector("cluster", cluster=0), exclude_mirrored=True)
+    elif name == "zero-hit":
+        # every seventh body has no in-vocabulary token
+        corpus = make_corpus([dataclasses.replace(r, body_text="zzz qqq") if i % 7 == 0 else r
+                              for i, r in enumerate(corpus)])
+    elif name == "section-time-block":
+        scenario = dataclasses.replace(scenario, name="politics-B2", section="politics",
+                                       time_block="B2")
+        config = CausalConfig(min_group=10)
+    return corpus, profiles, table, scenario, config
+
+
+class TestColumnarMatchesReference:
+    """`run_scenario` on table rows against the per-unit pipeline."""
+
+    @pytest.mark.parametrize("name", ["knn1", "knn5", "knn10", "exclude-mirrored",
+                                      "zero-hit", "section-time-block"])
+    def test_reports_equal_field_by_field(self, name):
+        corpus, profiles, table, scenario, config = reference_case(name)
+        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        if name == "zero-hit":
+            assert units.zero_hit.sum() > 0
+        got = run_scenario(units, scenario, seed=11, config=config)
+        want = reference_run_scenario(corpus, profiles, table, scenario, 11, config)
+        assert len(got) == len(want) == len(ENGAGEMENT_METRICS)
+        for g, w in zip(got, want):
+            for field in dataclasses.fields(EateReport):
+                assert getattr(g, field.name) == getattr(w, field.name), field.name

@@ -307,6 +307,49 @@ class TestEstimateCommand:
         assert err.startswith(f"error: {name} must be at least 1, got 0")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("route, name, value, error", [
+        ("config", "jobs", "two", "jobs must be an integer, got 'two'"),
+        ("config", "jobs", 2.5, "jobs must be an integer, got 2.5"),
+        ("config", "knn", 2.7, "knn must be an integer, got 2.7"),
+        ("config", "knn", True, "knn must be an integer, got True"),
+        ("config", "propensity_epochs", 0, "propensity_epochs must be at least 1, got 0"),
+        ("config", "propensity_epochs", "3", "propensity_epochs must be an integer, got '3'"),
+        ("config", "min_group", -1, "min_group must be at least 0, got -1"),
+        ("config", "min_group", 1.5, "min_group must be an integer, got 1.5"),
+        ("config", "alpha", float("nan"), "alpha must be a finite number, got nan"),
+        ("config", "alpha", False, "alpha must be a finite number, got False"),
+        ("config", "tau", "0.8", "tau must be a finite number, got '0.8'"),
+        ("flag", "tau", "inf", "tau must be a finite number, got inf"),
+        ("flag", "alpha", "-nan", "alpha must be a finite number, got nan"),
+        ("flag", "min-group", "-1", "min_group must be at least 0, got -1"),
+        ("flag", "knn", "-3", "knn must be at least 1, got -3"),
+        # accepted: an integral float, zero minimum group, a negative alpha
+        ("config", "knn", 5.0, None),
+        ("config", "min_group", 0, None),
+        ("flag", "alpha", "-0.5", None),
+    ])
+    def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
+        config = {"scenarios": [{
+            "name": "s", "outlet": "synthwire",
+            "treatment": {"kind": "edited"}, "control": {"kind": "mirrored"},
+        }]}
+        flags = [f"--{name}={value}"] if route == "flag" else []
+        if route == "config":
+            config[name] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))  # NaN is written as the JSON extension NaN
+        code = main(["estimate", "--corpus", str(tmp_path / "missing.jsonl"),
+                     "--embeddings", str(tmp_path / "missing.txt"),
+                     "--out", str(tmp_path / "o"), "--config", str(cfg), *flags])
+        err = capsys.readouterr().err
+        if error is None:
+            # the settings passed, so the missing corpus is what stops the run
+            assert code == 1 and "missing.jsonl" in err
+        else:
+            assert code == 2
+            assert err == f"error: {error}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_jobs_two_matches_jobs_one(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "o"
         assert main(["synth", "--n-records", "300", "--seed", "2", "--out", str(out)]) == 0

@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,27 @@ class TestPersistence:
             assert cb.score(again, text) == pytest.approx(cb.score(model, text), abs=1e-15)
         assert again.token_ids == model.token_ids
         assert again.threshold == model.threshold
+
+    def test_failed_rewrite_leaves_previous_model(self, trained, tmp_path, monkeypatch):
+        model, _ = trained
+        path = tmp_path / "model.bin"
+        cb.save_model(model, path)
+        before = path.read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        # the new model is written in full; the rename over the old one fails
+        monkeypatch.setattr(os, "replace", fail_replace)
+        retuned = dataclasses.replace(model, threshold=0.25)
+        with pytest.raises(OSError, match="disk full"):
+            cb.save_model(retuned, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        again = cb.load_model(path)
+        assert again.threshold == model.threshold
+        assert np.array_equal(again.network.buffer.values, model.network.buffer.values)
 
     def test_labeled_csv_loader(self, tmp_path):
         path = tmp_path / "data.csv"

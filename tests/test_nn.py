@@ -17,7 +17,7 @@ from editlift.nn import (
     forward_dense,
     forward_gru_bidirectional,
     load_params,
-    save_params,
+    params_to_bytes,
 )
 
 
@@ -302,7 +302,23 @@ class TestParamViews:
 class TestMlpConfig:
     def test_bce_needs_sigmoid_output(self):
         with pytest.raises(ValueError, match="sigmoid"):
-            Mlp([3, 4, 1], activations=["relu", "identity"], loss="bce")
+            Mlp([3, 4, 1], activations=["relu", "identity"])
+
+
+class LinearMse:
+    """x @ w + b under mean squared error: the smallest model that meets the
+    `buffer` + `loss_and_grads` contract `check_gradients` needs."""
+
+    def __init__(self, n_in: int, seed: int):
+        rng = np.random.default_rng(seed)
+        self.buffer = ParamBuffer({"w": rng.normal(size=n_in), "b": np.zeros(1)})
+
+    def loss_and_grads(self, x, y):
+        params, grads = self.buffer.params, self.buffer.grad_views
+        diff = x @ params["w"] + params["b"][0] - y
+        grads["w"][...] = 2.0 * (x.T @ diff) / len(y)
+        grads["b"][0] = 2.0 * diff.sum() / len(y)
+        return float(np.mean(diff * diff)), grads
 
 
 class TestGradientChecks:
@@ -315,7 +331,7 @@ class TestGradientChecks:
 
     def test_linear_model_quadratic_loss(self):
         rng = np.random.default_rng(8)
-        model = Mlp([4, 1], activations=["identity"], seed=2, loss="mse")
+        model = LinearMse(4, seed=2)
         x = rng.normal(size=(9, 4))
         y = rng.normal(size=9)
         assert check_gradients(model, (x, y)) < 1e-7
@@ -378,7 +394,7 @@ class TestSerialization:
         }
         meta = {"layers": [3, 4], "seed": 12}
         path = tmp_path / "params.bin"
-        save_params(path, params, meta)
+        path.write_bytes(params_to_bytes(params, meta))
         got_meta, got = load_params(path)
         assert got_meta == meta
         for name in params:
