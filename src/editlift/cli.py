@@ -4,6 +4,9 @@ Every command is deterministic given its inputs and --seed, writes outputs
 atomically, and follows one exit-code contract: 0 success, 1 runtime or data
 error, 2 usage error. A JSON config file (--config or $EDITLIFT_CONFIG)
 supplies defaults; explicit flags win.
+
+Each command imports the modules it uses when it runs, so `--help` and
+`ingest` start without numpy.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import corpus as corpus_mod
 
-from . import causal, clickbait, cluster, corpus as corpus_mod, embedding, synthbench, textsim
+if TYPE_CHECKING:
+    from . import causal
 
 CONFIG_ENV_VAR = "EDITLIFT_CONFIG"
 
@@ -60,24 +64,30 @@ def _setting(args, cfg: dict, name: str, default):
     return default
 
 
-# estimate's numeric settings, each a flag (where one exists) and a config key
-# of the same name: (type, minimum); floats must be finite
-_ESTIMATE_SETTINGS = {
-    "knn": (int, 1),
-    "jobs": (int, 1),
-    "propensity_epochs": (int, 1),
-    "min_group": (int, 0),
-    "alpha": (float, None),
-    "tau": (float, None),
+# every numeric setting, each a flag (where one exists) and a config key of
+# the same name (`k` is a flag only): (type, minimum, CausalConfig field);
+# floats must be finite
+_SETTINGS = {
+    "seed": (int, 0, None),
+    "k": (int, 1, None),
+    "k_max": (int, 2, None),
+    "epochs": (int, 1, None),
+    "n_records": (int, None, None),
+    "effect_likes": (float, None, None),
+    "jobs": (int, 1, None),
+    "knn": (int, 1, "knn"),
+    "propensity_epochs": (int, 1, "epochs"),
+    "min_group": (int, 0, "min_group"),
+    "alpha": (float, None, "alpha"),
+    "tau": (float, None, "tau"),
 }
 
 
-def _checked_setting(args, cfg: dict, name: str, default):
-    """`_setting` of one of _ESTIMATE_SETTINGS, checked; UsageError names the
-    key. A bool, or a float with a fractional part where an integer is due,
-    is rejected rather than coerced."""
-    kind, minimum = _ESTIMATE_SETTINGS[name]
-    value = _setting(args, cfg, name, default)
+def _checked(name: str, value):
+    """`value` of the setting `name`, checked against its _SETTINGS row;
+    UsageError names the key. A bool, or a float with a fractional part where
+    an integer is due, is rejected rather than coerced."""
+    kind, minimum, _ = _SETTINGS[name]
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float:
         if not (is_number and math.isfinite(value)):
@@ -85,9 +95,14 @@ def _checked_setting(args, cfg: dict, name: str, default):
         return float(value)
     if not is_number or (isinstance(value, float) and not value.is_integer()):
         raise UsageError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise UsageError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def _checked_setting(args, cfg: dict, name: str, default):
+    """`_setting` of one of _SETTINGS, checked."""
+    return _checked(name, _setting(args, cfg, name, default))
 
 
 def _load_inputs(args, cfg, need_embeddings=True):
@@ -100,6 +115,8 @@ def _load_inputs(args, cfg, need_embeddings=True):
         raise CommandError(str(exc)) from None
     table = None
     if need_embeddings:
+        from . import embedding
+
         emb_path = _setting(args, cfg, "embeddings", None)
         if emb_path is None:
             raise CommandError("no embedding table given (use --embeddings or the config file)")
@@ -133,6 +150,8 @@ def cmd_ingest(args) -> int:
 
 
 def _distribution_stats(values) -> dict:
+    import numpy as np
+
     arr = np.asarray(values, dtype=np.float64)
     q1, med, q3 = np.percentile(arr, [25, 50, 75])
     return {
@@ -146,6 +165,8 @@ def _distribution_stats(values) -> dict:
 
 
 def cmd_profile(args) -> int:
+    from . import textsim
+
     cfg = _load_config(args)
     loaded, table = _load_inputs(args, cfg)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
@@ -189,26 +210,31 @@ def cmd_profile(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    from . import cluster, textsim
+
     cfg = _load_config(args)
+    seed = _checked_setting(args, cfg, "seed", 0)
+    k = getattr(args, "k", None)
+    if k is None:
+        k_max = _checked_setting(args, cfg, "k_max", 8)
+    else:
+        k = _checked("k", k)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
     profile_path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
     if not profile_path.is_file():
         raise CommandError(f"profile CSV not found: {profile_path} (run `profile` first)")
     profiles = textsim.profiles_from_csv(profile_path)
     loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
-    seed = int(_setting(args, cfg, "seed", 0))
 
     pts = [[p.embedding_similarity, p.edit_distance] for p in profiles]
-    k = getattr(args, "k", None)
     if k is None:
-        k_max = int(_setting(args, cfg, "k_max", 8))
         try:
             k = cluster.elbow_select(pts, k_max=k_max, seed=seed)
         except ValueError as exc:
             raise CommandError(str(exc)) from None
         print(f"elbow selected k={k}")
     try:
-        model, assignments = cluster.fit_profiles(profiles, k=int(k), seed=seed)
+        model, assignments = cluster.fit_profiles(profiles, k=k, seed=seed)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
 
@@ -222,21 +248,20 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_clickbait(args) -> int:
+    from . import clickbait
+
     cfg = _load_config(args)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
-    seed = int(_setting(args, cfg, "seed", 0))
+    seed = _checked_setting(args, cfg, "seed", 0)
 
     if args.action == "train":
+        epochs = _checked_setting(args, cfg, "epochs", 10)
         data_path = getattr(args, "train_data", None)
         if data_path is None:
             raise CommandError("clickbait train needs --train-data CSV (text,label)")
         try:
             dataset = clickbait.load_labeled_csv(data_path)
-            model, f1 = clickbait.train(
-                dataset,
-                split_seed=seed,
-                epochs=int(_setting(args, cfg, "epochs", 10)),
-            )
+            model, f1 = clickbait.train(dataset, split_seed=seed, epochs=epochs)
         except (OSError, ValueError) as exc:
             raise CommandError(str(exc)) from None
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -247,6 +272,8 @@ def cmd_clickbait(args) -> int:
         return 0
 
     # score
+    from . import textsim
+
     model_path = getattr(args, "model", None) or out_dir / "clickbait_model.bin"
     if not Path(model_path).is_file():
         raise CommandError(f"clickbait model not found: {model_path} (train first)")
@@ -284,31 +311,34 @@ def _init_worker(units: causal.UnitTable | None) -> None:
 
 
 def _run_one_scenario(payload):
+    from . import causal
+
     scenario, seed, run_cfg = payload
     return causal.run_scenario(_UNITS, scenario, seed=seed, config=run_cfg)
 
 
 def cmd_estimate(args) -> int:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from . import causal, textsim
+
     cfg = _load_config(args)
     scenario_defs = cfg.get("scenarios", [])
     if not scenario_defs:
         raise UsageError("no scenarios configured (config key 'scenarios')")
     # every setting is checked before any input is read
     jobs = _checked_setting(args, cfg, "jobs", 1)
-    run_cfg = causal.CausalConfig(
-        knn=_checked_setting(args, cfg, "knn", causal.DEFAULT_KNN),
-        alpha=_checked_setting(args, cfg, "alpha", causal.DEFAULT_ALPHA),
-        tau=_checked_setting(args, cfg, "tau", causal.DEFAULT_TAU),
-        min_group=_checked_setting(args, cfg, "min_group", causal.DEFAULT_MIN_GROUP),
-        epochs=_checked_setting(args, cfg, "propensity_epochs", causal.CausalConfig.epochs),
-    )
+    seed = _checked_setting(args, cfg, "seed", 0)
+    run_cfg = causal.CausalConfig(**{
+        field: _checked_setting(args, cfg, name, getattr(causal.CausalConfig, field))
+        for name, (_, _, field) in _SETTINGS.items() if field is not None
+    })
     loaded, table = _load_inputs(args, cfg)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
     profile_path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
     if not profile_path.is_file():
         raise CommandError(f"profile CSV not found: {profile_path} (run `profile` first)")
     profiles = textsim.profiles_from_csv(profile_path)
-    seed = int(_setting(args, cfg, "seed", 0))
 
     try:
         scenarios = [causal.Scenario.from_dict(d) for d in scenario_defs]
@@ -369,18 +399,22 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import embedding, synthbench
+
     cfg = _load_config(args)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
-    seed = int(_setting(args, cfg, "seed", 0))
+    preset = None
+    if not getattr(args, "spec", None):
+        preset = {
+            "n_records": _checked_setting(args, cfg, "n_records", 5000),
+            "effect_likes": _checked_setting(args, cfg, "effect_likes", 0.0),
+            "seed": _checked_setting(args, cfg, "seed", 0),
+        }
     try:
-        if getattr(args, "spec", None):
+        if preset is None:
             spec = synthbench.load_spec(args.spec)
         else:
-            spec = synthbench.confounded_spec(
-                n_records=int(_setting(args, cfg, "n_records", 5000)),
-                effect_likes=float(_setting(args, cfg, "effect_likes", 0.0)),
-                seed=seed,
-            )
+            spec = synthbench.confounded_spec(**preset)
         generated, truth = synthbench.generate(spec)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CommandError(f"invalid synthetic spec: {exc}") from None
@@ -459,6 +493,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _runtime_errors() -> tuple[type[Exception], ...]:
+    """Exception types that exit 1. The error types of modules this process
+    never imported are left out: nothing can have raised them."""
+    errors = [CommandError, corpus_mod.CorpusError, ValueError, OSError, FloatingPointError]
+    for module, name in (("editlift.embedding", "EmbeddingError"),
+                         ("editlift.causal", "ScenarioError")):
+        if module in sys.modules:
+            errors.append(getattr(sys.modules[module], name))
+    return tuple(errors)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -467,11 +512,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (corpus_mod.CorpusError, embedding.EmbeddingError, causal.ScenarioError,
-            ValueError, OSError, FloatingPointError) as exc:
+    except _runtime_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

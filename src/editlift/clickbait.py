@@ -186,11 +186,6 @@ def score_many(model: ClickbaitModel, texts) -> np.ndarray:
     return model.network.score_batch([model.encode(t) for t in texts])
 
 
-def classify(model: ClickbaitModel, text: str) -> str:
-    """"C" when the score strictly exceeds the threshold, else "NC"."""
-    return "C" if score(model, text) > model.threshold else "NC"
-
-
 def score_profiles(model: ClickbaitModel, corpus: Corpus,
                    profiles: list[EditProfile]) -> list[EditProfile]:
     """Fill headline_clickbait / post_clickbait for every profiled record."""

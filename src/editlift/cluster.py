@@ -29,8 +29,7 @@ class ClusterModel:
 
     def assign(self, points: np.ndarray) -> np.ndarray:
         """Index of the nearest centroid for each row of `points`."""
-        d2 = ((points[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+        return np.argmin(_sq_distances(np.asarray(points).T, self.centroids), axis=1)
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,35 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
+def _sq_distances(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """[n, k] squared distances from n points, given as [d, n] coordinate
+    columns, to each row of `centroids`.
+
+    The per-coordinate squares are added in coordinate order, as numpy's
+    `.sum(axis=2)` over an [n, k, d] difference array adds fewer than eight
+    terms, so the values equal that form bit for bit without building it.
+    """
+    d2 = np.subtract.outer(cols[0], centroids[:, 0])
+    d2 *= d2
+    for col, centre in zip(cols[1:], centroids.T[1:]):
+        diff = np.subtract.outer(col, centre)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _cluster_means(cols: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """[k, d] mean of each cluster's members; every count must be positive.
+
+    `bincount` adds each cluster's weights one at a time in row order, the
+    same order in which `points[labels == c].mean(axis=0)` sums its rows, so
+    the means are bit-identical to that per-cluster form.
+    """
+    k = len(counts)
+    return np.stack([np.bincount(labels, weights=col, minlength=k) / counts
+                     for col in cols], axis=1)
+
+
 def kmeanspp_fit(points, k: int, seed: int) -> ClusterModel:
     """One k-means++ seeding followed by Lloyd iterations to a fixpoint.
 
@@ -76,24 +104,31 @@ def kmeanspp_fit(points, k: int, seed: int) -> ClusterModel:
 
     rng = np.random.default_rng(seed)
     centroids = _seed_centroids(pts, k, rng)
+    cols = np.ascontiguousarray(pts.T)
     labels = np.full(len(pts), -1, dtype=np.int64)
     for _ in range(MAX_LLOYD_ITERATIONS):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(cols, centroids)
         new_labels = np.argmin(d2, axis=1)
-        for c in range(k):
-            members = pts[new_labels == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-            else:
-                # re-seat an empty cluster on the point farthest from its centroid
-                worst = int(np.argmax(d2[np.arange(len(pts)), new_labels]))
-                centroids[c] = pts[worst]
-                new_labels[worst] = c
+        counts = np.bincount(new_labels, minlength=k)
+        if counts.all():
+            centroids = _cluster_means(cols, new_labels, counts)
+        else:
+            # each re-seat moves a point out of its cluster, so the clusters
+            # after it are averaged over the changed memberships
+            for c in range(k):
+                members = pts[new_labels == c]
+                if len(members):
+                    centroids[c] = members.mean(axis=0)
+                else:
+                    # re-seat an empty cluster on the point farthest from its centroid
+                    worst = int(np.argmax(d2[np.arange(len(pts)), new_labels]))
+                    centroids[c] = pts[worst]
+                    new_labels[worst] = c
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
 
-    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_distances(cols, centroids)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(len(pts)), labels].sum())
     return ClusterModel(k=k, centroids=centroids.copy(), inertia=inertia, seed=seed)
@@ -192,13 +227,3 @@ def save_model(model: ClusterModel, path: str | Path) -> None:
         "seed": model.seed,
     }
     write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
-
-
-def load_model(path: str | Path) -> ClusterModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ClusterModel(
-        k=int(payload["k"]),
-        centroids=np.asarray(payload["centroids"], dtype=np.float64),
-        inertia=float(payload["inertia"]),
-        seed=int(payload["seed"]),
-    )

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import pickle
@@ -323,12 +324,38 @@ class TestEstimateCommand:
         ("flag", "alpha", "-nan", "alpha must be a finite number, got nan"),
         ("flag", "min-group", "-1", "min_group must be at least 0, got -1"),
         ("flag", "knn", "-3", "knn must be at least 1, got -3"),
+        ("config", "seed", "two", "seed must be an integer, got 'two'"),
+        ("flag", "seed", "-1", "seed must be at least 0, got -1"),
+        # other commands: the route names the command first
+        ("cluster config", "k_max", 2.9, "k_max must be an integer, got 2.9"),
+        ("cluster config", "seed", 1.5, "seed must be an integer, got 1.5"),
+        ("cluster flag", "k", "0", "k must be at least 1, got 0"),
+        ("cluster flag", "k-max", "1", "k_max must be at least 2, got 1"),
+        ("clickbait train flag", "epochs", "0", "epochs must be at least 1, got 0"),
+        ("clickbait train config", "epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("synth config", "seed", True, "seed must be an integer, got True"),
+        ("synth config", "n_records", "many", "n_records must be an integer, got 'many'"),
+        ("synth flag", "effect-likes", "nan", "effect_likes must be a finite number, got nan"),
         # accepted: an integral float, zero minimum group, a negative alpha
         ("config", "knn", 5.0, None),
         ("config", "min_group", 0, None),
         ("flag", "alpha", "-0.5", None),
+        ("config", "seed", 7, None),
+        ("cluster config", "k_max", 3.0, None),
+        ("cluster flag", "k", "2", None),
+        ("clickbait train config", "epochs", 2.0, None),
     ])
     def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
+        *command, route = route.split()
+        command = " ".join(command) or "estimate"
+        missing_inputs = {
+            "estimate": ["--corpus", str(tmp_path / "missing.jsonl"),
+                         "--embeddings", str(tmp_path / "missing.txt")],
+            "cluster": ["--corpus", str(tmp_path / "missing.jsonl"),
+                        "--profiles", str(tmp_path / "missing.csv")],
+            "clickbait train": ["--train-data", str(tmp_path / "missing.csv")],
+            "synth": [],  # the preset reads no input
+        }[command]
         config = {"scenarios": [{
             "name": "s", "outlet": "synthwire",
             "treatment": {"kind": "edited"}, "control": {"kind": "mirrored"},
@@ -338,13 +365,12 @@ class TestEstimateCommand:
             config[name] = value
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))  # NaN is written as the JSON extension NaN
-        code = main(["estimate", "--corpus", str(tmp_path / "missing.jsonl"),
-                     "--embeddings", str(tmp_path / "missing.txt"),
+        code = main([*command.split(), *missing_inputs,
                      "--out", str(tmp_path / "o"), "--config", str(cfg), *flags])
         err = capsys.readouterr().err
         if error is None:
-            # the settings passed, so the missing corpus is what stops the run
-            assert code == 1 and "missing.jsonl" in err
+            # the settings passed, so a missing input is what stops the run
+            assert code == 1 and "missing." in err
         else:
             assert code == 2
             assert err == f"error: {error}\n"
@@ -368,7 +394,7 @@ class TestEstimateCommand:
 
         submitted = []
 
-        class RecordingPool(cli.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 self.initargs = kwargs["initargs"]
@@ -377,7 +403,8 @@ class TestEstimateCommand:
                 submitted.append((self.initargs, args))
                 return super().submit(fn, *args)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # `estimate` imports the pool class when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         outputs = {}
         for jobs in ("1", "2"):
             run_out = tmp_path / f"jobs{jobs}"
@@ -418,11 +445,17 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "editlift" in proc.stdout
 
-    def test_import_leaves_scipy_unloaded(self):
-        # scipy.stats takes about a second to import; no command needs it
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import editlift.cli, sys; assert 'scipy' not in sys.modules"],
-            capture_output=True, text=True, env=SUBPROCESS_ENV,
-        )
-        assert proc.returncode == 0, proc.stderr
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # scipy.stats takes about a second to import and no command needs it;
+        # numpy is imported by the commands that use it, so importing the CLI,
+        # `--help` and `ingest` start without it
+        corpus = make_corpus_file(tmp_path)
+        for argv in (None, ["--help"], ["ingest", "--corpus", str(corpus)]):
+            script = "import contextlib, sys\nfrom editlift import cli\n"
+            if argv is not None:
+                script += ("with contextlib.suppress(SystemExit):\n"
+                           f"    assert cli.main({argv!r}) == 0\n")
+            script += "loaded = {'numpy', 'scipy'} & set(sys.modules)\nassert not loaded, loaded\n"
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, env=SUBPROCESS_ENV)
+            assert proc.returncode == 0, (argv, proc.stderr)

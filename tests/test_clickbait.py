@@ -110,8 +110,8 @@ class TestClassify:
         assert ("C" if 0.51 > model.threshold else "NC") == "C"
         assert ("C" if 0.50 > model.threshold else "NC") == "NC"
         assert ("C" if 0.49 > model.threshold else "NC") == "NC"
-        assert cb.classify(model, "shocking unbelievable") == "C"
-        assert cb.classify(model, "quarterly earnings report") == "NC"
+        assert cb.score(model, "shocking unbelievable") > model.threshold
+        assert cb.score(model, "quarterly earnings report") <= model.threshold
 
 
 class TestShiftTable:

@@ -1,15 +1,22 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from editlift.cluster import (
+    MAX_LLOYD_ITERATIONS,
     ClusterAssignment,
+    ClusterModel,
+    _cluster_means,
+    _seed_centroids,
     best_fit,
     canonical_order,
     cluster_fractions,
     elbow_select,
     fit_profiles,
     kmeanspp_fit,
-    load_model,
     save_model,
 )
 from editlift.textsim import EditProfile
@@ -21,6 +28,60 @@ def blobs(centers, n_per, spread, seed):
     rng = np.random.default_rng(seed)
     parts = [rng.normal(c, spread, size=(n_per, 2)) for c in centers]
     return np.vstack(parts)
+
+
+def load_model(path) -> ClusterModel:
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    return ClusterModel(
+        k=int(payload["k"]),
+        centroids=np.asarray(payload["centroids"], dtype=np.float64),
+        inertia=float(payload["inertia"]),
+        seed=int(payload["seed"]),
+    )
+
+
+def reference_kmeanspp_fit(points, k, seed):
+    """kmeanspp_fit on an [n, k, d] difference array with a boolean-mask mean
+    per cluster; also tells whether an empty cluster was re-seated."""
+    pts = np.asarray(points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centroids = _seed_centroids(pts, k, rng)
+    labels = np.full(len(pts), -1, dtype=np.int64)
+    reseated = False
+    for _ in range(MAX_LLOYD_ITERATIONS):
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        for c in range(k):
+            members = pts[new_labels == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                worst = int(np.argmax(d2[np.arange(len(pts)), new_labels]))
+                centroids[c] = pts[worst]
+                new_labels[worst] = c
+                reseated = True
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+
+    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(len(pts)), labels].sum())
+    return ClusterModel(k=k, centroids=centroids.copy(), inertia=inertia, seed=seed), reseated
+
+
+@st.composite
+def fit_problems(draw):
+    """Uniform points, or points on a quarter-step grid (many duplicates, so
+    clusters empty out and get re-seated), with any k up to n."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                              min_size=n, max_size=n))
+        pts = np.array(cells, dtype=np.float64) * 0.25
+    else:
+        pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, 2))
+    return pts, draw(st.integers(1, n)), draw(st.integers(0, 2**16))
 
 
 class TestKmeansFit:
@@ -59,6 +120,24 @@ class TestKmeansFit:
         assert np.array_equal(a.centroids, b.centroids)
         assert a.inertia == b.inertia
 
+    def test_equals_reference(self):
+        reseated = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(fit_problems())
+        def check(problem):
+            pts, k, seed = problem
+            want, did_reseat = reference_kmeanspp_fit(pts, k, seed)
+            got = kmeanspp_fit(pts, k, seed)
+            assert np.array_equal(got.centroids, want.centroids)
+            assert got.centroids.tobytes() == want.centroids.tobytes()
+            assert got.inertia == want.inertia
+            assert np.array_equal(got.assign(pts), want.assign(pts))
+            reseated.append(did_reseat)
+
+        check()
+        assert any(reseated), "no generated case re-seated an empty cluster"
+
     def test_lloyd_beats_or_matches_random_init(self):
         # k-means++ (best of 10) vs uniform random seeding (best of 10)
         rng_global = np.random.default_rng(99)
@@ -86,6 +165,22 @@ class TestKmeansFit:
                 inertia = ((pts - centroids[labels]) ** 2).sum()
                 best_random = min(best_random, inertia)
             assert pp <= best_random + 1e-9
+
+
+class TestBincountMeanGuard:
+    """`kmeanspp_fit` takes cluster means with np.bincount and relies on them
+    agreeing, bit for bit, with the boolean-mask `mean(axis=0)` of each
+    cluster's rows. A numpy where they do not would drift every centroid."""
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 2), (9, 3), (100, 4), (2500, 8), (5000, 1)])
+    def test_equals_mask_mean(self, n, k):
+        rng = np.random.default_rng(n + k)
+        pts = rng.normal(size=(n, 2)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 2))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+        counts = np.bincount(labels, minlength=k)
+        got = _cluster_means(np.ascontiguousarray(pts.T), labels, counts)
+        want = np.array([pts[labels == c].mean(axis=0) for c in range(k)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestElbow:
