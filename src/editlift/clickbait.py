@@ -260,24 +260,31 @@ def save_model(model: ClickbaitModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ClickbaitModel:
+    """Read a model `save_model` wrote; a malformed file raises ValueError
+    naming the path."""
     meta, params = load_params(path)
     if meta.get("kind") != "clickbait":
         raise ValueError(f"{path}: not a clickbait model file")
-    network = SequenceClassifier(
-        vocab_size=len(meta["tokens"]) + 1,
-        embed_size=int(meta["embed_size"]),
-        hidden_size=int(meta["hidden_size"]),
-        attention_size=int(meta["attention_size"]),
-        seed=int(meta["seed"]),
-    )
-    network.set_params(params)
-    token_ids = {t: i + 1 for i, t in enumerate(meta["tokens"])}
-    return ClickbaitModel(
-        network=network,
-        token_ids=token_ids,
-        threshold=float(meta["threshold"]),
-        max_tokens=int(meta["max_tokens"]),
-    )
+    try:
+        network = SequenceClassifier(
+            vocab_size=len(meta["tokens"]) + 1,
+            embed_size=int(meta["embed_size"]),
+            hidden_size=int(meta["hidden_size"]),
+            attention_size=int(meta["attention_size"]),
+            seed=int(meta["seed"]),
+        )
+        network.set_params(params)
+        token_ids = {t: i + 1 for i, t in enumerate(meta["tokens"])}
+        return ClickbaitModel(
+            network=network,
+            token_ids=token_ids,
+            threshold=float(meta["threshold"]),
+            max_tokens=int(meta["max_tokens"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file lacks {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,9 @@ def load_table(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable(dim=int(dim), vocab=vocab)
 
 
-def save_table(table: EmbeddingTable, path: str | Path, header: bool = True) -> None:
+def save_table(table: EmbeddingTable, path: str | Path) -> None:
     """Write a table, atomically, in the same text format load_table reads."""
-    lines = [f"{len(table.vocab)} {table.dim}\n"] if header else []
+    lines = [f"{len(table.vocab)} {table.dim}\n"]
     lines.extend(token + " " + " ".join(repr(float(x)) for x in vec) + "\n"
                  for token, vec in table.vocab.items())
     write_text_atomic(path, "".join(lines))

@@ -15,10 +15,8 @@ from .layers import (
     AttentionHead,
     DenseLayer,
     GruCell,
-    attend,
     binary_cross_entropy,
     forward_dense,
-    forward_gru_bidirectional,
 )
 from .models import Mlp, SequenceClassifier
 from .optim import AdamState, adam_step
@@ -36,11 +34,9 @@ __all__ = [
     "ParamBuffer",
     "SequenceClassifier",
     "adam_step",
-    "attend",
     "binary_cross_entropy",
     "check_gradients",
     "forward_dense",
-    "forward_gru_bidirectional",
     "load_params",
     "params_to_bytes",
 ]

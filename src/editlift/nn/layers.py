@@ -108,80 +108,95 @@ class GruCell:
     def hidden_size(self) -> int:
         return self.wz.shape[1]
 
-    def step(self, x: np.ndarray, h: np.ndarray):
-        z = _sigmoid(x @ self.wz + h @ self.uz + self.bz)
-        r = _sigmoid(x @ self.wr + h @ self.ur + self.br)
-        rh = r * h
-        c = np.tanh(x @ self.wc + rh @ self.uc + self.bc)
-        h_new = (1.0 - z) * h + z * c
-        return h_new, (x, h, z, r, rh, c)
+    def run(self, xs: np.ndarray, valid: np.ndarray | None = None):
+        """Run over a [T, B, I] sequence from zero state; returns
+        (states [T, B, H], cache).
 
-    def step_backward(self, dh_new: np.ndarray, cache, grads: dict, prefix: str):
-        """Accumulate parameter gradients into `grads` (keys prefixed) and
-        return (dx, dh_prev)."""
-        x, h, z, r, rh, c = cache
-        dz = dh_new * (c - h)
-        dc = dh_new * z
-        dh = dh_new * (1.0 - z)
+        `valid` [T, B] marks the real tokens of a padded batch; at a step
+        where row b is not valid its state carries over unchanged. The input
+        projection of all T steps through [Wz|Wr|Wc] is one matmul before the
+        loop, so each step takes one h [Uz|Ur] and one (r * h) Uc.
 
-        dc_pre = dc * (1.0 - c * c)
-        grads[prefix + "wc"] += x.T @ dc_pre
-        grads[prefix + "uc"] += rh.T @ dc_pre
-        grads[prefix + "bc"] += dc_pre.sum(axis=0)
-        drh = dc_pre @ self.uc.T
-        dr = drh * h
-        dh += drh * r
+        The cache is (xs, hs, gates, rh, valid): hs [T + 1, B, H] holds the
+        zero start state then each step's state, gates [T, B, 3H] the
+        activations [z | r | c] and rh [T, B, H] the products r * h.
+        """
+        t_len, batch, n_in = xs.shape
+        hid = self.hidden_size
+        w = np.concatenate([self.wz, self.wr, self.wc], axis=1)
+        u = np.concatenate([self.uz, self.ur], axis=1)
+        b = np.concatenate([self.bz, self.br, self.bc])
+        xp = (xs.reshape(t_len * batch, n_in) @ w).reshape(t_len, batch, 3 * hid)
+        xp += b
+        hs = np.zeros((t_len + 1, batch, hid), dtype=np.float64)
+        gates = np.empty((t_len, batch, 3 * hid), dtype=np.float64)
+        rh = np.empty((t_len, batch, hid), dtype=np.float64)
+        for t, partial in enumerate(_partial_steps(valid, t_len)):
+            h, g = hs[t], gates[t]
+            g[:, :2 * hid] = _sigmoid(xp[t, :, :2 * hid] + h @ u)
+            z = g[:, :hid]
+            np.multiply(g[:, hid:2 * hid], h, out=rh[t])
+            c = np.tanh(xp[t, :, 2 * hid:] + rh[t] @ self.uc, out=g[:, 2 * hid:])
+            h_new = (1.0 - z) * h + z * c
+            hs[t + 1] = np.where(valid[t][:, None], h_new, h) if partial else h_new
+        return hs[1:], (xs, hs, gates, rh, valid)
 
-        dz_pre = dz * z * (1.0 - z)
-        dr_pre = dr * r * (1.0 - r)
-        grads[prefix + "wz"] += x.T @ dz_pre
-        grads[prefix + "uz"] += h.T @ dz_pre
-        grads[prefix + "bz"] += dz_pre.sum(axis=0)
-        grads[prefix + "wr"] += x.T @ dr_pre
-        grads[prefix + "ur"] += h.T @ dr_pre
-        grads[prefix + "br"] += dr_pre.sum(axis=0)
+    def run_backward(self, dstates: np.ndarray, cache, grads: dict, prefix: str):
+        """Backprop through time for `run`; adds the parameter gradients into
+        `grads` (keys prefixed) and returns d(inputs) [T, B, I].
 
-        dh += dz_pre @ self.uz.T + dr_pre @ self.ur.T
-        dx = dz_pre @ self.wz.T + dr_pre @ self.wr.T + dc_pre @ self.wc.T
-        return dx, dh
-
-    def run(self, xs: np.ndarray):
-        """Run over a [T, B, I] sequence from zero state; returns ([T, B, H], caches)."""
-        t_len, batch, _ = xs.shape
-        h = np.zeros((batch, self.hidden_size), dtype=np.float64)
-        states = np.empty((t_len, batch, self.hidden_size), dtype=np.float64)
-        caches = []
-        for t in range(t_len):
-            h, cache = self.step(xs[t], h)
-            states[t] = h
-            caches.append(cache)
-        return states, caches
-
-    def run_backward(self, dstates: np.ndarray, caches, grads: dict, prefix: str):
-        """Backprop through time for `run`; returns d(inputs) of shape [T, B, I]."""
-        t_len = dstates.shape[0]
-        dxs = np.empty((t_len,) + caches[0][0].shape, dtype=np.float64)
-        dh = np.zeros_like(dstates[0])
+        The loop only carries dh back through the recurrence and stores each
+        step's gate pre-activation gradients [dz | dr | dc] (zero at padded
+        steps); every weight gradient is then one matmul over all steps.
+        """
+        xs, hs, gates, rh, valid = cache
+        t_len, batch, n_in = xs.shape
+        hid = self.hidden_size
+        h_prev = hs[:-1]
+        z, r, c = gates[..., :hid], gates[..., hid:2 * hid], gates[..., 2 * hid:]
+        # per-step factors of the gate derivatives, for all steps at once
+        dc_coef = z * (1.0 - c * c)
+        dz_coef = (c - h_prev) * z * (1.0 - z)
+        dr_coef = h_prev * r * (1.0 - r)
+        keep = 1.0 - z
+        u_t = np.concatenate([self.uz, self.ur], axis=1).T
+        uc_t = self.uc.T
+        dpre = np.empty((t_len, batch, 3 * hid), dtype=np.float64)
+        dh = np.zeros((batch, hid), dtype=np.float64)
+        partial = _partial_steps(valid, t_len)
         for t in range(t_len - 1, -1, -1):
-            dx, dh = self.step_backward(dstates[t] + dh, caches[t], grads, prefix)
-            dxs[t] = dx
-        return dxs
+            d = dpre[t]
+            dh_new = dstates[t] + dh
+            dc = np.multiply(dh_new, dc_coef[t], out=d[:, 2 * hid:])
+            drh = dc @ uc_t
+            np.multiply(dh_new, dz_coef[t], out=d[:, :hid])
+            np.multiply(drh, dr_coef[t], out=d[:, hid:2 * hid])
+            dh = dh_new * keep[t] + drh * r[t] + d[:, :2 * hid] @ u_t
+            if partial[t]:
+                step = valid[t][:, None]
+                d *= step
+                dh = np.where(step, dh, dh_new)
+
+        flat = dpre.reshape(t_len * batch, 3 * hid)
+        dw = xs.reshape(t_len * batch, n_in).T @ flat
+        du = h_prev.reshape(t_len * batch, hid).T @ flat[:, :2 * hid]
+        db = flat.sum(axis=0)
+        for i, gate in enumerate("zrc"):
+            cols = slice(i * hid, (i + 1) * hid)
+            grads[prefix + "w" + gate] += dw[:, cols]
+            grads[prefix + "b" + gate] += db[cols]
+        grads[prefix + "uz"] += du[:, :hid]
+        grads[prefix + "ur"] += du[:, hid:]
+        grads[prefix + "uc"] += rh.reshape(t_len * batch, hid).T @ flat[:, 2 * hid:]
+        w = np.concatenate([self.wz, self.wr, self.wc], axis=1)
+        return (flat @ w.T).reshape(t_len, batch, n_in)
 
 
-def forward_gru_bidirectional(forward_cell: GruCell, backward_cell: GruCell,
-                              sequence: np.ndarray) -> np.ndarray:
-    """Hidden states [T, 2H] for a single [T, I] sequence.
-
-    Slot t concatenates the forward state after consuming tokens 1..t with
-    the backward state after consuming tokens T..t.
-    """
-    xs = np.asarray(sequence, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] < 1:
-        raise ValueError("sequence must be a non-empty [T, features] array")
-    batched = xs[:, None, :]
-    fwd, _ = forward_cell.run(batched)
-    bwd, _ = backward_cell.run(batched[::-1])
-    return np.concatenate([fwd[:, 0, :], bwd[::-1][:, 0, :]], axis=1)
+def _partial_steps(valid: np.ndarray | None, t_len: int) -> list[bool]:
+    """Per step, whether some row of the batch is padding there."""
+    if valid is None:
+        return [False] * t_len
+    return (~valid.all(axis=1)).tolist()
 
 
 @dataclass
@@ -201,10 +216,15 @@ class AttentionHead:
             context=xavier_uniform(rng, proj_size, 1, shape=(proj_size,)),
         )
 
-    def forward(self, states: np.ndarray):
-        """states [T, B, D] -> (pooled [B, D], weights [T, B], cache)."""
+    def forward(self, states: np.ndarray, valid: np.ndarray | None = None):
+        """states [T, B, D] -> (pooled [B, D], weights [T, B], cache).
+
+        Positions outside `valid` [T, B] score -inf, so their weight is 0.
+        """
         u = np.tanh(states @ self.projection + self.proj_bias)  # [T, B, P]
         scores = u @ self.context                               # [T, B]
+        if valid is not None:
+            scores = np.where(valid, scores, -np.inf)
         scores = scores - scores.max(axis=0, keepdims=True)
         e = np.exp(scores)
         weights = e / e.sum(axis=0, keepdims=True)
@@ -221,16 +241,10 @@ class AttentionHead:
         grads[prefix + "context"] += np.einsum("tb,tbp->p", dscores, u)
         du = dscores[:, :, None] * self.context[None, None, :]
         du_pre = du * (1.0 - u * u)
-        grads[prefix + "projection"] += np.einsum("tbd,tbp->dp", states, du_pre)
+        # one [D, T*B] @ [T*B, P] matmul: einsum would not call BLAS here
+        flat_states = states.reshape(-1, states.shape[-1])
+        grads[prefix + "projection"] += flat_states.T @ du_pre.reshape(len(flat_states), -1)
         grads[prefix + "proj_bias"] += du_pre.sum(axis=(0, 1))
         dstates += du_pre @ self.projection.T
         return dstates
 
-
-def attend(head: AttentionHead, states: np.ndarray):
-    """Single-sequence attention: [T, D] -> (context [D], weights [T])."""
-    arr = np.asarray(states, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError("states must be a non-empty [T, D] array")
-    pooled, weights, _ = head.forward(arr[:, None, :])
-    return pooled[0], weights[:, 0]

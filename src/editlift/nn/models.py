@@ -174,60 +174,88 @@ class SequenceClassifier:
     def set_params(self, params: dict[str, np.ndarray]) -> None:
         self.buffer.assign(params)
 
-    def _forward_batch(self, ids: np.ndarray):
-        """ids [B, T] (equal lengths) -> (scores [B], cache)."""
-        xs = self.embed[ids].transpose(1, 0, 2)  # [T, B, E]
-        fwd_states, fwd_caches = self.fwd.run(xs)
-        bwd_states, bwd_caches = self.bwd.run(xs[::-1])
+    def _forward_batch(self, ids: np.ndarray, valid: np.ndarray | None = None):
+        """ids [B, T] -> (scores [B], cache). `valid` [T, B] marks the real
+        tokens of a right-padded batch; None means every row has length T."""
+        xs = self.embed[ids.T]  # [T, B, E]
+        fwd_states, fwd_cache = self.fwd.run(xs, valid)
+        # the backward direction reads the time-reversed batch, so a row's
+        # padding comes first there and its state stays at zero through it
+        bwd_states, bwd_cache = self.bwd.run(
+            xs[::-1], None if valid is None else valid[::-1])
         states = np.concatenate([fwd_states, bwd_states[::-1]], axis=2)  # [T, B, 2H]
-        pooled, weights, att_cache = self.attention.forward(states)
+        pooled, weights, att_cache = self.attention.forward(states, valid)
         logits = pooled @ self.out_w + self.out_b[0]
         scores = _sigmoid(logits)
-        return scores, (ids, fwd_caches, bwd_caches, att_cache, pooled)
+        return scores, (ids, valid, fwd_cache, bwd_cache, att_cache, pooled)
 
     def score_batch(self, sequences) -> np.ndarray:
-        """Score a list of variable-length id sequences."""
-        scores = np.empty(len(sequences), dtype=np.float64)
-        for length, idxs in _group_by_length(sequences).items():
-            batch = np.asarray([sequences[i] for i in idxs], dtype=np.int64)
+        """Score a list of variable-length id sequences.
+
+        Each distinct sequence is scored once, in a batch of the distinct
+        sequences of its length, and its score is copied to every repeat.
+        """
+        rows: dict[tuple, int] = {}
+        inverse = np.fromiter((rows.setdefault(tuple(seq), len(rows)) for seq in sequences),
+                              dtype=np.intp, count=len(sequences))
+        distinct = list(rows)
+        scores = np.empty(len(distinct), dtype=np.float64)
+        for length, idxs in _group_by_length(distinct).items():
+            batch = np.asarray([distinct[i] for i in idxs], dtype=np.int64)
             s, _ = self._forward_batch(batch)
             scores[idxs] = s
-        return scores
+        return scores[inverse]
 
     def loss_and_grads(self, sequences, labels):
         """Mean BCE over a batch of variable-length sequences, and the gradient
         of every parameter.
 
+        The batch runs as one right-padded [B, T] array with a validity mask,
+        which is exact: padded steps change no state, weight or gradient.
         The gradients are views into the network's gradient buffer, valid
         until the next call.
         """
         labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-        n = len(sequences)
+        ids, valid = _pad(sequences)
         self.buffer.grads.fill(0.0)
         grads = self.buffer.grad_views
-        total = 0.0
-        for length, idxs in _group_by_length(sequences).items():
-            batch = np.asarray([sequences[i] for i in idxs], dtype=np.int64)
-            y = labels[idxs]
-            scores, cache = self._forward_batch(batch)
-            p = np.clip(scores, EPS, 1.0 - EPS)
-            total += float(np.sum(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-            # d(loss)/d(logit) for sigmoid+BCE, normalized by the full batch
-            dlogits = (scores - y) / n
-            self._backward_batch(dlogits, cache, grads)
+        scores, cache = self._forward_batch(ids, valid)
+        p = np.clip(scores, EPS, 1.0 - EPS)
+        n = len(labels)
+        total = float(np.sum(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
+        # d(loss)/d(logit) for sigmoid+BCE, normalized by the batch size
+        self._backward_batch((scores - labels) / n, cache, grads)
         return total / n, grads
 
     def _backward_batch(self, dlogits: np.ndarray, cache, grads: dict):
-        ids, fwd_caches, bwd_caches, att_cache, pooled = cache
+        ids, valid, fwd_cache, bwd_cache, att_cache, pooled = cache
         grads["out_w"] += pooled.T @ dlogits
         grads["out_b"][0] += dlogits.sum()
         dpooled = dlogits[:, None] * self.out_w[None, :]
         dstates = self.attention.backward(dpooled, att_cache, grads, "a_")
         h = self.hidden_size
-        dxs_f = self.fwd.run_backward(dstates[:, :, :h], fwd_caches, grads, "f_")
-        dxs_b = self.bwd.run_backward(dstates[::-1, :, h:], bwd_caches, grads, "b_")
+        dxs_f = self.fwd.run_backward(dstates[:, :, :h], fwd_cache, grads, "f_")
+        dxs_b = self.bwd.run_backward(dstates[::-1, :, h:], bwd_cache, grads, "b_")
         dxs = dxs_f + dxs_b[::-1]  # [T, B, E]
-        np.add.at(grads["embed"], ids, dxs.transpose(1, 0, 2))
+        ids = ids.T
+        if valid is not None:
+            # padding uses id 0, the unknown token's id: scatter real tokens only
+            ids, dxs = ids[valid], dxs[valid]
+        np.add.at(grads["embed"], ids, dxs)
+
+
+def _pad(sequences) -> tuple[np.ndarray, np.ndarray | None]:
+    """Right-pad id sequences with 0 into ids [B, T]; the validity mask is
+    [T, B], or None when every sequence has the same length."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+    if lengths.min() == 0:
+        raise ValueError("cannot process an empty token sequence")
+    ids = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
+    for row, seq in zip(ids, sequences):
+        row[:len(seq)] = seq
+    if lengths.min() == lengths.max():
+        return ids, None
+    return ids, np.arange(ids.shape[1])[:, None] < lengths
 
 
 def _group_by_length(sequences) -> dict[int, list[int]]:

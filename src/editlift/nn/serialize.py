@@ -29,15 +29,33 @@ def params_to_bytes(params: dict[str, np.ndarray], meta: dict | None = None) -> 
 
 
 def load_params(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, params) from a blob `params_to_bytes` wrote. A file that is not
+    one, or is cut short, raises ValueError naming the path."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a parameter blob")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        params = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype=np.float64)
-            params[spec["name"]] = data.reshape(shape).copy()
-    return header["meta"], params
+        blob = fh.read()
+    if blob[:4] != MAGIC:
+        raise ValueError(f"{path}: not a parameter blob")
+    if len(blob) < 8:
+        raise ValueError(f"{path}: truncated header")
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    start = 8 + hlen
+    if len(blob) < start:
+        raise ValueError(f"{path}: truncated header")
+    try:
+        header = json.loads(blob[8:start].decode("utf-8"))
+        meta, specs = header["meta"], header["arrays"]
+        if not isinstance(meta, dict):
+            raise TypeError("meta is not an object")
+        layout = [(spec["name"], tuple(int(d) for d in spec["shape"])) for spec in specs]
+        if any(d < 0 for _, shape in layout for d in shape):
+            raise ValueError("negative array dimension")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
+    params = {}
+    for name, shape in layout:
+        stop = start + 8 * int(np.prod(shape))
+        if len(blob) < stop:
+            raise ValueError(f"{path}: data of array {name!r} is cut short")
+        params[name] = np.frombuffer(blob[start:stop], dtype=np.float64).reshape(shape).copy()
+        start = stop
+    return meta, params

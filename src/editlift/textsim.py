@@ -5,7 +5,7 @@ Levenshtein distance (lexical change) and embedding cosine similarity
 (semantic preservation). The distance uses the bit-vector algorithm of
 Myers (J. ACM 46(3), 1999) in Hyyrö's Levenshtein form (Nordic J.
 Computing 10, 2003). Outlet-level distributions are compared with the
-Mann-Whitney U test; clickbait score shifts with Welch's t.
+Mann-Whitney U test.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class EditProfile:
     cluster: int | None = None
     headline_clickbait: float | None = None
     post_clickbait: float | None = None
-    zero_hit: bool = False  # one of the two texts had no in-vocabulary tokens
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,13 @@ def profile(corpus: Corpus, table: EmbeddingTable) -> list[EditProfile]:
     for record in corpus:
         headline = normalize(record.headline)
         post = normalize(record.post_text)
-        hvec = embed_text(table, headline)
-        pvec = embed_text(table, post)
         out.append(
             EditProfile(
                 record_id=record.id,
                 edit_distance=normalized_edit_distance(headline, post),
-                embedding_similarity=cosine(hvec, pvec),
+                embedding_similarity=cosine(embed_text(table, headline),
+                                            embed_text(table, post)),
                 mirrored=is_mirrored(record),
-                zero_hit=hvec.is_zero_hit or pvec.is_zero_hit,
             )
         )
     return out
@@ -242,30 +239,3 @@ def mann_whitney_u(x, y, exact_max_n: int = 20) -> TestResult:
     p = math.erfc(dev / math.sqrt(2.0 * sigma2))
     return TestResult(statistic=u, p_value=min(1.0, p), method="mann_whitney_u")
 
-
-def welch_t(x, y) -> TestResult:
-    """Two-sided Welch unequal-variance t test.
-
-    scipy.stats is imported here, not at module level: it takes about a
-    second to import and no command calls this function.
-    """
-    from scipy import stats as _sps
-
-    x = np.asarray(list(x), dtype=np.float64)
-    y = np.asarray(list(y), dtype=np.float64)
-    if x.size < 2 or y.size < 2:
-        raise ValueError("welch_t requires at least 2 observations per sample")
-    vx = float(np.var(x, ddof=1))
-    vy = float(np.var(y, ddof=1))
-    if vx == 0.0 and vy == 0.0:
-        if float(np.mean(x)) == float(np.mean(y)):
-            return TestResult(statistic=0.0, p_value=1.0, method="welch_t")
-        raise ValueError("welch_t undefined: zero variance in both samples")
-    sx = vx / x.size
-    sy = vy / y.size
-    t = (float(np.mean(x)) - float(np.mean(y))) / math.sqrt(sx + sy)
-    dof = (sx + sy) ** 2 / (
-        (sx ** 2 / (x.size - 1)) + (sy ** 2 / (y.size - 1))
-    )
-    p = 2.0 * float(_sps.t.sf(abs(t), dof))
-    return TestResult(statistic=t, p_value=min(1.0, p), method="welch_t")

@@ -191,6 +191,35 @@ class TestClickbaitCommand:
         assert code == 1
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["short_header", "no_arrays", "truncated_data"])
+    def test_malformed_model_exit_one(self, pipeline_dir, tmp_path, capsys, case):
+        import struct
+
+        from editlift import clickbait as cb
+        from editlift.nn import SequenceClassifier
+
+        assert main(["profile", "--corpus", pipeline_dir["corpus"],
+                     "--embeddings", pipeline_dir["vectors"], "--out", pipeline_dir["out"]]) == 0
+        model_path = Path(pipeline_dir["out"]) / "clickbait_model.bin"
+        if case == "short_header":
+            blob = b"ELNN\x07\x00"
+        elif case == "no_arrays":
+            header = json.dumps({"meta": {"kind": "clickbait"}}).encode()
+            blob = b"ELNN" + struct.pack("<I", len(header)) + header
+        else:
+            network = SequenceClassifier(vocab_size=3, embed_size=2, hidden_size=3, seed=0)
+            cb.save_model(cb.ClickbaitModel(network=network, token_ids={"a": 1, "b": 2}),
+                          tmp_path / "whole.bin")
+            blob = (tmp_path / "whole.bin").read_bytes()[:-12]
+        model_path.write_bytes(blob)
+        capsys.readouterr()
+        code = main(["clickbait", "score", "--corpus", pipeline_dir["corpus"],
+                     "--out", pipeline_dir["out"]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {model_path}: ")
+        assert "Traceback" not in err
+
     def test_diverging_training_exit_one(self, tmp_path, monkeypatch, capsys):
         def diverge(args):
             raise FloatingPointError("non-finite gradient for parameter 'w'")

