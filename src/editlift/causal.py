@@ -59,6 +59,12 @@ class ScenarioError(Exception):
 # Scenario definitions
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Selector:
     """Predicate over a profiled record.
@@ -93,9 +99,12 @@ class Selector:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Selector":
-        kind = obj.get("kind")
+        kind = _json_object(obj, "selector").get("kind")
         if kind == "cluster":
-            return cls(kind="cluster", cluster=int(obj["cluster"]))
+            try:
+                return cls(kind="cluster", cluster=int(obj["cluster"]))
+            except (TypeError, ValueError):
+                raise ScenarioError(f"bad cluster index {obj['cluster']!r}") from None
         if kind == "shift":
             return cls(kind="shift", headline_class=obj["headline"], post_class=obj["post"])
         if kind in ("edited", "mirrored"):
@@ -122,9 +131,13 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
-        block = obj.get("time_block")
+        block = _json_object(obj, "scenario").get("time_block")
         if block is not None and block not in TIME_BLOCKS:
             raise ScenarioError(f"unknown time block {block!r}")
+        for key in ("name", "outlet", "section"):
+            value = obj.get(key)
+            if value is not None and not isinstance(value, str):
+                raise ScenarioError(f"{key} must be a string, got {value!r}")
         return cls(
             name=obj["name"],
             outlet=obj["outlet"],
@@ -357,6 +370,12 @@ def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0,
     Exact over all n(n-1)/2 pairs up to `exact_cutoff` documents; beyond that,
     a seeded uniform sample of pairs, whose dot products are taken in chunks
     of PAIR_CHUNK rows.
+
+    The exact path holds no more than the n x n Gram matrix: the strict upper
+    triangle is packed, row by row, into the front of the Gram's own buffer,
+    in the order of `gram[np.triu_indices(n, 1)]`, and the deviation is taken
+    in place. The Gram stays one `unit @ unit.T` (a symmetric rank-k update):
+    a Gram assembled from row-block products differs from it in the last bit.
     """
     vec = np.asarray(vectors, dtype=np.float64)
     n = len(vec)
@@ -367,20 +386,42 @@ def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0,
     unit = vec / safe[:, None]
     unit[norms == 0.0] = 0.0
     if n <= exact_cutoff:
-        gram = unit @ unit.T
-        iu = np.triu_indices(n, k=1)
-        sims = gram[iu]
+        flat = (unit @ unit.T).reshape(-1)
+        packed = 0
+        for row in range(n - 1):
+            # the row's source offset row * n + row + 1 is never below
+            # `packed`, so the (possibly overlapping) copy reads no packed slot
+            width = n - 1 - row
+            source = row * (n + 1) + 1
+            flat[packed:packed + width] = flat[source:source + width]
+            packed += width
+        sims = flat[:packed]
     else:
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=sample_size)
         j = rng.integers(0, n - 1, size=sample_size)
         j = np.where(j >= i, j + 1, j)  # uniform over ordered pairs with i != j
         sims = np.empty(sample_size, dtype=np.float64)
+        left = np.empty((PAIR_CHUNK, unit.shape[1]), dtype=np.float64)
+        right = np.empty_like(left)
         for start in range(0, sample_size, PAIR_CHUNK):
-            stop = start + PAIR_CHUNK
-            np.einsum("nd,nd->n", unit[i[start:stop]], unit[j[start:stop]],
-                      out=sims[start:stop])
-    return float(sims.mean()), float(sims.std())
+            stop = min(start + PAIR_CHUNK, sample_size)
+            # every index is in range, so "clip" changes nothing; unlike the
+            # default "raise" it gathers straight into `out`, unbuffered
+            a = np.take(unit, i[start:stop], axis=0, out=left[:stop - start], mode="clip")
+            b = np.take(unit, j[start:stop], axis=0, out=right[:stop - start], mode="clip")
+            np.einsum("nd,nd->n", a, b, out=sims[start:stop])
+    return mean_std_in_place(sims)
+
+
+def mean_std_in_place(values: np.ndarray) -> tuple[float, float]:
+    """`(float(values.mean()), float(values.std()))` bit for bit, through
+    np.std's own steps (subtract the mean, square, add, divide, root), but
+    overwriting the 1-D `values` instead of allocating a deviation array."""
+    mean = values.mean()
+    values -= mean
+    np.square(values, out=values)
+    return float(mean), float(np.sqrt(np.add.reduce(values) / len(values)))
 
 
 def balance_check(similarity: np.ndarray, mu: float, sigma: float,

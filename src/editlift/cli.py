@@ -25,6 +25,9 @@ if TYPE_CHECKING:
     from . import causal
 
 CONFIG_ENV_VAR = "EDITLIFT_CONFIG"
+# config keys naming a file or directory; `_load_config` checks that each is
+# a string, so a command stops on a bad one before it reads any input
+_PATH_KEYS = ("corpus", "embeddings", "out")
 
 
 class CommandError(Exception):
@@ -52,6 +55,9 @@ def _load_config(args) -> dict:
         raise CommandError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise CommandError(f"config file {p} must hold a JSON object")
+    for key in _PATH_KEYS:
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise UsageError(f"{key} must be a path string, got {cfg[key]!r}")
     return cfg
 
 
@@ -227,14 +233,17 @@ def cmd_cluster(args) -> int:
     loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
 
     pts = [[p.embedding_similarity, p.edit_distance] for p in profiles]
+    fit = None
     if k is None:
+        fits: list[cluster.ClusterModel] = []
         try:
-            k = cluster.elbow_select(pts, k_max=k_max, seed=seed)
+            k = cluster.elbow_select(pts, k_max=k_max, seed=seed, fits=fits)
         except ValueError as exc:
             raise CommandError(str(exc)) from None
+        fit = fits[k - 1]
         print(f"elbow selected k={k}")
     try:
-        model, assignments = cluster.fit_profiles(profiles, k=k, seed=seed)
+        model, assignments = cluster.fit_profiles(profiles, k=k, seed=seed, fit=fit)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
 
@@ -326,24 +335,25 @@ def cmd_estimate(args) -> int:
     scenario_defs = cfg.get("scenarios", [])
     if not scenario_defs:
         raise UsageError("no scenarios configured (config key 'scenarios')")
-    # every setting is checked before any input is read
+    # every setting and scenario is checked before any input is read
     jobs = _checked_setting(args, cfg, "jobs", 1)
     seed = _checked_setting(args, cfg, "seed", 0)
     run_cfg = causal.CausalConfig(**{
         field: _checked_setting(args, cfg, name, getattr(causal.CausalConfig, field))
         for name, (_, _, field) in _SETTINGS.items() if field is not None
     })
+    try:
+        if not isinstance(scenario_defs, list):
+            raise causal.ScenarioError(f"scenarios must be a JSON list, got {scenario_defs!r}")
+        scenarios = [causal.Scenario.from_dict(d) for d in scenario_defs]
+    except (KeyError, causal.ScenarioError) as exc:
+        raise CommandError(f"bad scenario definition: {exc}") from None
     loaded, table = _load_inputs(args, cfg)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
     profile_path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
     if not profile_path.is_file():
         raise CommandError(f"profile CSV not found: {profile_path} (run `profile` first)")
     profiles = textsim.profiles_from_csv(profile_path)
-
-    try:
-        scenarios = [causal.Scenario.from_dict(d) for d in scenario_defs]
-    except (KeyError, causal.ScenarioError) as exc:
-        raise CommandError(f"bad scenario definition: {exc}") from None
 
     # one table for all scenarios: workers get it once, at pool start (forked
     # workers inherit it), so each task carries only its scenario and settings

@@ -146,21 +146,26 @@ def best_fit(points, k: int, seed: int, restarts: int = 10) -> ClusterModel:
 
 
 def elbow_select(points, k_max: int, seed: int, restarts: int = 10,
-                 threshold: float = ELBOW_THRESHOLD) -> int:
+                 threshold: float = ELBOW_THRESHOLD,
+                 fits: list[ClusterModel] | None = None) -> int:
     """Smallest k whose marginal inertia reduction ratio drops below `threshold`.
 
     Ratio at k is (inertia(k) - inertia(k+1)) / inertia(k), each side the best
     of `restarts` fits. When no k qualifies the data shows no elbow up to
-    k_max and a single cluster is reported.
+    k_max and a single cluster is reported. A `fits` list receives those best
+    fits, k = 1 to k_max in order, so the caller can keep the selected k's fit
+    (`fits[k - 1]`) instead of fitting it again.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) < k_max:
         raise ValueError(f"need at least k_max={k_max} points, got {len(pts)}")
-    inertias = [best_fit(pts, k, seed, restarts).inertia for k in range(1, k_max + 1)]
+    models = [best_fit(pts, k, seed, restarts) for k in range(1, k_max + 1)]
+    if fits is not None:
+        fits.extend(models)
     for k in range(1, k_max):
-        cur, nxt = inertias[k - 1], inertias[k]
+        cur, nxt = models[k - 1].inertia, models[k].inertia
         ratio = 0.0 if cur == 0.0 else (cur - nxt) / cur
         if ratio < threshold:
             return k
@@ -174,13 +179,19 @@ def canonical_order(model: ClusterModel) -> ClusterModel:
     return replace(model, centroids=model.centroids[order].copy())
 
 
-def fit_profiles(profiles: list[EditProfile], k: int, seed: int,
-                 restarts: int = 10) -> tuple[ClusterModel, list[ClusterAssignment]]:
-    """Cluster profile points and hand back canonical assignments."""
+def fit_profiles(profiles: list[EditProfile], k: int, seed: int, restarts: int = 10,
+                 fit: ClusterModel | None = None
+                 ) -> tuple[ClusterModel, list[ClusterAssignment]]:
+    """Cluster profile points and hand back canonical assignments.
+
+    `fit`, when given, is `best_fit` of these profiles' points at k with the
+    same seed and restarts (as `elbow_select` hands it out), and is used
+    instead of fitting again.
+    """
     pts = np.array(
         [[p.embedding_similarity, p.edit_distance] for p in profiles], dtype=np.float64
     )
-    model = canonical_order(best_fit(pts, k, seed, restarts))
+    model = canonical_order(fit if fit is not None else best_fit(pts, k, seed, restarts))
     labels = model.assign(pts)
     assignments = [
         ClusterAssignment(record_id=p.record_id, cluster=int(c))

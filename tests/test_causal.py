@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
@@ -463,7 +464,85 @@ class TestVecdotGuard:
                               np.array([np.linalg.norm(v) for v in b]))
 
 
+def reference_pairwise_similarity_stats(vectors, seed=0,
+                                        exact_cutoff=causal.PAIR_SAMPLE_CUTOFF,
+                                        sample_size=causal.PAIR_SAMPLE_SIZE):
+    """`pairwise_similarity_stats` as it was before it packed the Gram matrix
+    in place: the upper triangle gathered through `np.triu_indices`, the
+    sampled pairs through fancy indexing, and the deviation from `np.std`."""
+    vec = np.asarray(vectors, dtype=np.float64)
+    n = len(vec)
+    norms = np.linalg.norm(vec, axis=1)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    unit_vecs = vec / safe[:, None]
+    unit_vecs[norms == 0.0] = 0.0
+    if n <= exact_cutoff:
+        sims = (unit_vecs @ unit_vecs.T)[np.triu_indices(n, k=1)]
+    else:
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, n, size=sample_size)
+        j = rng.integers(0, n - 1, size=sample_size)
+        j = np.where(j >= i, j + 1, j)
+        sims = np.empty(sample_size, dtype=np.float64)
+        for start in range(0, sample_size, causal.PAIR_CHUNK):
+            stop = start + causal.PAIR_CHUNK
+            np.einsum("nd,nd->n", unit_vecs[i[start:stop]], unit_vecs[j[start:stop]],
+                      out=sims[start:stop])
+    return float(sims.mean()), float(sims.std())
+
+
+class TestMeanStdGuard:
+    """`pairwise_similarity_stats` takes its deviation in place, in np.std's
+    own steps, and relies on that matching `np.std` bit for bit. A numpy whose
+    std took other steps would drift every balance threshold."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 20_001])
+    def test_equals_numpy_mean_and_std(self, n):
+        rng = np.random.default_rng(n)
+        for x in (rng.normal(size=n), rng.uniform(-1, 1, size=n) * 1e-3 + 0.7,
+                  np.full(n, 0.1)):
+            want = (float(x.mean()), float(np.std(x)))
+            assert causal.mean_std_in_place(x.copy()) == want
+
+
+@st.composite
+def pair_vectors(draw):
+    n = draw(st.one_of(st.sampled_from([2, 3]), st.integers(2, causal.PAIR_SAMPLE_CUTOFF)))
+    dim = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    vecs = rng.normal(size=(n, dim))
+    zero = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    vecs[zero] = 0.0
+    for _ in range(draw(st.integers(0, 3))):  # a row repeated, scaled or not
+        src, dst = rng.integers(0, n, size=2)
+        vecs[dst] = vecs[src] * draw(st.sampled_from([1.0, 2.5]))
+    return vecs
+
+
 class TestPairwiseStats:
+    @settings(max_examples=40, deadline=None)
+    @given(pair_vectors())
+    def test_exact_equals_triu_indices_reference(self, vecs):
+        assert pairwise_similarity_stats(vecs) == reference_pairwise_similarity_stats(vecs)
+
+    @settings(max_examples=20, deadline=None)
+    @given(pair_vectors(), st.integers(1, 3 * causal.PAIR_CHUNK), st.integers(0, 2**16))
+    def test_sampled_equals_gather_reference(self, vecs, sample_size, seed):
+        args = dict(seed=seed, exact_cutoff=1, sample_size=sample_size)
+        assert (pairwise_similarity_stats(vecs, **args)
+                == reference_pairwise_similarity_stats(vecs, **args))
+
+    def test_exact_path_peak_is_the_gram_matrix(self):
+        n = 1000
+        vecs = np.random.default_rng(5).normal(size=(n, 50))
+        tracemalloc.start()
+        try:
+            pairwise_similarity_stats(vecs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * n * n * 8
+
     def test_exact_small(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         mu, sigma = pairwise_similarity_stats(vecs)

@@ -110,6 +110,28 @@ class TestCluster:
         csv_text = open(os.path.join(pipeline_dir["out"], "profiles.csv")).read()
         assert csv_text.splitlines()[1].split(",")[4] != ""  # cluster column filled
 
+    def test_elbow_fit_reused(self, pipeline_dir, monkeypatch, tmp_path, capsys):
+        from editlift import cluster
+
+        main(["profile", "--corpus", pipeline_dir["corpus"],
+              "--embeddings", pipeline_dir["vectors"], "--out", pipeline_dir["out"]])
+        profiles = Path(pipeline_dir["out"], "profiles.csv").read_bytes()
+        calls = []
+        fit = cluster.kmeanspp_fit
+        monkeypatch.setattr(cluster, "kmeanspp_fit", lambda *a: calls.append(a) or fit(*a))
+        assert main(["cluster", "--corpus", pipeline_dir["corpus"],
+                     "--out", pipeline_dir["out"], "--k-max", "3"]) == 0
+        assert len(calls) == 3 * 10  # the elbow's fits only: the chosen k is not refit
+        k = json.loads(Path(pipeline_dir["out"], "cluster_model.json").read_text())["k"]
+        # the reused fit writes what a fresh fit at that k writes
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        (fresh / "profiles.csv").write_bytes(profiles)
+        assert main(["cluster", "--corpus", pipeline_dir["corpus"],
+                     "--out", str(fresh), "--k", str(k)]) == 0
+        for name in ("cluster_model.json", "cluster_fractions.json", "profiles.csv"):
+            assert (fresh / name).read_bytes() == Path(pipeline_dir["out"], name).read_bytes()
+
     def test_missing_profiles_exit_one(self, pipeline_dir, capsys):
         code = main(["cluster", "--corpus", pipeline_dir["corpus"],
                      "--out", pipeline_dir["out"], "--k", "2"])
@@ -365,6 +387,19 @@ class TestEstimateCommand:
         ("synth config", "seed", True, "seed must be an integer, got True"),
         ("synth config", "n_records", "many", "n_records must be an integer, got 'many'"),
         ("synth flag", "effect-likes", "nan", "effect_likes must be a finite number, got nan"),
+        # path keys must be strings
+        ("profile config", "out", 5, "out must be a path string, got 5"),
+        ("ingest config", "corpus", ["a"], "corpus must be a path string, got ['a']"),
+        ("config", "embeddings", {"a": 1}, "embeddings must be a path string, got {'a': 1}"),
+        ("config", "out", True, "out must be a path string, got True"),
+        # the scenarios are parsed before any input is read (exit 1)
+        ("config", "scenarios", "x",
+         "bad scenario definition: scenarios must be a JSON list, got 'x'"),
+        ("config", "scenarios", [1],
+         "bad scenario definition: scenario must be a JSON object, got 1"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire", "treatment": "edited",
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: selector must be a JSON object, got 'edited'"),
         # accepted: an integral float, zero minimum group, a negative alpha
         ("config", "knn", 5.0, None),
         ("config", "min_group", 0, None),
@@ -380,6 +415,9 @@ class TestEstimateCommand:
         missing_inputs = {
             "estimate": ["--corpus", str(tmp_path / "missing.jsonl"),
                          "--embeddings", str(tmp_path / "missing.txt")],
+            "profile": ["--corpus", str(tmp_path / "missing.jsonl"),
+                        "--embeddings", str(tmp_path / "missing.txt")],
+            "ingest": ["--corpus", str(tmp_path / "missing.jsonl")],
             "cluster": ["--corpus", str(tmp_path / "missing.jsonl"),
                         "--profiles", str(tmp_path / "missing.csv")],
             "clickbait train": ["--train-data", str(tmp_path / "missing.csv")],
@@ -401,9 +439,56 @@ class TestEstimateCommand:
             # the settings passed, so a missing input is what stops the run
             assert code == 1 and "missing." in err
         else:
-            assert code == 2
+            assert code == (1 if error.startswith("bad scenario") else 2)
             assert err == f"error: {error}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [
+        "ingest", "profile", "cluster", "clickbait train", "clickbait score", "estimate",
+        "synth"])
+    def test_badly_typed_config_values_never_raise(self, tmp_path, tiny_vectors, capsys,
+                                                   command):
+        from editlift import clickbait as cb
+
+        # real inputs, so every command runs to its end, and an `out` under a
+        # regular file, so its first write fails (exit 1) where nothing else does
+        corpus = make_corpus_file(tmp_path, n=12)
+        work = tmp_path / "work"
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("text,label\n" + "".join(
+            f"{ex.text},{ex.label}\n" for ex in cb.synthetic_headlines(40, seed=0)))
+        assert main(["profile", "--corpus", str(corpus), "--embeddings", str(tiny_vectors),
+                     "--out", str(work)]) == 0
+        assert main(["clickbait", "train", "--train-data", str(train_csv), "--epochs", "1",
+                     "--out", str(work)]) == 0
+        (tmp_path / "file").write_text("")
+        blocked = str(tmp_path / "file" / "o")
+        profiles = ["--profiles", str(work / "profiles.csv")]
+        argv = {
+            "ingest": ["--out", blocked],  # `ingest` reads `out` from its flag only
+            "clickbait train": ["--train-data", str(train_csv)],
+            "clickbait score": [*profiles, "--model", str(work / "clickbait_model.bin")],
+            "cluster": profiles,
+            "estimate": profiles,
+        }.get(command, [])
+        base = {"corpus": str(corpus), "embeddings": str(tiny_vectors), "out": blocked,
+                "n_records": 20, "k_max": 3, "epochs": 1,
+                "scenarios": [{"name": "s", "outlet": "alpha", "treatment": {"kind": "edited"},
+                               "control": {"kind": "mirrored"}}]}
+        capsys.readouterr()
+        # every config key a command can read, given each JSON type it must not have
+        wrong = {"list": [1], "object": {"a": 1}, "bool": True, "number": 3, "string": "x"}
+        right = {**{name: "number" for name in cli._SETTINGS},
+                 **{name: "string" for name in ("corpus", "embeddings", "out")},
+                 "scenarios": "list"}
+        cfg = tmp_path / "config.json"
+        for name, right_type in right.items():
+            for value in (v for t, v in wrong.items() if t != right_type):
+                cfg.write_text(json.dumps({**base, name: value}))
+                code = main([*command.split(), *argv, "--config", str(cfg)])
+                err = capsys.readouterr().err
+                assert code in (1, 2), (name, value, err)
+                assert err.splitlines()[-1].startswith("error: "), (name, value, err)
 
     def test_jobs_two_matches_jobs_one(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "o"

@@ -205,6 +205,22 @@ class TestElbow:
         )
         assert selected == 2
 
+    def test_fits_equal_fresh_best_fits(self):
+        pts = blobs([(0.9, 0.05), (0.8, 0.6), (0.2, 0.8)], n_per=30, spread=0.03, seed=9)
+        fits = []
+        k = elbow_select(pts, k_max=5, seed=2, fits=fits)
+        assert [m.k for m in fits] == [1, 2, 3, 4, 5]
+        for model in fits:
+            fresh = best_fit(pts, model.k, seed=2)
+            assert model.inertia == fresh.inertia and model.seed == fresh.seed
+            assert model.centroids.tobytes() == fresh.centroids.tobytes()
+        profiles = [EditProfile(f"r{i}", float(d), float(s), False) for i, (s, d) in
+                    enumerate(pts)]
+        reused_model, reused = fit_profiles(profiles, k=k, seed=2, fit=fits[k - 1])
+        fresh_model, fresh = fit_profiles(profiles, k=k, seed=2)
+        assert reused == fresh
+        assert reused_model.centroids.tobytes() == fresh_model.centroids.tobytes()
+
     def test_arguments(self):
         with pytest.raises(ValueError):
             elbow_select([[0, 0], [1, 1]], k_max=1, seed=0)
