@@ -34,7 +34,7 @@ from .clickbait import CLICKBAIT_THRESHOLD
 from .corpus import ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block
 from .embedding import EmbeddingTable, embed_text
 from .nn import AdamState, Mlp, adam_step
-from .textsim import EditProfile
+from .textsim import Profiles
 
 DEFAULT_ALPHA = 1.5
 DEFAULT_TAU = 0.8
@@ -49,6 +49,7 @@ PAIR_SAMPLE_CUTOFF = 2000
 PAIR_SAMPLE_SIZE = 200_000
 PAIR_CHUNK = 8192  # sampled pairs per dot-product chunk
 MATCH_CHUNK_CELLS = 1 << 20  # treatment x control gaps held at once by `match`
+SHIFT_CLASSES = ("C", "NC")  # a shift selector's headline and post classes
 
 
 class ScenarioError(Exception):
@@ -101,11 +102,15 @@ class Selector:
     def from_dict(cls, obj: dict) -> "Selector":
         kind = _json_object(obj, "selector").get("kind")
         if kind == "cluster":
-            try:
-                return cls(kind="cluster", cluster=int(obj["cluster"]))
-            except (TypeError, ValueError):
-                raise ScenarioError(f"bad cluster index {obj['cluster']!r}") from None
+            index = obj["cluster"]
+            if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+                raise ScenarioError(f"bad cluster index {index!r}")
+            return cls(kind="cluster", cluster=index)
         if kind == "shift":
+            for key in ("headline", "post"):
+                if obj[key] not in SHIFT_CLASSES:
+                    raise ScenarioError(f"shift {key} class must be \"C\" or \"NC\", "
+                                        f"got {obj[key]!r}")
             return cls(kind="shift", headline_class=obj["headline"], post_class=obj["post"])
         if kind in ("edited", "mirrored"):
             return cls(kind=kind)
@@ -138,6 +143,10 @@ class Scenario:
             value = obj.get(key)
             if value is not None and not isinstance(value, str):
                 raise ScenarioError(f"{key} must be a string, got {value!r}")
+        exclude_mirrored = obj.get("exclude_mirrored")
+        if exclude_mirrored is not None and not isinstance(exclude_mirrored, bool):
+            raise ScenarioError(f"exclude_mirrored must be true or false, "
+                                f"got {exclude_mirrored!r}")
         return cls(
             name=obj["name"],
             outlet=obj["outlet"],
@@ -145,7 +154,7 @@ class Scenario:
             control=Selector.from_dict(obj["control"]),
             section=obj.get("section"),
             time_block=block,
-            exclude_mirrored=bool(obj.get("exclude_mirrored", False)),
+            exclude_mirrored=bool(exclude_mirrored),
         )
 
 
@@ -187,49 +196,38 @@ class UnitTable:
         return rank
 
 
-def _or_nan(value) -> float:
-    return np.nan if value is None else float(value)
-
-
-def build_unit_table(corpus: Corpus, profiles: list[EditProfile], table: EmbeddingTable,
+def build_unit_table(corpus: Corpus, profiles: Profiles, table: EmbeddingTable,
                      outlets) -> UnitTable:
     """Embed each eligible record's body once and collect its columns.
 
-    Eligible: the record sits in one of `outlets` and has a profile and
+    Eligible: the record sits in one of `outlets` and has a profile row and
     non-blank body text.
     """
-    profile_by_id = {p.record_id: p for p in profiles}
     outlets = set(outlets)
-    rows = []
-    for record in corpus:
-        if record.outlet not in outlets:
-            continue
-        prof = profile_by_id.get(record.id)
-        if prof is None or not record.body_text.strip():
-            continue
-        rows.append((record, prof))
+    candidates = [r for r in corpus if r.outlet in outlets and r.body_text.strip()]
+    profile_rows = profiles.rows(r.id for r in candidates)
+    records = [r for r, row in zip(candidates, profile_rows) if row >= 0]
+    profile_rows = profile_rows[profile_rows >= 0]
 
-    features = np.zeros((len(rows), table.dim), dtype=np.float64)
-    zero_hit = np.zeros(len(rows), dtype=bool)
-    for i, (record, _) in enumerate(rows):
+    features = np.zeros((len(records), table.dim), dtype=np.float64)
+    zero_hit = np.zeros(len(records), dtype=bool)
+    for i, record in enumerate(records):
         doc = embed_text(table, record.body_text)
         features[i] = doc.values
         zero_hit[i] = doc.is_zero_hit
     return UnitTable(
-        record_ids=tuple(r.id for r, _ in rows),
-        outlet=np.array([r.outlet for r, _ in rows], dtype=object),
-        section=np.array([r.section for r, _ in rows], dtype=object),
-        time_block=np.array([assign_time_block(r) for r, _ in rows], dtype=object),
-        mirrored=np.array([p.mirrored for _, p in rows], dtype=bool),
-        cluster=np.array([_or_nan(p.cluster) for _, p in rows], dtype=np.float64),
-        headline_clickbait=np.array([_or_nan(p.headline_clickbait) for _, p in rows],
-                                    dtype=np.float64),
-        post_clickbait=np.array([_or_nan(p.post_clickbait) for _, p in rows],
-                                dtype=np.float64),
+        record_ids=tuple(r.id for r in records),
+        outlet=np.array([r.outlet for r in records], dtype=object),
+        section=np.array([r.section for r in records], dtype=object),
+        time_block=np.array([assign_time_block(r) for r in records], dtype=object),
+        mirrored=profiles.mirrored[profile_rows],
+        cluster=profiles.cluster[profile_rows],
+        headline_clickbait=profiles.headline_clickbait[profile_rows],
+        post_clickbait=profiles.post_clickbait[profile_rows],
         features=features,
         zero_hit=zero_hit,
-        outcomes=np.array([float(r.engagement(m)) for r, _ in rows for m in ENGAGEMENT_METRICS],
-                          dtype=np.float64).reshape(len(rows), len(ENGAGEMENT_METRICS)),
+        outcomes=np.array([float(r.engagement(m)) for r in records for m in ENGAGEMENT_METRICS],
+                          dtype=np.float64).reshape(len(records), len(ENGAGEMENT_METRICS)),
     )
 
 

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -171,6 +172,8 @@ def _distribution_stats(values) -> dict:
 
 
 def cmd_profile(args) -> int:
+    import numpy as np
+
     from . import textsim
 
     cfg = _load_config(args)
@@ -182,27 +185,24 @@ def cmd_profile(args) -> int:
     tmp_csv = out_dir / "profiles.csv"
     textsim.profiles_to_csv(profiles, tmp_csv)
 
-    by_outlet: dict[str, list[textsim.EditProfile]] = {}
-    record_outlet = {r.id: r.outlet for r in loaded}
-    for p in profiles:
-        by_outlet.setdefault(record_outlet[p.record_id], []).append(p)
-
+    # profile rows are in corpus order, so a mask over the corpus selects them
+    outlet_of = np.array([r.outlet for r in loaded], dtype=object)
+    masks = {outlet: outlet_of == outlet for outlet in loaded.outlets()}
     summary = {"outlets": {}, "pairwise_tests": []}
-    for outlet, plist in by_outlet.items():
+    for outlet, mask in masks.items():
+        n = int(np.count_nonzero(mask))
         summary["outlets"][outlet] = {
-            "records": len(plist),
-            "mirroring_fraction": corpus_mod.mirroring_fraction(loaded, outlet),
-            "edit_distance": _distribution_stats([p.edit_distance for p in plist]),
-            "embedding_similarity": _distribution_stats(
-                [p.embedding_similarity for p in plist]),
+            "records": n,
+            "mirroring_fraction": int(np.count_nonzero(profiles.mirrored[mask])) / n,
+            "edit_distance": _distribution_stats(profiles.edit_distance[mask]),
+            "embedding_similarity": _distribution_stats(profiles.embedding_similarity[mask]),
         }
-    outlets = sorted(by_outlet)
+    outlets = sorted(masks)
     for i, a in enumerate(outlets):
         for b in outlets[i + 1:]:
             for measure in ("edit_distance", "embedding_similarity"):
-                xa = [getattr(p, measure) for p in by_outlet[a]]
-                xb = [getattr(p, measure) for p in by_outlet[b]]
-                result = textsim.mann_whitney_u(xa, xb)
+                column = getattr(profiles, measure)
+                result = textsim.mann_whitney_u(column[masks[a]], column[masks[b]])
                 summary["pairwise_tests"].append({
                     "outlet_a": a,
                     "outlet_b": b,
@@ -232,7 +232,7 @@ def cmd_cluster(args) -> int:
     profiles = textsim.profiles_from_csv(profile_path)
     loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
 
-    pts = [[p.embedding_similarity, p.edit_distance] for p in profiles]
+    pts = cluster.profile_points(profiles)
     fit = None
     if k is None:
         fits: list[cluster.ClusterModel] = []
@@ -243,14 +243,16 @@ def cmd_cluster(args) -> int:
         fit = fits[k - 1]
         print(f"elbow selected k={k}")
     try:
-        model, assignments = cluster.fit_profiles(profiles, k=k, seed=seed, fit=fit)
+        model, labels = cluster.fit_profiles(profiles, k=k, seed=seed, fit=fit)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
 
-    profiles = cluster.apply_assignments(profiles, assignments)
+    profiles = replace(profiles, cluster=labels.astype(float))
+    # tabulated before anything is written: a corpus record without a profile
+    # row stops the command with its outputs untouched
+    fractions = cluster.cluster_fractions(profiles, loaded, k=model.k)
     textsim.profiles_to_csv(profiles, profile_path)
     cluster.save_model(model, out_dir / "cluster_model.json")
-    fractions = cluster.cluster_fractions(assignments, loaded, k=model.k)
     _write_json(out_dir / "cluster_fractions.json", fractions)
     print(f"k={model.k} inertia={model.inertia:.6f} -> {out_dir / 'cluster_model.json'}")
     return 0
@@ -281,6 +283,8 @@ def cmd_clickbait(args) -> int:
         return 0
 
     # score
+    import numpy as np
+
     from . import textsim
 
     model_path = getattr(args, "model", None) or out_dir / "clickbait_model.bin"
@@ -291,13 +295,15 @@ def cmd_clickbait(args) -> int:
         raise CommandError(f"profile CSV not found: {profile_path} (run `profile` first)")
     loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
     model = clickbait.load_model(model_path)
-    profiles = textsim.profiles_from_csv(profile_path)
-    profiles = clickbait.score_profiles(model, loaded, profiles)
+    profiles = clickbait.score_profiles(model, loaded, textsim.profiles_from_csv(profile_path))
     textsim.profiles_to_csv(profiles, profile_path)
 
+    rows = profiles.rows(r.id for r in loaded)
+    outlet_of = np.array([r.outlet for r in loaded], dtype=object)
     tables = {}
     for outlet in loaded.outlets():
-        shift = clickbait.conditional_shift_table(profiles, loaded, outlet)
+        shift = clickbait.conditional_shift_table(
+            profiles, rows[(outlet_of == outlet) & (rows >= 0)], outlet)
         tables[outlet] = {
             "p_nc_given_c": shift.p_nc_given_c,
             "p_c_given_nc": shift.p_c_given_nc,

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, write_bytes_atomic
-from .embedding import EmbeddingTable, tokenize
+from .embedding import tokenize
 from .nn import AdamState, SequenceClassifier, adam_step, load_params, params_to_bytes
-from .textsim import EditProfile
+from .textsim import Profiles
 
 MIN_DATASET_SIZE = 20
 MAX_SEQUENCE_TOKENS = 64
@@ -101,14 +101,11 @@ def _build_vocab(texts) -> dict[str, int]:
 def train(dataset: list[LabeledHeadline], split_seed: int = 0, epochs: int = 10,
           batch_size: int = 32, embed_size: int = 50, hidden_size: int = 64,
           learning_rate: float = 1e-3, clip_norm: float = 5.0,
-          patience: int = 3, table: EmbeddingTable | None = None,
-          ) -> tuple[ClickbaitModel, float]:
+          patience: int = 3) -> tuple[ClickbaitModel, float]:
     """Train on a 90:10 stratified split; returns (model, held-out F1).
 
-    Token vectors are trainable; when a pretrained table is supplied, rows
-    for known tokens start from it (projected or padded to embed_size).
-    Training stops early once validation F1 has not improved for `patience`
-    epochs.
+    Token vectors are trained from their seeded initialization. Training
+    stops early once validation F1 has not improved for `patience` epochs.
     """
     if len(dataset) < MIN_DATASET_SIZE:
         raise ValueError(f"need at least {MIN_DATASET_SIZE} examples, got {len(dataset)}")
@@ -130,16 +127,6 @@ def train(dataset: list[LabeledHeadline], split_seed: int = 0, epochs: int = 10,
         hidden_size=hidden_size,
         seed=split_seed,
     )
-    if table is not None:
-        for token, tid in token_ids.items():
-            vec = table.vocab.get(token)
-            if vec is None:
-                continue
-            if vec.size >= embed_size:
-                network.embed[tid] = vec[:embed_size]
-            else:
-                network.embed[tid, : vec.size] = vec
-
     model = ClickbaitModel(network=network, token_ids=token_ids)
     sequences = [model.encode(ex.text) for ex in train_set]
     targets = np.array([ex.label for ex in train_set], dtype=np.float64)
@@ -177,52 +164,42 @@ def train(dataset: list[LabeledHeadline], split_seed: int = 0, epochs: int = 10,
     return model, test_f1
 
 
-def score(model: ClickbaitModel, text: str) -> float:
-    """Sigmoid clickbait score in [0, 1]."""
-    return float(model.network.score_batch([model.encode(text)])[0])
-
-
 def score_many(model: ClickbaitModel, texts) -> np.ndarray:
+    """[len(texts)] sigmoid clickbait score in [0, 1] of each text."""
     return model.network.score_batch([model.encode(t) for t in texts])
 
 
-def score_profiles(model: ClickbaitModel, corpus: Corpus,
-                   profiles: list[EditProfile]) -> list[EditProfile]:
-    """Fill headline_clickbait / post_clickbait for every profiled record."""
+def score_profiles(model: ClickbaitModel, corpus: Corpus, profiles: Profiles) -> Profiles:
+    """`profiles` with the headline and post clickbait columns filled; every
+    profile row must name a corpus record."""
     by_id = {r.id: r for r in corpus}
-    missing = [p.record_id for p in profiles if p.record_id not in by_id]
+    missing = [rid for rid in profiles.record_ids if rid not in by_id]
     if missing:
         raise ValueError(f"profiles reference records absent from corpus: {missing[:3]}")
-    headline_scores = score_many(model, [by_id[p.record_id].headline for p in profiles])
-    post_scores = score_many(model, [by_id[p.record_id].post_text for p in profiles])
-    return [
-        replace(p, headline_clickbait=float(h), post_clickbait=float(t))
-        for p, h, t in zip(profiles, headline_scores, post_scores)
-    ]
+    records = [by_id[rid] for rid in profiles.record_ids]
+    return replace(profiles,
+                   headline_clickbait=score_many(model, [r.headline for r in records]),
+                   post_clickbait=score_many(model, [r.post_text for r in records]))
 
 
-def conditional_shift_table(profiles: list[EditProfile], corpus: Corpus,
-                            outlet: str, threshold: float = CLICKBAIT_THRESHOLD) -> ShiftTable:
-    """Empirical P(post class | headline class) for one outlet."""
-    outlet_ids = {r.id for r in corpus.by_outlet(outlet)}
-    n_c = n_nc = shift_c_to_nc = shift_nc_to_c = 0
-    for p in profiles:
-        if p.record_id not in outlet_ids:
-            continue
-        if p.headline_clickbait is None or p.post_clickbait is None:
-            raise ValueError(f"record {p.record_id!r} lacks clickbait scores")
-        headline_c = p.headline_clickbait > threshold
-        post_c = p.post_clickbait > threshold
-        if headline_c:
-            n_c += 1
-            shift_c_to_nc += not post_c
-        else:
-            n_nc += 1
-            shift_nc_to_c += post_c
+def conditional_shift_table(profiles: Profiles, rows: np.ndarray, outlet: str,
+                            threshold: float = CLICKBAIT_THRESHOLD) -> ShiftTable:
+    """Empirical P(post class | headline class) over the given rows of
+    `profiles`, which hold the records of `outlet`."""
+    headline = profiles.headline_clickbait[rows]
+    post = profiles.post_clickbait[rows]
+    unscored = np.flatnonzero(np.isnan(headline) | np.isnan(post))
+    if len(unscored):
+        rid = profiles.record_ids[rows[unscored[0]]]
+        raise ValueError(f"record {rid!r} lacks clickbait scores")
+    headline_c = headline > threshold
+    post_c = post > threshold
+    n_c = int(np.count_nonzero(headline_c))
+    n_nc = len(rows) - n_c
     return ShiftTable(
         outlet=outlet,
-        p_nc_given_c=(shift_c_to_nc / n_c) if n_c else None,
-        p_c_given_nc=(shift_nc_to_c / n_nc) if n_nc else None,
+        p_nc_given_c=int(np.count_nonzero(headline_c & ~post_c)) / n_c if n_c else None,
+        p_c_given_nc=int(np.count_nonzero(post_c & ~headline_c)) / n_nc if n_nc else None,
         n_headline_c=n_c,
         n_headline_nc=n_nc,
     )

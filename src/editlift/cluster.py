@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, write_text_atomic
-from .textsim import EditProfile
+from .textsim import Profiles
 
 ELBOW_THRESHOLD = 0.15
 MAX_LLOYD_ITERATIONS = 300
@@ -30,12 +30,6 @@ class ClusterModel:
     def assign(self, points: np.ndarray) -> np.ndarray:
         """Index of the nearest centroid for each row of `points`."""
         return np.argmin(_sq_distances(np.asarray(points).T, self.centroids), axis=1)
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    record_id: str
-    cluster: int
 
 
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,55 +173,43 @@ def canonical_order(model: ClusterModel) -> ClusterModel:
     return replace(model, centroids=model.centroids[order].copy())
 
 
-def fit_profiles(profiles: list[EditProfile], k: int, seed: int, restarts: int = 10,
-                 fit: ClusterModel | None = None
-                 ) -> tuple[ClusterModel, list[ClusterAssignment]]:
-    """Cluster profile points and hand back canonical assignments.
+def profile_points(profiles: Profiles) -> np.ndarray:
+    """[n, 2] (embedding similarity, edit distance) point of each profile row."""
+    return np.column_stack((profiles.embedding_similarity, profiles.edit_distance))
+
+
+def fit_profiles(profiles: Profiles, k: int, seed: int, restarts: int = 10,
+                 fit: ClusterModel | None = None) -> tuple[ClusterModel, np.ndarray]:
+    """Cluster the profile points; returns the canonical model and the [n]
+    label of each profile row.
 
     `fit`, when given, is `best_fit` of these profiles' points at k with the
     same seed and restarts (as `elbow_select` hands it out), and is used
     instead of fitting again.
     """
-    pts = np.array(
-        [[p.embedding_similarity, p.edit_distance] for p in profiles], dtype=np.float64
-    )
+    pts = profile_points(profiles)
     model = canonical_order(fit if fit is not None else best_fit(pts, k, seed, restarts))
-    labels = model.assign(pts)
-    assignments = [
-        ClusterAssignment(record_id=p.record_id, cluster=int(c))
-        for p, c in zip(profiles, labels)
-    ]
-    return model, assignments
+    return model, model.assign(pts)
 
 
-def apply_assignments(profiles: list[EditProfile],
-                      assignments: list[ClusterAssignment]) -> list[EditProfile]:
-    by_id = {a.record_id: a.cluster for a in assignments}
-    out = []
-    for p in profiles:
-        if p.record_id not in by_id:
-            raise ValueError(f"no cluster assignment for record {p.record_id!r}")
-        out.append(replace(p, cluster=by_id[p.record_id]))
-    return out
-
-
-def cluster_fractions(assignments: list[ClusterAssignment], corpus: Corpus,
-                      k: int | None = None) -> dict[str, list[float]]:
-    """Per-outlet fraction of records in each cluster; every row sums to 1."""
-    by_id = {a.record_id: a.cluster for a in assignments}
-    if k is None:
-        k = max(by_id.values()) + 1 if by_id else 0
-    counts: dict[str, list[int]] = {}
-    for record in corpus:
-        if record.id not in by_id:
-            raise ValueError(f"record {record.id!r} has no cluster assignment")
-        row = counts.setdefault(record.outlet, [0] * k)
-        row[by_id[record.id]] += 1
-    if not counts:
-        raise ValueError("no records to tabulate")
-    return {
-        outlet: [c / sum(row) for c in row] for outlet, row in counts.items()
-    }
+def cluster_fractions(profiles: Profiles, corpus: Corpus, k: int) -> dict[str, list[float]]:
+    """Per-outlet fraction of the corpus records in each of the k clusters of
+    the profiles' cluster column; every row sums to 1. A corpus record with
+    no profile row or no cluster is an error."""
+    rows = profiles.rows(r.id for r in corpus)
+    have = rows >= 0
+    labels = np.full(len(rows), np.nan)
+    labels[have] = profiles.cluster[rows[have]]
+    unset = np.flatnonzero(np.isnan(labels))
+    if len(unset):
+        raise ValueError(f"record {corpus.records[unset[0]].id!r} has no cluster assignment")
+    labels = labels.astype(np.int64)
+    outlets = np.array([r.outlet for r in corpus], dtype=object)
+    fractions = {}
+    for outlet in corpus.outlets():
+        counts = np.bincount(labels[outlets == outlet], minlength=k).tolist()
+        fractions[outlet] = [c / sum(counts) for c in counts]
+    return fractions
 
 
 def save_model(model: ClusterModel, path: str | Path) -> None:

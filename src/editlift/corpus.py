@@ -76,12 +76,6 @@ class Corpus:
             seen.setdefault(r.outlet, None)
         return list(seen)
 
-    def by_outlet(self, outlet: str) -> list[PairedRecord]:
-        hits = [r for r in self.records if r.outlet == outlet]
-        if not hits:
-            raise CorpusError(f"outlet {outlet!r} not present in corpus")
-        return hits
-
 
 def normalize(text: str) -> str:
     """Canonical text normalization: NFC compose, trim, collapse whitespace runs.
@@ -98,12 +92,6 @@ def is_mirrored(record: PairedRecord) -> bool:
     composition differences are forgiven.
     """
     return normalize(record.headline) == normalize(record.post_text)
-
-
-def mirroring_fraction(corpus: Corpus, outlet: str) -> float:
-    """Fraction of the outlet's records whose post mirrors the headline."""
-    records = corpus.by_outlet(outlet)
-    return sum(1 for r in records if is_mirrored(r)) / len(records)
 
 
 def parse_timestamp(value: str) -> datetime:

@@ -34,12 +34,6 @@ class EmbeddingTable:
     dim: int
     vocab: dict[str, np.ndarray]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocab
-
-    def __len__(self) -> int:
-        return len(self.vocab)
-
 
 @dataclass(frozen=True)
 class DocVector:

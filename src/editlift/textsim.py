@@ -73,89 +73,112 @@ def normalized_edit_distance(a: str, b: str) -> float:
 
 
 @dataclass(frozen=True)
-class EditProfile:
-    record_id: str
-    edit_distance: float
-    embedding_similarity: float
-    mirrored: bool
-    cluster: int | None = None
-    headline_clickbait: float | None = None
-    post_clickbait: float | None = None
+class Profiles:
+    """One profile row per record, as columns. Cluster and clickbait values
+    are NaN until the `cluster` and `clickbait score` commands set them."""
+
+    record_ids: tuple[str, ...]
+    edit_distance: np.ndarray  # [n] float64
+    embedding_similarity: np.ndarray  # [n] float64
+    mirrored: np.ndarray  # [n] bool
+    cluster: np.ndarray  # [n] float64: an integer label, or NaN
+    headline_clickbait: np.ndarray  # [n] float64
+    post_clickbait: np.ndarray  # [n] float64
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+    def rows(self, record_ids) -> np.ndarray:
+        """[len(record_ids)] row of each id in this table; -1 for an id it
+        lacks."""
+        index = {rid: i for i, rid in enumerate(self.record_ids)}
+        return np.fromiter((index.get(rid, -1) for rid in record_ids), dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
     p_value: float
-    method: str
 
 
-def profile(corpus: Corpus, table: EmbeddingTable) -> list[EditProfile]:
-    """One EditProfile per record, in corpus order.
+def profile(corpus: Corpus, table: EmbeddingTable) -> Profiles:
+    """One profile row per record, in corpus order.
 
     Distances are computed on normalized texts; similarity is the cosine of
-    the two bag-of-words document vectors. Cluster and clickbait fields stay
+    the two bag-of-words document vectors. Cluster and clickbait columns stay
     unset here.
     """
-    out = []
+    distance, similarity = [], []
     for record in corpus:
         headline = normalize(record.headline)
         post = normalize(record.post_text)
-        out.append(
-            EditProfile(
-                record_id=record.id,
-                edit_distance=normalized_edit_distance(headline, post),
-                embedding_similarity=cosine(embed_text(table, headline),
-                                            embed_text(table, post)),
-                mirrored=is_mirrored(record),
-            )
-        )
-    return out
+        distance.append(normalized_edit_distance(headline, post))
+        similarity.append(cosine(embed_text(table, headline), embed_text(table, post)))
+    n = len(corpus)
+    return Profiles(
+        record_ids=tuple(r.id for r in corpus),
+        edit_distance=np.array(distance, dtype=np.float64),
+        embedding_similarity=np.array(similarity, dtype=np.float64),
+        mirrored=np.array([is_mirrored(r) for r in corpus], dtype=bool),
+        cluster=np.full(n, np.nan),
+        headline_clickbait=np.full(n, np.nan),
+        post_clickbait=np.full(n, np.nan),
+    )
 
 
-def profiles_to_csv(profiles, path: str | Path) -> None:
-    """Fixed-column CSV export, written atomically; optional fields are left
+def _float_cell(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
+
+
+def profiles_to_csv(profiles: Profiles, path: str | Path) -> None:
+    """Fixed-column CSV export, written atomically; unset values are left
     blank."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(PROFILE_COLUMNS)
-    for p in profiles:
-        writer.writerow([
-            p.record_id,
-            repr(p.edit_distance),
-            repr(p.embedding_similarity),
-            "true" if p.mirrored else "false",
-            "" if p.cluster is None else p.cluster,
-            "" if p.headline_clickbait is None else repr(p.headline_clickbait),
-            "" if p.post_clickbait is None else repr(p.post_clickbait),
-        ])
+    writer.writerows(
+        (rid, repr(d), repr(s), "true" if m else "false",
+         "" if math.isnan(c) else int(c), _float_cell(h), _float_cell(p))
+        for rid, d, s, m, c, h, p in zip(
+            profiles.record_ids, profiles.edit_distance.tolist(),
+            profiles.embedding_similarity.tolist(), profiles.mirrored.tolist(),
+            profiles.cluster.tolist(), profiles.headline_clickbait.tolist(),
+            profiles.post_clickbait.tolist()))
     write_text_atomic(path, buf.getvalue())
 
 
-def profiles_from_csv(path: str | Path) -> list[EditProfile]:
-    profiles = []
+def profiles_from_csv(path: str | Path) -> Profiles:
+    """Read what `profiles_to_csv` wrote; a blank cell reads as unset (NaN)."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(PROFILE_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"profile CSV missing columns: {sorted(missing)}")
+        rows, seen = [], set()
         for row in reader:
-            profiles.append(
-                EditProfile(
-                    record_id=row["record_id"],
-                    edit_distance=float(row["edit_distance"]),
-                    embedding_similarity=float(row["embedding_similarity"]),
-                    mirrored=row["mirrored"] == "true",
-                    cluster=int(row["cluster"]) if row["cluster"] != "" else None,
-                    headline_clickbait=(
-                        float(row["headline_clickbait"]) if row["headline_clickbait"] != "" else None
-                    ),
-                    post_clickbait=(
-                        float(row["post_clickbait"]) if row["post_clickbait"] != "" else None
-                    ),
-                )
-            )
-    return profiles
+            if None in row.values():  # a short row's missing cells
+                raise ValueError(f"{path} line {reader.line_num}: expected "
+                                 f"{len(PROFILE_COLUMNS)} cells")
+            if row["record_id"] in seen:  # `Profiles.rows` needs one row per id
+                raise ValueError(f"{path} line {reader.line_num}: duplicate record_id "
+                                 f"{row['record_id']!r}")
+            seen.add(row["record_id"])
+            rows.append(tuple(row[c] for c in PROFILE_COLUMNS))
+    ids, distance, similarity, mirrored, cluster, headline, post = (
+        zip(*rows) if rows else ((),) * len(PROFILE_COLUMNS))
+
+    def floats(cells, parse=float) -> np.ndarray:
+        return np.array([np.nan if c == "" else parse(c) for c in cells], dtype=np.float64)
+
+    return Profiles(
+        record_ids=ids,
+        edit_distance=np.array([float(c) for c in distance], dtype=np.float64),
+        embedding_similarity=np.array([float(c) for c in similarity], dtype=np.float64),
+        mirrored=np.array([c == "true" for c in mirrored], dtype=bool),
+        cluster=floats(cluster, int),
+        headline_clickbait=floats(headline),
+        post_clickbait=floats(post),
+    )
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -226,16 +249,16 @@ def mann_whitney_u(x, y, exact_max_n: int = 20) -> TestResult:
     n = nx + ny
     if n <= exact_max_n:
         p = _exact_u_pvalue(ranks, nx, u)
-        return TestResult(statistic=u, p_value=min(1.0, p), method="mann_whitney_u")
+        return TestResult(statistic=u, p_value=min(1.0, p))
 
     mu = nx * ny / 2.0
     _, counts = np.unique(combined, return_counts=True)
     tie_term = float(np.sum(counts.astype(np.float64) ** 3 - counts))
     sigma2 = nx * ny / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if sigma2 <= 0:  # every value identical
-        return TestResult(statistic=u, p_value=1.0, method="mann_whitney_u")
+        return TestResult(statistic=u, p_value=1.0)
     # continuity correction toward the mean
     dev = max(abs(u - mu) - 0.5, 0.0)
     p = math.erfc(dev / math.sqrt(2.0 * sigma2))
-    return TestResult(statistic=u, p_value=min(1.0, p), method="mann_whitney_u")
+    return TestResult(statistic=u, p_value=min(1.0, p))
 

@@ -1,8 +1,14 @@
 import json
+from collections import namedtuple
 
+import numpy as np
 import pytest
 
 from editlift.corpus import Corpus, PairedRecord
+from editlift.textsim import PROFILE_COLUMNS, Profiles
+
+# one profile row as the per-record tests write it; None is unset
+ProfileRow = namedtuple("ProfileRow", PROFILE_COLUMNS, defaults=(None, None, None))
 
 
 def make_record(rid="r1", outlet="wire", headline="Budget vote passes",
@@ -18,6 +24,42 @@ def make_record(rid="r1", outlet="wire", headline="Budget vote passes",
 
 def make_corpus(records, source="test://corpus") -> Corpus:
     return Corpus(records=tuple(records), source_path=source)
+
+
+def make_profiles(rows) -> Profiles:
+    """A profile table of `ProfileRow`s (or plain tuples in that column
+    order), in order."""
+    rows = [ProfileRow(*row) for row in rows]
+
+    def floats(name):
+        return np.array([np.nan if getattr(r, name) is None else float(getattr(r, name))
+                         for r in rows], dtype=np.float64)
+
+    return Profiles(
+        record_ids=tuple(r.record_id for r in rows),
+        edit_distance=floats("edit_distance"),
+        embedding_similarity=floats("embedding_similarity"),
+        mirrored=np.array([bool(r.mirrored) for r in rows], dtype=bool),
+        cluster=floats("cluster"),
+        headline_clickbait=floats("headline_clickbait"),
+        post_clickbait=floats("post_clickbait"),
+    )
+
+
+def profile_rows(profiles: Profiles) -> list[ProfileRow]:
+    """The rows of a profile table, NaN read back as None and each cluster
+    as an int."""
+    def value(v):
+        return None if np.isnan(v) else v
+
+    return [
+        ProfileRow(rid, d, s, m, None if np.isnan(c) else int(c), value(h), value(p))
+        for rid, d, s, m, c, h, p in zip(
+            profiles.record_ids, profiles.edit_distance.tolist(),
+            profiles.embedding_similarity.tolist(), profiles.mirrored.tolist(),
+            profiles.cluster.tolist(), profiles.headline_clickbait.tolist(),
+            profiles.post_clickbait.tolist())
+    ]
 
 
 def write_jsonl(path, rows):

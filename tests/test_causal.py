@@ -28,9 +28,9 @@ from editlift.causal import (
 from editlift.corpus import ENGAGEMENT_METRICS, assign_time_block
 from editlift.embedding import EmbeddingTable, embed_text
 from editlift.nn import ACTIVATIONS, AdamState, Mlp, adam_step
-from editlift.textsim import EditProfile, mann_whitney_u
+from editlift.textsim import mann_whitney_u
 
-from conftest import make_corpus, make_record
+from conftest import ProfileRow, make_corpus, make_profiles, make_record, profile_rows
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +674,7 @@ class TestSelectUnits:
                 body_text="budget committee vote" if i != 5 else "",
                 section="politics" if i < 4 else "sports",
             ))
-            profiles.append(EditProfile(f"r{i}", 0.0 if mirrored else 0.5,
-                                        1.0, mirrored))
+            profiles.append(ProfileRow(f"r{i}", 0.0 if mirrored else 0.5, 1.0, mirrored))
         return make_corpus(records), profiles
 
     def table(self):
@@ -689,7 +688,8 @@ class TestSelectUnits:
     def test_outlet_filter_and_selectors(self):
         corpus, profiles = self.corpus_and_profiles()
         scenario = Scenario("s", "x", Selector("edited"), Selector("mirrored"))
-        units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
+        units = build_unit_table(corpus, make_profiles(profiles), self.table(),
+                                 corpus.outlets())
         treatments, controls = select_units(units, scenario)
         assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}  # r5 has no body
         assert {units.record_ids[i] for i in controls} == {"r0", "r2", "r4"}
@@ -698,21 +698,19 @@ class TestSelectUnits:
         corpus, profiles = self.corpus_and_profiles()
         scenario = Scenario("s", "x", Selector("edited"), Selector("mirrored"),
                             section="politics")
-        units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
+        units = build_unit_table(corpus, make_profiles(profiles), self.table(),
+                                 corpus.outlets())
         treatments, controls = select_units(units, scenario)
         assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}
         assert {units.record_ids[i] for i in controls} == {"r0", "r2"}
 
     def test_cluster_selectors(self):
         corpus, profiles = self.corpus_and_profiles()
-        profiles = [
-            EditProfile(p.record_id, p.edit_distance, p.embedding_similarity,
-                        p.mirrored, cluster=i % 3)
-            for i, p in enumerate(profiles)
-        ]
+        profiles = [p._replace(cluster=i % 3) for i, p in enumerate(profiles)]
         scenario = Scenario("s", "x", Selector("cluster", cluster=1),
                             Selector("cluster", cluster=0))
-        units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
+        units = build_unit_table(corpus, make_profiles(profiles), self.table(),
+                                 corpus.outlets())
         treatments, controls = select_units(units, scenario)
         assert {units.record_ids[i] for i in treatments} == {"r1", "r4"}
         assert {units.record_ids[i] for i in controls} == {"r0", "r3"}
@@ -720,9 +718,8 @@ class TestSelectUnits:
     def test_shift_selectors_and_exclude_mirrored(self):
         corpus, profiles = self.corpus_and_profiles()
         profiles = [
-            EditProfile(p.record_id, p.edit_distance, p.embedding_similarity,
-                        p.mirrored, headline_clickbait=0.2,
-                        post_clickbait=0.9 if int(p.record_id[1]) < 4 else 0.1)
+            p._replace(headline_clickbait=0.2,
+                       post_clickbait=0.9 if int(p.record_id[1]) < 4 else 0.1)
             for p in profiles
         ]
         scenario = Scenario(
@@ -731,7 +728,8 @@ class TestSelectUnits:
             Selector("shift", headline_class="NC", post_class="NC"),
             exclude_mirrored=True,
         )
-        units = build_unit_table(corpus, profiles, self.table(), corpus.outlets())
+        units = build_unit_table(corpus, make_profiles(profiles), self.table(),
+                                 corpus.outlets())
         treatments, controls = select_units(units, scenario)
         assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}
         # mirrored records are excluded and the only NC->NC candidate (r5)
@@ -772,8 +770,9 @@ def reference_matches(selector, profile):
 
 
 def reference_select_units(corpus, profiles, scenario, table):
-    """Per-record selection, embedding each selected body on the spot."""
-    profile_by_id = {p.record_id: p for p in profiles}
+    """Per-record selection, embedding each selected body on the spot; each
+    record's profile row goes through `reference_matches`."""
+    profile_by_id = {p.record_id: p for p in profile_rows(profiles)}
     treatments, controls = [], []
     for record in corpus:
         if record.outlet != scenario.outlet:
@@ -851,14 +850,14 @@ def selection_corpus(seed, n=80, missing_scores=0.0):
         if rng.random() < 0.1:
             continue  # no profile
         scored = rng.random() >= missing_scores
-        profiles.append(EditProfile(
+        profiles.append(ProfileRow(
             rid, 0.5, 0.5, mirrored=bool(rng.random() < 0.4),
             cluster=None if rng.random() < 0.1 else int(rng.integers(3)),
             headline_clickbait=float(rng.random()) if scored else None,
             post_clickbait=float(rng.random()) if scored else None,
         ))
     vocab = {w: np.random.default_rng(j).normal(size=3) for j, w in enumerate(SELECTION_VOCAB)}
-    return make_corpus(records), profiles, EmbeddingTable(dim=3, vocab=vocab)
+    return make_corpus(records), make_profiles(profiles), EmbeddingTable(dim=3, vocab=vocab)
 
 
 class TestUnitTableSelection:
@@ -904,13 +903,13 @@ class TestUnitTableSelection:
             make_record(rid="z", outlet="x", body_text="zzz qqq"),
             make_record(rid="b", outlet="x", body_text=""),
         ]
-        profiles = [
-            EditProfile("a", 0.5, 0.5, mirrored=True, cluster=1,
-                        headline_clickbait=0.1, post_clickbait=0.1),
-            EditProfile("z", 0.5, 0.5, mirrored=False, cluster=1,
-                        headline_clickbait=clickbait, post_clickbait=clickbait),
-            EditProfile("b", 0.5, 0.5, mirrored=False, cluster=1),
-        ]
+        profiles = make_profiles([
+            ProfileRow("a", 0.5, 0.5, mirrored=True, cluster=1,
+                       headline_clickbait=0.1, post_clickbait=0.1),
+            ProfileRow("z", 0.5, 0.5, mirrored=False, cluster=1,
+                       headline_clickbait=clickbait, post_clickbait=clickbait),
+            ProfileRow("b", 0.5, 0.5, mirrored=False, cluster=1),
+        ])
         table = EmbeddingTable(dim=2, vocab={"budget": np.array([1.0, 0.0]),
                                              "vote": np.array([0.0, 1.0])})
         corpus = make_corpus(records)
@@ -953,7 +952,7 @@ class TestUnitTableSelection:
             return embed_text(tbl, text)
 
         monkeypatch.setattr(causal, "embed_text", counting_embed)
-        profiled = {p.record_id for p in profiles}
+        profiled = set(profiles.record_ids)
         eligible = [r for r in corpus if r.outlet == "x" and r.id in profiled
                     and r.body_text.strip()]
         units = build_unit_table(corpus, profiles, table, {"x"})
@@ -1047,8 +1046,8 @@ def reference_case(name):
     elif name == "exclude-mirrored":
         # edited records alternate between clusters 1 and 0 and mirrored ones
         # sit in cluster 1, so only the exclusion keeps them out of treatment
-        profiles = [dataclasses.replace(p, cluster=1 if p.mirrored else i % 2)
-                    for i, p in enumerate(profiles)]
+        profiles = make_profiles(p._replace(cluster=1 if p.mirrored else i % 2)
+                                 for i, p in enumerate(profile_rows(profiles)))
         scenario = Scenario("clusters", "synthwire", Selector("cluster", cluster=1),
                             Selector("cluster", cluster=0), exclude_mirrored=True)
     elif name == "zero-hit":

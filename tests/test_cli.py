@@ -139,6 +139,52 @@ class TestCluster:
         assert "profile" in capsys.readouterr().err
 
 
+class TestProfileCorpusMismatch:
+    """A profile CSV that disagrees with the corpus stops the command with one
+    error line naming the record, and leaves the command's outputs as they
+    were."""
+
+    def profile(self, pipeline_dir) -> Path:
+        assert main(["profile", "--corpus", pipeline_dir["corpus"],
+                     "--embeddings", pipeline_dir["vectors"], "--out", pipeline_dir["out"]]) == 0
+        return Path(pipeline_dir["out"], "profiles.csv")
+
+    def test_cluster_names_corpus_record_without_profile(self, pipeline_dir, capsys):
+        profiles = self.profile(pipeline_dir)
+        lines = profiles.read_text().splitlines()
+        assert lines[-1].startswith("r5,")
+        profiles.write_text("\n".join(lines[:-1]) + "\n")
+        before = profiles.read_bytes()
+        capsys.readouterr()
+        code = main(["cluster", "--corpus", pipeline_dir["corpus"],
+                     "--out", pipeline_dir["out"], "--k", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: record 'r5' has no cluster assignment\n"
+        assert profiles.read_bytes() == before
+        assert not Path(pipeline_dir["out"], "cluster_model.json").exists()
+
+    def test_clickbait_score_names_profile_row_absent_from_corpus(self, pipeline_dir,
+                                                                 capsys):
+        from editlift import clickbait as cb
+        from editlift.nn import SequenceClassifier
+
+        profiles = self.profile(pipeline_dir)
+        with open(profiles, "a", encoding="utf-8") as fh:
+            fh.write("ghost,0.5,0.5,false,,,\n")
+        before = profiles.read_bytes()
+        network = SequenceClassifier(vocab_size=3, embed_size=2, hidden_size=3, seed=0)
+        cb.save_model(cb.ClickbaitModel(network=network, token_ids={"budget": 1, "vote": 2}),
+                      Path(pipeline_dir["out"], "clickbait_model.bin"))
+        capsys.readouterr()
+        code = main(["clickbait", "score", "--corpus", pipeline_dir["corpus"],
+                     "--out", pipeline_dir["out"]])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: profiles reference records absent from corpus: ['ghost']\n")
+        assert profiles.read_bytes() == before
+        assert not Path(pipeline_dir["out"], "clickbait_shift.json").exists()
+
+
 class TestSynthCommand:
     def test_generates_corpus_truth_vectors(self, tmp_path):
         out = tmp_path / "synthout"
@@ -400,6 +446,34 @@ class TestEstimateCommand:
         ("config", "scenarios", [{"name": "s", "outlet": "synthwire", "treatment": "edited",
                                   "control": {"kind": "mirrored"}}],
          "bad scenario definition: selector must be a JSON object, got 'edited'"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "shift", "headline": "c", "post": "C"},
+                                  "control": {"kind": "mirrored"}}],
+         'bad scenario definition: shift headline class must be "C" or "NC", got \'c\''),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "shift", "headline": "NC", "post": 1},
+                                  "control": {"kind": "mirrored"}}],
+         'bad scenario definition: shift post class must be "C" or "NC", got 1'),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire", "exclude_mirrored": "false",
+                                  "treatment": {"kind": "edited"},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: exclude_mirrored must be true or false, got 'false'"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "cluster", "cluster": True},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: bad cluster index True"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "cluster", "cluster": "2"},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: bad cluster index '2'"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "cluster", "cluster": 2.7},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: bad cluster index 2.7"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "cluster", "cluster": -1},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: bad cluster index -1"),
         # accepted: an integral float, zero minimum group, a negative alpha
         ("config", "knn", 5.0, None),
         ("config", "min_group", 0, None),
@@ -408,6 +482,10 @@ class TestEstimateCommand:
         ("cluster config", "k_max", 3.0, None),
         ("cluster flag", "k", "2", None),
         ("clickbait train config", "epochs", 2.0, None),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire", "exclude_mirrored": False,
+                                  "treatment": {"kind": "cluster", "cluster": 0},
+                                  "control": {"kind": "shift", "headline": "NC",
+                                              "post": "C"}}], None),
     ])
     def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
         *command, route = route.split()

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from editlift import clickbait as cb
-from editlift.embedding import EmbeddingTable
-from editlift.textsim import EditProfile
 
-from conftest import make_corpus, make_record
+from conftest import ProfileRow, make_corpus, make_profiles, make_record
 
 
 @pytest.fixture(scope="module")
@@ -40,15 +38,6 @@ class TestTrain:
         assert f1_a == f1_b
         for name, value in model_a.network.params.items():
             assert np.array_equal(value, model_b.network.params[name])
-
-    def test_pretrained_vectors_seed_token_rows(self):
-        # epochs=0 keeps the network at initialization so the copied row is visible
-        table = EmbeddingTable(dim=4, vocab={"unbelievable": np.array([9.0, 9.0, 9.0, 9.0])})
-        data = cb.synthetic_headlines(60, seed=1)
-        model, _ = cb.train(data, split_seed=0, epochs=0, embed_size=4, table=table)
-        tid = model.token_ids.get("unbelievable")
-        assert tid is not None
-        assert np.array_equal(model.network.embed[tid], [9.0, 9.0, 9.0, 9.0])
 
 
 class TestStratifiedSplit:
@@ -83,23 +72,25 @@ class TestScore:
     def test_range_and_determinism(self, trained):
         model, _ = trained
         for text in ("totally shocking secret", "committee approves treaty", "xyzzy"):
-            s = cb.score(model, text)
+            s = cb.score_many(model, [text])[0]
             assert 0.0 <= s <= 1.0
-            assert cb.score(model, text) == s
+            assert cb.score_many(model, [text])[0] == s
 
     def test_separable_scores_polarized(self, trained):
         model, _ = trained
-        assert cb.score(model, "unbelievable insane viral tricks") > 0.9
-        assert cb.score(model, "parliament approves quarterly budget report") < 0.1
+        assert cb.score_many(model, ["unbelievable insane viral tricks"])[0] > 0.9
+        assert cb.score_many(model, ["parliament approves quarterly budget report"])[0] < 0.1
 
     def test_unknown_tokens_fall_back_to_unk_vector(self, trained):
         model, _ = trained
-        assert cb.score(model, "zzz qqq www") == cb.score(model, "mmm nnn ooo")
+        unknown_a, = cb.score_many(model, ["zzz qqq www"])
+        unknown_b, = cb.score_many(model, ["mmm nnn ooo"])
+        assert unknown_a == unknown_b
 
     def test_empty_text_rejected(self, trained):
         model, _ = trained
         with pytest.raises(ValueError):
-            cb.score(model, "   ")
+            cb.score_many(model, ["   "])
 
 
 class TestClassify:
@@ -110,50 +101,49 @@ class TestClassify:
         assert ("C" if 0.51 > model.threshold else "NC") == "C"
         assert ("C" if 0.50 > model.threshold else "NC") == "NC"
         assert ("C" if 0.49 > model.threshold else "NC") == "NC"
-        assert cb.score(model, "shocking unbelievable") > model.threshold
-        assert cb.score(model, "quarterly earnings report") <= model.threshold
+        assert cb.score_many(model, ["shocking unbelievable"])[0] > model.threshold
+        assert cb.score_many(model, ["quarterly earnings report"])[0] <= model.threshold
 
 
 class TestShiftTable:
     def build_profiles(self, headline_classes, post_classes):
-        profiles = []
-        for i, (h, p) in enumerate(zip(headline_classes, post_classes)):
-            profiles.append(EditProfile(
-                record_id=f"r{i}", edit_distance=0.5, embedding_similarity=0.5,
-                mirrored=False,
-                headline_clickbait=0.9 if h == "C" else 0.1,
-                post_clickbait=0.9 if p == "C" else 0.1,
-            ))
-        return profiles
+        return make_profiles(
+            ProfileRow(f"r{i}", 0.5, 0.5, False,
+                       headline_clickbait=0.9 if h == "C" else 0.1,
+                       post_clickbait=0.9 if p == "C" else 0.1)
+            for i, (h, p) in enumerate(zip(headline_classes, post_classes)))
 
-    def corpus(self, n):
-        return make_corpus([make_record(rid=f"r{i}", outlet="x") for i in range(n)])
+    def shift_table(self, profiles):
+        return cb.conditional_shift_table(profiles, np.arange(len(profiles)), "x")
 
     def test_counted_by_hand(self):
-        profiles = self.build_profiles("C C NC NC".split(), "NC C C NC".split())
-        table = cb.conditional_shift_table(profiles, self.corpus(4), "x")
+        table = self.shift_table(self.build_profiles("C C NC NC".split(), "NC C C NC".split()))
         assert table.p_nc_given_c == pytest.approx(0.5)
         assert table.p_c_given_nc == pytest.approx(0.5)
         assert table.n_headline_c == 2
         assert table.n_headline_nc == 2
 
     def test_undefined_cell_flagged(self):
-        profiles = self.build_profiles(["NC", "NC"], ["C", "NC"])
-        table = cb.conditional_shift_table(profiles, self.corpus(2), "x")
+        table = self.shift_table(self.build_profiles(["NC", "NC"], ["C", "NC"]))
         assert table.p_nc_given_c is None
         assert table.n_headline_c == 0
 
     def test_complement_identity(self):
-        profiles = self.build_profiles("C C C NC".split(), "NC C C C".split())
-        table = cb.conditional_shift_table(profiles, self.corpus(4), "x")
+        table = self.shift_table(self.build_profiles("C C C NC".split(), "NC C C C".split()))
         p_c_given_c = 1.0 - table.p_nc_given_c
         assert table.p_nc_given_c + p_c_given_c == pytest.approx(1.0)
 
-    def test_unknown_outlet(self):
-        profiles = self.build_profiles(["C"], ["C"])
-        from editlift.corpus import CorpusError
-        with pytest.raises(CorpusError):
-            cb.conditional_shift_table(profiles, self.corpus(1), "nosuch")
+    def test_only_given_rows_counted(self):
+        profiles = self.build_profiles("C C NC NC".split(), "NC C C NC".split())
+        table = cb.conditional_shift_table(profiles, np.array([0, 2]), "x")
+        assert (table.n_headline_c, table.n_headline_nc) == (1, 1)
+        assert table.p_nc_given_c == table.p_c_given_nc == 1.0
+
+    def test_unscored_row_named(self):
+        profiles = make_profiles([("r0", 0.5, 0.5, False, None, 0.9, 0.1),
+                                  ("r1", 0.5, 0.5, False)])
+        with pytest.raises(ValueError, match="record 'r1' lacks clickbait scores"):
+            self.shift_table(profiles)
 
 
 class TestScoreProfiles:
@@ -166,13 +156,12 @@ class TestScoreProfiles:
                         post_text="craziest viral quiz"),
         ]
         corpus = make_corpus(records)
-        profiles = [
-            EditProfile("r0", 0.5, 0.5, False),
-            EditProfile("r1", 0.5, 0.5, False),
-        ]
+        profiles = make_profiles([("r1", 0.5, 0.5, False), ("r0", 0.5, 0.5, False)])
         scored = cb.score_profiles(model, corpus, profiles)
-        assert scored[0].headline_clickbait > 0.5 > scored[0].post_clickbait
-        assert scored[1].headline_clickbait < 0.5 < scored[1].post_clickbait
+        assert scored.record_ids == ("r1", "r0")  # profile order, not corpus order
+        assert scored.headline_clickbait[1] > 0.5 > scored.post_clickbait[1]
+        assert scored.headline_clickbait[0] < 0.5 < scored.post_clickbait[0]
+        assert np.isnan(profiles.headline_clickbait).all()  # the input is left as it was
 
 
 class TestPersistence:
@@ -182,8 +171,8 @@ class TestPersistence:
         cb.save_model(model, path)
         again = cb.load_model(path)
         texts = ["insane viral secret", "regulator approves exports", "hello world"]
-        for text in texts:
-            assert cb.score(again, text) == pytest.approx(cb.score(model, text), abs=1e-15)
+        assert cb.score_many(again, texts) == pytest.approx(cb.score_many(model, texts),
+                                                            abs=1e-15)
         assert again.token_ids == model.token_ids
         assert again.threshold == model.threshold
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from editlift.cluster import (
     MAX_LLOYD_ITERATIONS,
-    ClusterAssignment,
     ClusterModel,
     _cluster_means,
     _seed_centroids,
@@ -19,9 +18,7 @@ from editlift.cluster import (
     kmeanspp_fit,
     save_model,
 )
-from editlift.textsim import EditProfile
-
-from conftest import make_corpus, make_record
+from conftest import make_corpus, make_profiles, make_record
 
 
 def blobs(centers, n_per, spread, seed):
@@ -214,11 +211,10 @@ class TestElbow:
             fresh = best_fit(pts, model.k, seed=2)
             assert model.inertia == fresh.inertia and model.seed == fresh.seed
             assert model.centroids.tobytes() == fresh.centroids.tobytes()
-        profiles = [EditProfile(f"r{i}", float(d), float(s), False) for i, (s, d) in
-                    enumerate(pts)]
+        profiles = make_profiles((f"r{i}", d, s, False) for i, (s, d) in enumerate(pts))
         reused_model, reused = fit_profiles(profiles, k=k, seed=2, fit=fits[k - 1])
         fresh_model, fresh = fit_profiles(profiles, k=k, seed=2)
-        assert reused == fresh
+        assert np.array_equal(reused, fresh)
         assert reused_model.centroids.tobytes() == fresh_model.centroids.tobytes()
 
     def test_arguments(self):
@@ -243,56 +239,50 @@ class TestCanonicalOrder:
 
 
 class TestFractions:
-    def assignments(self):
-        return [
-            ClusterAssignment("r0", 0),
-            ClusterAssignment("r1", 0),
-            ClusterAssignment("r2", 1),
-            ClusterAssignment("r3", 2),
-        ]
+    def profiles(self, labels):
+        return make_profiles((f"r{i}", 0.5, 0.5, False, c) for i, c in enumerate(labels))
 
     def corpus(self):
         return make_corpus([make_record(rid=f"r{i}", outlet="x") for i in range(4)])
 
     def test_counted_by_hand(self):
-        fractions = cluster_fractions(self.assignments(), self.corpus(), k=3)
+        fractions = cluster_fractions(self.profiles([0, 0, 1, 2]), self.corpus(), k=3)
         assert fractions["x"] == pytest.approx([0.5, 0.25, 0.25])
 
     def test_single_cluster(self):
-        assignments = [ClusterAssignment(f"r{i}", 0) for i in range(4)]
-        fractions = cluster_fractions(assignments, self.corpus(), k=3)
+        fractions = cluster_fractions(self.profiles([0] * 4), self.corpus(), k=3)
         assert fractions["x"] == pytest.approx([1.0, 0.0, 0.0])
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
         records = [make_record(rid=f"r{i}", outlet=["a", "b"][i % 2]) for i in range(30)]
-        assignments = [
-            ClusterAssignment(f"r{i}", int(rng.integers(0, 4))) for i in range(30)
-        ]
-        fractions = cluster_fractions(assignments, make_corpus(records), k=4)
+        profiles = self.profiles(rng.integers(0, 4, size=30).tolist())
+        fractions = cluster_fractions(profiles, make_corpus(records), k=4)
         for row in fractions.values():
             assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_assignment_error(self):
-        with pytest.raises(ValueError, match="no cluster assignment"):
-            cluster_fractions(self.assignments()[:2], self.corpus())
+        # r2 has no profile row; r1's row has no cluster
+        profiles = self.profiles([0, None])
+        with pytest.raises(ValueError, match="record 'r1' has no cluster assignment"):
+            cluster_fractions(profiles, self.corpus(), k=3)
+        profiles = make_profiles([("r0", 0.5, 0.5, False, 0), ("r1", 0.5, 0.5, False, 1)])
+        with pytest.raises(ValueError, match="record 'r2' has no cluster assignment"):
+            cluster_fractions(profiles, self.corpus(), k=3)
 
 
 class TestProfilesPipeline:
     def test_fit_profiles_relabels_canonically(self):
         rng = np.random.default_rng(11)
-        profiles = []
+        rows = []
         for i in range(90):
             group = i % 3
             sim = [0.95, 0.85, 0.2][group] + rng.normal(0, 0.01)
             dist = [0.05, 0.6, 0.9][group] + rng.normal(0, 0.01)
-            profiles.append(EditProfile(f"r{i}", float(dist), float(sim), group == 0))
-        model, assignments = fit_profiles(profiles, k=3, seed=0)
-        by_id = {a.record_id: a.cluster for a in assignments}
+            rows.append((f"r{i}", dist, sim, group == 0))
+        model, labels = fit_profiles(make_profiles(rows), k=3, seed=0)
         # cluster 0 must be the low-edit-distance (mirroring-like) group
-        assert by_id["r0"] == 0
-        assert by_id["r1"] == 1
-        assert by_id["r2"] == 2
+        assert labels[:3].tolist() == [0, 1, 2]
 
     def test_model_json_round_trip(self, tmp_path):
         pts = blobs([(0.9, 0.1), (0.3, 0.8)], n_per=25, spread=0.02, seed=12)

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from editlift import cli
 from editlift import corpus as cm
 from editlift.corpus import (
     Corpus,
@@ -8,7 +11,6 @@ from editlift.corpus import (
     assign_time_block,
     is_mirrored,
     load_corpus,
-    mirroring_fraction,
     normalize,
     save_corpus,
 )
@@ -48,30 +50,39 @@ class TestMirroring:
         record = make_record(headline="  " + text + "\t", post_text=text)
         assert is_mirrored(record)
 
-    def test_fraction_counted_by_hand(self):
+    @staticmethod
+    def reported_fractions(tmp_path, vectors, records) -> dict[str, tuple[int, float]]:
+        """(records, mirroring_fraction) of each outlet, as `profile` reports
+        them in profile_summary.json."""
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(make_corpus(records), path)
+        out = tmp_path / "out"
+        assert cli.main(["profile", "--corpus", str(path), "--embeddings", str(vectors),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "profile_summary.json").read_text(encoding="utf-8"))
+        return {outlet: (s["records"], s["mirroring_fraction"])
+                for outlet, s in summary["outlets"].items()}
+
+    def test_fraction_counted_by_hand(self, tmp_path, tiny_vectors):
         records = [
             make_record(rid="a", headline="H one", post_text="H one"),
             make_record(rid="b", headline="H two", post_text="changed"),
             make_record(rid="c", headline="H three", post_text="changed again"),
             make_record(rid="d", headline="H four", post_text="other words"),
         ]
-        corpus = make_corpus(records)
-        assert mirroring_fraction(corpus, "wire") == pytest.approx(0.25)
+        assert self.reported_fractions(tmp_path, tiny_vectors, records) == {"wire": (4, 0.25)}
 
-    def test_fraction_extremes(self):
-        mirrored = make_corpus([make_record(rid=str(i)) for i in range(3)])
-        assert mirroring_fraction(mirrored, "wire") == 1.0
-        edited = make_corpus(
-            [make_record(rid=str(i), post_text=f"edited {i}") for i in range(3)]
-        )
-        assert mirroring_fraction(edited, "wire") == 0.0
+    def test_fraction_extremes(self, tmp_path, tiny_vectors):
+        mirrored = [make_record(rid=str(i)) for i in range(3)]
+        (tmp_path / "m").mkdir()
+        assert self.reported_fractions(tmp_path / "m", tiny_vectors, mirrored) == {
+            "wire": (3, 1.0)}
+        edited = [make_record(rid=str(i), post_text=f"edited {i}") for i in range(3)]
+        (tmp_path / "e").mkdir()
+        assert self.reported_fractions(tmp_path / "e", tiny_vectors, edited) == {
+            "wire": (3, 0.0)}
 
-    def test_unknown_outlet(self):
-        corpus = make_corpus([make_record()])
-        with pytest.raises(CorpusError):
-            mirroring_fraction(corpus, "nosuch")
-
-    def test_per_outlet_counts_sum_to_total(self):
+    def test_per_outlet_counts_sum_to_total(self, tmp_path, tiny_vectors):
         records = []
         for i in range(12):
             outlet = ["a", "b", "c"][i % 3]
@@ -80,12 +91,10 @@ class TestMirroring:
                 rid=f"r{i}", outlet=outlet, headline=f"H {i}",
                 post_text=f"H {i}" if mirrored else f"edited {i}",
             ))
-        corpus = make_corpus(records)
-        total = sum(1 for r in corpus if is_mirrored(r))
-        per_outlet = sum(
-            round(mirroring_fraction(corpus, o) * len(corpus.by_outlet(o)))
-            for o in ("a", "b", "c")
-        )
+        total = sum(1 for r in records if is_mirrored(r))
+        reported = self.reported_fractions(tmp_path, tiny_vectors, records)
+        assert set(reported) == {"a", "b", "c"}
+        per_outlet = sum(round(fraction * n) for n, fraction in reported.values())
         assert per_outlet == total == 6
 
 

@@ -28,7 +28,7 @@ class TestLoadTable:
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
         table = load_table(path)
         assert table.dim == 3
-        assert len(table) == 2
+        assert len(table.vocab) == 2
         assert np.allclose(table.vocab["a"], [1, 0, 0])
 
     def test_dimension_mismatch_fatal(self, tmp_path):

@@ -9,7 +9,6 @@ from editlift import textsim
 from editlift.corpus import normalize
 from editlift.embedding import EmbeddingTable, embed_text
 from editlift.textsim import (
-    EditProfile,
     mann_whitney_u,
     normalized_edit_distance,
     profile,
@@ -17,7 +16,7 @@ from editlift.textsim import (
     profiles_to_csv,
 )
 
-from conftest import make_corpus, make_record
+from conftest import make_corpus, make_profiles, make_record, profile_rows
 
 
 def reference_levenshtein(a: str, b: str) -> int:
@@ -117,7 +116,7 @@ class TestProfile:
 
     def test_mirrored_record(self):
         corpus = make_corpus([make_record(headline="alpha beta", post_text="alpha  beta")])
-        [p] = profile(corpus, self.table())
+        [p] = profile_rows(profile(corpus, self.table()))
         assert p.mirrored
         assert p.edit_distance == 0.0
         assert p.embedding_similarity == pytest.approx(1.0)
@@ -127,7 +126,7 @@ class TestProfile:
             make_record(rid="r1", headline="alpha", post_text="beta"),
             make_record(rid="r2", headline="alpha alpha", post_text="zq"),
         ])
-        profiles = profile(corpus, self.table())
+        profiles = profile_rows(profile(corpus, self.table()))
         assert profiles[0].embedding_similarity == pytest.approx(0.0)
         # hand DP: levenshtein(alpha, beta) = 4, over max length 5
         assert profiles[0].edit_distance == pytest.approx(0.8)
@@ -137,27 +136,42 @@ class TestProfile:
     def test_cardinality_and_order(self):
         corpus = make_corpus([make_record(rid=f"r{i}") for i in range(5)])
         profiles = profile(corpus, self.table())
-        assert [p.record_id for p in profiles] == [f"r{i}" for i in range(5)]
+        assert profiles.record_ids == tuple(f"r{i}" for i in range(5))
+        assert np.isnan(profiles.cluster).all() and np.isnan(profiles.post_clickbait).all()
 
     def test_deterministic(self):
         corpus = make_corpus([make_record(rid=f"r{i}", post_text=f"alpha {i}")
                               for i in range(4)])
-        assert profile(corpus, self.table()) == profile(corpus, self.table())
+        assert (profile_rows(profile(corpus, self.table()))
+                == profile_rows(profile(corpus, self.table())))
 
     def test_csv_round_trip(self, tmp_path):
-        profiles = [
-            EditProfile("r1", 0.25, 0.5, False, cluster=2,
-                        headline_clickbait=0.9, post_clickbait=0.1),
-            EditProfile("r2", 0.0, 1.0, True),
+        rows = [
+            ("r1", 0.25, 0.5, False, 2, 0.9, 0.1),
+            ("r,2", 0.1 + 0.2, 1 / 3, True),  # quoted id, shortest-repr floats
         ]
         path = tmp_path / "profiles.csv"
-        profiles_to_csv(profiles, path)
+        profiles_to_csv(make_profiles(rows), path)
+        assert path.read_text().splitlines() == [
+            ",".join(textsim.PROFILE_COLUMNS),
+            "r1,0.25,0.5,false,2,0.9,0.1",
+            '"r,2",0.30000000000000004,0.3333333333333333,true,,,',
+        ]
         again = profiles_from_csv(path)
-        assert [p.record_id for p in again] == ["r1", "r2"]
-        assert again[0].cluster == 2
-        assert again[0].headline_clickbait == 0.9
-        assert again[1].cluster is None
-        assert again[1].mirrored
+        assert profile_rows(again) == profile_rows(make_profiles(rows))
+        assert again.cluster.dtype == np.float64 and np.isnan(again.cluster[1])
+        profiles_to_csv(again, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    def test_short_row_and_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        path.write_text(",".join(textsim.PROFILE_COLUMNS) + "\nr1,0.25,0.5,false,,,\nr2,0.5\n")
+        with pytest.raises(ValueError, match="line 3: expected 7 cells"):
+            profiles_from_csv(path)
+        path.write_text(",".join(textsim.PROFILE_COLUMNS) + "\nr1,0.25,0.5,false,,,\n"
+                        "r2,0.5,0.5,true,,,\nr1,0.5,0.5,true,,,\n")
+        with pytest.raises(ValueError, match="line 4: duplicate record_id 'r1'"):
+            profiles_from_csv(path)
 
 
 def exact_u_by_enumeration(x, y):
@@ -229,8 +243,8 @@ class TestMannWhitney:
         assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-9)
 
 
-def welch_t(x, y) -> textsim.TestResult:
-    """Two-sided Welch unequal-variance t test."""
+def welch_t(x, y) -> tuple[float, float]:
+    """Two-sided Welch unequal-variance t test: (t, p-value)."""
     x = np.asarray(list(x), dtype=np.float64)
     y = np.asarray(list(y), dtype=np.float64)
     if x.size < 2 or y.size < 2:
@@ -239,7 +253,7 @@ def welch_t(x, y) -> textsim.TestResult:
     vy = float(np.var(y, ddof=1))
     if vx == 0.0 and vy == 0.0:
         if float(np.mean(x)) == float(np.mean(y)):
-            return textsim.TestResult(statistic=0.0, p_value=1.0, method="welch_t")
+            return 0.0, 1.0
         raise ValueError("welch_t undefined: zero variance in both samples")
     sx = vx / x.size
     sy = vy / y.size
@@ -248,28 +262,28 @@ def welch_t(x, y) -> textsim.TestResult:
         (sx ** 2 / (x.size - 1)) + (sy ** 2 / (y.size - 1))
     )
     p = 2.0 * float(sps.t.sf(abs(t), dof))
-    return textsim.TestResult(statistic=t, p_value=min(1.0, p), method="welch_t")
+    return t, min(1.0, p)
 
 
 class TestWelchT:
     def test_equal_samples(self):
-        result = welch_t([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert result.statistic == 0.0
-        assert result.p_value == pytest.approx(1.0)
+        t, p = welch_t([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        assert t == 0.0
+        assert p == pytest.approx(1.0)
 
     def test_large_separation(self):
         rng = np.random.default_rng(0)
         x = rng.normal(0.0, 0.01, size=4)
         y = 10.0 + rng.normal(0.0, 0.01, size=4)
-        assert welch_t(x, y).p_value < 0.001
+        assert welch_t(x, y)[1] < 0.001
 
     def test_swap_negates_t(self):
         x = [1.0, 2.0, 4.0]
         y = [2.0, 5.0, 9.0, 3.0]
-        a = welch_t(x, y)
-        b = welch_t(y, x)
-        assert a.statistic == pytest.approx(-b.statistic)
-        assert a.p_value == pytest.approx(b.p_value)
+        t_xy, p_xy = welch_t(x, y)
+        t_yx, p_yx = welch_t(y, x)
+        assert t_xy == pytest.approx(-t_yx)
+        assert p_xy == pytest.approx(p_yx)
 
     def test_degenerate_variance_error(self):
         with pytest.raises(ValueError):
@@ -283,7 +297,7 @@ class TestWelchT:
         rng = np.random.default_rng(9)
         x = rng.normal(0, 1, size=12)
         y = rng.normal(0.3, 2.0, size=17)
-        ours = welch_t(x, y)
+        t, p = welch_t(x, y)
         theirs = sps.ttest_ind(x, y, equal_var=False)
-        assert ours.statistic == pytest.approx(theirs.statistic)
-        assert ours.p_value == pytest.approx(theirs.pvalue)
+        assert t == pytest.approx(theirs.statistic)
+        assert p == pytest.approx(theirs.pvalue)
