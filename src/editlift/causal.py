@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clickbait import CLICKBAIT_THRESHOLD
+from .clickbait import is_clickbait
 from .corpus import ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block
 from .embedding import EmbeddingTable, embed_text
 from .nn import AdamState, Mlp, adam_step
@@ -72,8 +72,8 @@ class Selector:
 
     kind: "edited" | "mirrored" | "cluster" | "shift"
       cluster requires `cluster`; shift requires headline/post classes
-      ("C"/"NC") read off the profile's clickbait scores at
-      clickbait.CLICKBAIT_THRESHOLD.
+      ("C"/"NC") read off the profile's clickbait scores by
+      clickbait.is_clickbait.
     """
 
     kind: str
@@ -91,10 +91,9 @@ class Selector:
         if self.kind == "cluster":
             return units.cluster == self.cluster  # NaN (unclustered) never equals
         if self.kind == "shift":
-            # NaN scores compare False; those rows are errors, not "NC"
-            got_h = np.where(units.headline_clickbait > CLICKBAIT_THRESHOLD, "C", "NC")
-            got_p = np.where(units.post_clickbait > CLICKBAIT_THRESHOLD, "C", "NC")
-            return ((got_h == self.headline_class) & (got_p == self.post_class)
+            # a NaN score reads as NC; those rows are errors, so none is picked
+            return ((is_clickbait(units.headline_clickbait) == (self.headline_class == "C"))
+                    & (is_clickbait(units.post_clickbait) == (self.post_class == "C"))
                     & ~units.lacks_scores)
         raise ScenarioError(f"unknown selector kind {self.kind!r}")
 
@@ -231,17 +230,6 @@ def build_unit_table(corpus: Corpus, profiles: Profiles, table: EmbeddingTable,
     )
 
 
-@dataclass
-class PropensityModel:
-    """Three-layer feed-forward net on averaged body-text vectors."""
-
-    network: Mlp
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        p = self.network.predict(np.atleast_2d(features))
-        return np.clip(p, 1e-9, 1.0 - 1e-9)
-
-
 @dataclass(frozen=True)
 class BalanceStats:
     mu: float
@@ -271,12 +259,11 @@ class EateReport:
     n_control: int
 
 
-def train_propensity(x: np.ndarray, y: np.ndarray,
-                     seed: int = 0, epochs: int = 3, batch_size: int = 32,
-                     hidden: tuple[int, int] = (128, 64), learning_rate: float = 1e-3,
-                     l2_penalty: float = 0.001) -> PropensityModel:
-    """Fit treatment (y = 1) vs control (y = 0) on the body vectors x
-    [n, dim] with binary cross-entropy.
+def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
+                     config: CausalConfig) -> Mlp:
+    """Fit the propensity network, treatment (y = 1) vs control (y = 0), on
+    the body vectors x [n, dim] with binary cross-entropy, on the schedule
+    of `config`: ReLU hidden layers of `config.hidden` units, Adam.
 
     Each epoch shuffles the rows once and steps through consecutive batches
     of the shuffled arrays. The L2 penalty applies to the last hidden
@@ -290,29 +277,24 @@ def train_propensity(x: np.ndarray, y: np.ndarray,
     n_treated = int(np.count_nonzero(y))
     if n_treated == 0 or n_treated == len(y):
         raise ScenarioError("propensity training needs units in both groups")
-    net = Mlp(
-        [x.shape[1], hidden[0], hidden[1], 1],
-        activations=["relu", "relu", "sigmoid"],
-        seed=seed,
-        l2_penalty=l2_penalty,
-        l2_layer=1,
-    )
-    opt = AdamState(learning_rate=learning_rate)
+    net = Mlp([x.shape[1], *config.hidden, 1], seed=seed, l2_penalty=config.l2_penalty)
+    opt = AdamState(learning_rate=config.learning_rate)
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
+    for _ in range(config.epochs):
         order = rng.permutation(len(x))
         x_epoch, y_epoch = x[order], y[order]
-        for start in range(0, len(x), batch_size):
-            stop = start + batch_size
+        for start in range(0, len(x), config.batch_size):
+            stop = start + config.batch_size
             net.gradients(x_epoch[start:stop], y_epoch[start:stop])
             adam_step(opt, net.buffer)
-    return PropensityModel(network=net)
+    return net
 
 
-def match(treatment_rows: np.ndarray, control_rows: np.ndarray, model: PropensityModel,
+def match(treatment_rows: np.ndarray, control_rows: np.ndarray, model: Mlp,
           units: UnitTable, k: int = DEFAULT_KNN
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k nearest controls by |propensity gap| for each treatment row of `units`.
+    """k nearest controls by |propensity gap| for each treatment row of `units`;
+    `model` is a propensity network, its outputs clipped to [1e-9, 1 - 1e-9].
 
     Returns (chosen, gaps, similarity): `chosen` [T, k] holds the table rows
     of each treatment's matched controls, nearest first, `gaps` [T, k] their
@@ -325,8 +307,8 @@ def match(treatment_rows: np.ndarray, control_rows: np.ndarray, model: Propensit
     if len(control_rows) < k:
         raise ScenarioError(f"need at least k={k} controls, got {len(control_rows)}")
     t_vecs = units.features[treatment_rows]
-    p_t = model.predict(t_vecs)
-    p_c = model.predict(units.features[control_rows])
+    p_t = np.clip(model.predict(t_vecs), 1e-9, 1.0 - 1e-9)
+    p_c = np.clip(model.predict(units.features[control_rows]), 1e-9, 1.0 - 1e-9)
     nearest = _nearest_controls(p_t, p_c, units.id_rank[control_rows], k)
     gaps = np.abs(p_c[nearest] - p_t[:, None])
     chosen = control_rows[nearest]
@@ -562,12 +544,8 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
         model = train_propensity(
             units.features[np.concatenate([train_t, train_c])],
             np.concatenate([np.ones(len(train_t)), np.zeros(len(train_c))]),
-            seed=seed * N_FOLDS + fold + 1,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            hidden=config.hidden,
-            learning_rate=config.learning_rate,
-            l2_penalty=config.l2_penalty,
+            seed * N_FOLDS + fold + 1,
+            config,
         )
         chosen, _, similarity = match(held_out, train_c, model, units, k=config.knn)
         balances.append(balance_check(similarity, mu, sigma, config.alpha, config.tau))

@@ -134,6 +134,16 @@ def _load_inputs(args, cfg, need_embeddings=True):
     return loaded, table
 
 
+def _load_profiles(args, out_dir: Path):
+    """(path, table) of the profile CSV: --profiles, else <out>/profiles.csv."""
+    from . import textsim
+
+    path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
+    if not path.is_file():
+        raise CommandError(f"profile CSV not found: {path} (run `profile` first)")
+    return path, textsim.profiles_from_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -226,10 +236,7 @@ def cmd_cluster(args) -> int:
     else:
         k = _checked("k", k)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
-    profile_path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
-    if not profile_path.is_file():
-        raise CommandError(f"profile CSV not found: {profile_path} (run `profile` first)")
-    profiles = textsim.profiles_from_csv(profile_path)
+    profile_path, profiles = _load_profiles(args, out_dir)
     loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
 
     pts = cluster.profile_points(profiles)
@@ -290,12 +297,10 @@ def cmd_clickbait(args) -> int:
     model_path = getattr(args, "model", None) or out_dir / "clickbait_model.bin"
     if not Path(model_path).is_file():
         raise CommandError(f"clickbait model not found: {model_path} (train first)")
-    profile_path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
-    if not profile_path.is_file():
-        raise CommandError(f"profile CSV not found: {profile_path} (run `profile` first)")
+    profile_path, profiles = _load_profiles(args, out_dir)
     loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
     model = clickbait.load_model(model_path)
-    profiles = clickbait.score_profiles(model, loaded, textsim.profiles_from_csv(profile_path))
+    profiles = clickbait.score_profiles(model, loaded, profiles)
     textsim.profiles_to_csv(profiles, profile_path)
 
     rows = profiles.rows(r.id for r in loaded)
@@ -335,7 +340,7 @@ def _run_one_scenario(payload):
 def cmd_estimate(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
-    from . import causal, textsim
+    from . import causal
 
     cfg = _load_config(args)
     scenario_defs = cfg.get("scenarios", [])
@@ -356,10 +361,7 @@ def cmd_estimate(args) -> int:
         raise CommandError(f"bad scenario definition: {exc}") from None
     loaded, table = _load_inputs(args, cfg)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
-    profile_path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
-    if not profile_path.is_file():
-        raise CommandError(f"profile CSV not found: {profile_path} (run `profile` first)")
-    profiles = textsim.profiles_from_csv(profile_path)
+    _, profiles = _load_profiles(args, out_dir)
 
     # one table for all scenarios: workers get it once, at pool start (forked
     # workers inherit it), so each task carries only its scenario and settings

@@ -3,7 +3,10 @@ labeled headlines, score headline/post pairs, and tabulate how often outlets
 shift a text's clickbait class when posting.
 
 Training data is a list of (text, label) pairs with label 1 = clickbait.
-A text's class is C exactly when its score exceeds the 0.5 threshold.
+The classifier's architecture and training schedule are fixed. A text's
+class is C exactly when `is_clickbait` holds for its score (the score
+exceeds CLICKBAIT_THRESHOLD), and NC otherwise; training's F1, the shift
+table and the `shift` scenario selectors all classify through it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,18 @@ from .nn import AdamState, SequenceClassifier, adam_step, load_params, params_to
 from .textsim import Profiles
 
 MIN_DATASET_SIZE = 20
-MAX_SEQUENCE_TOKENS = 64
+MAX_SEQUENCE_TOKENS = 64  # tokens of a text the classifier reads
 CLICKBAIT_THRESHOLD = 0.5
+TEST_FRACTION = 0.1  # of each class, held out by `stratified_split`
+BATCH_SIZE = 32
+EMBED_SIZE = 50
+HIDDEN_SIZE = 64
+LEARNING_RATE = 1e-3
+CLIP_NORM = 5.0
+PATIENCE = 3  # epochs without a better validation F1 before training stops
+# header values every model file records; a file with others was made for
+# another classification rule, so `load_model` rejects it
+_FIXED_META = {"threshold": CLICKBAIT_THRESHOLD, "max_tokens": MAX_SEQUENCE_TOKENS}
 
 
 @dataclass(frozen=True)
@@ -34,13 +47,11 @@ class LabeledHeadline:
 class ClickbaitModel:
     network: SequenceClassifier
     token_ids: dict[str, int]  # id 0 is the unknown token
-    threshold: float = CLICKBAIT_THRESHOLD
-    max_tokens: int = MAX_SEQUENCE_TOKENS
 
     def encode(self, text: str) -> list[int]:
         if not text.strip():
             raise ValueError("cannot score empty text")
-        tokens = tokenize(text)[: self.max_tokens]
+        tokens = tokenize(text)[:MAX_SEQUENCE_TOKENS]
         ids = [self.token_ids.get(t, SequenceClassifier.UNKNOWN_ID) for t in tokens]
         return ids or [SequenceClassifier.UNKNOWN_ID]
 
@@ -60,6 +71,12 @@ class ShiftTable:
     n_headline_nc: int
 
 
+def is_clickbait(scores) -> np.ndarray:
+    """Whether each score puts its text in class C; a NaN score reads as
+    not C."""
+    return np.asarray(scores, dtype=np.float64) > CLICKBAIT_THRESHOLD
+
+
 def f1_score(y_true, y_pred) -> float:
     """Harmonic mean of precision and recall on the positive class."""
     y_true = np.asarray(y_true, dtype=np.int64)
@@ -74,16 +91,17 @@ def f1_score(y_true, y_pred) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def stratified_split(dataset: list[LabeledHeadline], test_fraction: float,
+def stratified_split(dataset: list[LabeledHeadline],
                      seed: int) -> tuple[list[int], list[int]]:
-    """Index split preserving the class ratio; deterministic for a seed."""
+    """(train, test) index split holding out TEST_FRACTION of each class;
+    deterministic for a seed."""
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
     for cls in (0, 1):
         members = [i for i, ex in enumerate(dataset) if ex.label == cls]
         perm = rng.permutation(len(members))
-        n_test = int(round(len(members) * test_fraction))
+        n_test = int(round(len(members) * TEST_FRACTION))
         for j, p in enumerate(perm):
             (test_idx if j < n_test else train_idx).append(members[p])
     return sorted(train_idx), sorted(test_idx)
@@ -98,14 +116,12 @@ def _build_vocab(texts) -> dict[str, int]:
     return ids
 
 
-def train(dataset: list[LabeledHeadline], split_seed: int = 0, epochs: int = 10,
-          batch_size: int = 32, embed_size: int = 50, hidden_size: int = 64,
-          learning_rate: float = 1e-3, clip_norm: float = 5.0,
-          patience: int = 3) -> tuple[ClickbaitModel, float]:
+def train(dataset: list[LabeledHeadline], split_seed: int = 0,
+          epochs: int = 10) -> tuple[ClickbaitModel, float]:
     """Train on a 90:10 stratified split; returns (model, held-out F1).
 
     Token vectors are trained from their seeded initialization. Training
-    stops early once validation F1 has not improved for `patience` epochs.
+    stops early once validation F1 has not improved for PATIENCE epochs.
     """
     if len(dataset) < MIN_DATASET_SIZE:
         raise ValueError(f"need at least {MIN_DATASET_SIZE} examples, got {len(dataset)}")
@@ -116,15 +132,15 @@ def train(dataset: list[LabeledHeadline], split_seed: int = 0, epochs: int = 10,
         if not ex.text.strip():
             raise ValueError("training example with empty text")
 
-    train_idx, test_idx = stratified_split(dataset, 0.1, split_seed)
+    train_idx, test_idx = stratified_split(dataset, split_seed)
     train_set = [dataset[i] for i in train_idx]
     test_set = [dataset[i] for i in test_idx]
 
     token_ids = _build_vocab(ex.text for ex in train_set)
     network = SequenceClassifier(
         vocab_size=len(token_ids) + 1,
-        embed_size=embed_size,
-        hidden_size=hidden_size,
+        embed_size=EMBED_SIZE,
+        hidden_size=HIDDEN_SIZE,
         seed=split_seed,
     )
     model = ClickbaitModel(network=network, token_ids=token_ids)
@@ -132,34 +148,32 @@ def train(dataset: list[LabeledHeadline], split_seed: int = 0, epochs: int = 10,
     targets = np.array([ex.label for ex in train_set], dtype=np.float64)
 
     # carve a stratified validation slice out of the training split
-    val_train_idx, val_idx = stratified_split(train_set, 0.1, split_seed + 1)
+    val_train_idx, val_idx = stratified_split(train_set, split_seed + 1)
     fit_seqs = [sequences[i] for i in val_train_idx]
     fit_y = targets[val_train_idx]
     val_seqs = [sequences[i] for i in val_idx]
     val_y = targets[val_idx]
 
-    opt = AdamState(learning_rate=learning_rate, clip_norm=clip_norm)
+    opt = AdamState(learning_rate=LEARNING_RATE, clip_norm=CLIP_NORM)
     rng = np.random.default_rng(split_seed + 2)
     best_val = -1.0
     stale = 0
     for _epoch in range(epochs):
         order = rng.permutation(len(fit_seqs))
-        for start in range(0, len(order), batch_size):
-            chunk = order[start:start + batch_size]
+        for start in range(0, len(order), BATCH_SIZE):
+            chunk = order[start:start + BATCH_SIZE]
             network.loss_and_grads([fit_seqs[i] for i in chunk], fit_y[chunk])
             adam_step(opt, network.buffer)
-        val_pred = (network.score_batch(val_seqs) > model.threshold).astype(int)
-        val_f1 = f1_score(val_y.astype(int), val_pred)
+        val_f1 = f1_score(val_y, is_clickbait(network.score_batch(val_seqs)))
         if val_f1 > best_val:
             best_val = val_f1
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= PATIENCE:
                 break
 
-    test_scores = score_many(model, [ex.text for ex in test_set])
-    test_pred = (test_scores > model.threshold).astype(int)
+    test_pred = is_clickbait(score_many(model, [ex.text for ex in test_set]))
     test_f1 = f1_score([ex.label for ex in test_set], test_pred)
     return model, test_f1
 
@@ -182,8 +196,7 @@ def score_profiles(model: ClickbaitModel, corpus: Corpus, profiles: Profiles) ->
                    post_clickbait=score_many(model, [r.post_text for r in records]))
 
 
-def conditional_shift_table(profiles: Profiles, rows: np.ndarray, outlet: str,
-                            threshold: float = CLICKBAIT_THRESHOLD) -> ShiftTable:
+def conditional_shift_table(profiles: Profiles, rows: np.ndarray, outlet: str) -> ShiftTable:
     """Empirical P(post class | headline class) over the given rows of
     `profiles`, which hold the records of `outlet`."""
     headline = profiles.headline_clickbait[rows]
@@ -192,8 +205,8 @@ def conditional_shift_table(profiles: Profiles, rows: np.ndarray, outlet: str,
     if len(unscored):
         rid = profiles.record_ids[rows[unscored[0]]]
         raise ValueError(f"record {rid!r} lacks clickbait scores")
-    headline_c = headline > threshold
-    post_c = post > threshold
+    headline_c = is_clickbait(headline)
+    post_c = is_clickbait(post)
     n_c = int(np.count_nonzero(headline_c))
     n_nc = len(rows) - n_c
     return ShiftTable(
@@ -226,19 +239,18 @@ def save_model(model: ClickbaitModel, path: str | Path) -> None:
     meta = {
         "kind": "clickbait",
         "tokens": tokens,
-        "threshold": model.threshold,
-        "max_tokens": model.max_tokens,
+        **_FIXED_META,
         "embed_size": model.network.embed_size,
         "hidden_size": model.network.hidden_size,
         "attention_size": model.network.attention_size,
         "seed": model.network.seed,
     }
-    write_bytes_atomic(path, params_to_bytes(model.network.params, meta))
+    write_bytes_atomic(path, params_to_bytes(model.network.buffer.params, meta))
 
 
 def load_model(path: str | Path) -> ClickbaitModel:
-    """Read a model `save_model` wrote; a malformed file raises ValueError
-    naming the path."""
+    """Read a model `save_model` wrote; a malformed file, or one made for
+    another threshold or token limit, raises ValueError naming the path."""
     meta, params = load_params(path)
     if meta.get("kind") != "clickbait":
         raise ValueError(f"{path}: not a clickbait model file")
@@ -250,14 +262,12 @@ def load_model(path: str | Path) -> ClickbaitModel:
             attention_size=int(meta["attention_size"]),
             seed=int(meta["seed"]),
         )
-        network.set_params(params)
+        network.buffer.assign(params)
+        for key, value in _FIXED_META.items():
+            if meta[key] != value:
+                raise ValueError(f"model file has {key} {meta[key]!r}, expected {value!r}")
         token_ids = {t: i + 1 for i, t in enumerate(meta["tokens"])}
-        return ClickbaitModel(
-            network=network,
-            token_ids=token_ids,
-            threshold=float(meta["threshold"]),
-            max_tokens=int(meta["max_tokens"]),
-        )
+        return ClickbaitModel(network=network, token_ids=token_ids)
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks {exc}") from None
     except (ValueError, TypeError) as exc:

@@ -1,23 +1,16 @@
-"""Minimal deterministic neural toolkit: dense, GRU, attention, Adam.
+"""The two fixed networks of the pipeline and what trains them: the
+feed-forward propensity network (`Mlp`), the bidirectional GRU clickbait
+classifier with attention (`SequenceClassifier`), and Adam.
 
 Everything runs on float64 numpy arrays with handwritten backward passes,
-verified against central finite differences. No autodiff graph; the two
-fixed architectures (feed-forward classifier, bidirectional GRU with
-attention) cover the toolkit's needs.
+verified against central finite differences; there is no autodiff graph.
 
 Each network keeps its parameters in one flat buffer with named views, and
 its gradients in a second buffer of the same layout (`ParamBuffer`); the
 gradients a network returns are valid until its next loss_and_grads() call.
 """
 
-from .layers import (
-    ACTIVATIONS,
-    AttentionHead,
-    DenseLayer,
-    GruCell,
-    binary_cross_entropy,
-    forward_dense,
-)
+from .layers import AttentionHead, GruCell, binary_cross_entropy
 from .models import Mlp, SequenceClassifier
 from .optim import AdamState, adam_step
 from .params import ParamBuffer
@@ -25,10 +18,8 @@ from .gradcheck import check_gradients
 from .serialize import load_params, params_to_bytes
 
 __all__ = [
-    "ACTIVATIONS",
     "AdamState",
     "AttentionHead",
-    "DenseLayer",
     "GruCell",
     "Mlp",
     "ParamBuffer",
@@ -36,7 +27,6 @@ __all__ = [
     "adam_step",
     "binary_cross_entropy",
     "check_gradients",
-    "forward_dense",
     "load_params",
     "params_to_bytes",
 ]

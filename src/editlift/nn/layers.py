@@ -1,5 +1,6 @@
-"""Layer forward/backward passes. Batched arrays are [batch, features] for
-dense layers and [time, batch, features] for sequences."""
+"""Building blocks of the two networks: the sigmoid, Xavier initialization,
+binary cross-entropy, the GRU cell and the attention head. Sequence arrays
+are [time, batch, features]."""
 
 from __future__ import annotations
 
@@ -18,51 +19,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def _identity(x):
-    return x
-
-
-ACTIVATIONS = {
-    # the ReLU derivative is the boolean mask: multiplying by it is exact and
-    # skips building a float copy
-    "relu": (lambda x: np.maximum(x, 0.0), lambda out: out > 0.0),
-    "sigmoid": (_sigmoid, lambda out: out * (1.0 - out)),
-    "identity": (_identity, lambda out: np.ones_like(out)),
-}
-
-
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
                    shape=None) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
-
-
-@dataclass
-class DenseLayer:
-    weights: np.ndarray  # [in, out]
-    bias: np.ndarray     # [out]
-    activation: str = "identity"
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, n_in: int, n_out: int,
-             activation: str = "identity") -> "DenseLayer":
-        return cls(
-            weights=xavier_uniform(rng, n_in, n_out),
-            bias=np.zeros(n_out, dtype=np.float64),
-            activation=activation,
-        )
-
-
-def forward_dense(layer: DenseLayer, x: np.ndarray):
-    """activation(x @ W + b); returns (output, cache) for the backward pass."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != layer.weights.shape[0]:
-        raise ValueError(
-            f"dense input has {x.shape[-1]} features, layer expects {layer.weights.shape[0]}"
-        )
-    act, _ = ACTIVATIONS[layer.activation]
-    out = act(x @ layer.weights + layer.bias)
-    return out, (x, out)
 
 
 def binary_cross_entropy(prediction: float | np.ndarray, label: float | np.ndarray) -> float:

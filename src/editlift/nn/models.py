@@ -1,14 +1,13 @@
-"""The two fixed architectures: a feed-forward binary classifier and a
+"""The two fixed architectures: the feed-forward propensity network and a
 bidirectional GRU sequence classifier with attention pooling.
 
 Each network keeps its parameters in one flat float64 buffer with named
-views (`buffer`, a ParamBuffer; `params` maps names to the views) and
-writes its gradients into a second buffer of the same layout. `buffer` plus
-loss_and_grads() is the whole contract the optimizer and the gradient
-checker need. The gradients loss_and_grads() returns are views into the
-gradient buffer, valid until the next call. `Mlp.gradients` is the training
-step: it fills the same gradient buffer from the same code, without the loss
-value or any input conversion.
+views (`buffer`, a ParamBuffer) and writes its gradients into a second
+buffer of the same layout. `buffer` plus loss_and_grads() is the whole
+contract the optimizer and the gradient checker need. The gradients
+loss_and_grads() returns are views into the gradient buffer, valid until the
+next call. `Mlp.gradients` is the training step: it fills the same gradient
+buffer from the same code, without the loss value or any input conversion.
 """
 
 from __future__ import annotations
@@ -16,68 +15,47 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import (
-    ACTIVATIONS,
     AttentionHead,
-    DenseLayer,
     GruCell,
     binary_cross_entropy,
-    forward_dense,
     xavier_uniform,
-    EPS,
     _sigmoid,
 )
 from .params import ParamBuffer
 
 
 class Mlp:
-    """Fully-connected binary classifier: sigmoid output, binary
-    cross-entropy loss.
+    """The propensity network: fully-connected ReLU hidden layers and one
+    sigmoid output unit, trained on binary cross-entropy.
 
-    `l2_penalty` adds penalty = lambda * sum(W^2) over the weights of the
-    layer at `l2_layer` (default: the last hidden layer) to the training
-    loss; its gradient contribution is 2 * lambda * W.
+    `layer_sizes` is [inputs, hidden..., 1] with at least one hidden layer.
+    `l2_penalty` adds penalty = lambda * sum(W^2) over the last hidden
+    layer's weights to the training loss; its gradient contribution is
+    2 * lambda * W.
     """
 
-    def __init__(self, layer_sizes, activations=None, seed: int = 0,
-                 l2_penalty: float = 0.0, l2_layer: int | None = None):
-        if len(layer_sizes) < 2:
-            raise ValueError("layer_sizes needs at least input and output sizes")
-        n_layers = len(layer_sizes) - 1
-        if activations is None:
-            activations = ["relu"] * (n_layers - 1) + ["sigmoid"]
-        if len(activations) != n_layers:
-            raise ValueError("one activation per layer required")
-        if activations[-1] != "sigmoid":
-            raise ValueError("binary cross-entropy needs a sigmoid output layer")
+    def __init__(self, layer_sizes, seed: int = 0, l2_penalty: float = 0.0):
+        if len(layer_sizes) < 3:
+            raise ValueError("layer_sizes needs input, hidden and output sizes")
         rng = np.random.default_rng(seed)
-        self.layers = [
-            DenseLayer.init(rng, layer_sizes[i], layer_sizes[i + 1], activations[i])
-            for i in range(n_layers)
-        ]
-        self.buffer = ParamBuffer.adopt(
-            [(f"{kind}{i}", layer, attr)
-             for i, layer in enumerate(self.layers)
-             for kind, attr in (("w", "weights"), ("b", "bias"))]
-        )
+        arrays = {}
+        for i, (n_in, n_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
+            arrays[f"w{i}"] = xavier_uniform(rng, n_in, n_out)
+            arrays[f"b{i}"] = np.zeros(n_out, dtype=np.float64)
+        self.buffer = ParamBuffer(arrays)
+        params = self.buffer.params
+        # (weights [in, out], bias [out]) of each layer: views into the buffer
+        self.layers = [(params[f"w{i}"], params[f"b{i}"]) for i in range(len(layer_sizes) - 1)]
         self.l2_penalty = float(l2_penalty)
-        if l2_layer is None:
-            l2_layer = n_layers - 2 if n_layers >= 2 else 0
-        self.l2_layer = int(l2_layer)
-        self.seed = seed
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        """Named views into the parameter buffer: w0, b0, w1, b1, ..."""
-        return dict(self.buffer.params)
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.buffer.assign(params)
+        self.l2_layer = len(self.layers) - 2
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """[n] output of the network for x [n, features]."""
         out = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            out, _ = forward_dense(layer, out)
-        return out[:, 0] if out.shape[-1] == 1 else out
+        for weights, bias in self.layers[:-1]:
+            out = np.maximum(out @ weights + bias, 0.0)
+        weights, bias = self.layers[-1]
+        return _sigmoid(out @ weights + bias)[:, 0]
 
     def gradients(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Write the gradient of the mean batch loss into the gradient buffer
@@ -88,29 +66,28 @@ class Mlp:
         no loss value is computed.
         """
         acts = [x]  # input of each layer, then the network output
-        for layer in self.layers:
-            act, _ = ACTIVATIONS[layer.activation]
-            z = acts[-1] @ layer.weights
-            z += layer.bias
-            acts.append(act(z))
+        last = len(self.layers) - 1
+        for i, (weights, bias) in enumerate(self.layers):
+            z = acts[-1] @ weights
+            z += bias
+            acts.append(_sigmoid(z) if i == last else np.maximum(z, 0.0))
         pred = acts[-1][:, 0]
 
         # combined sigmoid+BCE gradient w.r.t. the output pre-activation
         dz = ((pred - y) / len(y))[:, None]
         grads = self.buffer.grad_views
-        last = len(self.layers) - 1
         for i in range(last, -1, -1):
-            layer = self.layers[i]
             if i < last:
-                _, act_grad = ACTIVATIONS[layer.activation]
-                dz = dx * act_grad(acts[i + 1])
+                # the ReLU derivative is the boolean mask: multiplying by it
+                # is exact and skips building a float copy
+                dz = dx * (acts[i + 1] > 0.0)
             np.matmul(acts[i].T, dz, out=grads[f"w{i}"])
             np.add.reduce(dz, axis=0, out=grads[f"b{i}"])
             if i > 0:
-                dx = dz @ layer.weights.T
+                dx = dz @ self.layers[i][0].T
 
         if self.l2_penalty > 0.0:
-            w = self.layers[self.l2_layer].weights
+            w = self.layers[self.l2_layer][0]
             grads[f"w{self.l2_layer}"] += 2.0 * self.l2_penalty * w
         return pred
 
@@ -125,7 +102,7 @@ class Mlp:
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         value = binary_cross_entropy(self.gradients(x, y), y)
         if self.l2_penalty > 0.0:
-            w = self.layers[self.l2_layer].weights
+            w = self.layers[self.l2_layer][0]
             value += self.l2_penalty * float(np.vdot(w, w))
         return value, self.buffer.grad_views
 
@@ -135,7 +112,8 @@ class SequenceClassifier:
     bidirectional GRU, attention pooling, and a dense output unit.
 
     Sequences are lists/arrays of integer token ids; id 0 is reserved for the
-    unknown token.
+    unknown token. The buffer names its parameters embed, out_w, out_b, the
+    forward (f_) and backward (b_) GRU gates, then the attention head (a_).
     """
 
     UNKNOWN_ID = 0
@@ -164,15 +142,6 @@ class SequenceClassifier:
         self.hidden_size = hidden_size
         self.attention_size = attention_size
         self.seed = seed
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        """Named views into the parameter buffer: embed, out_w, out_b, the
-        forward (f_) and backward (b_) GRU gates, then the attention head (a_)."""
-        return dict(self.buffer.params)
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.buffer.assign(params)
 
     def _forward_batch(self, ids: np.ndarray, valid: np.ndarray | None = None):
         """ids [B, T] -> (scores [B], cache). `valid` [T, B] marks the real
@@ -220,12 +189,9 @@ class SequenceClassifier:
         self.buffer.grads.fill(0.0)
         grads = self.buffer.grad_views
         scores, cache = self._forward_batch(ids, valid)
-        p = np.clip(scores, EPS, 1.0 - EPS)
-        n = len(labels)
-        total = float(np.sum(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
         # d(loss)/d(logit) for sigmoid+BCE, normalized by the batch size
-        self._backward_batch((scores - labels) / n, cache, grads)
-        return total / n, grads
+        self._backward_batch((scores - labels) / len(labels), cache, grads)
+        return binary_cross_entropy(scores, labels), grads
 
     def _backward_batch(self, dlogits: np.ndarray, cache, grads: dict):
         ids, valid, fwd_cache, bwd_cache, att_cache, pooled = cache

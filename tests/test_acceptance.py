@@ -120,7 +120,7 @@ def test_criterion_4_null_robustness():
 def test_criterion_5_gradient_verification():
     t0 = time.time()
     rng = np.random.default_rng(0)
-    mlp = Mlp([12, 128, 64, 1], seed=1, l2_penalty=0.001, l2_layer=1)
+    mlp = Mlp([12, 128, 64, 1], seed=1, l2_penalty=0.001)
     x = rng.normal(size=(10, 12))
     y = (rng.random(10) > 0.5).astype(float)
     mlp_err = check_gradients(mlp, (x, y))

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from editlift import causal, synthbench as sb, textsim
+from editlift.clickbait import CLICKBAIT_THRESHOLD
 from editlift.causal import (
     CausalConfig,
     EateReport,
-    PropensityModel,
     Scenario,
     ScenarioError,
     Selector,
@@ -27,7 +27,8 @@ from editlift.causal import (
 )
 from editlift.corpus import ENGAGEMENT_METRICS, assign_time_block
 from editlift.embedding import EmbeddingTable, embed_text
-from editlift.nn import ACTIVATIONS, AdamState, Mlp, adam_step
+from editlift.nn import AdamState, Mlp, adam_step
+from editlift.nn.layers import _sigmoid
 from editlift.textsim import mann_whitney_u
 
 from conftest import ProfileRow, make_corpus, make_profiles, make_record, profile_rows
@@ -55,36 +56,36 @@ class RefMatch:
 
 
 def reference_loss_and_grads(net, x, y):
-    """Mlp.loss_and_grads as propensity training called it: a float ReLU mask
-    from the derivative and a loss value on every step."""
+    """Mlp.loss_and_grads as propensity training called it: ReLU hidden
+    layers, a sigmoid output, a float ReLU mask from the derivative and a
+    loss value on every step. The L2 term is on the last hidden layer."""
+    params = net.buffer.params
+    n_layers = len(params) // 2  # w0, b0, w1, b1, ...
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = x.shape[0]
     acts = [x]
-    for layer in net.layers:
-        act, _ = ACTIVATIONS[layer.activation]
-        z = acts[-1] @ layer.weights
-        z += layer.bias
-        acts.append(act(z))
+    for i in range(n_layers):
+        z = acts[-1] @ params[f"w{i}"]
+        z += params[f"b{i}"]
+        acts.append(_sigmoid(z) if i == n_layers - 1 else np.maximum(z, 0.0))
     pred = acts[-1][:, 0]
     p = np.clip(pred, 1e-12, 1.0 - 1e-12)
     value = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
     dz = ((pred - y) / n)[:, None]
     grads = net.buffer.grad_views
-    last = len(net.layers) - 1
+    last = n_layers - 1
     for i in range(last, -1, -1):
-        layer = net.layers[i]
         if i < last:
-            assert layer.activation == "relu"
             dz = dx * (acts[i + 1] > 0.0).astype(np.float64)
         np.matmul(acts[i].T, dz, out=grads[f"w{i}"])
         np.sum(dz, axis=0, out=grads[f"b{i}"])
         if i > 0:
-            dx = dz @ layer.weights.T
+            dx = dz @ params[f"w{i}"].T
     if net.l2_penalty > 0.0:
-        w = net.layers[net.l2_layer].weights
+        w = params[f"w{last - 1}"]
         value += net.l2_penalty * float(np.vdot(w, w))
-        grads[f"w{net.l2_layer}"] += 2.0 * net.l2_penalty * w
+        grads[f"w{last - 1}"] += 2.0 * net.l2_penalty * w
     return value, grads
 
 
@@ -95,8 +96,7 @@ def reference_train_propensity(treatments, controls, seed=0, epochs=3, batch_siz
         raise ScenarioError("propensity training needs units in both groups")
     x = np.vstack([u.features for u in treatments] + [u.features for u in controls])
     y = np.concatenate([np.ones(len(treatments)), np.zeros(len(controls))])
-    net = Mlp([x.shape[1], hidden[0], hidden[1], 1], activations=["relu", "relu", "sigmoid"],
-              seed=seed, l2_penalty=l2_penalty, l2_layer=1)
+    net = Mlp([x.shape[1], hidden[0], hidden[1], 1], seed=seed, l2_penalty=l2_penalty)
     opt = AdamState(learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -105,15 +105,16 @@ def reference_train_propensity(treatments, controls, seed=0, epochs=3, batch_siz
             chunk = order[start:start + batch_size]
             reference_loss_and_grads(net, x[chunk], y[chunk])
             adam_step(opt, net.buffer)
-    return PropensityModel(network=net)
+    return net
 
 
 def reference_match(treatments, controls, model, k):
-    """Per-treatment full lexsort and a per-pair cosine loop."""
+    """Per-treatment full lexsort and a per-pair cosine loop, on propensities
+    clipped to [1e-9, 1 - 1e-9]."""
     if len(controls) < k:
         raise ScenarioError(f"need at least k={k} controls, got {len(controls)}")
-    p_t = model.predict(np.vstack([u.features for u in treatments]))
-    p_c = model.predict(np.vstack([u.features for u in controls]))
+    p_t = np.clip(model.predict(np.vstack([u.features for u in treatments])), 1e-9, 1 - 1e-9)
+    p_c = np.clip(model.predict(np.vstack([u.features for u in controls])), 1e-9, 1 - 1e-9)
     control_ids = [u.record_id for u in controls]
     id_rank = np.argsort(np.argsort(control_ids, kind="stable"), kind="stable")
     control_mat = np.vstack([u.features for u in controls])
@@ -617,7 +618,7 @@ class TestTrainPropensity:
         treatments, controls = separable_units(150, seed=0)
         fit_t, hold_t = treatments[:100], treatments[100:]
         fit_c, hold_c = controls[:100], controls[100:]
-        model = train_propensity(*xy(fit_t, fit_c), seed=1, epochs=30)
+        model = train_propensity(*xy(fit_t, fit_c), 1, CausalConfig(epochs=30))
         auc = rank_auc(
             model.predict(np.array([u.features for u in hold_t])),
             model.predict(np.array([u.features for u in hold_c])),
@@ -631,7 +632,8 @@ class TestTrainPropensity:
         order = rng.permutation(len(pool))
         relabeled_t = [pool[i] for i in order[:150]]
         relabeled_c = [pool[i] for i in order[150:]]
-        model = train_propensity(*xy(relabeled_t[:100], relabeled_c[:100]), seed=4, epochs=30)
+        model = train_propensity(*xy(relabeled_t[:100], relabeled_c[:100]), 4,
+                                 CausalConfig(epochs=30))
         auc = rank_auc(
             model.predict(np.array([u.features for u in relabeled_t[100:]])),
             model.predict(np.array([u.features for u in relabeled_c[100:]])),
@@ -641,11 +643,11 @@ class TestTrainPropensity:
     def test_one_class_rejected(self):
         treatments, _ = separable_units(5, seed=5)
         with pytest.raises(ScenarioError):
-            train_propensity(*xy(treatments, []), seed=0)
+            train_propensity(*xy(treatments, []), 0, CausalConfig())
 
     def test_outputs_strictly_inside_unit_interval(self):
         treatments, controls = separable_units(50, seed=6)
-        model = train_propensity(*xy(treatments, controls), seed=7, epochs=50)
+        model = train_propensity(*xy(treatments, controls), 7, CausalConfig(epochs=50))
         p = model.predict(np.array([u.features for u in treatments + controls]))
         assert np.all((p > 0) & (p < 1))
 
@@ -655,11 +657,11 @@ class TestTrainPropensity:
         rng = np.random.default_rng(dim)
         treatments = [RefUnit(f"t{i}", rng.normal(0.5, 1.0, size=dim), {}) for i in range(70)]
         controls = [RefUnit(f"c{i}", rng.normal(-0.5, 1.0, size=dim), {}) for i in range(90)]
-        got = train_propensity(*xy(treatments, controls), seed=3, epochs=4,
-                               batch_size=batch_size, hidden=(16, 8))
+        got = train_propensity(*xy(treatments, controls), 3,
+                               CausalConfig(epochs=4, batch_size=batch_size, hidden=(16, 8)))
         want = reference_train_propensity(treatments, controls, seed=3, epochs=4,
                                           batch_size=batch_size, hidden=(16, 8))
-        assert np.array_equal(got.network.buffer.values, want.network.buffer.values)
+        assert np.array_equal(got.buffer.values, want.buffer.values)
 
 
 class TestSelectUnits:
@@ -764,8 +766,8 @@ def reference_matches(selector, profile):
         raise ScenarioError(
             f"record {profile.record_id!r} lacks clickbait scores required by a shift selector"
         )
-    got_h = "C" if profile.headline_clickbait > causal.CLICKBAIT_THRESHOLD else "NC"
-    got_p = "C" if profile.post_clickbait > causal.CLICKBAIT_THRESHOLD else "NC"
+    got_h = "C" if profile.headline_clickbait > CLICKBAIT_THRESHOLD else "NC"
+    got_p = "C" if profile.post_clickbait > CLICKBAIT_THRESHOLD else "NC"
     return got_h == selector.headline_class and got_p == selector.post_class
 
 

@@ -259,12 +259,13 @@ class TestClickbaitCommand:
         assert code == 1
         assert "model" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["short_header", "no_arrays", "truncated_data"])
+    @pytest.mark.parametrize("case", ["short_header", "no_arrays", "truncated_data",
+                                      "foreign_threshold"])
     def test_malformed_model_exit_one(self, pipeline_dir, tmp_path, capsys, case):
         import struct
 
         from editlift import clickbait as cb
-        from editlift.nn import SequenceClassifier
+        from editlift.nn import SequenceClassifier, load_params, params_to_bytes
 
         assert main(["profile", "--corpus", pipeline_dir["corpus"],
                      "--embeddings", pipeline_dir["vectors"], "--out", pipeline_dir["out"]]) == 0
@@ -279,6 +280,10 @@ class TestClickbaitCommand:
             cb.save_model(cb.ClickbaitModel(network=network, token_ids={"a": 1, "b": 2}),
                           tmp_path / "whole.bin")
             blob = (tmp_path / "whole.bin").read_bytes()[:-12]
+            if case == "foreign_threshold":
+                # a whole model file, made for another C/NC threshold
+                meta, params = load_params(tmp_path / "whole.bin")
+                blob = params_to_bytes(params, {**meta, "threshold": 0.25})
         model_path.write_bytes(blob)
         capsys.readouterr()
         code = main(["clickbait", "score", "--corpus", pipeline_dir["corpus"],
@@ -287,6 +292,8 @@ class TestClickbaitCommand:
         assert code == 1
         assert err.startswith(f"error: {model_path}: ")
         assert "Traceback" not in err
+        if case == "foreign_threshold":
+            assert "threshold 0.25" in err
 
     def test_diverging_training_exit_one(self, tmp_path, monkeypatch, capsys):
         def diverge(args):

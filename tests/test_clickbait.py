@@ -1,10 +1,12 @@
-import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from editlift import clickbait as cb
+from editlift.causal import Selector, build_unit_table
+from editlift.embedding import EmbeddingTable
+from editlift.nn import SequenceClassifier
 
 from conftest import ProfileRow, make_corpus, make_profiles, make_record
 
@@ -36,14 +38,14 @@ class TestTrain:
         model_a, f1_a = cb.train(data, split_seed=5, epochs=2)
         model_b, f1_b = cb.train(data, split_seed=5, epochs=2)
         assert f1_a == f1_b
-        for name, value in model_a.network.params.items():
-            assert np.array_equal(value, model_b.network.params[name])
+        for name, value in model_a.network.buffer.params.items():
+            assert np.array_equal(value, model_b.network.buffer.params[name])
 
 
 class TestStratifiedSplit:
     def test_preserves_class_ratio_within_one(self):
         data = [cb.LabeledHeadline(f"t{i}", int(i < 70)) for i in range(100)]
-        train_idx, test_idx = cb.stratified_split(data, 0.1, seed=0)
+        train_idx, test_idx = cb.stratified_split(data, seed=0)
         test_pos = sum(data[i].label for i in test_idx)
         assert abs(test_pos - 7) <= 1
         assert len(test_idx) == 10
@@ -51,7 +53,7 @@ class TestStratifiedSplit:
 
     def test_deterministic(self):
         data = [cb.LabeledHeadline(f"t{i}", i % 2) for i in range(50)]
-        assert cb.stratified_split(data, 0.1, seed=4) == cb.stratified_split(data, 0.1, seed=4)
+        assert cb.stratified_split(data, seed=4) == cb.stratified_split(data, seed=4)
 
 
 class TestF1:
@@ -94,15 +96,29 @@ class TestScore:
 
 
 class TestClassify:
-    def test_threshold_rule(self, trained):
-        model, _ = trained
-        model.threshold = 0.5
-        # strict inequality at the boundary: a score of exactly 0.5 is NC
-        assert ("C" if 0.51 > model.threshold else "NC") == "C"
-        assert ("C" if 0.50 > model.threshold else "NC") == "NC"
-        assert ("C" if 0.49 > model.threshold else "NC") == "NC"
-        assert cb.score_many(model, ["shocking unbelievable"])[0] > model.threshold
-        assert cb.score_many(model, ["quarterly earnings report"])[0] <= model.threshold
+    def test_threshold_rule(self):
+        # the boundary of the one C/NC rule, read by every consumer alike: a
+        # score of exactly 0.5 is NC, the next float above it is C, and a NaN
+        # score is never C
+        half, above = 0.5, float(np.nextafter(0.5, 1.0))
+        assert cb.is_clickbait([half, above, np.nan]).tolist() == [False, True, False]
+
+        profiles = make_profiles([("r0", 0.5, 0.5, False, None, half, above),
+                                  ("r1", 0.5, 0.5, False, None, above, half),
+                                  ("r2", 0.5, 0.5, False, None, np.nan, above)])
+        table = cb.conditional_shift_table(profiles, np.array([0, 1]), "x")
+        assert (table.n_headline_c, table.n_headline_nc) == (1, 1)
+        assert table.p_nc_given_c == table.p_c_given_nc == 1.0
+        with pytest.raises(ValueError, match="record 'r2' lacks clickbait scores"):
+            cb.conditional_shift_table(profiles, np.arange(3), "x")
+
+        corpus = make_corpus([make_record(rid=f"r{i}", outlet="x") for i in range(3)])
+        units = build_unit_table(corpus, profiles,
+                                 EmbeddingTable(dim=1, vocab={"budget": np.ones(1)}), {"x"})
+        picks = {(h, p): Selector("shift", headline_class=h, post_class=p).mask(units).tolist()
+                 for h in ("C", "NC") for p in ("C", "NC")}
+        assert picks == {("NC", "C"): [True, False, False], ("C", "NC"): [False, True, False],
+                         ("C", "C"): [False] * 3, ("NC", "NC"): [False] * 3}
 
 
 class TestShiftTable:
@@ -174,7 +190,6 @@ class TestPersistence:
         assert cb.score_many(again, texts) == pytest.approx(cb.score_many(model, texts),
                                                             abs=1e-15)
         assert again.token_ids == model.token_ids
-        assert again.threshold == model.threshold
 
     def test_failed_rewrite_leaves_previous_model(self, trained, tmp_path, monkeypatch):
         model, _ = trained
@@ -187,14 +202,15 @@ class TestPersistence:
 
         # the new model is written in full; the rename over the old one fails
         monkeypatch.setattr(os, "replace", fail_replace)
-        retuned = dataclasses.replace(model, threshold=0.25)
+        other = cb.ClickbaitModel(
+            network=SequenceClassifier(vocab_size=3, embed_size=2, hidden_size=3, seed=0),
+            token_ids={"a": 1, "b": 2})
         with pytest.raises(OSError, match="disk full"):
-            cb.save_model(retuned, path)
+            cb.save_model(other, path)
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
         again = cb.load_model(path)
-        assert again.threshold == model.threshold
         assert np.array_equal(again.network.buffer.values, model.network.buffer.values)
 
     def test_labeled_csv_loader(self, tmp_path):

@@ -5,7 +5,6 @@ from editlift import clickbait
 from editlift.nn import (
     AdamState,
     AttentionHead,
-    DenseLayer,
     GruCell,
     Mlp,
     ParamBuffer,
@@ -13,12 +12,10 @@ from editlift.nn import (
     adam_step,
     binary_cross_entropy,
     check_gradients,
-    forward_dense,
     load_params,
     params_to_bytes,
 )
-from editlift.nn.layers import _sigmoid
-from editlift.nn.models import EPS
+from editlift.nn.layers import EPS, _sigmoid
 
 
 def forward_gru_bidirectional(forward_cell: GruCell, backward_cell: GruCell,
@@ -104,7 +101,7 @@ def reference_gru_run_backward(cell: GruCell, dstates, caches, grads: dict, pref
 def reference_loss_and_grads(model: SequenceClassifier, sequences, labels):
     """Mean BCE and gradients, one equal-length group at a time."""
     labels = np.asarray(labels, dtype=np.float64)
-    grads = {name: np.zeros_like(value) for name, value in model.params.items()}
+    grads = {name: np.zeros_like(value) for name, value in model.buffer.params.items()}
     groups: dict[int, list[int]] = {}
     for i, seq in enumerate(sequences):
         groups.setdefault(len(seq), []).append(i)
@@ -133,26 +130,27 @@ def reference_loss_and_grads(model: SequenceClassifier, sequences, labels):
 
 
 class TestDense:
-    def test_identity_passthrough(self):
-        layer = DenseLayer(weights=np.eye(3), bias=np.zeros(3), activation="identity")
-        x = np.array([[1.0, -2.0, 3.0]])
-        out, _ = forward_dense(layer, x)
-        assert np.array_equal(out, x)
+    """The dense layers of the propensity network: ReLU hidden, sigmoid out."""
+
+    @staticmethod
+    def mlp(w0, w1):
+        net = Mlp([w0.shape[0], w0.shape[1], 1])
+        net.buffer.assign({"w0": w0, "b0": np.zeros(w0.shape[1]),
+                           "w1": w1, "b1": np.zeros(1)})
+        return net
 
     def test_relu(self):
-        layer = DenseLayer(weights=np.eye(2), bias=np.zeros(2), activation="relu")
-        out, _ = forward_dense(layer, np.array([[-1.0, 2.0]]))
-        assert np.array_equal(out, [[0.0, 2.0]])
+        # the hidden layer passes [-1, 2] through ReLU; the output unit sums it
+        net = self.mlp(np.eye(2), np.ones((2, 1)))
+        assert net.predict(np.array([[-1.0, 2.0]]))[0] == _sigmoid(np.array(2.0))
 
     def test_sigmoid_at_zero(self):
-        layer = DenseLayer(weights=np.zeros((2, 1)), bias=np.zeros(1), activation="sigmoid")
-        out, _ = forward_dense(layer, np.array([[5.0, -3.0]]))
-        assert out[0, 0] == pytest.approx(0.5)
+        net = self.mlp(np.ones((2, 2)), np.zeros((2, 1)))
+        assert net.predict(np.array([[5.0, -3.0]]))[0] == pytest.approx(0.5)
 
     def test_shape_mismatch(self):
-        layer = DenseLayer(weights=np.eye(3), bias=np.zeros(3))
         with pytest.raises(ValueError):
-            forward_dense(layer, np.ones((1, 4)))
+            self.mlp(np.eye(3), np.ones((3, 1))).predict(np.ones((1, 4)))
 
 
 class TestBce:
@@ -430,7 +428,7 @@ class TestFlatAdam:
     def test_matches_per_array_reference(self, kind, clip_norm, steps):
         build, make_batch = small_networks()[kind]
         flat, ref = build(), build()
-        ref_params = {k: v.copy() for k, v in ref.params.items()}
+        ref_params = {k: v.copy() for k, v in ref.buffer.params.items()}
         state = AdamState(learning_rate=1e-2, clip_norm=clip_norm)
         ref_state = AdamState(learning_rate=1e-2, clip_norm=clip_norm)
         m, v = {}, {}
@@ -440,11 +438,11 @@ class TestFlatAdam:
             batch = make_batch(rng)
             flat.loss_and_grads(*batch)
             adam_step(state, flat.buffer)
-            ref.set_params(ref_params)
+            ref.buffer.assign(ref_params)
             _, grads = ref.loss_and_grads(*batch)
             norms.append(reference_adam_step(ref_state, m, v, ref_params,
                                              {k: g.copy() for k, g in grads.items()}))
-            for name, value in flat.params.items():
+            for name, value in flat.buffer.params.items():
                 if clip_norm == 5.0:
                     assert np.array_equal(value, ref_params[name]), name
                 else:
@@ -456,7 +454,7 @@ class TestFlatAdam:
     def test_non_finite_gradient_names_its_parameter(self, kind):
         build, _ = small_networks()[kind]
         net = build()
-        for name in net.params:
+        for name in net.buffer.names:
             net.buffer.grads[:] = 0.0
             net.buffer.grad_views[name].reshape(-1)[-1] = np.nan
             with pytest.raises(FloatingPointError, match=repr(name)):
@@ -466,25 +464,25 @@ class TestFlatAdam:
 class TestParamViews:
     @staticmethod
     def assert_views_share_buffer(net):
-        assert list(net.params) == net.buffer.names
-        for name, view in net.params.items():
+        assert list(net.buffer.params) == net.buffer.names
+        for name, view in net.buffer.params.items():
             assert np.shares_memory(view, net.buffer.values), name
 
-    def test_after_construction_and_set_params(self):
+    def test_after_construction_and_assign(self):
         for build, _ in small_networks().values():
             net = build()
             self.assert_views_share_buffer(net)
-            donor = {k: np.full(v.shape, 0.5) for k, v in net.params.items()}
-            net.set_params(donor)
+            donor = {k: np.full(v.shape, 0.5) for k, v in net.buffer.params.items()}
+            net.buffer.assign(donor)
             self.assert_views_share_buffer(net)
             assert np.all(net.buffer.values == 0.5)
 
-    def test_set_params_rejects_wrong_shape(self):
+    def test_assign_rejects_wrong_shape(self):
         net = Mlp([3, 2, 1], seed=0)
-        params = net.params
+        params = dict(net.buffer.params)
         params["w0"] = np.zeros((2, 3))
         with pytest.raises(ValueError, match="w0"):
-            net.set_params(params)
+            net.buffer.assign(params)
 
     def test_after_load_model(self, tmp_path):
         network = SequenceClassifier(vocab_size=3, embed_size=2, hidden_size=3, seed=16)
@@ -494,12 +492,6 @@ class TestParamViews:
         self.assert_views_share_buffer(loaded.network)
         assert np.array_equal(loaded.network.buffer.values, network.buffer.values)
         assert loaded.network.score_batch([[1, 2]])[0] == network.score_batch([[1, 2]])[0]
-
-
-class TestMlpConfig:
-    def test_bce_needs_sigmoid_output(self):
-        with pytest.raises(ValueError, match="sigmoid"):
-            Mlp([3, 4, 1], activations=["relu", "identity"])
 
 
 class LinearMse:
@@ -577,7 +569,7 @@ class TestTraining:
         penalized = Mlp([3, 4, 2, 1], seed=6, l2_penalty=0.001)
         loss_plain, _ = plain.loss_and_grads(x, y)
         loss_pen, _ = penalized.loss_and_grads(x, y)
-        w = penalized.layers[1].weights
+        w = penalized.buffer.params["w1"]
         assert loss_pen - loss_plain == pytest.approx(0.001 * float(np.sum(w * w)), abs=1e-12)
 
 
@@ -623,7 +615,7 @@ class TestSerialization:
     def test_model_missing_meta_key_names_path(self, tmp_path):
         network = SequenceClassifier(vocab_size=3, embed_size=2, hidden_size=3, seed=0)
         path = tmp_path / "model.bin"
-        path.write_bytes(params_to_bytes(network.params, {"kind": "clickbait"}))
+        path.write_bytes(params_to_bytes(network.buffer.params, {"kind": "clickbait"}))
         with pytest.raises(ValueError, match=f"^{path}: model file lacks 'tokens'"):
             clickbait.load_model(path)
 
