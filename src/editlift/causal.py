@@ -1,11 +1,11 @@
 """Matched treatment-effect estimation for editing styles.
 
 A `UnitTable` is built once per corpus (per `estimate` command): one row per
-profiled record with body text, holding its filter columns, the profile
-columns the selectors read, its body vector (each body embedded exactly once)
-and its outcomes. The `estimate` command gives that one table to its `--jobs`
-workers when the pool starts, so a scenario task carries only the scenario,
-the seed and the settings.
+record with body text in the scenarios' outlets, holding its filter columns,
+the profile columns the selectors read, its body vector (each body embedded
+exactly once) and its outcomes. The `estimate` command gives that one table
+to its `--jobs` workers when the pool starts, so a scenario task carries only
+the scenario, the seed and the settings.
 
 Every step of a scenario (treatment selector vs control selector within one
 outlet) works on row indices into that table. `select_units` masks the rows
@@ -52,7 +52,7 @@ MATCH_CHUNK_CELLS = 1 << 20  # treatment x control gaps held at once by `match`
 SHIFT_CLASSES = ("C", "NC")  # a shift selector's headline and post classes
 
 
-class ScenarioError(Exception):
+class ScenarioError(ValueError):
     """Scenario cannot run (bad selectors, not enough units)."""
 
 
@@ -163,8 +163,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class UnitTable:
-    """Per-record inputs of every scenario, one row per profiled record with
-    non-blank body text, in corpus order. Missing profile fields are NaN."""
+    """Per-record inputs of every scenario, one row per record with non-blank
+    body text, in corpus order. Unset profile fields are NaN."""
 
     record_ids: tuple[str, ...]
     outlet: np.ndarray  # [n] object: str
@@ -199,14 +199,14 @@ def build_unit_table(corpus: Corpus, profiles: Profiles, table: EmbeddingTable,
                      outlets) -> UnitTable:
     """Embed each eligible record's body once and collect its columns.
 
-    Eligible: the record sits in one of `outlets` and has a profile row and
-    non-blank body text.
+    Profile row i must be corpus record i (`Profiles.check_rows`). Eligible:
+    the record sits in one of `outlets` and has non-blank body text.
     """
+    profiles.check_rows(corpus)
     outlets = set(outlets)
-    candidates = [r for r in corpus if r.outlet in outlets and r.body_text.strip()]
-    profile_rows = profiles.rows(r.id for r in candidates)
-    records = [r for r, row in zip(candidates, profile_rows) if row >= 0]
-    profile_rows = profile_rows[profile_rows >= 0]
+    rows = np.array([i for i, r in enumerate(corpus)
+                     if r.outlet in outlets and r.body_text.strip()], dtype=np.int64)
+    records = [corpus.records[i] for i in rows]
 
     features = np.zeros((len(records), table.dim), dtype=np.float64)
     zero_hit = np.zeros(len(records), dtype=bool)
@@ -219,10 +219,10 @@ def build_unit_table(corpus: Corpus, profiles: Profiles, table: EmbeddingTable,
         outlet=np.array([r.outlet for r in records], dtype=object),
         section=np.array([r.section for r in records], dtype=object),
         time_block=np.array([assign_time_block(r) for r in records], dtype=object),
-        mirrored=profiles.mirrored[profile_rows],
-        cluster=profiles.cluster[profile_rows],
-        headline_clickbait=profiles.headline_clickbait[profile_rows],
-        post_clickbait=profiles.post_clickbait[profile_rows],
+        mirrored=profiles.mirrored[rows],
+        cluster=profiles.cluster[rows],
+        headline_clickbait=profiles.headline_clickbait[rows],
+        post_clickbait=profiles.post_clickbait[rows],
         features=features,
         zero_hit=zero_hit,
         outcomes=np.array([float(r.engagement(m)) for r in records for m in ENGAGEMENT_METRICS],
@@ -236,12 +236,9 @@ class BalanceStats:
     sigma: float
     alpha: float
     tau: float
+    threshold: float  # max(mu + alpha * sigma, tau)
     achieved: float
     passed: bool
-
-    @property
-    def threshold(self) -> float:
-        return max(self.mu + self.alpha * self.sigma, self.tau)
 
 
 @dataclass(frozen=True)
@@ -417,7 +414,7 @@ def balance_check(similarity: np.ndarray, mu: float, sigma: float,
     achieved = float(np.mean(similarity))
     threshold = max(mu + alpha * sigma, tau)
     return BalanceStats(
-        mu=mu, sigma=sigma, alpha=alpha, tau=tau,
+        mu=mu, sigma=sigma, alpha=alpha, tau=tau, threshold=threshold,
         achieved=achieved, passed=achieved >= threshold,
     )
 
@@ -578,24 +575,3 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
         )
     return reports
 
-
-def report_to_dict(report: EateReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "metric": report.metric,
-        "fold_eates": list(report.fold_eates),
-        "mean_eate": report.mean_eate,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
-        "discarded": report.discarded,
-        "naive_difference": report.naive_difference,
-        "n_treatment": report.n_treatment,
-        "n_control": report.n_control,
-        "balance": [
-            {
-                "mu": b.mu, "sigma": b.sigma, "alpha": b.alpha, "tau": b.tau,
-                "threshold": b.threshold, "achieved": b.achieved, "passed": b.passed,
-            }
-            for b in report.balance
-        ],
-    }

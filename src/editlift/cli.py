@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -160,7 +160,7 @@ def cmd_ingest(args) -> int:
         _write_json(Path(out), {
             "source": loaded.source_path,
             "records": len(loaded),
-            "outlets": {o: sum(1 for r in loaded if r.outlet == o) for o in loaded.outlets()},
+            "outlets": {o: len(rows) for o, rows in loaded.outlet_rows().items()},
             "rejects": [{"line": r.line_no, "reason": r.reason} for r in loaded.rejects],
         })
     return 0
@@ -182,8 +182,6 @@ def _distribution_stats(values) -> dict:
 
 
 def cmd_profile(args) -> int:
-    import numpy as np
-
     from . import textsim
 
     cfg = _load_config(args)
@@ -195,24 +193,22 @@ def cmd_profile(args) -> int:
     tmp_csv = out_dir / "profiles.csv"
     textsim.profiles_to_csv(profiles, tmp_csv)
 
-    # profile rows are in corpus order, so a mask over the corpus selects them
-    outlet_of = np.array([r.outlet for r in loaded], dtype=object)
-    masks = {outlet: outlet_of == outlet for outlet in loaded.outlets()}
+    # profile row i is corpus record i, so an outlet's positions select its rows
+    outlet_rows = loaded.outlet_rows()
     summary = {"outlets": {}, "pairwise_tests": []}
-    for outlet, mask in masks.items():
-        n = int(np.count_nonzero(mask))
+    for outlet, rows in outlet_rows.items():
         summary["outlets"][outlet] = {
-            "records": n,
-            "mirroring_fraction": int(np.count_nonzero(profiles.mirrored[mask])) / n,
-            "edit_distance": _distribution_stats(profiles.edit_distance[mask]),
-            "embedding_similarity": _distribution_stats(profiles.embedding_similarity[mask]),
+            "records": len(rows),
+            "mirroring_fraction": int(profiles.mirrored[rows].sum()) / len(rows),
+            "edit_distance": _distribution_stats(profiles.edit_distance[rows]),
+            "embedding_similarity": _distribution_stats(profiles.embedding_similarity[rows]),
         }
-    outlets = sorted(masks)
+    outlets = sorted(outlet_rows)
     for i, a in enumerate(outlets):
         for b in outlets[i + 1:]:
             for measure in ("edit_distance", "embedding_similarity"):
                 column = getattr(profiles, measure)
-                result = textsim.mann_whitney_u(column[masks[a]], column[masks[b]])
+                result = textsim.mann_whitney_u(column[outlet_rows[a]], column[outlet_rows[b]])
                 summary["pairwise_tests"].append({
                     "outlet_a": a,
                     "outlet_b": b,
@@ -255,8 +251,8 @@ def cmd_cluster(args) -> int:
         raise CommandError(str(exc)) from None
 
     profiles = replace(profiles, cluster=labels.astype(float))
-    # tabulated before anything is written: a corpus record without a profile
-    # row stops the command with its outputs untouched
+    # tabulated before anything is written: a profile table that is not the
+    # corpus row for row stops the command with its outputs untouched
     fractions = cluster.cluster_fractions(profiles, loaded, k=model.k)
     textsim.profiles_to_csv(profiles, profile_path)
     cluster.save_model(model, out_dir / "cluster_model.json")
@@ -290,8 +286,6 @@ def cmd_clickbait(args) -> int:
         return 0
 
     # score
-    import numpy as np
-
     from . import textsim
 
     model_path = getattr(args, "model", None) or out_dir / "clickbait_model.bin"
@@ -303,12 +297,9 @@ def cmd_clickbait(args) -> int:
     profiles = clickbait.score_profiles(model, loaded, profiles)
     textsim.profiles_to_csv(profiles, profile_path)
 
-    rows = profiles.rows(r.id for r in loaded)
-    outlet_of = np.array([r.outlet for r in loaded], dtype=object)
     tables = {}
-    for outlet in loaded.outlets():
-        shift = clickbait.conditional_shift_table(
-            profiles, rows[(outlet_of == outlet) & (rows >= 0)], outlet)
+    for outlet, rows in loaded.outlet_rows().items():
+        shift = clickbait.conditional_shift_table(profiles, rows, outlet)
         tables[outlet] = {
             "p_nc_given_c": shift.p_nc_given_c,
             "p_c_given_nc": shift.p_c_given_nc,
@@ -331,10 +322,14 @@ def _init_worker(units: causal.UnitTable | None) -> None:
 
 
 def _run_one_scenario(payload):
+    """The scenario's reports, or the ScenarioError that skips it."""
     from . import causal
 
     scenario, seed, run_cfg = payload
-    return causal.run_scenario(_UNITS, scenario, seed=seed, config=run_cfg)
+    try:
+        return causal.run_scenario(_UNITS, scenario, seed=seed, config=run_cfg)
+    except causal.ScenarioError as exc:
+        return exc
 
 
 def cmd_estimate(args) -> int:
@@ -368,24 +363,14 @@ def cmd_estimate(args) -> int:
     units = causal.build_unit_table(loaded, profiles, table,
                                     outlets={s.outlet for s in scenarios})
     tasks = [(s, seed, run_cfg) for s in scenarios]
-    results: list[list[causal.EateReport] | causal.ScenarioError] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(units,)) as pool:
-            futures = [pool.submit(_run_one_scenario, t) for t in tasks]
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except causal.ScenarioError as exc:
-                    results.append(exc)
+            results = list(pool.map(_run_one_scenario, tasks))
     else:
         _init_worker(units)
         try:
-            for task in tasks:
-                try:
-                    results.append(_run_one_scenario(task))
-                except causal.ScenarioError as exc:
-                    results.append(exc)
+            results = list(map(_run_one_scenario, tasks))
         finally:
             _init_worker(None)
 
@@ -400,7 +385,7 @@ def cmd_estimate(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "eate_reports.json", {
-        "reports": [causal.report_to_dict(r) for r in reports],
+        "reports": [asdict(r) for r in reports],
         "skipped": skipped,
     })
     lines = ["scenario,metric,mean_eate,ci_low,ci_high,discarded,n_treatment,n_control,"
@@ -511,17 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _runtime_errors() -> tuple[type[Exception], ...]:
-    """Exception types that exit 1. The error types of modules this process
-    never imported are left out: nothing can have raised them."""
-    errors = [CommandError, corpus_mod.CorpusError, ValueError, OSError, FloatingPointError]
-    for module, name in (("editlift.embedding", "EmbeddingError"),
-                         ("editlift.causal", "ScenarioError")):
-        if module in sys.modules:
-            errors.append(getattr(sys.modules[module], name))
-    return tuple(errors)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -530,7 +504,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _runtime_errors() as exc:
+    except (CommandError, corpus_mod.CorpusError, ValueError, OSError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

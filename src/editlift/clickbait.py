@@ -184,21 +184,17 @@ def score_many(model: ClickbaitModel, texts) -> np.ndarray:
 
 
 def score_profiles(model: ClickbaitModel, corpus: Corpus, profiles: Profiles) -> Profiles:
-    """`profiles` with the headline and post clickbait columns filled; every
-    profile row must name a corpus record."""
-    by_id = {r.id: r for r in corpus}
-    missing = [rid for rid in profiles.record_ids if rid not in by_id]
-    if missing:
-        raise ValueError(f"profiles reference records absent from corpus: {missing[:3]}")
-    records = [by_id[rid] for rid in profiles.record_ids]
+    """`profiles` with the headline and post clickbait columns filled; profile
+    row i must be corpus record i (`Profiles.check_rows`)."""
+    profiles.check_rows(corpus)
     return replace(profiles,
-                   headline_clickbait=score_many(model, [r.headline for r in records]),
-                   post_clickbait=score_many(model, [r.post_text for r in records]))
+                   headline_clickbait=score_many(model, [r.headline for r in corpus]),
+                   post_clickbait=score_many(model, [r.post_text for r in corpus]))
 
 
-def conditional_shift_table(profiles: Profiles, rows: np.ndarray, outlet: str) -> ShiftTable:
-    """Empirical P(post class | headline class) over the given rows of
-    `profiles`, which hold the records of `outlet`."""
+def conditional_shift_table(profiles: Profiles, rows, outlet: str) -> ShiftTable:
+    """Empirical P(post class | headline class) over the given row positions
+    of `profiles`, which hold the records of `outlet`."""
     headline = profiles.headline_clickbait[rows]
     post = profiles.post_clickbait[rows]
     unscored = np.flatnonzero(np.isnan(headline) | np.isnan(post))

@@ -194,20 +194,17 @@ def fit_profiles(profiles: Profiles, k: int, seed: int, restarts: int = 10,
 
 def cluster_fractions(profiles: Profiles, corpus: Corpus, k: int) -> dict[str, list[float]]:
     """Per-outlet fraction of the corpus records in each of the k clusters of
-    the profiles' cluster column; every row sums to 1. A corpus record with
-    no profile row or no cluster is an error."""
-    rows = profiles.rows(r.id for r in corpus)
-    have = rows >= 0
-    labels = np.full(len(rows), np.nan)
-    labels[have] = profiles.cluster[rows[have]]
-    unset = np.flatnonzero(np.isnan(labels))
+    the profiles' cluster column; every row sums to 1. Profile row i must be
+    corpus record i (`Profiles.check_rows`), and a row without a cluster is an
+    error."""
+    profiles.check_rows(corpus)
+    unset = np.flatnonzero(np.isnan(profiles.cluster))
     if len(unset):
-        raise ValueError(f"record {corpus.records[unset[0]].id!r} has no cluster assignment")
-    labels = labels.astype(np.int64)
-    outlets = np.array([r.outlet for r in corpus], dtype=object)
+        raise ValueError(f"record {profiles.record_ids[unset[0]]!r} has no cluster assignment")
+    labels = profiles.cluster.astype(np.int64)
     fractions = {}
-    for outlet in corpus.outlets():
-        counts = np.bincount(labels[outlets == outlet], minlength=k).tolist()
+    for outlet, rows in corpus.outlet_rows().items():
+        counts = np.bincount(labels[rows], minlength=k).tolist()
         fractions[outlet] = [c / sum(counts) for c in counts]
     return fractions
 

@@ -70,11 +70,13 @@ class Corpus:
     def __iter__(self):
         return iter(self.records)
 
-    def outlets(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.outlet, None)
-        return list(seen)
+    def outlet_rows(self) -> dict[str, list[int]]:
+        """{outlet: ascending positions of its records}, outlets in order of
+        first appearance."""
+        rows: dict[str, list[int]] = {}
+        for i, r in enumerate(self.records):
+            rows.setdefault(r.outlet, []).append(i)
+        return rows
 
 
 def normalize(text: str) -> str:

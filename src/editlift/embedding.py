@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import write_text_atomic
 
 
-class EmbeddingError(Exception):
+class EmbeddingError(ValueError):
     """Malformed vector file."""
 
 

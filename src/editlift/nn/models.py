@@ -118,7 +118,7 @@ class SequenceClassifier:
 
     UNKNOWN_ID = 0
 
-    def __init__(self, vocab_size: int, embed_size: int = 50, hidden_size: int = 64,
+    def __init__(self, vocab_size: int, embed_size: int, hidden_size: int,
                  attention_size: int | None = None, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.embed = rng.normal(0.0, 0.1, size=(vocab_size, embed_size))

@@ -88,11 +88,21 @@ class Profiles:
     def __len__(self) -> int:
         return len(self.record_ids)
 
-    def rows(self, record_ids) -> np.ndarray:
-        """[len(record_ids)] row of each id in this table; -1 for an id it
-        lacks."""
-        index = {rid: i for i, rid in enumerate(self.record_ids)}
-        return np.fromiter((index.get(rid, -1) for rid in record_ids), dtype=np.int64)
+    def check_rows(self, corpus: Corpus) -> None:
+        """Raise ValueError unless row i of this table is corpus record i, for
+        every i; the message names the first record where the two differ."""
+        ids = tuple(r.id for r in corpus)
+        if self.record_ids == ids:
+            return
+        i = next((i for i, (a, b) in enumerate(zip(self.record_ids, ids)) if a != b),
+                 min(len(self), len(ids)))
+        if i < len(ids) and ids[i] not in set(self.record_ids):
+            raise ValueError(f"corpus record {ids[i]!r} has no profile row")
+        if i < len(self) and self.record_ids[i] not in set(ids):
+            raise ValueError(f"profile row for record {self.record_ids[i]!r} "
+                             "names no corpus record")
+        raise ValueError(f"profile row {i + 1} (record {self.record_ids[i]!r}) is out of "
+                         "corpus order: row i must be corpus record i")
 
 
 @dataclass(frozen=True)
@@ -156,10 +166,12 @@ def profiles_from_csv(path: str | Path) -> Profiles:
             raise ValueError(f"profile CSV missing columns: {sorted(missing)}")
         rows, seen = [], set()
         for row in reader:
-            if None in row.values():  # a short row's missing cells
+            # DictReader fills a short row's missing cells with None and files
+            # a long row's surplus cells under the None key
+            if None in row or None in row.values():
                 raise ValueError(f"{path} line {reader.line_num}: expected "
                                  f"{len(PROFILE_COLUMNS)} cells")
-            if row["record_id"] in seen:  # `Profiles.rows` needs one row per id
+            if row["record_id"] in seen:  # named by its file line, unlike `check_rows`
                 raise ValueError(f"{path} line {reader.line_num}: duplicate record_id "
                                  f"{row['record_id']!r}")
             seen.add(row["record_id"])

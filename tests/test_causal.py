@@ -171,9 +171,10 @@ def reference_run_scenario(corpus, profiles, table, scenario, seed, config):
             learning_rate=config.learning_rate, l2_penalty=config.l2_penalty)
         matches = reference_match(held_out, train_c, model, config.knn)
         achieved = float(np.mean([m.mean_similarity for m in matches]))
+        threshold = max(mu + config.alpha * sigma, config.tau)
         balances.append(causal.BalanceStats(
-            mu=mu, sigma=sigma, alpha=config.alpha, tau=config.tau, achieved=achieved,
-            passed=achieved >= max(mu + config.alpha * sigma, config.tau)))
+            mu=mu, sigma=sigma, alpha=config.alpha, tau=config.tau, threshold=threshold,
+            achieved=achieved, passed=achieved >= threshold))
         for metric in ENGAGEMENT_METRICS:
             fold_values[metric].append(reference_estimate_eate(matches, outcomes[metric]))
     failed = any(not b.passed for b in balances)
@@ -691,7 +692,7 @@ class TestSelectUnits:
         corpus, profiles = self.corpus_and_profiles()
         scenario = Scenario("s", "x", Selector("edited"), Selector("mirrored"))
         units = build_unit_table(corpus, make_profiles(profiles), self.table(),
-                                 corpus.outlets())
+                                 corpus.outlet_rows())
         treatments, controls = select_units(units, scenario)
         assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}  # r5 has no body
         assert {units.record_ids[i] for i in controls} == {"r0", "r2", "r4"}
@@ -701,7 +702,7 @@ class TestSelectUnits:
         scenario = Scenario("s", "x", Selector("edited"), Selector("mirrored"),
                             section="politics")
         units = build_unit_table(corpus, make_profiles(profiles), self.table(),
-                                 corpus.outlets())
+                                 corpus.outlet_rows())
         treatments, controls = select_units(units, scenario)
         assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}
         assert {units.record_ids[i] for i in controls} == {"r0", "r2"}
@@ -712,7 +713,7 @@ class TestSelectUnits:
         scenario = Scenario("s", "x", Selector("cluster", cluster=1),
                             Selector("cluster", cluster=0))
         units = build_unit_table(corpus, make_profiles(profiles), self.table(),
-                                 corpus.outlets())
+                                 corpus.outlet_rows())
         treatments, controls = select_units(units, scenario)
         assert {units.record_ids[i] for i in treatments} == {"r1", "r4"}
         assert {units.record_ids[i] for i in controls} == {"r0", "r3"}
@@ -731,7 +732,7 @@ class TestSelectUnits:
             exclude_mirrored=True,
         )
         units = build_unit_table(corpus, make_profiles(profiles), self.table(),
-                                 corpus.outlets())
+                                 corpus.outlet_rows())
         treatments, controls = select_units(units, scenario)
         assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}
         # mirrored records are excluded and the only NC->NC candidate (r5)
@@ -773,19 +774,16 @@ def reference_matches(selector, profile):
 
 def reference_select_units(corpus, profiles, scenario, table):
     """Per-record selection, embedding each selected body on the spot; each
-    record's profile row goes through `reference_matches`."""
-    profile_by_id = {p.record_id: p for p in profile_rows(profiles)}
+    record's profile row (row i for corpus record i) goes through
+    `reference_matches`."""
     treatments, controls = [], []
-    for record in corpus:
+    for record, prof in zip(corpus, profile_rows(profiles), strict=True):
         if record.outlet != scenario.outlet:
             continue
         if scenario.section is not None and record.section != scenario.section:
             continue
         if (scenario.time_block is not None
                 and assign_time_block(record) != scenario.time_block):
-            continue
-        prof = profile_by_id.get(record.id)
-        if prof is None:
             continue
         if scenario.exclude_mirrored and prof.mirrored:
             continue
@@ -832,7 +830,8 @@ SELECTION_SCENARIOS = [
 
 def selection_corpus(seed, n=80, missing_scores=0.0):
     """Random records over two outlets, three sections and all time blocks,
-    with blank and zero-hit bodies, unprofiled and unclustered records."""
+    with blank and zero-hit bodies, unclustered and (at `missing_scores`)
+    unscored records; profile row i is record i."""
     rng = np.random.default_rng(seed)
     records, profiles = [], []
     for i in range(n):
@@ -849,8 +848,6 @@ def selection_corpus(seed, n=80, missing_scores=0.0):
             replies=int(rng.integers(50)), retweets=int(rng.integers(50)),
             likes=int(rng.integers(500)),
         ))
-        if rng.random() < 0.1:
-            continue  # no profile
         scored = rng.random() >= missing_scores
         profiles.append(ProfileRow(
             rid, 0.5, 0.5, mirrored=bool(rng.random() < 0.4),
@@ -885,7 +882,7 @@ class TestUnitTableSelection:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference(self, seed):
         corpus, profiles, table = selection_corpus(seed)
-        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
         outcomes = [self.assert_same(corpus, profiles, table, s, units)
                     for s in SELECTION_SCENARIOS]
         assert all(isinstance(o, int) and o > 0 for o in outcomes[:5])
@@ -894,7 +891,7 @@ class TestUnitTableSelection:
     @pytest.mark.parametrize("seed", range(3))
     def test_missing_scores_match_reference(self, seed):
         corpus, profiles, table = selection_corpus(seed, missing_scores=0.2)
-        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
         outcomes = [self.assert_same(corpus, profiles, table, s, units)
                     for s in SELECTION_SCENARIOS]
         assert outcomes[4] == "error"
@@ -921,7 +918,7 @@ class TestUnitTableSelection:
     def test_zero_hit_record_still_raises_overlap(self):
         corpus, profiles, table, scenario = self.zero_hit_case(
             Selector("edited"), Selector("cluster", cluster=1))
-        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
         assert self.assert_same(corpus, profiles, table, scenario, units) == "error"
         with pytest.raises(ScenarioError, match="'z' matches both selectors"):
             select_units(units, scenario)
@@ -930,7 +927,7 @@ class TestUnitTableSelection:
         corpus, profiles, table, scenario = self.zero_hit_case(
             Selector("mirrored"), Selector("shift", headline_class="C", post_class="C"),
             clickbait=None)
-        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
         assert self.assert_same(corpus, profiles, table, scenario, units) == "error"
         with pytest.raises(ScenarioError, match="'z' lacks clickbait scores"):
             select_units(units, scenario)
@@ -938,7 +935,7 @@ class TestUnitTableSelection:
     def test_zero_hit_and_blank_bodies_excluded(self):
         corpus, profiles, table, scenario = self.zero_hit_case(
             Selector("mirrored"), Selector("shift", headline_class="C", post_class="C"))
-        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
         assert units.record_ids == ("a", "z")  # the blank body has no row
         assert units.zero_hit.tolist() == [False, True]
         assert self.assert_same(corpus, profiles, table, scenario, units) == 1
@@ -954,9 +951,7 @@ class TestUnitTableSelection:
             return embed_text(tbl, text)
 
         monkeypatch.setattr(causal, "embed_text", counting_embed)
-        profiled = set(profiles.record_ids)
-        eligible = [r for r in corpus if r.outlet == "x" and r.id in profiled
-                    and r.body_text.strip()]
+        eligible = [r for r in corpus if r.outlet == "x" and r.body_text.strip()]
         units = build_unit_table(corpus, profiles, table, {"x"})
         assert len(calls) == len(units) == len(eligible)
         assert units.record_ids == tuple(r.id for r in eligible)
@@ -979,7 +974,7 @@ def small_benchmark(seed=0, delta=0.0, n=1200):
 class TestRunScenario:
     def test_reports_structure_and_determinism(self):
         corpus, profiles, scenario, table = small_benchmark(seed=1, delta=40.0)
-        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
         a = run_scenario(units, scenario, seed=5)
         b = run_scenario(units, scenario, seed=5)
         assert [r.metric for r in a] == ["replies", "retweets", "likes"]
@@ -998,7 +993,7 @@ class TestRunScenario:
 
     def test_ci_uses_student_t_9dof(self):
         corpus, profiles, scenario, table = small_benchmark(seed=2, delta=0.0)
-        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
         [r] = [x for x in run_scenario(units, scenario, seed=3)
                if x.metric == "likes"]
         from scipy import stats as sps
@@ -1015,19 +1010,19 @@ class TestRunScenario:
         corpus, profiles, scenario, table = small_benchmark(seed=3, n=1200)
         strict = CausalConfig(min_group=10_000)
         with pytest.raises(ScenarioError, match="edited"):
-            run_scenario(build_unit_table(corpus, profiles, table, corpus.outlets()),
+            run_scenario(build_unit_table(corpus, profiles, table, corpus.outlet_rows()),
                          scenario, seed=0, config=strict)
         # fewer treatment units than folds leaves a fold with nothing held out
         few = Scenario("few", "synthwire", Selector("edited"), Selector("mirrored"),
                        section="politics", time_block="B1")
         corpus, profiles, _, table = small_benchmark(seed=3, n=60)
         with pytest.raises(ScenarioError, match=r"edited\] yields 8 units \(minimum 10\)"):
-            run_scenario(build_unit_table(corpus, profiles, table, corpus.outlets()),
+            run_scenario(build_unit_table(corpus, profiles, table, corpus.outlet_rows()),
                          few, seed=0, config=CausalConfig(min_group=1))
 
     def test_discard_flag_matches_interval_and_balance(self):
         corpus, profiles, scenario, table = small_benchmark(seed=4, delta=0.0)
-        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
         reports = run_scenario(units, scenario, seed=4)
         for r in reports:
             includes_zero = r.ci_low <= 0.0 <= r.ci_high
@@ -1070,7 +1065,7 @@ class TestColumnarMatchesReference:
                                       "zero-hit", "section-time-block"])
     def test_reports_equal_field_by_field(self, name):
         corpus, profiles, table, scenario, config = reference_case(name)
-        units = build_unit_table(corpus, profiles, table, corpus.outlets())
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
         if name == "zero-hit":
             assert units.zero_hit.sum() > 0
         got = run_scenario(units, scenario, seed=11, config=config)

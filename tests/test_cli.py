@@ -140,49 +140,75 @@ class TestCluster:
 
 
 class TestProfileCorpusMismatch:
-    """A profile CSV that disagrees with the corpus stops the command with one
-    error line naming the record, and leaves the command's outputs as they
-    were."""
+    """Profile row i must be corpus record i. A profile CSV that lacks a
+    record, holds a foreign row or is out of order stops each command that
+    reads both with exit 1 and one error line naming the record, and leaves
+    every file as it was."""
 
-    def profile(self, pipeline_dir) -> Path:
+    MISMATCHES = {
+        "missing": "corpus record 'r5' has no profile row",
+        "foreign": "profile row for record 'ghost' names no corpus record",
+        "permuted": ("profile row 2 (record 'r2') is out of corpus order: "
+                     "row i must be corpus record i"),
+    }
+
+    @pytest.fixture(params=sorted(MISMATCHES))
+    def mismatch(self, request, pipeline_dir) -> tuple[Path, str]:
+        """(profile CSV, expected error) after `profile` and one mismatch."""
         assert main(["profile", "--corpus", pipeline_dir["corpus"],
                      "--embeddings", pipeline_dir["vectors"], "--out", pipeline_dir["out"]]) == 0
-        return Path(pipeline_dir["out"], "profiles.csv")
+        path = Path(pipeline_dir["out"], "profiles.csv")
+        lines = path.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [f"r{i}" for i in range(6)]
+        if request.param == "missing":
+            lines = lines[:-1]
+        elif request.param == "foreign":
+            lines.append("ghost,0.5,0.5,false,,,")
+        else:
+            lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        return path, self.MISMATCHES[request.param]
 
-    def test_cluster_names_corpus_record_without_profile(self, pipeline_dir, capsys):
-        profiles = self.profile(pipeline_dir)
-        lines = profiles.read_text().splitlines()
-        assert lines[-1].startswith("r5,")
-        profiles.write_text("\n".join(lines[:-1]) + "\n")
-        before = profiles.read_bytes()
+    def assert_refused(self, capsys, mismatch, out: Path, argv):
+        path, error = mismatch
+        before = path.read_bytes()
+        files = sorted(p.name for p in out.iterdir())
         capsys.readouterr()
-        code = main(["cluster", "--corpus", pipeline_dir["corpus"],
-                     "--out", pipeline_dir["out"], "--k", "2"])
+        code = main(argv)
+        err = capsys.readouterr().err
         assert code == 1
-        assert capsys.readouterr().err == "error: record 'r5' has no cluster assignment\n"
-        assert profiles.read_bytes() == before
-        assert not Path(pipeline_dir["out"], "cluster_model.json").exists()
+        assert err.splitlines() == [f"error: {error}"]
+        assert "Traceback" not in err
+        assert path.read_bytes() == before
+        # no output written, cluster_model.json, clickbait_shift.json and
+        # eate_reports.* among them
+        assert sorted(p.name for p in out.iterdir()) == files
 
-    def test_clickbait_score_names_profile_row_absent_from_corpus(self, pipeline_dir,
-                                                                 capsys):
+    def test_cluster(self, pipeline_dir, mismatch, capsys):
+        out = Path(pipeline_dir["out"])
+        self.assert_refused(capsys, mismatch, out, ["cluster", "--corpus", pipeline_dir["corpus"],
+                                                    "--out", str(out), "--k", "2"])
+
+    def test_clickbait_score(self, pipeline_dir, mismatch, capsys):
         from editlift import clickbait as cb
         from editlift.nn import SequenceClassifier
 
-        profiles = self.profile(pipeline_dir)
-        with open(profiles, "a", encoding="utf-8") as fh:
-            fh.write("ghost,0.5,0.5,false,,,\n")
-        before = profiles.read_bytes()
         network = SequenceClassifier(vocab_size=3, embed_size=2, hidden_size=3, seed=0)
+        out = Path(pipeline_dir["out"])
         cb.save_model(cb.ClickbaitModel(network=network, token_ids={"budget": 1, "vote": 2}),
-                      Path(pipeline_dir["out"], "clickbait_model.bin"))
-        capsys.readouterr()
-        code = main(["clickbait", "score", "--corpus", pipeline_dir["corpus"],
-                     "--out", pipeline_dir["out"]])
-        assert code == 1
-        assert (capsys.readouterr().err
-                == "error: profiles reference records absent from corpus: ['ghost']\n")
-        assert profiles.read_bytes() == before
-        assert not Path(pipeline_dir["out"], "clickbait_shift.json").exists()
+                      out / "clickbait_model.bin")
+        self.assert_refused(capsys, mismatch, out, ["clickbait", "score", "--corpus",
+                                                    pipeline_dir["corpus"], "--out", str(out)])
+
+    def test_estimate(self, pipeline_dir, mismatch, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenarios": [
+            {"name": "s", "outlet": "alpha",
+             "treatment": {"kind": "edited"}, "control": {"kind": "mirrored"}}]}))
+        out = Path(pipeline_dir["out"])
+        self.assert_refused(capsys, mismatch, out, [
+            "estimate", "--corpus", pipeline_dir["corpus"], "--embeddings",
+            pipeline_dir["vectors"], "--out", str(out), "--config", str(cfg)])
 
 
 class TestSynthCommand:

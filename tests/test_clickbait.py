@@ -172,12 +172,17 @@ class TestScoreProfiles:
                         post_text="craziest viral quiz"),
         ]
         corpus = make_corpus(records)
-        profiles = make_profiles([("r1", 0.5, 0.5, False), ("r0", 0.5, 0.5, False)])
+        profiles = make_profiles([("r0", 0.5, 0.5, False), ("r1", 0.5, 0.5, False)])
         scored = cb.score_profiles(model, corpus, profiles)
-        assert scored.record_ids == ("r1", "r0")  # profile order, not corpus order
-        assert scored.headline_clickbait[1] > 0.5 > scored.post_clickbait[1]
-        assert scored.headline_clickbait[0] < 0.5 < scored.post_clickbait[0]
+        assert scored.record_ids == ("r0", "r1")
+        assert scored.headline_clickbait[0] > 0.5 > scored.post_clickbait[0]
+        assert scored.headline_clickbait[1] < 0.5 < scored.post_clickbait[1]
         assert np.isnan(profiles.headline_clickbait).all()  # the input is left as it was
+        # row i must be corpus record i: a permuted table is not reordered
+        permuted = make_profiles([("r1", 0.5, 0.5, False), ("r0", 0.5, 0.5, False)])
+        with pytest.raises(ValueError, match=r"profile row 1 \(record 'r1'\) is out of "
+                                             "corpus order"):
+            cb.score_profiles(model, corpus, permuted)
 
 
 class TestPersistence:

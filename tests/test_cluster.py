@@ -262,12 +262,13 @@ class TestFractions:
             assert sum(row) == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_assignment_error(self):
-        # r2 has no profile row; r1's row has no cluster
-        profiles = self.profiles([0, None])
+        # r1's row has no cluster
+        profiles = self.profiles([0, None, 1, 1])
         with pytest.raises(ValueError, match="record 'r1' has no cluster assignment"):
             cluster_fractions(profiles, self.corpus(), k=3)
+        # r2 has no profile row
         profiles = make_profiles([("r0", 0.5, 0.5, False, 0), ("r1", 0.5, 0.5, False, 1)])
-        with pytest.raises(ValueError, match="record 'r2' has no cluster assignment"):
+        with pytest.raises(ValueError, match="corpus record 'r2' has no profile row"):
             cluster_fractions(profiles, self.corpus(), k=3)
 
 

@@ -116,6 +116,15 @@ class TestTimeBlocks:
         assert assign_time_block(make_record(created_at=created)) in cm.TIME_BLOCKS
 
 
+class TestOutletRows:
+    def test_positions_in_first_appearance_order(self):
+        corpus = make_corpus([make_record(rid=f"r{i}", outlet=o)
+                              for i, o in enumerate(["b", "a", "b", "c", "a"])])
+        rows = corpus.outlet_rows()
+        assert list(rows) == ["b", "a", "c"]
+        assert rows == {"b": [0, 2], "a": [1, 4], "c": [3]}
+
+
 class TestLoadCorpus:
     def test_three_valid_lines(self, tmp_path):
         path = write_jsonl(tmp_path / "c.jsonl", [record_row(rid=f"r{i}") for i in range(3)])

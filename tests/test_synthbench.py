@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from editlift import synthbench as sb
+from editlift.cli import main
 from editlift.corpus import is_mirrored, load_corpus, save_corpus
 from editlift.embedding import cosine, embed_text
 
@@ -188,3 +190,26 @@ class TestSpecIO:
         assert len(lines) == len(truth)
         first = json.loads(lines[0])
         assert set(first) == {"id", "topic", "treated", "expected", "clamped"}
+
+
+class TestPresetStream:
+    """The confounded preset's draws are pinned: criteria 3, 4 and 9 read
+    this stream, so a change to the generator must leave these files
+    byte-identical."""
+
+    @pytest.mark.parametrize("argv,digests", [
+        (["--n-records", "300", "--seed", "0"], {
+            "corpus.jsonl": "97c2ea49e64923a91fba9cb4c1d753afae38b9b3e8b4cca72b25c87e630e543c",
+            "truth.jsonl": "3e08e2b2a83c19b880a8f2b16c56854b8ce14662e2033f05f7df440f15996e0a",
+            "vectors.txt": "eece469a3087e51855aeaf7e2ac81e074c5a39cef0d6e1bbce5ea81d17732894",
+        }),
+        (["--n-records", "300", "--seed", "7", "--effect-likes", "50"], {
+            "corpus.jsonl": "e6751c99e78fdf6b34fd66882afe13262a00cdb10a363a70fa3d426f8a0f6930",
+            "truth.jsonl": "3c200e8face008e88824687c2da514506bba3f7eeadb375700bf8a5dad255b3c",
+            "vectors.txt": "fb80fbaae08c0758e6852652d32be1eb86f1c3f0ef447259e65550393638c99a",
+        }),
+    ])
+    def test_synth_outputs_pinned(self, tmp_path, argv, digests):
+        assert main(["synth", *argv, "--out", str(tmp_path)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests

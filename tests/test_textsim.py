@@ -168,10 +168,39 @@ class TestProfile:
         path.write_text(",".join(textsim.PROFILE_COLUMNS) + "\nr1,0.25,0.5,false,,,\nr2,0.5\n")
         with pytest.raises(ValueError, match="line 3: expected 7 cells"):
             profiles_from_csv(path)
+        # a surplus cell is rejected, not dropped
+        path.write_text(",".join(textsim.PROFILE_COLUMNS) + "\na,0.5,0.5,false,,0,0.1,0.1\n")
+        with pytest.raises(ValueError, match="line 2: expected 7 cells"):
+            profiles_from_csv(path)
         path.write_text(",".join(textsim.PROFILE_COLUMNS) + "\nr1,0.25,0.5,false,,,\n"
                         "r2,0.5,0.5,true,,,\nr1,0.5,0.5,true,,,\n")
         with pytest.raises(ValueError, match="line 4: duplicate record_id 'r1'"):
             profiles_from_csv(path)
+
+
+class TestCheckRows:
+    """Profile row i must be corpus record i; the error names the first
+    record where the two differ."""
+
+    def check(self, profile_ids, corpus_ids=("a", "b", "c")):
+        corpus = make_corpus([make_record(rid=rid) for rid in corpus_ids])
+        make_profiles((rid, 0.5, 0.5, False) for rid in profile_ids).check_rows(corpus)
+
+    def test_aligned_table_passes(self):
+        self.check(("a", "b", "c"))
+
+    @pytest.mark.parametrize("profile_ids,error", [
+        (("a", "c"), "corpus record 'b' has no profile row"),
+        (("a", "b"), "corpus record 'c' has no profile row"),
+        (("a", "x", "b", "c"), "profile row for record 'x' names no corpus record"),
+        (("a", "b", "c", "x"), "profile row for record 'x' names no corpus record"),
+        (("a", "c", "b"), "profile row 2 (record 'c') is out of corpus order"),
+        (("a", "b", "c", "b"), "profile row 4 (record 'b') is out of corpus order"),
+    ])
+    def test_first_difference_named(self, profile_ids, error):
+        with pytest.raises(ValueError) as exc:
+            self.check(profile_ids)
+        assert str(exc.value).startswith(error)
 
 
 def exact_u_by_enumeration(x, y):
