@@ -45,11 +45,16 @@ N_FOLDS = 10
 # float(scipy.stats.t.ppf(0.975, N_FOLDS - 1)); a constant keeps scipy.stats
 # (about a second to import) off every command's start-up
 T_CRIT_95 = 2.262157162798205
-PAIR_SAMPLE_CUTOFF = 2000
-PAIR_SAMPLE_SIZE = 200_000
+PAIR_SAMPLE_CUTOFF = 2000  # documents above which pair statistics are sampled
+PAIR_SAMPLE_SIZE = 200_000  # pairs sampled above the cutoff
 PAIR_CHUNK = 8192  # sampled pairs per dot-product chunk
 MATCH_CHUNK_CELLS = 1 << 20  # treatment x control gaps held at once by `match`
 SHIFT_CLASSES = ("C", "NC")  # a shift selector's headline and post classes
+# the propensity network's training schedule (its epochs are a setting)
+PROPENSITY_BATCH_SIZE = 32
+PROPENSITY_HIDDEN = (128, 64)  # ReLU hidden layer widths
+PROPENSITY_LEARNING_RATE = 1e-3
+PROPENSITY_L2_PENALTY = 0.001
 
 
 class ScenarioError(ValueError):
@@ -259,8 +264,9 @@ class EateReport:
 def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
                      config: CausalConfig) -> Mlp:
     """Fit the propensity network, treatment (y = 1) vs control (y = 0), on
-    the body vectors x [n, dim] with binary cross-entropy, on the schedule
-    of `config`: ReLU hidden layers of `config.hidden` units, Adam.
+    the body vectors x [n, dim] with binary cross-entropy, for
+    `config.epochs` epochs of the PROPENSITY_* schedule: ReLU hidden layers
+    of PROPENSITY_HIDDEN units, Adam.
 
     Each epoch shuffles the rows once and steps through consecutive batches
     of the shuffled arrays. The L2 penalty applies to the last hidden
@@ -274,14 +280,14 @@ def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
     n_treated = int(np.count_nonzero(y))
     if n_treated == 0 or n_treated == len(y):
         raise ScenarioError("propensity training needs units in both groups")
-    net = Mlp([x.shape[1], *config.hidden, 1], seed=seed, l2_penalty=config.l2_penalty)
-    opt = AdamState(learning_rate=config.learning_rate)
+    net = Mlp([x.shape[1], *PROPENSITY_HIDDEN, 1], seed=seed, l2_penalty=PROPENSITY_L2_PENALTY)
+    opt = AdamState(learning_rate=PROPENSITY_LEARNING_RATE)
     rng = np.random.default_rng(seed)
     for _ in range(config.epochs):
         order = rng.permutation(len(x))
         x_epoch, y_epoch = x[order], y[order]
-        for start in range(0, len(x), config.batch_size):
-            stop = start + config.batch_size
+        for start in range(0, len(x), PROPENSITY_BATCH_SIZE):
+            stop = start + PROPENSITY_BATCH_SIZE
             net.gradients(x_epoch[start:stop], y_epoch[start:stop])
             adam_step(opt, net.buffer)
     return net
@@ -339,14 +345,12 @@ def _nearest_controls(p_t: np.ndarray, p_c: np.ndarray, id_rank: np.ndarray,
     return chosen
 
 
-def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0,
-                              exact_cutoff: int = PAIR_SAMPLE_CUTOFF,
-                              sample_size: int = PAIR_SAMPLE_SIZE) -> tuple[float, float]:
+def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0) -> tuple[float, float]:
     """Mean and standard deviation of cosine similarity over document pairs.
 
-    Exact over all n(n-1)/2 pairs up to `exact_cutoff` documents; beyond that,
-    a seeded uniform sample of pairs, whose dot products are taken in chunks
-    of PAIR_CHUNK rows.
+    Exact over all n(n-1)/2 pairs up to PAIR_SAMPLE_CUTOFF documents; beyond
+    that, a seeded uniform sample of PAIR_SAMPLE_SIZE pairs, whose dot
+    products are taken in chunks of PAIR_CHUNK rows.
 
     The exact path holds no more than the n x n Gram matrix: the strict upper
     triangle is packed, row by row, into the front of the Gram's own buffer,
@@ -362,7 +366,7 @@ def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0,
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = vec / safe[:, None]
     unit[norms == 0.0] = 0.0
-    if n <= exact_cutoff:
+    if n <= PAIR_SAMPLE_CUTOFF:
         flat = (unit @ unit.T).reshape(-1)
         packed = 0
         for row in range(n - 1):
@@ -375,14 +379,14 @@ def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0,
         sims = flat[:packed]
     else:
         rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=sample_size)
-        j = rng.integers(0, n - 1, size=sample_size)
+        i = rng.integers(0, n, size=PAIR_SAMPLE_SIZE)
+        j = rng.integers(0, n - 1, size=PAIR_SAMPLE_SIZE)
         j = np.where(j >= i, j + 1, j)  # uniform over ordered pairs with i != j
-        sims = np.empty(sample_size, dtype=np.float64)
+        sims = np.empty(PAIR_SAMPLE_SIZE, dtype=np.float64)
         left = np.empty((PAIR_CHUNK, unit.shape[1]), dtype=np.float64)
         right = np.empty_like(left)
-        for start in range(0, sample_size, PAIR_CHUNK):
-            stop = min(start + PAIR_CHUNK, sample_size)
+        for start in range(0, PAIR_SAMPLE_SIZE, PAIR_CHUNK):
+            stop = min(start + PAIR_CHUNK, PAIR_SAMPLE_SIZE)
             # every index is in range, so "clip" changes nothing; unlike the
             # default "raise" it gathers straight into `out`, unbuffered
             a = np.take(unit, i[start:stop], axis=0, out=left[:stop - start], mode="clip")
@@ -446,11 +450,7 @@ class CausalConfig:
     alpha: float = DEFAULT_ALPHA
     tau: float = DEFAULT_TAU
     min_group: int = DEFAULT_MIN_GROUP
-    epochs: int = 3
-    batch_size: int = 32
-    hidden: tuple[int, int] = (128, 64)
-    learning_rate: float = 1e-3
-    l2_penalty: float = 0.001
+    epochs: int = 3  # of propensity training
 
 
 def select_units(units: UnitTable, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

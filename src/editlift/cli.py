@@ -234,6 +234,9 @@ def cmd_cluster(args) -> int:
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
     profile_path, profiles = _load_profiles(args, out_dir)
     loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
+    # a profile table that is not the corpus row for row stops the command
+    # before any fit, with its outputs untouched
+    profiles.check_rows(loaded)
 
     pts = cluster.profile_points(profiles)
     fit = None
@@ -251,8 +254,6 @@ def cmd_cluster(args) -> int:
         raise CommandError(str(exc)) from None
 
     profiles = replace(profiles, cluster=labels.astype(float))
-    # tabulated before anything is written: a profile table that is not the
-    # corpus row for row stops the command with its outputs untouched
     fractions = cluster.cluster_fractions(profiles, loaded, k=model.k)
     textsim.profiles_to_csv(profiles, profile_path)
     cluster.save_model(model, out_dir / "cluster_model.json")

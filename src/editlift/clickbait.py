@@ -30,7 +30,6 @@ BATCH_SIZE = 32
 EMBED_SIZE = 50
 HIDDEN_SIZE = 64
 LEARNING_RATE = 1e-3
-CLIP_NORM = 5.0
 PATIENCE = 3  # epochs without a better validation F1 before training stops
 # header values every model file records; a file with others was made for
 # another classification rule, so `load_model` rejects it
@@ -154,7 +153,7 @@ def train(dataset: list[LabeledHeadline], split_seed: int = 0,
     val_seqs = [sequences[i] for i in val_idx]
     val_y = targets[val_idx]
 
-    opt = AdamState(learning_rate=LEARNING_RATE, clip_norm=CLIP_NORM)
+    opt = AdamState(learning_rate=LEARNING_RATE)
     rng = np.random.default_rng(split_seed + 2)
     best_val = -1.0
     stale = 0
@@ -238,7 +237,7 @@ def save_model(model: ClickbaitModel, path: str | Path) -> None:
         **_FIXED_META,
         "embed_size": model.network.embed_size,
         "hidden_size": model.network.hidden_size,
-        "attention_size": model.network.attention_size,
+        "attention_size": model.network.hidden_size,  # the attention width
         "seed": model.network.seed,
     }
     write_bytes_atomic(path, params_to_bytes(model.network.buffer.params, meta))
@@ -246,7 +245,8 @@ def save_model(model: ClickbaitModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ClickbaitModel:
     """Read a model `save_model` wrote; a malformed file, or one made for
-    another threshold or token limit, raises ValueError naming the path."""
+    another threshold, token limit or attention width, raises ValueError
+    naming the path."""
     meta, params = load_params(path)
     if meta.get("kind") != "clickbait":
         raise ValueError(f"{path}: not a clickbait model file")
@@ -255,13 +255,12 @@ def load_model(path: str | Path) -> ClickbaitModel:
             vocab_size=len(meta["tokens"]) + 1,
             embed_size=int(meta["embed_size"]),
             hidden_size=int(meta["hidden_size"]),
-            attention_size=int(meta["attention_size"]),
             seed=int(meta["seed"]),
         )
-        network.buffer.assign(params)
-        for key, value in _FIXED_META.items():
+        for key, value in {**_FIXED_META, "attention_size": network.hidden_size}.items():
             if meta[key] != value:
                 raise ValueError(f"model file has {key} {meta[key]!r}, expected {value!r}")
+        network.buffer.assign(params)
         token_ids = {t: i + 1 for i, t in enumerate(meta["tokens"])}
         return ClickbaitModel(network=network, token_ids=token_ids)
     except KeyError as exc:

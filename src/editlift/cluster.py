@@ -18,6 +18,7 @@ from .textsim import Profiles
 
 ELBOW_THRESHOLD = 0.15
 MAX_LLOYD_ITERATIONS = 300
+RESTARTS = 10  # seeded fits per cluster count, the lowest inertia kept
 
 
 @dataclass(frozen=True)
@@ -128,26 +129,26 @@ def kmeanspp_fit(points, k: int, seed: int) -> ClusterModel:
     return ClusterModel(k=k, centroids=centroids.copy(), inertia=inertia, seed=seed)
 
 
-def best_fit(points, k: int, seed: int, restarts: int = 10) -> ClusterModel:
-    """Best of `restarts` seeded fits, lowest inertia winning; ties keep the
-    earliest restart."""
+def best_fit(points, k: int, seed: int) -> ClusterModel:
+    """Best of RESTARTS seeded fits (seeds seed, seed + 1, ...), lowest
+    inertia winning; ties keep the earliest restart."""
     best: ClusterModel | None = None
-    for i in range(restarts):
+    for i in range(RESTARTS):
         model = kmeanspp_fit(points, k, seed + i)
         if best is None or model.inertia < best.inertia:
             best = model
     return best
 
 
-def elbow_select(points, k_max: int, seed: int, restarts: int = 10,
-                 threshold: float = ELBOW_THRESHOLD,
+def elbow_select(points, k_max: int, seed: int,
                  fits: list[ClusterModel] | None = None) -> int:
-    """Smallest k whose marginal inertia reduction ratio drops below `threshold`.
+    """Smallest k whose marginal inertia reduction ratio drops below
+    ELBOW_THRESHOLD.
 
-    Ratio at k is (inertia(k) - inertia(k+1)) / inertia(k), each side the best
-    of `restarts` fits. When no k qualifies the data shows no elbow up to
-    k_max and a single cluster is reported. A `fits` list receives those best
-    fits, k = 1 to k_max in order, so the caller can keep the selected k's fit
+    Ratio at k is (inertia(k) - inertia(k+1)) / inertia(k), each side from
+    `best_fit`. When no k qualifies the data shows no elbow up to k_max and a
+    single cluster is reported. A `fits` list receives those best fits, k = 1
+    to k_max in order, so the caller can keep the selected k's fit
     (`fits[k - 1]`) instead of fitting it again.
     """
     if k_max < 2:
@@ -155,13 +156,13 @@ def elbow_select(points, k_max: int, seed: int, restarts: int = 10,
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) < k_max:
         raise ValueError(f"need at least k_max={k_max} points, got {len(pts)}")
-    models = [best_fit(pts, k, seed, restarts) for k in range(1, k_max + 1)]
+    models = [best_fit(pts, k, seed) for k in range(1, k_max + 1)]
     if fits is not None:
         fits.extend(models)
     for k in range(1, k_max):
         cur, nxt = models[k - 1].inertia, models[k].inertia
         ratio = 0.0 if cur == 0.0 else (cur - nxt) / cur
-        if ratio < threshold:
+        if ratio < ELBOW_THRESHOLD:
             return k
     return 1
 
@@ -178,26 +179,25 @@ def profile_points(profiles: Profiles) -> np.ndarray:
     return np.column_stack((profiles.embedding_similarity, profiles.edit_distance))
 
 
-def fit_profiles(profiles: Profiles, k: int, seed: int, restarts: int = 10,
+def fit_profiles(profiles: Profiles, k: int, seed: int,
                  fit: ClusterModel | None = None) -> tuple[ClusterModel, np.ndarray]:
     """Cluster the profile points; returns the canonical model and the [n]
     label of each profile row.
 
     `fit`, when given, is `best_fit` of these profiles' points at k with the
-    same seed and restarts (as `elbow_select` hands it out), and is used
-    instead of fitting again.
+    same seed (as `elbow_select` hands it out), and is used instead of
+    fitting again.
     """
     pts = profile_points(profiles)
-    model = canonical_order(fit if fit is not None else best_fit(pts, k, seed, restarts))
+    model = canonical_order(fit if fit is not None else best_fit(pts, k, seed))
     return model, model.assign(pts)
 
 
 def cluster_fractions(profiles: Profiles, corpus: Corpus, k: int) -> dict[str, list[float]]:
     """Per-outlet fraction of the corpus records in each of the k clusters of
     the profiles' cluster column; every row sums to 1. Profile row i must be
-    corpus record i (`Profiles.check_rows`), and a row without a cluster is an
-    error."""
-    profiles.check_rows(corpus)
+    corpus record i, which the caller checks (`Profiles.check_rows`); a row
+    without a cluster is an error."""
     unset = np.flatnonzero(np.isnan(profiles.cluster))
     if len(unset):
         raise ValueError(f"record {profiles.record_ids[unset[0]]!r} has no cluster assignment")

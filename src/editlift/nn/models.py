@@ -113,20 +113,18 @@ class SequenceClassifier:
 
     Sequences are lists/arrays of integer token ids; id 0 is reserved for the
     unknown token. The buffer names its parameters embed, out_w, out_b, the
-    forward (f_) and backward (b_) GRU gates, then the attention head (a_).
+    forward (f_) and backward (b_) GRU gates, then the attention head (a_),
+    whose projection is `hidden_size` wide.
     """
 
     UNKNOWN_ID = 0
 
-    def __init__(self, vocab_size: int, embed_size: int, hidden_size: int,
-                 attention_size: int | None = None, seed: int = 0):
+    def __init__(self, vocab_size: int, embed_size: int, hidden_size: int, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.embed = rng.normal(0.0, 0.1, size=(vocab_size, embed_size))
         self.fwd = GruCell.init(rng, embed_size, hidden_size)
         self.bwd = GruCell.init(rng, embed_size, hidden_size)
-        if attention_size is None:
-            attention_size = hidden_size
-        self.attention = AttentionHead.init(rng, 2 * hidden_size, attention_size)
+        self.attention = AttentionHead.init(rng, 2 * hidden_size, hidden_size)
         self.out_w = xavier_uniform(rng, 2 * hidden_size, 1, shape=(2 * hidden_size,))
         self.out_b = np.zeros(1, dtype=np.float64)
         self.buffer = ParamBuffer.adopt(
@@ -140,7 +138,6 @@ class SequenceClassifier:
         self.vocab_size = vocab_size
         self.embed_size = embed_size
         self.hidden_size = hidden_size
-        self.attention_size = attention_size
         self.seed = seed
 
     def _forward_batch(self, ids: np.ndarray, valid: np.ndarray | None = None):

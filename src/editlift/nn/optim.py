@@ -9,14 +9,15 @@ import numpy as np
 
 from .params import ParamBuffer
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+CLIP_NORM = 5.0  # global L2 norm the gradients are scaled down to
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    clip_norm: float = 5.0
     step_count: int = 0
     # moment estimates and two scratch arrays, allocated on the first step to
     # the size of the buffer being optimized
@@ -29,7 +30,7 @@ def adam_step(state: AdamState, buffer: ParamBuffer) -> None:
     """One in-place bias-corrected Adam update of `buffer.values` from
     `buffer.grads`.
 
-    When the gradients' global L2 norm exceeds `state.clip_norm`, they are
+    When the gradients' global L2 norm exceeds CLIP_NORM, they are
     first scaled in place, in `buffer.grads`, down to that norm. Raises
     FloatingPointError, naming the parameter, on a non-finite gradient.
     """
@@ -47,20 +48,20 @@ def adam_step(state: AdamState, buffer: ParamBuffer) -> None:
     elif state.m.shape != g.shape:
         raise ValueError(f"optimizer state holds {state.m.size} values, buffer has {g.size}")
     norm = math.sqrt(norm_sq)
-    if norm > state.clip_norm:
-        g *= state.clip_norm / norm
+    if norm > CLIP_NORM:
+        g *= CLIP_NORM / norm
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     m, v = state.m, state.v
     a, b = state.scratch
     # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
-    m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=a)
+    m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=a)
     m += a
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=a)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=a)
     a *= g
     v += a
     # values -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
@@ -68,6 +69,6 @@ def adam_step(state: AdamState, buffer: ParamBuffer) -> None:
     a *= state.learning_rate
     np.divide(v, bc2, out=b)
     np.sqrt(b, out=b)
-    b += state.epsilon
+    b += EPSILON
     a /= b
     buffer.values -= a

@@ -14,12 +14,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import ENGAGEMENT_METRICS, Corpus, PairedRecord, write_text_atomic
 from .embedding import EmbeddingTable
+
+HEADLINE_TOKENS = (4, 9)  # [low, high) words of a generated headline
+BODY_TOKENS = (20, 45)  # [low, high) words of a generated body
+YEAR_START = datetime(2018, 1, 1)  # posts fall in the 365 days from here
+TABLE_DIM = 32  # width of the word vectors `synthetic_table` makes
+TOKEN_NOISE = 0.45  # scatter of a token's vector around its topic direction
+FAMILY_OFFSET = 0.15  # sibling topics' offset from their family direction
+PRESET_VOCAB_SIZE = 150  # words per topic of the confounded preset
 
 
 @dataclass(frozen=True)
@@ -39,8 +48,6 @@ class SynthSpec:
     dispersion: float = 0.0
     seed: int = 0
     outlet: str = "synthwire"
-    body_tokens: tuple[int, int] = (20, 45)
-    headline_tokens: tuple[int, int] = (4, 9)
 
     def validate(self) -> None:
         if self.n_records < 60:
@@ -106,9 +113,9 @@ def generate(spec: SynthSpec) -> tuple[Corpus, list[TruthRecord]]:
         rid = f"s{i + 1:0{width}d}"
         vocab = topic.vocabulary
 
-        h_len = int(rng.integers(*spec.headline_tokens))
+        h_len = int(rng.integers(*HEADLINE_TOKENS))
         headline = " ".join(vocab[j] for j in rng.choice(len(vocab), size=h_len))
-        b_len = int(rng.integers(*spec.body_tokens))
+        b_len = int(rng.integers(*BODY_TOKENS))
         body = " ".join(vocab[j] for j in rng.choice(len(vocab), size=b_len))
         if treated[i]:
             extra = " ".join(vocab[j] for j in rng.choice(len(vocab), size=2))
@@ -117,8 +124,7 @@ def generate(spec: SynthSpec) -> tuple[Corpus, list[TruthRecord]]:
             post = headline
 
         minute = int(rng.integers(0, 365 * 24 * 60))
-        month, dom = _month_day(minute // (24 * 60))
-        created = f"2018-{month:02d}-{dom:02d}T{(minute // 60) % 24:02d}:{minute % 60:02d}:00Z"
+        created = (YEAR_START + timedelta(minutes=minute)).strftime("%Y-%m-%dT%H:%M:00Z")
 
         expected = {}
         counts = {}
@@ -163,31 +169,20 @@ def generate(spec: SynthSpec) -> tuple[Corpus, list[TruthRecord]]:
     return corpus, truth
 
 
-_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-def _month_day(day_of_year: int) -> tuple[int, int]:
-    for month, days in enumerate(_DAYS_IN_MONTH, start=1):
-        if day_of_year < days:
-            return month, day_of_year + 1
-        day_of_year -= days
-    return 12, 31
-
-
-def synthetic_table(spec: SynthSpec, dim: int = 32, seed: int | None = None,
-                    token_noise: float = 0.45, family_offset: float = 0.15) -> EmbeddingTable:
-    """Word vectors aligned with the spec's topics.
+def synthetic_table(spec: SynthSpec, seed: int) -> EmbeddingTable:
+    """TABLE_DIM-wide word vectors aligned with the spec's topics.
 
     Each topic family gets a random unit direction; topics inside a family
-    sit at small symmetric offsets from it (cosine about 1 - 2*offset^2
-    between siblings), and unrelated families are mutually near-orthogonal.
-    Tokens scatter around their topic's direction. Seeded separately from
-    the corpus so one table serves every corpus built on the same layout.
+    sit at symmetric FAMILY_OFFSET offsets from it (cosine about
+    1 - 2*FAMILY_OFFSET^2 between siblings), and unrelated families are
+    mutually near-orthogonal. Tokens scatter around their topic's direction
+    with TOKEN_NOISE. Seeded separately from the corpus so one table serves
+    every corpus built on the same layout.
     """
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
 
     def unit() -> np.ndarray:
-        v = rng.normal(size=dim)
+        v = rng.normal(size=TABLE_DIM)
         return v / np.linalg.norm(v)
 
     family_centers: dict[str, np.ndarray] = {}
@@ -204,14 +199,15 @@ def synthetic_table(spec: SynthSpec, dim: int = 32, seed: int | None = None,
         base = family_centers[family]
         axis = axis - (axis @ base) * base
         axis /= np.linalg.norm(axis)
-        center = np.sqrt(1.0 - family_offset ** 2) * base + side * family_offset * axis
+        center = np.sqrt(1.0 - FAMILY_OFFSET ** 2) * base + side * FAMILY_OFFSET * axis
+        scale = TOKEN_NOISE / np.sqrt(TABLE_DIM)
         for token in topic.vocabulary:
-            vocab[token] = center + rng.normal(0.0, token_noise / np.sqrt(dim), size=dim)
-    return EmbeddingTable(dim=dim, vocab=vocab)
+            vocab[token] = center + rng.normal(0.0, scale, size=TABLE_DIM)
+    return EmbeddingTable(dim=TABLE_DIM, vocab=vocab)
 
 
-def confounded_spec(n_records: int = 5000, effect_likes: float = 0.0, seed: int = 0,
-                    dispersion: float = 0.0, vocab_size: int = 150) -> SynthSpec:
+def confounded_spec(n_records: int = 5000, effect_likes: float = 0.0,
+                    seed: int = 0) -> SynthSpec:
     """Benchmark layout: five treatment-probability levels, each a family of
     two semantically close topics with very different engagement scales.
 
@@ -233,7 +229,7 @@ def confounded_spec(n_records: int = 5000, effect_likes: float = 0.0, seed: int 
     rule = {}
     for prob, family, pair in levels:
         for name, likes in pair:
-            vocabulary = tuple(f"{name}{i:02d}" for i in range(vocab_size))
+            vocabulary = tuple(f"{name}{i:02d}" for i in range(PRESET_VOCAB_SIZE))
             topics.append(
                 TopicSpec(
                     topic_id=name,
@@ -253,7 +249,6 @@ def confounded_spec(n_records: int = 5000, effect_likes: float = 0.0, seed: int 
         topics=tuple(topics),
         treatment_rule=rule,
         true_effect=effect,
-        dispersion=dispersion,
         seed=seed,
     )
 

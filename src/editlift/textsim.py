@@ -21,6 +21,7 @@ import numpy as np
 from .corpus import Corpus, is_mirrored, normalize, write_text_atomic
 from .embedding import EmbeddingTable, cosine, embed_text
 
+EXACT_MAX_N = 20  # combined sample size up to which `mann_whitney_u` enumerates
 PROFILE_COLUMNS = (
     "record_id",
     "edit_distance",
@@ -194,17 +195,13 @@ def profiles_from_csv(path: str | Path) -> Profiles:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n with ties sharing their average rank.
+
+    A run of c equal values ending at sorted position e (1-based) holds ranks
+    e - c + 1 .. e, whose mean is (2e - c + 1) / 2: an exact half-integer.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return ((2 * np.cumsum(counts) - counts + 1) / 2)[inverse]
 
 
 def _exact_u_pvalue(ranks: np.ndarray, nx: int, u_obs: float) -> float:
@@ -240,12 +237,12 @@ def _exact_u_pvalue(ranks: np.ndarray, nx: int, u_obs: float) -> float:
     return hits / total_combos
 
 
-def mann_whitney_u(x, y, exact_max_n: int = 20) -> TestResult:
+def mann_whitney_u(x, y) -> TestResult:
     """Two-sided Mann-Whitney U test with midrank tie handling.
 
     The statistic is the x-side U (count of (x, y) pairs with x > y, ties
     counting one half). p-values come from exact enumeration when the
-    combined sample size is at most `exact_max_n`, otherwise from the
+    combined sample size is at most EXACT_MAX_N, otherwise from the
     tie-corrected normal approximation with continuity correction.
     """
     x = np.asarray(list(x), dtype=np.float64)
@@ -259,7 +256,7 @@ def mann_whitney_u(x, y, exact_max_n: int = 20) -> TestResult:
     u = rx - nx * (nx + 1) / 2.0
 
     n = nx + ny
-    if n <= exact_max_n:
+    if n <= EXACT_MAX_N:
         p = _exact_u_pvalue(ranks, nx, u)
         return TestResult(statistic=u, p_value=min(1.0, p))
 

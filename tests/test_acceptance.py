@@ -70,7 +70,7 @@ SCENARIO = Scenario("edited-vs-mirrored", "synthwire", Selector("edited"), Selec
 def _benchmark_run(seed: int, delta: float):
     spec = sb.confounded_spec(n_records=5000, effect_likes=delta, seed=seed)
     corpus, truth = sb.generate(spec)
-    table = sb.synthetic_table(spec, dim=32, seed=999)
+    table = sb.synthetic_table(spec, seed=999)
     profiles = textsim.profile(corpus, table)
     units = causal.build_unit_table(corpus, profiles, table, [SCENARIO.outlet])
     reports = causal.run_scenario(units, SCENARIO, seed=seed)
@@ -125,8 +125,7 @@ def test_criterion_5_gradient_verification():
     y = (rng.random(10) > 0.5).astype(float)
     mlp_err = check_gradients(mlp, (x, y))
 
-    seq = SequenceClassifier(vocab_size=10, embed_size=4, hidden_size=8,
-                             attention_size=6, seed=2)
+    seq = SequenceClassifier(vocab_size=10, embed_size=4, hidden_size=8, seed=2)
     seqs = [[1, 4, 2], [3, 3, 9, 1, 8, 2], [5], [7, 6, 1, 2]]  # T <= 6
     seq_err = check_gradients(seq, (seqs, [1.0, 0.0, 1.0, 0.0]))
     elapsed = time.time() - t0
@@ -252,7 +251,7 @@ def test_criterion_8_clustering():
             np.random.default_rng(900 + trial).normal(c, 0.04, size=(40, 2))
             for c in centers
         ])
-        pp_inertia = cluster.best_fit(pts, k=3, seed=trial, restarts=10).inertia
+        pp_inertia = cluster.best_fit(pts, k=3, seed=trial).inertia  # RESTARTS = 10 fits
         best_random = np.inf
         for restart in range(10):
             r = np.random.default_rng(7000 + 10 * trial + restart)

@@ -89,15 +89,17 @@ def reference_loss_and_grads(net, x, y):
     return value, grads
 
 
-def reference_train_propensity(treatments, controls, seed=0, epochs=3, batch_size=32,
-                               hidden=(128, 64), learning_rate=1e-3, l2_penalty=0.001):
-    """Stacked unit features, one permutation per epoch, a gather per batch."""
+def reference_train_propensity(treatments, controls, seed=0, epochs=3):
+    """Stacked unit features, one permutation per epoch, a gather per batch,
+    on the `causal.PROPENSITY_*` schedule."""
     if not treatments or not controls:
         raise ScenarioError("propensity training needs units in both groups")
     x = np.vstack([u.features for u in treatments] + [u.features for u in controls])
     y = np.concatenate([np.ones(len(treatments)), np.zeros(len(controls))])
-    net = Mlp([x.shape[1], hidden[0], hidden[1], 1], seed=seed, l2_penalty=l2_penalty)
-    opt = AdamState(learning_rate=learning_rate)
+    hidden, batch_size = causal.PROPENSITY_HIDDEN, causal.PROPENSITY_BATCH_SIZE
+    net = Mlp([x.shape[1], hidden[0], hidden[1], 1], seed=seed,
+              l2_penalty=causal.PROPENSITY_L2_PENALTY)
+    opt = AdamState(learning_rate=causal.PROPENSITY_LEARNING_RATE)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(len(x))
@@ -166,9 +168,7 @@ def reference_run_scenario(corpus, profiles, table, scenario, seed, config):
         train_t = [u for u, f in zip(treatments, t_folds) if f != fold]
         train_c = [u for u, f in zip(controls, c_folds) if f != fold]
         model = reference_train_propensity(
-            train_t, train_c, seed=seed * causal.N_FOLDS + fold + 1, epochs=config.epochs,
-            batch_size=config.batch_size, hidden=config.hidden,
-            learning_rate=config.learning_rate, l2_penalty=config.l2_penalty)
+            train_t, train_c, seed=seed * causal.N_FOLDS + fold + 1, epochs=config.epochs)
         matches = reference_match(held_out, train_c, model, config.knn)
         achieved = float(np.mean([m.mean_similarity for m in matches]))
         threshold = max(mu + config.alpha * sigma, config.tau)
@@ -466,12 +466,11 @@ class TestVecdotGuard:
                               np.array([np.linalg.norm(v) for v in b]))
 
 
-def reference_pairwise_similarity_stats(vectors, seed=0,
-                                        exact_cutoff=causal.PAIR_SAMPLE_CUTOFF,
-                                        sample_size=causal.PAIR_SAMPLE_SIZE):
+def reference_pairwise_similarity_stats(vectors, seed=0):
     """`pairwise_similarity_stats` as it was before it packed the Gram matrix
     in place: the upper triangle gathered through `np.triu_indices`, the
     sampled pairs through fancy indexing, and the deviation from `np.std`."""
+    exact_cutoff, sample_size = causal.PAIR_SAMPLE_CUTOFF, causal.PAIR_SAMPLE_SIZE
     vec = np.asarray(vectors, dtype=np.float64)
     n = len(vec)
     norms = np.linalg.norm(vec, axis=1)
@@ -530,9 +529,10 @@ class TestPairwiseStats:
     @settings(max_examples=20, deadline=None)
     @given(pair_vectors(), st.integers(1, 3 * causal.PAIR_CHUNK), st.integers(0, 2**16))
     def test_sampled_equals_gather_reference(self, vecs, sample_size, seed):
-        args = dict(seed=seed, exact_cutoff=1, sample_size=sample_size)
-        assert (pairwise_similarity_stats(vecs, **args)
-                == reference_pairwise_similarity_stats(vecs, **args))
+        with (mock.patch.object(causal, "PAIR_SAMPLE_CUTOFF", 1),
+              mock.patch.object(causal, "PAIR_SAMPLE_SIZE", sample_size)):
+            assert (pairwise_similarity_stats(vecs, seed=seed)
+                    == reference_pairwise_similarity_stats(vecs, seed=seed))
 
     def test_exact_path_peak_is_the_gram_matrix(self):
         n = 1000
@@ -552,12 +552,13 @@ class TestPairwiseStats:
         assert mu == pytest.approx(np.mean(sims))
         assert sigma == pytest.approx(np.std(sims))
 
-    def test_sampled_close_to_exact(self):
+    def test_sampled_close_to_exact(self, monkeypatch):
         rng = np.random.default_rng(1)
         vecs = rng.normal(size=(300, 8))
         mu_exact, sd_exact = pairwise_similarity_stats(vecs)
-        mu_sample, sd_sample = pairwise_similarity_stats(
-            vecs, seed=2, exact_cutoff=10, sample_size=100_000)
+        monkeypatch.setattr(causal, "PAIR_SAMPLE_CUTOFF", 10)
+        monkeypatch.setattr(causal, "PAIR_SAMPLE_SIZE", 100_000)
+        mu_sample, sd_sample = pairwise_similarity_stats(vecs, seed=2)
         assert mu_sample == pytest.approx(mu_exact, abs=0.01)
         assert sd_sample == pytest.approx(sd_exact, abs=0.01)
 
@@ -654,14 +655,15 @@ class TestTrainPropensity:
 
     # batch 7 of 5-dim rows puts most batches off a 16-byte boundary
     @pytest.mark.parametrize("dim,batch_size", [(2, 32), (5, 7), (32, 32)])
-    def test_parameters_equal_reference_loop(self, dim, batch_size):
+    def test_parameters_equal_reference_loop(self, dim, batch_size, monkeypatch):
+        monkeypatch.setattr(causal, "PROPENSITY_BATCH_SIZE", batch_size)
+        monkeypatch.setattr(causal, "PROPENSITY_HIDDEN", (16, 8))
         rng = np.random.default_rng(dim)
         treatments = [RefUnit(f"t{i}", rng.normal(0.5, 1.0, size=dim), {}) for i in range(70)]
         controls = [RefUnit(f"c{i}", rng.normal(-0.5, 1.0, size=dim), {}) for i in range(90)]
-        got = train_propensity(*xy(treatments, controls), 3,
-                               CausalConfig(epochs=4, batch_size=batch_size, hidden=(16, 8)))
-        want = reference_train_propensity(treatments, controls, seed=3, epochs=4,
-                                          batch_size=batch_size, hidden=(16, 8))
+        got = train_propensity(*xy(treatments, controls), 3, CausalConfig(epochs=4))
+        want = reference_train_propensity(treatments, controls, seed=3, epochs=4)
+        assert got.buffer.values.size == 16 * dim + 16 + 16 * 8 + 8 + 8 + 1
         assert np.array_equal(got.buffer.values, want.buffer.values)
 
 
@@ -964,7 +966,7 @@ class TestUnitTableSelection:
 def small_benchmark(seed=0, delta=0.0, n=1200):
     spec = sb.confounded_spec(n_records=n, effect_likes=delta, seed=seed)
     corpus, truth = sb.generate(spec)
-    table = sb.synthetic_table(spec, dim=32, seed=999)
+    table = sb.synthetic_table(spec, seed=999)
     profiles = textsim.profile(corpus, table)
     scenario = Scenario("edited-vs-mirrored", "synthwire",
                         Selector("edited"), Selector("mirrored"))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import pickle
@@ -169,13 +170,14 @@ class TestProfileCorpusMismatch:
         path.write_text("\n".join(lines) + "\n")
         return path, self.MISMATCHES[request.param]
 
-    def assert_refused(self, capsys, mismatch, out: Path, argv):
+    def assert_refused(self, capsys, mismatch, out: Path, argv) -> str:
+        """Run `argv`, check the refusal, and return what it printed to stdout."""
         path, error = mismatch
         before = path.read_bytes()
         files = sorted(p.name for p in out.iterdir())
         capsys.readouterr()
         code = main(argv)
-        err = capsys.readouterr().err
+        printed, err = capsys.readouterr()
         assert code == 1
         assert err.splitlines() == [f"error: {error}"]
         assert "Traceback" not in err
@@ -183,11 +185,18 @@ class TestProfileCorpusMismatch:
         # no output written, cluster_model.json, clickbait_shift.json and
         # eate_reports.* among them
         assert sorted(p.name for p in out.iterdir()) == files
+        return printed
 
     def test_cluster(self, pipeline_dir, mismatch, capsys):
         out = Path(pipeline_dir["out"])
         self.assert_refused(capsys, mismatch, out, ["cluster", "--corpus", pipeline_dir["corpus"],
                                                     "--out", str(out), "--k", "2"])
+
+    def test_cluster_refuses_before_elbow_fit(self, pipeline_dir, mismatch, capsys):
+        out = Path(pipeline_dir["out"])
+        printed = self.assert_refused(capsys, mismatch, out, [
+            "cluster", "--corpus", pipeline_dir["corpus"], "--out", str(out), "--k-max", "3"])
+        assert "elbow selected" not in printed
 
     def test_clickbait_score(self, pipeline_dir, mismatch, capsys):
         from editlift import clickbait as cb
@@ -286,7 +295,7 @@ class TestClickbaitCommand:
         assert "model" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["short_header", "no_arrays", "truncated_data",
-                                      "foreign_threshold"])
+                                      "foreign_threshold", "foreign_attention_size"])
     def test_malformed_model_exit_one(self, pipeline_dir, tmp_path, capsys, case):
         import struct
 
@@ -306,10 +315,13 @@ class TestClickbaitCommand:
             cb.save_model(cb.ClickbaitModel(network=network, token_ids={"a": 1, "b": 2}),
                           tmp_path / "whole.bin")
             blob = (tmp_path / "whole.bin").read_bytes()[:-12]
-            if case == "foreign_threshold":
-                # a whole model file, made for another C/NC threshold
+            # a whole model file, made for another C/NC threshold or with an
+            # attention width other than the GRU's
+            foreign = {"foreign_threshold": {"threshold": 0.25},
+                       "foreign_attention_size": {"attention_size": 2}}.get(case)
+            if foreign:
                 meta, params = load_params(tmp_path / "whole.bin")
-                blob = params_to_bytes(params, {**meta, "threshold": 0.25})
+                blob = params_to_bytes(params, {**meta, **foreign})
         model_path.write_bytes(blob)
         capsys.readouterr()
         code = main(["clickbait", "score", "--corpus", pipeline_dir["corpus"],
@@ -320,6 +332,8 @@ class TestClickbaitCommand:
         assert "Traceback" not in err
         if case == "foreign_threshold":
             assert "threshold 0.25" in err
+        if case == "foreign_attention_size":
+            assert "attention_size 2, expected 3" in err
 
     def test_diverging_training_exit_one(self, tmp_path, monkeypatch, capsys):
         def diverge(args):
@@ -358,6 +372,11 @@ class TestAtomicWrites:
 
 
 class TestEstimateCommand:
+    def test_config_fields_are_the_settings_table_fields(self):
+        # one table maps CLI flag, config key and CausalConfig field
+        fields = {f.name for f in dataclasses.fields(causal.CausalConfig)}
+        assert fields == {field for _, _, field in cli._SETTINGS.values() if field is not None}
+
     def test_no_scenarios_exit_two(self, pipeline_dir, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"scenarios": []}))

@@ -6,7 +6,7 @@ import pytest
 from editlift import clickbait as cb
 from editlift.causal import Selector, build_unit_table
 from editlift.embedding import EmbeddingTable
-from editlift.nn import SequenceClassifier
+from editlift.nn import SequenceClassifier, load_params
 
 from conftest import ProfileRow, make_corpus, make_profiles, make_record
 
@@ -195,6 +195,9 @@ class TestPersistence:
         assert cb.score_many(again, texts) == pytest.approx(cb.score_many(model, texts),
                                                             abs=1e-15)
         assert again.token_ids == model.token_ids
+        # the header still records the attention width, which is the GRU's
+        meta, _ = load_params(path)
+        assert meta["attention_size"] == meta["hidden_size"] == cb.HIDDEN_SIZE
 
     def test_failed_rewrite_leaves_previous_model(self, trained, tmp_path, monkeypatch):
         model, _ = trained

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from editlift import cluster as cluster_module
 from editlift.cluster import (
     MAX_LLOYD_ITERATIONS,
+    RESTARTS,
     ClusterModel,
     _cluster_means,
     _seed_centroids,
@@ -97,6 +99,13 @@ class TestKmeansFit:
         assert len(set(labels[:50])) == 1
         assert len(set(labels[50:])) == 1
         assert labels[0] != labels[50]
+
+    def test_best_of_restarts_read_when_called(self, monkeypatch):
+        pts = blobs([(0.0, 0.0), (1.0, 0.2), (0.4, 1.0)], n_per=20, spread=0.3, seed=3)
+        fits = [kmeanspp_fit(pts, 3, seed=5 + i).inertia for i in range(RESTARTS)]
+        assert best_fit(pts, 3, seed=5).inertia == min(fits)
+        monkeypatch.setattr(cluster_module, "RESTARTS", 1)
+        assert best_fit(pts, 3, seed=5).inertia == fits[0]
 
     def test_inertia_monotone_in_k(self):
         pts = blobs([(0.0, 0.0), (0.5, 1.0)], n_per=40, spread=0.2, seed=2)
@@ -190,17 +199,18 @@ class TestElbow:
         pts = rng.uniform(0.4, 0.6, size=(200, 2))  # one featureless cloud
         assert elbow_select(pts, k_max=4, seed=0) == 1
 
-    def test_threshold_rule_on_synthetic_ratios(self):
+    def test_threshold_rule_on_synthetic_ratios(self, monkeypatch):
         # inertias engineered so ratios are 0.5, 0.14, 0.05
-        # at k=2 the ratio 0.14 < 0.15 -> select 2
         inertias = [1.0, 0.5, 0.43, 0.4085]
-        ratios = [(inertias[i] - inertias[i + 1]) / inertias[i] for i in range(3)]
-        assert ratios[0] >= 0.15 and ratios[1] < 0.15
-        # mirror of the selection loop:
-        selected = next(
-            (k for k, r in enumerate(ratios, start=1) if r < 0.15), 1
-        )
-        assert selected == 2
+        monkeypatch.setattr(cluster_module, "best_fit", lambda pts, k, seed: ClusterModel(
+            k=k, centroids=np.zeros((k, 2)), inertia=inertias[k - 1], seed=seed))
+        pts = np.zeros((4, 2))
+        # at k=2 the ratio 0.14 < ELBOW_THRESHOLD = 0.15 -> select 2
+        assert elbow_select(pts, k_max=4, seed=0) == 2
+        monkeypatch.setattr(cluster_module, "ELBOW_THRESHOLD", 0.1)
+        assert elbow_select(pts, k_max=4, seed=0) == 3
+        monkeypatch.setattr(cluster_module, "ELBOW_THRESHOLD", 0.01)  # no ratio below
+        assert elbow_select(pts, k_max=4, seed=0) == 1
 
     def test_fits_equal_fresh_best_fits(self):
         pts = blobs([(0.9, 0.05), (0.8, 0.6), (0.2, 0.8)], n_per=30, spread=0.03, seed=9)
@@ -265,10 +275,6 @@ class TestFractions:
         # r1's row has no cluster
         profiles = self.profiles([0, None, 1, 1])
         with pytest.raises(ValueError, match="record 'r1' has no cluster assignment"):
-            cluster_fractions(profiles, self.corpus(), k=3)
-        # r2 has no profile row
-        profiles = make_profiles([("r0", 0.5, 0.5, False, 0), ("r1", 0.5, 0.5, False, 1)])
-        with pytest.raises(ValueError, match="corpus record 'r2' has no profile row"):
             cluster_fractions(profiles, self.corpus(), k=3)
 
 

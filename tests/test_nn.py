@@ -15,6 +15,7 @@ from editlift.nn import (
     load_params,
     params_to_bytes,
 )
+from editlift.nn import optim
 from editlift.nn.layers import EPS, _sigmoid
 
 
@@ -268,8 +269,7 @@ class TestAttention:
 class TestPaddedClassifier:
     @staticmethod
     def model(seed=21):
-        return SequenceClassifier(vocab_size=9, embed_size=4, hidden_size=5,
-                                  attention_size=3, seed=seed)
+        return SequenceClassifier(vocab_size=9, embed_size=4, hidden_size=5, seed=seed)
 
     @staticmethod
     def batches():
@@ -345,8 +345,8 @@ class TestAdam:
     def test_global_norm_clipping(self):
         buffer = ParamBuffer({"a": np.zeros(2), "b": np.zeros(2)})
         buffer.grad_views["a"][:] = [6.0, 0.0]
-        buffer.grad_views["b"][:] = [0.0, 8.0]  # norm 10
-        adam_step(AdamState(clip_norm=5.0), buffer)  # clips buffer.grads in place
+        buffer.grad_views["b"][:] = [0.0, 8.0]  # norm 10, above CLIP_NORM = 5
+        adam_step(AdamState(), buffer)  # clips buffer.grads in place
         assert np.allclose(buffer.grad_views["a"], [3.0, 0.0])
         assert np.allclose(buffer.grad_views["b"], [0.0, 4.0])
         total = np.sqrt(sum(float(np.sum(g * g)) for g in buffer.grad_views.values()))
@@ -355,13 +355,14 @@ class TestAdam:
     def test_no_clip_below_threshold(self):
         buffer = ParamBuffer({"a": np.zeros(1)})
         buffer.grads[:] = 3.0
-        adam_step(AdamState(clip_norm=5.0), buffer)
+        adam_step(AdamState(), buffer)
         assert buffer.grad_views["a"][0] == 3.0
 
-    def test_first_step_closed_form(self):
-        lr, eps = 1e-3, 1e-8
+    def test_first_step_closed_form(self, monkeypatch):
+        lr, eps = 1e-3, 0.25
         g = 0.37
-        state = AdamState(learning_rate=lr, epsilon=eps)
+        monkeypatch.setattr(optim, "EPSILON", eps)  # large enough to show in the step
+        state = AdamState(learning_rate=lr)
         buffer = ParamBuffer({"w": np.array([2.0])})
         buffer.grads[:] = g
         adam_step(state, buffer)
@@ -390,29 +391,31 @@ def reference_clip_by_global_norm(grads, clip_norm):
 
 
 def reference_adam_step(state, m, v, params, grads):
-    """Per-array Adam with per-name moment dicts; returns the pre-clip norm."""
-    grads, norm = reference_clip_by_global_norm(grads, state.clip_norm)
+    """Per-array Adam with per-name moment dicts, on the `optim` constants;
+    returns the pre-clip norm."""
+    beta1, beta2 = optim.BETA1, optim.BETA2
+    grads, norm = reference_clip_by_global_norm(grads, optim.CLIP_NORM)
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
     for name, g in grads.items():
         if name not in m:
             m[name] = np.zeros_like(params[name])
             v[name] = np.zeros_like(params[name])
-        m[name] *= state.beta1
-        m[name] += (1.0 - state.beta1) * g
-        v[name] *= state.beta2
-        v[name] += (1.0 - state.beta2) * g * g
-        params[name] -= state.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.epsilon)
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        params[name] -= (state.learning_rate * (m[name] / bc1)
+                         / (np.sqrt(v[name] / bc2) + optim.EPSILON))
     return norm
 
 
 def small_networks():
     mlp = (lambda: Mlp([5, 7, 4, 1], seed=13, l2_penalty=0.01),
            lambda rng: (rng.normal(size=(9, 5)), (rng.random(9) > 0.5).astype(float)))
-    seq = (lambda: SequenceClassifier(vocab_size=12, embed_size=3, hidden_size=4,
-                                      attention_size=3, seed=14),
+    seq = (lambda: SequenceClassifier(vocab_size=12, embed_size=3, hidden_size=4, seed=14),
            lambda rng: ([list(rng.integers(0, 12, size=int(rng.integers(1, 5))))
                          for _ in range(6)], (rng.random(6) > 0.5).astype(float)))
     return {"mlp": mlp, "sequence": seq}
@@ -425,12 +428,13 @@ class TestFlatAdam:
     # so that case compares 5 steps by a relative tolerance
     @pytest.mark.parametrize("kind", ["mlp", "sequence"])
     @pytest.mark.parametrize("clip_norm, steps", [(5.0, 50), (0.05, 5)])
-    def test_matches_per_array_reference(self, kind, clip_norm, steps):
+    def test_matches_per_array_reference(self, kind, clip_norm, steps, monkeypatch):
+        monkeypatch.setattr(optim, "CLIP_NORM", clip_norm)
         build, make_batch = small_networks()[kind]
         flat, ref = build(), build()
         ref_params = {k: v.copy() for k, v in ref.buffer.params.items()}
-        state = AdamState(learning_rate=1e-2, clip_norm=clip_norm)
-        ref_state = AdamState(learning_rate=1e-2, clip_norm=clip_norm)
+        state = AdamState(learning_rate=1e-2)
+        ref_state = AdamState(learning_rate=1e-2)
         m, v = {}, {}
         rng = np.random.default_rng(15)
         norms = []
@@ -526,8 +530,7 @@ class TestGradientChecks:
         assert check_gradients(model, (x, y)) < 1e-7
 
     def test_gru_attention_classifier(self):
-        model = SequenceClassifier(vocab_size=10, embed_size=4, hidden_size=8,
-                                   attention_size=5, seed=3)
+        model = SequenceClassifier(vocab_size=10, embed_size=4, hidden_size=8, seed=3)
         seqs = [[1, 5, 2], [4, 4, 8, 1, 9, 2], [7], [3, 6, 1, 2]]
         labels = [1.0, 0.0, 1.0, 0.0]
         assert check_gradients(model, (seqs, labels)) < 1e-4

@@ -137,7 +137,7 @@ class TestGenerate:
 class TestSyntheticTable:
     def test_topics_separate_families_close(self):
         spec = sb.confounded_spec(n_records=500, seed=0)
-        table = sb.synthetic_table(spec, dim=32, seed=1)
+        table = sb.synthetic_table(spec, seed=1)
         corpus, truth = sb.generate(spec)
         topic_by_id = {t.id: t.topic for t in truth}
         family = {t.topic_id: t.family for t in spec.topics}
@@ -155,9 +155,11 @@ class TestSyntheticTable:
         assert min(same_family) > 0.9
         assert max(cross_family) < 0.5
 
-    def test_covers_generated_bodies(self):
+    def test_covers_generated_bodies(self, monkeypatch):
+        monkeypatch.setattr(sb, "TABLE_DIM", 16)
         spec = tiny_spec()
-        table = sb.synthetic_table(spec, dim=16)
+        table = sb.synthetic_table(spec, seed=spec.seed)
+        assert table.dim == 16 and len(next(iter(table.vocab.values()))) == 16
         corpus, _ = sb.generate(spec)
         for record in corpus.records[:20]:
             assert embed_text(table, record.body_text).token_hits > 0

@@ -245,12 +245,13 @@ class TestMannWhitney:
             assert got.statistic == pytest.approx(expected_u)
             assert got.p_value == pytest.approx(expected_p, abs=1e-12)
 
-    def test_exact_vs_normal_approx(self):
+    def test_exact_vs_normal_approx(self, monkeypatch):
         rng = np.random.default_rng(11)
         x = rng.normal(0.0, 1.0, size=10)
         y = rng.normal(0.5, 1.0, size=10)
-        exact = mann_whitney_u(x, y)  # combined n = 20 -> exact path
-        approx = mann_whitney_u(x, y, exact_max_n=0)
+        exact = mann_whitney_u(x, y)  # combined n = 20 = EXACT_MAX_N -> exact path
+        monkeypatch.setattr(textsim, "EXACT_MAX_N", 0)
+        approx = mann_whitney_u(x, y)
         assert abs(exact.p_value - approx.p_value) < 0.02
 
     def test_complement_identity_tie_free(self):
@@ -270,6 +271,33 @@ class TestMannWhitney:
         theirs = sps.mannwhitneyu(x, y, alternative="two-sided", method="asymptotic")
         assert ours.statistic == pytest.approx(theirs.statistic)
         assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-9)
+
+
+def reference_midranks(values: np.ndarray) -> np.ndarray:
+    """Midranks by walking the stably sorted values run by run."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    def test_equals_run_walk_on_tie_heavy_arrays(self):
+        rng = np.random.default_rng(13)
+        cases = [np.array([]), np.array([2.5]), np.array([-0.0, 0.0, 1.0, -0.0]),
+                 np.full(9, 4.0)]
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            levels = int(rng.integers(1, max(2, n // 3)))
+            cases.append(rng.integers(0, levels, size=n) / 4.0 - 1.0)
+        for values in cases:
+            assert np.array_equal(textsim._midranks(values), reference_midranks(values))
 
 
 def welch_t(x, y) -> tuple[float, float]:
