@@ -50,10 +50,11 @@ PAIR_SAMPLE_SIZE = 200_000  # pairs sampled above the cutoff
 PAIR_CHUNK = 8192  # sampled pairs per dot-product chunk
 MATCH_CHUNK_CELLS = 1 << 20  # treatment x control gaps held at once by `match`
 SHIFT_CLASSES = ("C", "NC")  # a shift selector's headline and post classes
-# the propensity network's training schedule (its epochs are a setting)
-PROPENSITY_BATCH_SIZE = 32
+# the propensity network's training schedule (its epochs are a setting);
+# `train_propensity` says how the batch size and learning rate were chosen
+PROPENSITY_BATCH_SIZE = 64
 PROPENSITY_HIDDEN = (128, 64)  # ReLU hidden layer widths
-PROPENSITY_LEARNING_RATE = 1e-3
+PROPENSITY_LEARNING_RATE = 2e-3
 PROPENSITY_L2_PENALTY = 0.001
 
 
@@ -276,6 +277,10 @@ def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
     The schedule does not calibrate the robustness interval; `run_scenario`
     does that by estimating each fold on treatment units its model never
     saw.
+
+    `scripts/propensity_schedule.py` chose the batch size and learning rate;
+    they are read here, when the function is called, so the script can
+    rebind them.
     """
     n_treated = int(np.count_nonzero(y))
     if n_treated == 0 or n_treated == len(y):

@@ -364,8 +364,11 @@ def cmd_estimate(args) -> int:
     units = causal.build_unit_table(loaded, profiles, table,
                                     outlets={s.outlet for s in scenarios})
     tasks = [(s, seed, run_cfg) for s in scenarios]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+    # the pool forks all its workers at start, so a worker with no scenario
+    # would only cost a fork
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(units,)) as pool:
             results = list(pool.map(_run_one_scenario, tasks))
     else:

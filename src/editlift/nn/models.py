@@ -70,7 +70,7 @@ class Mlp:
         for i, (weights, bias) in enumerate(self.layers):
             z = acts[-1] @ weights
             z += bias
-            acts.append(_sigmoid(z) if i == last else np.maximum(z, 0.0))
+            acts.append(_sigmoid(z) if i == last else np.maximum(z, 0.0, out=z))
         pred = acts[-1][:, 0]
 
         # combined sigmoid+BCE gradient w.r.t. the output pre-activation
@@ -79,11 +79,14 @@ class Mlp:
         for i in range(last, -1, -1):
             if i < last:
                 # the ReLU derivative is the boolean mask: multiplying by it
-                # is exact and skips building a float copy
-                dz = dx * (acts[i + 1] > 0.0)
+                # is exact, and dx is this step's own array
+                dz = np.multiply(dx, acts[i + 1] > 0.0, out=dx)
             np.matmul(acts[i].T, dz, out=grads[f"w{i}"])
             np.add.reduce(dz, axis=0, out=grads[f"b{i}"])
-            if i > 0:
+            if i == last:
+                # one output unit: dz @ W.T is a single product per entry
+                dx = dz * self.layers[i][0][:, 0]
+            elif i > 0:
                 dx = dz @ self.layers[i][0].T
 
         if self.l2_penalty > 0.0:

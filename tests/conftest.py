@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,15 @@ def record_row(rid="r1", **overrides):
     }
     row.update(overrides)
     return row
+
+
+def load_script(name: str):
+    """`scripts/<name>.py` imported as a fresh module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

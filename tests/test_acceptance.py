@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from editlift import causal, clickbait, cluster, synthbench as sb, textsim
-from editlift.causal import Scenario, Selector, balance_check, estimate_eate
+from editlift import clickbait, cluster, textsim
+from editlift.causal import balance_check, estimate_eate
 from editlift.cli import main as cli_main
 from editlift.embedding import cosine
 from editlift.nn import Mlp, SequenceClassifier, check_gradients
+
+from conftest import load_script
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -64,18 +66,9 @@ def test_criterion_2_balance_gate_exactness():
            ok and time.time() - t0 < 1.0)
 
 
-SCENARIO = Scenario("edited-vs-mirrored", "synthwire", Selector("edited"), Selector("mirrored"))
-
-
-def _benchmark_run(seed: int, delta: float):
-    spec = sb.confounded_spec(n_records=5000, effect_likes=delta, seed=seed)
-    corpus, truth = sb.generate(spec)
-    table = sb.synthetic_table(spec, seed=999)
-    profiles = textsim.profile(corpus, table)
-    units = causal.build_unit_table(corpus, profiles, table, [SCENARIO.outlet])
-    reports = causal.run_scenario(units, SCENARIO, seed=seed)
-    likes = next(r for r in reports if r.metric == "likes")
-    return likes, corpus, truth
+# criteria 3 and 4 share the preset, scenario and hit rule with the
+# propensity schedule study
+schedule = load_script("propensity_schedule")
 
 
 def test_criterion_3_effect_recovery():
@@ -83,10 +76,9 @@ def test_criterion_3_effect_recovery():
     hits = 0
     outcomes = []
     for seed in range(20):
-        r, _, _ = _benchmark_run(seed, 50.0)
-        in_band = abs(r.mean_eate - 50.0) <= 0.15 * 50.0
-        excludes_zero = r.ci_low > 0.0 or r.ci_high < 0.0
-        hits += in_band and excludes_zero
+        _, _, units = schedule.preset_inputs(seed, schedule.EFFECT_LIKES)
+        r = schedule.likes_report(units, seed)
+        hits += schedule.recovered(r)
         outcomes.append(round(r.mean_eate, 1))
     elapsed = time.time() - t0
     report(
@@ -101,7 +93,8 @@ def test_criterion_4_null_robustness():
     discarded = 0
     naive_ok = 0
     for seed in range(20):
-        r, corpus, truth = _benchmark_run(seed, 0.0)
+        corpus, truth, units = schedule.preset_inputs(seed, 0.0)
+        r = schedule.likes_report(units, seed)
         discarded += r.discarded
         treated_ids = {t.id for t in truth if t.treated}
         yt = np.array([rec.likes for rec in corpus if rec.id in treated_ids], dtype=float)

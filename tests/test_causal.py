@@ -653,11 +653,16 @@ class TestTrainPropensity:
         p = model.predict(np.array([u.features for u in treatments + controls]))
         assert np.all((p > 0) & (p < 1))
 
-    # batch 7 of 5-dim rows puts most batches off a 16-byte boundary
-    @pytest.mark.parametrize("dim,batch_size", [(2, 32), (5, 7), (32, 32)])
-    def test_parameters_equal_reference_loop(self, dim, batch_size, monkeypatch):
+    # batch 7 of 5-dim rows puts most batches off a 16-byte boundary; batch
+    # 64 leaves a partial last batch of the 160 rows; every case patches the
+    # learning rate, which scripts/propensity_schedule.py rebinds between calls
+    @pytest.mark.parametrize("dim,batch_size,learning_rate",
+                             [(2, 32, 1e-3), (5, 7, 1e-3), (32, 32, 1e-3), (32, 64, 5e-3)],
+                             ids=["2-32", "5-7", "32-32", "32-64"])
+    def test_parameters_equal_reference_loop(self, dim, batch_size, learning_rate, monkeypatch):
         monkeypatch.setattr(causal, "PROPENSITY_BATCH_SIZE", batch_size)
         monkeypatch.setattr(causal, "PROPENSITY_HIDDEN", (16, 8))
+        monkeypatch.setattr(causal, "PROPENSITY_LEARNING_RATE", learning_rate)
         rng = np.random.default_rng(dim)
         treatments = [RefUnit(f"t{i}", rng.normal(0.5, 1.0, size=dim), {}) for i in range(70)]
         controls = [RefUnit(f"c{i}", rng.normal(-0.5, 1.0, size=dim), {}) for i in range(90)]

@@ -637,11 +637,13 @@ class TestEstimateCommand:
         ], "min_group": 20, "propensity_epochs": 1}))
 
         submitted = []
+        pool_sizes = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 self.initargs = kwargs["initargs"]
+                pool_sizes.append(kwargs["max_workers"])
 
             def submit(self, fn, *args):
                 submitted.append((self.initargs, args))
@@ -650,7 +652,7 @@ class TestEstimateCommand:
         # `estimate` imports the pool class when it runs
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         outputs = {}
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "8"):
             run_out = tmp_path / f"jobs{jobs}"
             code = main(["estimate", "--corpus", str(out / "corpus.jsonl"),
                          "--embeddings", str(out / "vectors.txt"),
@@ -660,12 +662,15 @@ class TestEstimateCommand:
             outputs[jobs] = {name: (run_out / name).read_bytes()
                              for name in ("eate_reports.json", "eate_reports.csv")}
         assert outputs["2"] == outputs["1"]
+        assert outputs["8"] == outputs["1"]
         payload = json.loads(outputs["2"]["eate_reports.json"])
         assert [s["scenario"] for s in payload["skipped"]] == ["entertainment-B3"]
         assert len(payload["reports"]) == 6
 
-        # the pool got the unit table once, at start; each task is small
-        assert len(submitted) == 3
+        # --jobs 1 runs no pool, and --jobs 8 starts one worker per scenario
+        assert pool_sizes == [2, 3]
+        # each pool got the unit table once, at start; each task is small
+        assert len(submitted) == 6
         for initargs, args in submitted:
             assert isinstance(initargs[0], causal.UnitTable)
             assert len(pickle.dumps(args)) < 4096
