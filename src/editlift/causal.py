@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .clickbait import is_clickbait
-from .corpus import ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block
+from .corpus import ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block, json_value
 from .embedding import EmbeddingTable, embed_text
 from .nn import AdamState, Mlp, adam_step
 from .textsim import Profiles
@@ -64,12 +64,6 @@ class ScenarioError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Scenario definitions
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,7 @@ class Selector:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Selector":
-        kind = _json_object(obj, "selector").get("kind")
+        kind = json_value(obj, dict, "selector").get("kind")
         if kind == "cluster":
             index = obj["cluster"]
             if isinstance(index, bool) or not isinstance(index, int) or index < 0:
@@ -141,13 +135,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
-        block = _json_object(obj, "scenario").get("time_block")
+        block = json_value(obj, dict, "scenario").get("time_block")
         if block is not None and block not in TIME_BLOCKS:
             raise ScenarioError(f"unknown time block {block!r}")
         for key in ("name", "outlet", "section"):
-            value = obj.get(key)
-            if value is not None and not isinstance(value, str):
-                raise ScenarioError(f"{key} must be a string, got {value!r}")
+            if key != "section" or obj.get(key) is not None:
+                json_value(obj.get(key), str, key)
         exclude_mirrored = obj.get("exclude_mirrored")
         if exclude_mirrored is not None and not isinstance(exclude_mirrored, bool):
             raise ScenarioError(f"exclude_mirrored must be true or false, "
@@ -217,9 +210,8 @@ def build_unit_table(corpus: Corpus, profiles: Profiles, table: EmbeddingTable,
     features = np.zeros((len(records), table.dim), dtype=np.float64)
     zero_hit = np.zeros(len(records), dtype=bool)
     for i, record in enumerate(records):
-        doc = embed_text(table, record.body_text)
-        features[i] = doc.values
-        zero_hit[i] = doc.is_zero_hit
+        features[i], hits = embed_text(table, record.body_text)
+        zero_hit[i] = hits == 0
     return UnitTable(
         record_ids=tuple(r.id for r in records),
         outlet=np.array([r.outlet for r in records], dtype=object),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -95,16 +94,13 @@ def _checked(name: str, value):
     UsageError names the key. A bool, or a float with a fractional part where
     an integer is due, is rejected rather than coerced."""
     kind, minimum, _ = _SETTINGS[name]
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float:
-        if not (is_number and math.isfinite(value)):
-            raise UsageError(f"{name} must be a finite number, got {value!r}")
-        return float(value)
-    if not is_number or (isinstance(value, float) and not value.is_integer()):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
+    try:
+        value = corpus_mod.json_value(value, kind, name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if minimum is not None and value < minimum:
         raise UsageError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
+    return value
 
 
 def _checked_setting(args, cfg: dict, name: str, default):
@@ -334,6 +330,8 @@ def _run_one_scenario(payload):
 
 
 def cmd_estimate(args) -> int:
+    import csv
+    import io
     from concurrent.futures import ProcessPoolExecutor
 
     from . import causal
@@ -350,10 +348,9 @@ def cmd_estimate(args) -> int:
         for name, (_, _, field) in _SETTINGS.items() if field is not None
     })
     try:
-        if not isinstance(scenario_defs, list):
-            raise causal.ScenarioError(f"scenarios must be a JSON list, got {scenario_defs!r}")
-        scenarios = [causal.Scenario.from_dict(d) for d in scenario_defs]
-    except (KeyError, causal.ScenarioError) as exc:
+        scenarios = [causal.Scenario.from_dict(d)
+                     for d in corpus_mod.json_value(scenario_defs, list, "scenarios")]
+    except (KeyError, ValueError) as exc:
         raise CommandError(f"bad scenario definition: {exc}") from None
     loaded, table = _load_inputs(args, cfg)
     out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
@@ -392,15 +389,17 @@ def cmd_estimate(args) -> int:
         "reports": [asdict(r) for r in reports],
         "skipped": skipped,
     })
-    lines = ["scenario,metric,mean_eate,ci_low,ci_high,discarded,n_treatment,n_control,"
-             + ",".join(f"fold_{i + 1}" for i in range(causal.N_FOLDS))]
-    for r in reports:
-        lines.append(",".join(
-            [r.scenario, r.metric, repr(r.mean_eate), repr(r.ci_low), repr(r.ci_high),
-             "true" if r.discarded else "false", str(r.n_treatment), str(r.n_control)]
-            + [repr(v) for v in r.fold_eates]
-        ))
-    corpus_mod.write_text_atomic(out_dir / "eate_reports.csv", "\n".join(lines) + "\n")
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["scenario", "metric", "mean_eate", "ci_low", "ci_high", "discarded",
+                     "n_treatment", "n_control"]
+                    + [f"fold_{i + 1}" for i in range(causal.N_FOLDS)])
+    writer.writerows(
+        [r.scenario, r.metric, repr(r.mean_eate), repr(r.ci_low), repr(r.ci_high),
+         "true" if r.discarded else "false", r.n_treatment, r.n_control]
+        + [repr(v) for v in r.fold_eates]
+        for r in reports)
+    corpus_mod.write_text_atomic(out_dir / "eate_reports.csv", buf.getvalue())
     print(f"{len(reports)} reports ({len(skipped)} scenarios skipped) -> {out_dir}")
     return 0
 

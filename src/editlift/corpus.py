@@ -1,16 +1,18 @@
-"""Paired-record corpus: data model, file ingestion, normalization, mirroring.
+"""Paired-record corpus: data model, file ingestion, normalization.
 
 A corpus is a list of (headline, body, post, engagement) records tied to a
 media outlet. JSONL is the canonical on-disk format; CSV is a convenience
 importer with identical field names. `write_bytes_atomic` is the one writer
 every artifact of the package goes through; `write_text_atomic` encodes text
-for it.
+for it. `json_value` is the one type check of a value read from a JSON
+config, scenario or spec.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import tempfile
@@ -29,6 +31,26 @@ _WS_RUN = re.compile(r"\s+")
 
 class CorpusError(Exception):
     """Fatal problem with a corpus file (unreadable, duplicate ids, nothing valid)."""
+
+
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a string",
+               int: "an integer", float: "a finite number"}
+
+
+def json_value(value, kind: type, what: str):
+    """`value` checked to be of the JSON type `kind` (one of _JSON_KINDS);
+    ValueError names `what`. A bool is no number, and a float is an integer
+    only when it has no fractional part; numbers come back as `kind`."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        ok = is_number and math.isfinite(value)
+    elif kind is int:
+        ok = is_number and (isinstance(value, int) or value.is_integer())
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return kind(value) if kind in (int, float) else value
 
 
 @dataclass(frozen=True)
@@ -85,15 +107,6 @@ def normalize(text: str) -> str:
     Idempotent: normalize(normalize(x)) == normalize(x).
     """
     return _WS_RUN.sub(" ", unicodedata.normalize("NFC", text)).strip()
-
-
-def is_mirrored(record: PairedRecord) -> bool:
-    """True when the post text equals the headline after normalization.
-
-    Comparison is exact and case-sensitive; only whitespace and Unicode
-    composition differences are forgiven.
-    """
-    return normalize(record.headline) == normalize(record.post_text)
 
 
 def parse_timestamp(value: str) -> datetime:

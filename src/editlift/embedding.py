@@ -35,16 +35,6 @@ class EmbeddingTable:
     vocab: dict[str, np.ndarray]
 
 
-@dataclass(frozen=True)
-class DocVector:
-    values: np.ndarray
-    token_hits: int
-
-    @property
-    def is_zero_hit(self) -> bool:
-        return self.token_hits == 0
-
-
 def load_table(path: str | Path) -> EmbeddingTable:
     """Parse a word-vector text file.
 
@@ -103,11 +93,12 @@ def save_table(table: EmbeddingTable, path: str | Path) -> None:
     write_text_atomic(path, "".join(lines))
 
 
-def embed_text(table: EmbeddingTable, text: str) -> DocVector:
-    """Average the vectors of in-vocabulary tokens (bag of words).
+def embed_text(table: EmbeddingTable, text: str) -> tuple[np.ndarray, int]:
+    """(vector [dim], hits): the average of the vectors of the text's
+    in-vocabulary tokens (bag of words), and how many tokens hit.
 
     Out-of-vocabulary tokens are dropped; a document with no hits gets the
-    zero vector and token_hits == 0 so callers can exclude it.
+    zero vector and 0 hits, so callers can exclude it.
     """
     total = np.zeros(table.dim, dtype=np.float64)
     hits = 0
@@ -118,13 +109,11 @@ def embed_text(table: EmbeddingTable, text: str) -> DocVector:
             hits += 1
     if hits:
         total /= hits
-    return DocVector(values=total, token_hits=hits)
+    return total, hits
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    a = u.values if isinstance(u, DocVector) else np.asarray(u, dtype=np.float64)
-    b = v.values if isinstance(v, DocVector) else np.asarray(v, dtype=np.float64)
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two float arrays; 0.0 when either has zero norm."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     na = float(np.linalg.norm(a))

@@ -40,33 +40,27 @@ class GruCell:
     reset   r = sigmoid(x Wr + h Ur + br)
     candidate c = tanh(x Wc + (r * h) Uc + bc)
     next    h' = (1 - z) * h + z * c
+
+    The three gates are stored fused, side by side in z, r, c order:
+    w = [Wz|Wr|Wc] [I, 3H], u = [Uz|Ur|Uc] [H, 3H] and b = [bz|br|bc] [3H].
     """
 
-    wz: np.ndarray
-    wr: np.ndarray
-    wc: np.ndarray
-    uz: np.ndarray
-    ur: np.ndarray
-    uc: np.ndarray
-    bz: np.ndarray
-    br: np.ndarray
-    bc: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def init(cls, rng: np.random.Generator, n_in: int, n_hidden: int) -> "GruCell":
-        def w():
-            return xavier_uniform(rng, n_in, n_hidden)
-
-        def u():
-            return xavier_uniform(rng, n_hidden, n_hidden)
-
-        zeros = lambda: np.zeros(n_hidden, dtype=np.float64)
-        return cls(wz=w(), wr=w(), wc=w(), uz=u(), ur=u(), uc=u(),
-                   bz=zeros(), br=zeros(), bc=zeros())
+        """Xavier-initialize each gate's matrix on its own fans, drawn in the
+        order Wz, Wr, Wc, Uz, Ur, Uc; the biases start at zero."""
+        w = [xavier_uniform(rng, n_in, n_hidden) for _ in range(3)]
+        u = [xavier_uniform(rng, n_hidden, n_hidden) for _ in range(3)]
+        return cls(w=np.concatenate(w, axis=1), u=np.concatenate(u, axis=1),
+                   b=np.zeros(3 * n_hidden, dtype=np.float64))
 
     @property
     def hidden_size(self) -> int:
-        return self.wz.shape[1]
+        return self.u.shape[0]
 
     def run(self, xs: np.ndarray, valid: np.ndarray | None = None):
         """Run over a [T, B, I] sequence from zero state; returns
@@ -74,8 +68,8 @@ class GruCell:
 
         `valid` [T, B] marks the real tokens of a padded batch; at a step
         where row b is not valid its state carries over unchanged. The input
-        projection of all T steps through [Wz|Wr|Wc] is one matmul before the
-        loop, so each step takes one h [Uz|Ur] and one (r * h) Uc.
+        projection of all T steps through w is one matmul before the loop, so
+        each step takes one h [Uz|Ur] and one (r * h) Uc.
 
         The cache is (xs, hs, gates, rh, valid): hs [T + 1, B, H] holds the
         zero start state then each step's state, gates [T, B, 3H] the
@@ -83,27 +77,25 @@ class GruCell:
         """
         t_len, batch, n_in = xs.shape
         hid = self.hidden_size
-        w = np.concatenate([self.wz, self.wr, self.wc], axis=1)
-        u = np.concatenate([self.uz, self.ur], axis=1)
-        b = np.concatenate([self.bz, self.br, self.bc])
-        xp = (xs.reshape(t_len * batch, n_in) @ w).reshape(t_len, batch, 3 * hid)
-        xp += b
+        u_zr, u_c = self.u[:, :2 * hid], self.u[:, 2 * hid:]
+        xp = (xs.reshape(t_len * batch, n_in) @ self.w).reshape(t_len, batch, 3 * hid)
+        xp += self.b
         hs = np.zeros((t_len + 1, batch, hid), dtype=np.float64)
         gates = np.empty((t_len, batch, 3 * hid), dtype=np.float64)
         rh = np.empty((t_len, batch, hid), dtype=np.float64)
         for t, partial in enumerate(_partial_steps(valid, t_len)):
             h, g = hs[t], gates[t]
-            g[:, :2 * hid] = _sigmoid(xp[t, :, :2 * hid] + h @ u)
+            g[:, :2 * hid] = _sigmoid(xp[t, :, :2 * hid] + h @ u_zr)
             z = g[:, :hid]
             np.multiply(g[:, hid:2 * hid], h, out=rh[t])
-            c = np.tanh(xp[t, :, 2 * hid:] + rh[t] @ self.uc, out=g[:, 2 * hid:])
+            c = np.tanh(xp[t, :, 2 * hid:] + rh[t] @ u_c, out=g[:, 2 * hid:])
             h_new = (1.0 - z) * h + z * c
             hs[t + 1] = np.where(valid[t][:, None], h_new, h) if partial else h_new
         return hs[1:], (xs, hs, gates, rh, valid)
 
     def run_backward(self, dstates: np.ndarray, cache, grads: dict, prefix: str):
         """Backprop through time for `run`; adds the parameter gradients into
-        `grads` (keys prefixed) and returns d(inputs) [T, B, I].
+        `grads` (keys prefix + "w", "u", "b") and returns d(inputs) [T, B, I].
 
         The loop only carries dh back through the recurrence and stores each
         step's gate pre-activation gradients [dz | dr | dc] (zero at padded
@@ -119,8 +111,7 @@ class GruCell:
         dz_coef = (c - h_prev) * z * (1.0 - z)
         dr_coef = h_prev * r * (1.0 - r)
         keep = 1.0 - z
-        u_t = np.concatenate([self.uz, self.ur], axis=1).T
-        uc_t = self.uc.T
+        u_zr_t, u_c_t = self.u[:, :2 * hid].T, self.u[:, 2 * hid:].T
         dpre = np.empty((t_len, batch, 3 * hid), dtype=np.float64)
         dh = np.zeros((batch, hid), dtype=np.float64)
         partial = _partial_steps(valid, t_len)
@@ -128,28 +119,23 @@ class GruCell:
             d = dpre[t]
             dh_new = dstates[t] + dh
             dc = np.multiply(dh_new, dc_coef[t], out=d[:, 2 * hid:])
-            drh = dc @ uc_t
+            drh = dc @ u_c_t
             np.multiply(dh_new, dz_coef[t], out=d[:, :hid])
             np.multiply(drh, dr_coef[t], out=d[:, hid:2 * hid])
-            dh = dh_new * keep[t] + drh * r[t] + d[:, :2 * hid] @ u_t
+            dh = dh_new * keep[t] + drh * r[t] + d[:, :2 * hid] @ u_zr_t
             if partial[t]:
                 step = valid[t][:, None]
                 d *= step
                 dh = np.where(step, dh, dh_new)
 
         flat = dpre.reshape(t_len * batch, 3 * hid)
-        dw = xs.reshape(t_len * batch, n_in).T @ flat
-        du = h_prev.reshape(t_len * batch, hid).T @ flat[:, :2 * hid]
-        db = flat.sum(axis=0)
-        for i, gate in enumerate("zrc"):
-            cols = slice(i * hid, (i + 1) * hid)
-            grads[prefix + "w" + gate] += dw[:, cols]
-            grads[prefix + "b" + gate] += db[cols]
-        grads[prefix + "uz"] += du[:, :hid]
-        grads[prefix + "ur"] += du[:, hid:]
-        grads[prefix + "uc"] += rh.reshape(t_len * batch, hid).T @ flat[:, 2 * hid:]
-        w = np.concatenate([self.wz, self.wr, self.wc], axis=1)
-        return (flat @ w.T).reshape(t_len, batch, n_in)
+        grads[prefix + "w"] += xs.reshape(t_len * batch, n_in).T @ flat
+        # z and r read h, the candidate reads r * h
+        du = grads[prefix + "u"]
+        du[:, :2 * hid] += h_prev.reshape(t_len * batch, hid).T @ flat[:, :2 * hid]
+        du[:, 2 * hid:] += rh.reshape(t_len * batch, hid).T @ flat[:, 2 * hid:]
+        grads[prefix + "b"] += flat.sum(axis=0)
+        return (flat @ self.w.T).reshape(t_len, batch, n_in)
 
 
 def _partial_steps(valid: np.ndarray | None, t_len: int) -> list[bool]:

@@ -116,28 +116,32 @@ class SequenceClassifier:
 
     Sequences are lists/arrays of integer token ids; id 0 is reserved for the
     unknown token. The buffer names its parameters embed, out_w, out_b, the
-    forward (f_) and backward (b_) GRU gates, then the attention head (a_),
-    whose projection is `hidden_size` wide.
+    fused gate arrays w, u and b of the forward (f_) and backward (b_) GRU,
+    then the attention head (a_), whose projection is `hidden_size` wide.
     """
 
     UNKNOWN_ID = 0
 
     def __init__(self, vocab_size: int, embed_size: int, hidden_size: int, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.embed = rng.normal(0.0, 0.1, size=(vocab_size, embed_size))
-        self.fwd = GruCell.init(rng, embed_size, hidden_size)
-        self.bwd = GruCell.init(rng, embed_size, hidden_size)
-        self.attention = AttentionHead.init(rng, 2 * hidden_size, hidden_size)
-        self.out_w = xavier_uniform(rng, 2 * hidden_size, 1, shape=(2 * hidden_size,))
-        self.out_b = np.zeros(1, dtype=np.float64)
-        self.buffer = ParamBuffer.adopt(
-            [("embed", self, "embed"), ("out_w", self, "out_w"), ("out_b", self, "out_b")]
-            + [(prefix + gate, cell, gate)
-               for prefix, cell in (("f_", self.fwd), ("b_", self.bwd))
-               for gate in ("wz", "wr", "wc", "uz", "ur", "uc", "bz", "br", "bc")]
-            + [("a_" + field, self.attention, field)
-               for field in ("projection", "proj_bias", "context")]
-        )
+        # the draw order (embed, forward GRU, backward GRU, attention, out_w)
+        # fixes every initial value, and with it every trained model
+        embed = rng.normal(0.0, 0.1, size=(vocab_size, embed_size))
+        layers = {"f_": GruCell.init(rng, embed_size, hidden_size),
+                  "b_": GruCell.init(rng, embed_size, hidden_size),
+                  "a_": AttentionHead.init(rng, 2 * hidden_size, hidden_size)}
+        out_w = xavier_uniform(rng, 2 * hidden_size, 1, shape=(2 * hidden_size,))
+        self.buffer = ParamBuffer({
+            "embed": embed, "out_w": out_w, "out_b": np.zeros(1, dtype=np.float64),
+            **{prefix + name: value for prefix, layer in layers.items()
+               for name, value in vars(layer).items()}})
+        params = self.buffer.params
+        self.embed, self.out_w, self.out_b = params["embed"], params["out_w"], params["out_b"]
+        # each layer holds views into the buffer, so optimizer steps and
+        # `assign` reach it
+        self.fwd, self.bwd, self.attention = (
+            type(layer)(**{name: params[prefix + name] for name in vars(layer)})
+            for prefix, layer in layers.items())
         self.vocab_size = vocab_size
         self.embed_size = embed_size
         self.hidden_size = hidden_size

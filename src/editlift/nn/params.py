@@ -38,15 +38,6 @@ class ParamBuffer:
             self.grad_views[name] = self.grads[start:stop].reshape(shape)
         self.assign(arrays)
 
-    @classmethod
-    def adopt(cls, slots: list[tuple[str, object, str]]) -> "ParamBuffer":
-        """Buffer holding `owner.attr` under `name` for each (name, owner, attr)
-        slot, in slot order; each attribute is rebound to its view."""
-        buffer = cls({name: getattr(owner, attr) for name, owner, attr in slots})
-        for name, owner, attr in slots:
-            setattr(owner, attr, buffer.params[name])
-        return buffer
-
     def assign(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy every named array into its view; shapes must match exactly."""
         for name, view in self.params.items():

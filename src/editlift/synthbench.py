@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ENGAGEMENT_METRICS, Corpus, PairedRecord, write_text_atomic
+from .corpus import ENGAGEMENT_METRICS, Corpus, PairedRecord, json_value, write_text_atomic
 from .embedding import EmbeddingTable
 
 HEADLINE_TOKENS = (4, 9)  # [low, high) words of a generated headline
@@ -267,23 +267,30 @@ def save_truth(truth: list[TruthRecord], path: str | Path) -> None:
 
 
 def load_spec(path: str | Path) -> SynthSpec:
-    """Parse a generator spec from JSON."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    topics = tuple(
-        TopicSpec(
-            topic_id=t["topic_id"],
-            vocabulary=tuple(t["vocabulary"]),
-            base_means={k: float(v) for k, v in t["base_means"].items()},
-            family=t.get("family"),
-        )
-        for t in payload["topics"]
-    )
+    """Parse a generator spec from JSON. A value of the wrong JSON type
+    raises ValueError naming its key; a missing required key, KeyError."""
+    payload = json_value(json.loads(Path(path).read_text(encoding="utf-8")), dict, "the spec")
+    topics = []
+    for t in json_value(payload["topics"], list, "topics"):
+        t = json_value(t, dict, "topics entry")
+        topics.append(TopicSpec(
+            topic_id=json_value(t["topic_id"], str, "topic_id"),
+            vocabulary=tuple(json_value(w, str, "vocabulary entry")
+                             for w in json_value(t["vocabulary"], list, "vocabulary")),
+            base_means=_floats(t["base_means"], "base_means"),
+            family=None if t.get("family") is None else json_value(t["family"], str, "family"),
+        ))
     return SynthSpec(
-        n_records=int(payload["n_records"]),
-        topics=topics,
-        treatment_rule={k: float(v) for k, v in payload["treatment_rule"].items()},
-        true_effect={k: float(v) for k, v in payload.get("true_effect", {}).items()},
-        dispersion=float(payload.get("dispersion", 0.0)),
-        seed=int(payload.get("seed", 0)),
-        outlet=str(payload.get("outlet", "synthwire")),
+        n_records=json_value(payload["n_records"], int, "n_records"),
+        topics=tuple(topics),
+        treatment_rule=_floats(payload["treatment_rule"], "treatment_rule"),
+        true_effect=_floats(payload.get("true_effect", {}), "true_effect"),
+        dispersion=json_value(payload.get("dispersion", 0.0), float, "dispersion"),
+        seed=json_value(payload.get("seed", 0), int, "seed"),
+        outlet=json_value(payload.get("outlet", "synthwire"), str, "outlet"),
     )
+
+
+def _floats(value, key: str) -> dict[str, float]:
+    return {k: json_value(v, float, f"{key}[{k!r}]")
+            for k, v in json_value(value, dict, key).items()}

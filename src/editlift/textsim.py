@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, is_mirrored, normalize, write_text_atomic
+from .corpus import Corpus, normalize, write_text_atomic
 from .embedding import EmbeddingTable, cosine, embed_text
 
 EXACT_MAX_N = 20  # combined sample size up to which `mann_whitney_u` enumerates
@@ -116,21 +116,24 @@ def profile(corpus: Corpus, table: EmbeddingTable) -> Profiles:
     """One profile row per record, in corpus order.
 
     Distances are computed on normalized texts; similarity is the cosine of
-    the two bag-of-words document vectors. Cluster and clickbait columns stay
-    unset here.
+    the two bag-of-words document vectors; a record is mirrored when its
+    normalized headline and post are equal (exact and case-sensitive: only
+    whitespace and Unicode composition differences are forgiven). Cluster and
+    clickbait columns stay unset here.
     """
-    distance, similarity = [], []
+    distance, similarity, mirrored = [], [], []
     for record in corpus:
         headline = normalize(record.headline)
         post = normalize(record.post_text)
         distance.append(normalized_edit_distance(headline, post))
-        similarity.append(cosine(embed_text(table, headline), embed_text(table, post)))
+        similarity.append(cosine(embed_text(table, headline)[0], embed_text(table, post)[0]))
+        mirrored.append(headline == post)
     n = len(corpus)
     return Profiles(
         record_ids=tuple(r.id for r in corpus),
         edit_distance=np.array(distance, dtype=np.float64),
         embedding_similarity=np.array(similarity, dtype=np.float64),
-        mirrored=np.array([is_mirrored(r) for r in corpus], dtype=bool),
+        mirrored=np.array(mirrored, dtype=bool),
         cluster=np.full(n, np.nan),
         headline_clickbait=np.full(n, np.nan),
         post_clickbait=np.full(n, np.nan),

@@ -804,12 +804,12 @@ def reference_select_units(corpus, profiles, scenario, table):
             )
         if not (in_t or in_c):
             continue
-        doc = embed_text(table, record.body_text)
-        if doc.is_zero_hit:
+        vector, hits = embed_text(table, record.body_text)
+        if hits == 0:
             continue
         unit = RefUnit(
             record_id=record.id,
-            features=doc.values,
+            features=vector,
             outcomes={m: float(record.engagement(m)) for m in ENGAGEMENT_METRICS},
         )
         (treatments if in_t else controls).append(unit)

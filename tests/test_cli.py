@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import os
@@ -238,10 +239,35 @@ class TestSynthCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_invalid_spec_exit_one(self, tmp_path, capsys):
+        topic = {"topic_id": "a", "vocabulary": ["a1"],
+                 "base_means": {"replies": 1, "retweets": 2, "likes": 5}}
+        valid = {"n_records": 60, "topics": [topic], "treatment_rule": {"a": 0.5}}
+        # (spec, what the error names); the first fails validation, the
+        # others are values of the wrong JSON type
+        cases = [
+            ({"n_records": 10, "topics": [], "treatment_rule": {}}, "n_records"),
+            ({**valid, "topics": 5}, "topics must be a JSON list, got 5"),
+            ([valid], "the spec must be a JSON object"),
+            ({**valid, "true_effect": [1]}, "true_effect must be a JSON object, got [1]"),
+            ({**valid, "topics": [{**topic, "vocabulary": "a1"}]}, "vocabulary must be"),
+            ({**valid, "n_records": [60]}, "n_records must be an integer, got [60]"),
+            ({**valid, "n_records": "60"}, "n_records must be an integer, got '60'"),
+            ({**valid, "n_records": 60.9}, "n_records must be an integer, got 60.9"),
+            ({**valid, "seed": True}, "seed must be an integer, got True"),
+            ({**valid, "dispersion": "0.5"}, "dispersion must be a finite number, got '0.5'"),
+            ({**valid, "topics": [{**topic, "base_means": {"likes": "nan"}}]},
+             "base_means['likes'] must be a finite number, got 'nan'"),
+            ({**valid, "outlet": 5}, "outlet must be a string, got 5"),
+        ]
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"n_records": 10, "topics": [], "treatment_rule": {}}))
-        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
-        assert code == 1
+        for payload, named in cases:
+            spec.write_text(json.dumps(payload))
+            code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 1, payload
+            assert err.startswith("error: invalid synthetic spec: ") and named in err, err
+            assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_custom_spec_file(self, tmp_path):
         spec = {
@@ -295,9 +321,12 @@ class TestClickbaitCommand:
         assert "model" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["short_header", "no_arrays", "truncated_data",
-                                      "foreign_threshold", "foreign_attention_size"])
+                                      "foreign_threshold", "foreign_attention_size",
+                                      "per_gate_layout"])
     def test_malformed_model_exit_one(self, pipeline_dir, tmp_path, capsys, case):
         import struct
+
+        import numpy as np
 
         from editlift import clickbait as cb
         from editlift.nn import SequenceClassifier, load_params, params_to_bytes
@@ -322,6 +351,17 @@ class TestClickbaitCommand:
             if foreign:
                 meta, params = load_params(tmp_path / "whole.bin")
                 blob = params_to_bytes(params, {**meta, **foreign})
+            if case == "per_gate_layout":
+                # the 24-array layout of files written before the GRU stored
+                # its gates fused: f_wz, f_wr, ..., b_bc
+                meta, params = load_params(tmp_path / "whole.bin")
+                old = {k: v for k, v in params.items() if k[:2] not in ("f_", "b_")}
+                for prefix in ("f_", "b_"):
+                    for kind in "wub":
+                        parts = np.split(params[prefix + kind], 3, axis=-1)
+                        old.update({prefix + kind + g: a for g, a in zip("zrc", parts)})
+                assert len(old) == 24
+                blob = params_to_bytes(old, meta)
         model_path.write_bytes(blob)
         capsys.readouterr()
         code = main(["clickbait", "score", "--corpus", pipeline_dir["corpus"],
@@ -334,6 +374,8 @@ class TestClickbaitCommand:
             assert "threshold 0.25" in err
         if case == "foreign_attention_size":
             assert "attention_size 2, expected 3" in err
+        if case == "per_gate_layout":
+            assert "model file lacks 'f_w'" in err
 
     def test_diverging_training_exit_one(self, tmp_path, monkeypatch, capsys):
         def diverge(args):
@@ -405,13 +447,14 @@ class TestEstimateCommand:
         assert payload["skipped"][0]["scenario"] == "too-small"
 
     def test_null_corpus_writes_discarded_report(self, tmp_path, capsys):
+        scenario = 'edited, vs "mirrored"'  # its CSV cell must be quoted
         out = tmp_path / "o"
         assert main(["synth", "--n-records", "600", "--seed", "0", "--out", str(out)]) == 0
         assert main(["profile", "--corpus", str(out / "corpus.jsonl"),
                      "--embeddings", str(out / "vectors.txt"), "--out", str(out)]) == 0
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"scenarios": [{
-            "name": "edited-vs-mirrored", "outlet": "synthwire",
+            "name": scenario, "outlet": "synthwire",
             "treatment": {"kind": "edited"}, "control": {"kind": "mirrored"},
         }]}))
         proc = subprocess.run(
@@ -425,11 +468,14 @@ class TestEstimateCommand:
         payload = json.loads(open(out / "eate_reports.json").read())
         assert len(payload["reports"]) == 3
         assert any(r["discarded"] is True for r in payload["reports"])
-        header, *rows = open(out / "eate_reports.csv").read().splitlines()
-        columns = header.split(",")
+        with open(out / "eate_reports.csv", encoding="utf-8", newline="") as fh:
+            columns, *rows = csv.reader(fh)
+        assert len(columns) == 8 + causal.N_FOLDS
         assert len(rows) == 3
         for row in rows:
-            cells = dict(zip(columns, row.split(",")))
+            assert len(row) == len(columns)
+            cells = dict(zip(columns, row))
+            assert cells["scenario"] == scenario
             for name in ("mean_eate", "ci_low", "ci_high"):
                 float(cells[name])
 
@@ -538,6 +584,15 @@ class TestEstimateCommand:
                                   "treatment": {"kind": "cluster", "cluster": 0},
                                   "control": {"kind": "shift", "headline": "NC",
                                               "post": "C"}}], None),
+        # a null name would reach the report files, and a null outlet select nothing
+        ("config", "scenarios", [{"name": None, "outlet": "synthwire",
+                                  "treatment": {"kind": "edited"},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: name must be a string, got None"),
+        ("config", "scenarios", [{"name": "s", "outlet": None,
+                                  "treatment": {"kind": "edited"},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: outlet must be a string, got None"),
     ])
     def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
         *command, route = route.split()

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,13 +10,20 @@ from editlift.corpus import (
     Corpus,
     CorpusError,
     assign_time_block,
-    is_mirrored,
     load_corpus,
     normalize,
     save_corpus,
 )
+from editlift.embedding import EmbeddingTable
+from editlift.textsim import profile
 
 from conftest import make_corpus, make_record, record_row, write_jsonl
+
+
+def is_mirrored(record) -> bool:
+    """Whether `profile` marks the record's post as mirroring its headline."""
+    table = EmbeddingTable(dim=1, vocab={"x": np.ones(1)})
+    return bool(profile(make_corpus([record]), table).mirrored[0])
 
 
 class TestNormalize:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from editlift.embedding import (
-    DocVector,
     EmbeddingError,
     cosine,
     embed_text,
@@ -82,31 +81,30 @@ class TestTokenize:
 
 class TestEmbedText:
     def test_average_of_identical_vectors(self):
-        doc = embed_text(small_table(), "a a")
-        assert np.allclose(doc.values, [1, 0, 0])
-        assert doc.token_hits == 2
+        vector, hits = embed_text(small_table(), "a a")
+        assert np.allclose(vector, [1, 0, 0])
+        assert hits == 2
 
     def test_component_wise_mean(self):
-        doc = embed_text(small_table(), "a b")
-        assert np.allclose(doc.values, [0.5, 0.5, 0.0])
-        assert doc.token_hits == 2
+        vector, hits = embed_text(small_table(), "a b")
+        assert np.allclose(vector, [0.5, 0.5, 0.0])
+        assert hits == 2
 
     def test_oov_gives_zero_vector(self):
-        doc = embed_text(small_table(), "zzz-unknown")
-        assert np.allclose(doc.values, 0.0)
-        assert doc.token_hits == 0
-        assert doc.is_zero_hit
+        vector, hits = embed_text(small_table(), "zzz-unknown")
+        assert np.array_equal(vector, np.zeros(3))
+        assert hits == 0
 
     def test_oov_tokens_dropped_from_average(self):
-        with_oov = embed_text(small_table(), "a mystery")
-        assert np.allclose(with_oov.values, [1, 0, 0])
-        assert with_oov.token_hits == 1
+        vector, hits = embed_text(small_table(), "a mystery")
+        assert np.allclose(vector, [1, 0, 0])
+        assert hits == 1
 
     @given(st.permutations(["a", "b", "c", "a"]))
     def test_permutation_invariance(self, tokens):
-        reference = embed_text(small_table(), "a a b c")
-        doc = embed_text(small_table(), " ".join(tokens))
-        assert np.allclose(doc.values, reference.values)
+        reference, _ = embed_text(small_table(), "a a b c")
+        vector, _ = embed_text(small_table(), " ".join(tokens))
+        assert np.allclose(vector, reference)
 
 
 finite_vec = st.lists(
@@ -120,7 +118,7 @@ finite_vec = st.lists(
 
 class TestCosine:
     def test_identity(self):
-        v = DocVector(np.array([0.3, 0.4, 0.5]), 1)
+        v = np.array([0.3, 0.4, 0.5])
         assert cosine(v, v) == pytest.approx(1.0)
 
     def test_orthogonal(self):

@@ -6,8 +6,9 @@ import pytest
 
 from editlift import synthbench as sb
 from editlift.cli import main
-from editlift.corpus import is_mirrored, load_corpus, save_corpus
+from editlift.corpus import load_corpus, save_corpus
 from editlift.embedding import cosine, embed_text
+from editlift.textsim import profile
 
 
 def tiny_spec(n=80, seed=0, **overrides):
@@ -68,10 +69,11 @@ class TestGenerate:
         assert loaded.rejects == ()
 
     def test_treatment_realized_as_editing(self):
-        corpus, truth = sb.generate(tiny_spec(seed=2))
+        spec = tiny_spec(seed=2)
+        corpus, truth = sb.generate(spec)
         treated = {t.id for t in truth if t.treated}
-        for record in corpus:
-            assert is_mirrored(record) != (record.id in treated)
+        mirrored = profile(corpus, sb.synthetic_table(spec, seed=spec.seed)).mirrored
+        assert mirrored.tolist() == [r.id not in treated for r in corpus]
 
     def test_truth_sidecar_contents(self):
         corpus, truth = sb.generate(tiny_spec(seed=3, true_effect={"likes": 10.0}))
@@ -141,10 +143,10 @@ class TestSyntheticTable:
         corpus, truth = sb.generate(spec)
         topic_by_id = {t.id: t.topic for t in truth}
         family = {t.topic_id: t.family for t in spec.topics}
-        doc = {r.id: embed_text(table, r.body_text) for r in corpus}
+        doc = {r.id: embed_text(table, r.body_text)[0] for r in corpus}
         centroids = {}
         for r in corpus:
-            centroids.setdefault(topic_by_id[r.id], []).append(doc[r.id].values)
+            centroids.setdefault(topic_by_id[r.id], []).append(doc[r.id])
         centroids = {k: np.mean(v, axis=0) for k, v in centroids.items()}
         same_family, cross_family = [], []
         names = sorted(centroids)
@@ -162,7 +164,7 @@ class TestSyntheticTable:
         assert table.dim == 16 and len(next(iter(table.vocab.values()))) == 16
         corpus, _ = sb.generate(spec)
         for record in corpus.records[:20]:
-            assert embed_text(table, record.body_text).token_hits > 0
+            assert embed_text(table, record.body_text)[1] > 0
 
 
 class TestSpecIO:

@@ -130,7 +130,7 @@ class TestProfile:
         assert profiles[0].embedding_similarity == pytest.approx(0.0)
         # hand DP: levenshtein(alpha, beta) = 4, over max length 5
         assert profiles[0].edit_distance == pytest.approx(0.8)
-        assert embed_text(self.table(), normalize("zq")).is_zero_hit  # misses the vocabulary
+        assert embed_text(self.table(), normalize("zq"))[1] == 0  # misses the vocabulary
         assert profiles[1].embedding_similarity == 0.0
 
     def test_cardinality_and_order(self):
