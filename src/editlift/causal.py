@@ -258,8 +258,8 @@ def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
                      config: CausalConfig) -> Mlp:
     """Fit the propensity network, treatment (y = 1) vs control (y = 0), on
     the body vectors x [n, dim] with binary cross-entropy, for
-    `config.epochs` epochs of the PROPENSITY_* schedule: ReLU hidden layers
-    of PROPENSITY_HIDDEN units, Adam.
+    `config.propensity_epochs` epochs of the PROPENSITY_* schedule: ReLU
+    hidden layers of PROPENSITY_HIDDEN units, Adam.
 
     Each epoch shuffles the rows once and steps through consecutive batches
     of the shuffled arrays. The L2 penalty applies to the last hidden
@@ -280,7 +280,7 @@ def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
     net = Mlp([x.shape[1], *PROPENSITY_HIDDEN, 1], seed=seed, l2_penalty=PROPENSITY_L2_PENALTY)
     opt = AdamState(learning_rate=PROPENSITY_LEARNING_RATE)
     rng = np.random.default_rng(seed)
-    for _ in range(config.epochs):
+    for _ in range(config.propensity_epochs):
         order = rng.permutation(len(x))
         x_epoch, y_epoch = x[order], y[order]
         for start in range(0, len(x), PROPENSITY_BATCH_SIZE):
@@ -447,7 +447,7 @@ class CausalConfig:
     alpha: float = DEFAULT_ALPHA
     tau: float = DEFAULT_TAU
     min_group: int = DEFAULT_MIN_GROUP
-    epochs: int = 3  # of propensity training
+    propensity_epochs: int = 3
 
 
 def select_units(units: UnitTable, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

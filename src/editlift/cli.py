@@ -2,8 +2,10 @@
 
 Every command is deterministic given its inputs and --seed, writes outputs
 atomically, and follows one exit-code contract: 0 success, 1 runtime or data
-error, 2 usage error. A JSON config file (--config or $EDITLIFT_CONFIG)
-supplies defaults; explicit flags win.
+error, 2 usage error. `_SETTINGS` declares every setting once; a command has
+a flag for exactly the settings it reads, and each flag is also a key of the
+JSON config file (--config or $EDITLIFT_CONFIG), which supplies defaults;
+explicit flags win.
 
 Each command imports the modules it uses when it runs, so `--help` and
 `ingest` start without numpy.
@@ -15,9 +17,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import corpus as corpus_mod
 
@@ -25,9 +27,6 @@ if TYPE_CHECKING:
     from . import causal
 
 CONFIG_ENV_VAR = "EDITLIFT_CONFIG"
-# config keys naming a file or directory; `_load_config` checks that each is
-# a string, so a command stops on a bad one before it reads any input
-_PATH_KEYS = ("corpus", "embeddings", "out")
 
 
 class CommandError(Exception):
@@ -38,12 +37,56 @@ class UsageError(Exception):
     """Bad setting or missing configuration that should exit with status 2."""
 
 
+class Setting(NamedTuple):
+    kind: type | tuple[str, ...]  # int, float (finite), str (a path) or the allowed strings
+    minimum: int | None
+    default: object
+    commands: tuple[str, ...]  # the commands that read it
+    help: str | None  # of its flag; None for a config key with no flag
+
+
+_READ_CORPUS = ("ingest", "profile", "cluster", "clickbait score", "estimate")
+_WRITE_OUT = ("profile", "cluster", "clickbait train", "clickbait score", "estimate", "synth")
+
+# every setting: a flag of each command that reads it, and a config key of
+# the same name. `propensity_epochs` and `scenarios` (not a table setting)
+# are config keys only; `ingest --out` is a flag only, since it names a
+# report file where a shared config's `out` names the output directory. The
+# five fields of `causal.CausalConfig` default to None, which keeps its
+# defaults, read only when `estimate` runs
+_SETTINGS = {
+    "corpus": Setting(str, None, None, _READ_CORPUS, "paired corpus file"),
+    "format": Setting(("jsonl", "csv"), None, "jsonl", _READ_CORPUS, "corpus file format"),
+    "embeddings": Setting(str, None, None, ("profile", "estimate"), "word-vector text file"),
+    "profiles": Setting(str, None, None, ("cluster", "clickbait score", "estimate"),
+                        "profile CSV (default <out>/profiles.csv)"),
+    "out": Setting(str, None, "editlift-out", _WRITE_OUT, "output directory"),
+    "seed": Setting(int, 0, 0, ("cluster", "clickbait train", "estimate", "synth"),
+                    "seed for every random choice"),
+    "k": Setting(int, 1, None, ("cluster",), "cluster count (omit for elbow selection)"),
+    "k_max": Setting(int, 2, 8, ("cluster",), "elbow search bound"),
+    "train_data": Setting(str, None, None, ("clickbait train",), "labeled CSV text,label"),
+    "model": Setting(str, None, None, ("clickbait train", "clickbait score"),
+                     "model file (default <out>/clickbait_model.bin)"),
+    "epochs": Setting(int, 1, 10, ("clickbait train",), "training epochs"),
+    "knn": Setting(int, 1, None, ("estimate",), "matched controls per treatment unit"),
+    "alpha": Setting(float, None, None, ("estimate",), "balance-gate sensitivity"),
+    "tau": Setting(float, None, None, ("estimate",), "balance-gate floor"),
+    "min_group": Setting(int, 0, None, ("estimate",), "minimum units per arm"),
+    "propensity_epochs": Setting(int, 1, None, ("estimate",), None),
+    "jobs": Setting(int, 1, 1, ("estimate",), "scenarios to run concurrently"),
+    "spec": Setting(str, None, None, ("synth",), "generator spec JSON (omit for the preset)"),
+    "n_records": Setting(int, None, 5000, ("synth",), "records to generate"),
+    "effect_likes": Setting(float, None, 0.0, ("synth",), "treated-likes effect in the preset"),
+}
+
+
 def _write_json(path: Path, payload) -> None:
     corpus_mod.write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(args) -> dict:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
     p = Path(path)
@@ -55,89 +98,85 @@ def _load_config(args) -> dict:
         raise CommandError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise CommandError(f"config file {p} must hold a JSON object")
-    for key in _PATH_KEYS:
-        if cfg.get(key) is not None and not isinstance(cfg[key], str):
-            raise UsageError(f"{key} must be a path string, got {cfg[key]!r}")
+    # a key that no command reads is a misspelling, not a default; a bad value
+    # is reported even where a flag overrides it. `scenarios` is the one key
+    # that is no table setting
+    unknown = sorted(set(cfg) - set(_SETTINGS) - {"scenarios"})
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    for name, value in cfg.items():
+        if name in _SETTINGS and value is not None:
+            _checked(name, value)
     return cfg
-
-
-def _setting(args, cfg: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg and cfg[name] is not None:
-        return cfg[name]
-    return default
-
-
-# every numeric setting, each a flag (where one exists) and a config key of
-# the same name (`k` is a flag only): (type, minimum, CausalConfig field);
-# floats must be finite
-_SETTINGS = {
-    "seed": (int, 0, None),
-    "k": (int, 1, None),
-    "k_max": (int, 2, None),
-    "epochs": (int, 1, None),
-    "n_records": (int, None, None),
-    "effect_likes": (float, None, None),
-    "jobs": (int, 1, None),
-    "knn": (int, 1, "knn"),
-    "propensity_epochs": (int, 1, "epochs"),
-    "min_group": (int, 0, "min_group"),
-    "alpha": (float, None, "alpha"),
-    "tau": (float, None, "tau"),
-}
 
 
 def _checked(name: str, value):
     """`value` of the setting `name`, checked against its _SETTINGS row;
     UsageError names the key. A bool, or a float with a fractional part where
     an integer is due, is rejected rather than coerced."""
-    kind, minimum, _ = _SETTINGS[name]
-    try:
-        value = corpus_mod.json_value(value, kind, name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if minimum is not None and value < minimum:
-        raise UsageError(f"{name} must be at least {minimum}, got {value}")
+    kind, minimum = _SETTINGS[name].kind, _SETTINGS[name].minimum
+    if kind is str:
+        if not isinstance(value, str):
+            raise UsageError(f"{name} must be a path string, got {value!r}")
+    elif isinstance(kind, tuple):
+        if value not in kind:
+            raise UsageError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+    else:
+        try:
+            value = corpus_mod.json_value(value, kind, name)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if minimum is not None and value < minimum:
+            raise UsageError(f"{name} must be at least {minimum}, got {value}")
     return value
 
 
-def _checked_setting(args, cfg: dict, name: str, default):
-    """`_setting` of one of _SETTINGS, checked."""
-    return _checked(name, _setting(args, cfg, name, default))
+def _settings(args, cfg: dict, command: str) -> dict:
+    """{name: value} of every setting `command` reads: its flag, else its
+    config key, else its default; each value given is checked, so a bad one
+    stops the command before it reads any input."""
+    resolved = {}
+    for name, row in _SETTINGS.items():
+        if command in row.commands:
+            value = getattr(args, name, None)  # a config-only setting has no flag
+            if value is None:
+                value = cfg.get(name)
+            resolved[name] = row.default if value is None else _checked(name, value)
+    return resolved
 
 
-def _load_inputs(args, cfg, need_embeddings=True):
-    corpus_path = _setting(args, cfg, "corpus", None)
-    if corpus_path is None:
+def _load_corpus(s: dict):
+    if s["corpus"] is None:
         raise CommandError("no corpus given (use --corpus or the config file)")
     try:
-        loaded = corpus_mod.load_corpus(corpus_path, getattr(args, "format", None) or "jsonl")
+        return corpus_mod.load_corpus(s["corpus"], s["format"])
     except corpus_mod.CorpusError as exc:
         raise CommandError(str(exc)) from None
-    table = None
-    if need_embeddings:
-        from . import embedding
-
-        emb_path = _setting(args, cfg, "embeddings", None)
-        if emb_path is None:
-            raise CommandError("no embedding table given (use --embeddings or the config file)")
-        try:
-            table = embedding.load_table(emb_path)
-        except (OSError, embedding.EmbeddingError) as exc:
-            raise CommandError(str(exc)) from None
-    return loaded, table
 
 
-def _load_profiles(args, out_dir: Path):
-    """(path, table) of the profile CSV: --profiles, else <out>/profiles.csv."""
+def _load_table(s: dict):
+    from . import embedding
+
+    if s["embeddings"] is None:
+        raise CommandError("no embedding table given (use --embeddings or the config file)")
+    try:
+        return embedding.load_table(s["embeddings"])
+    except (OSError, embedding.EmbeddingError) as exc:
+        raise CommandError(str(exc)) from None
+
+
+def _load_profiles(s: dict):
+    """(path, table) of the profile CSV: `profiles`, else <out>/profiles.csv."""
     from . import textsim
 
-    path = Path(getattr(args, "profiles", None) or out_dir / "profiles.csv")
+    path = Path(s["profiles"] or Path(s["out"]) / "profiles.csv")
     if not path.is_file():
         raise CommandError(f"profile CSV not found: {path} (run `profile` first)")
     return path, textsim.profiles_from_csv(path)
+
+
+def _model_path(s: dict) -> Path:
+    return Path(s["model"] or Path(s["out"]) / "clickbait_model.bin")
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +184,13 @@ def _load_profiles(args, out_dir: Path):
 
 
 def cmd_ingest(args) -> int:
-    cfg = _load_config(args)
-    loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
+    loaded = _load_corpus(_settings(args, _load_config(args), "ingest"))
     print(f"loaded {len(loaded)} records from {loaded.source_path} "
           f"({len(loaded.rejects)} rejected)")
     for reject in loaded.rejects:
         print(f"  line {reject.line_no}: {reject.reason}")
-    out = getattr(args, "out", None)
-    if out:
-        _write_json(Path(out), {
+    if args.out:
+        _write_json(Path(args.out), {
             "source": loaded.source_path,
             "records": len(loaded),
             "outlets": {o: len(rows) for o, rows in loaded.outlet_rows().items()},
@@ -180,14 +217,13 @@ def _distribution_stats(values) -> dict:
 def cmd_profile(args) -> int:
     from . import textsim
 
-    cfg = _load_config(args)
-    loaded, table = _load_inputs(args, cfg)
-    out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
-    profiles = textsim.profile(loaded, table)
+    s = _settings(args, _load_config(args), "profile")
+    loaded = _load_corpus(s)
+    profiles = textsim.profile(loaded, _load_table(s))
+    out_dir = Path(s["out"])
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    tmp_csv = out_dir / "profiles.csv"
-    textsim.profiles_to_csv(profiles, tmp_csv)
+    textsim.profiles_to_csv(profiles, out_dir / "profiles.csv")
 
     # profile row i is corpus record i, so an outlet's positions select its rows
     outlet_rows = loaded.outlet_rows()
@@ -220,16 +256,10 @@ def cmd_profile(args) -> int:
 def cmd_cluster(args) -> int:
     from . import cluster, textsim
 
-    cfg = _load_config(args)
-    seed = _checked_setting(args, cfg, "seed", 0)
-    k = getattr(args, "k", None)
-    if k is None:
-        k_max = _checked_setting(args, cfg, "k_max", 8)
-    else:
-        k = _checked("k", k)
-    out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
-    profile_path, profiles = _load_profiles(args, out_dir)
-    loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
+    s = _settings(args, _load_config(args), "cluster")
+    k, seed, out_dir = s["k"], s["seed"], Path(s["out"])
+    profile_path, profiles = _load_profiles(s)
+    loaded = _load_corpus(s)
     # a profile table that is not the corpus row for row stops the command
     # before any fit, with its outputs untouched
     profiles.check_rows(loaded)
@@ -239,7 +269,7 @@ def cmd_cluster(args) -> int:
     if k is None:
         fits: list[cluster.ClusterModel] = []
         try:
-            k = cluster.elbow_select(pts, k_max=k_max, seed=seed, fits=fits)
+            k = cluster.elbow_select(pts, k_max=s["k_max"], seed=seed, fits=fits)
         except ValueError as exc:
             raise CommandError(str(exc)) from None
         fit = fits[k - 1]
@@ -258,38 +288,32 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def cmd_clickbait(args) -> int:
+def cmd_clickbait_train(args) -> int:
     from . import clickbait
 
-    cfg = _load_config(args)
-    out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
-    seed = _checked_setting(args, cfg, "seed", 0)
+    s = _settings(args, _load_config(args), "clickbait train")
+    if s["train_data"] is None:
+        raise CommandError("no training data given (use --train-data or the config file)")
+    try:
+        dataset = clickbait.load_labeled_csv(s["train_data"])
+        model, f1 = clickbait.train(dataset, split_seed=s["seed"], epochs=s["epochs"])
+    except (OSError, ValueError) as exc:
+        raise CommandError(str(exc)) from None
+    clickbait.save_model(model, _model_path(s))
+    print(f"held-out F1: {f1:.4f}")
+    print(f"model -> {_model_path(s)}")
+    return 0
 
-    if args.action == "train":
-        epochs = _checked_setting(args, cfg, "epochs", 10)
-        data_path = getattr(args, "train_data", None)
-        if data_path is None:
-            raise CommandError("clickbait train needs --train-data CSV (text,label)")
-        try:
-            dataset = clickbait.load_labeled_csv(data_path)
-            model, f1 = clickbait.train(dataset, split_seed=seed, epochs=epochs)
-        except (OSError, ValueError) as exc:
-            raise CommandError(str(exc)) from None
-        out_dir.mkdir(parents=True, exist_ok=True)
-        model_path = Path(getattr(args, "model", None) or out_dir / "clickbait_model.bin")
-        clickbait.save_model(model, model_path)
-        print(f"held-out F1: {f1:.4f}")
-        print(f"model -> {model_path}")
-        return 0
 
-    # score
-    from . import textsim
+def cmd_clickbait_score(args) -> int:
+    from . import clickbait, textsim
 
-    model_path = getattr(args, "model", None) or out_dir / "clickbait_model.bin"
-    if not Path(model_path).is_file():
+    s = _settings(args, _load_config(args), "clickbait score")
+    model_path = _model_path(s)
+    if not model_path.is_file():
         raise CommandError(f"clickbait model not found: {model_path} (train first)")
-    profile_path, profiles = _load_profiles(args, out_dir)
-    loaded, _ = _load_inputs(args, cfg, need_embeddings=False)
+    profile_path, profiles = _load_profiles(s)
+    loaded = _load_corpus(s)
     model = clickbait.load_model(model_path)
     profiles = clickbait.score_profiles(model, loaded, profiles)
     textsim.profiles_to_csv(profiles, profile_path)
@@ -303,7 +327,7 @@ def cmd_clickbait(args) -> int:
             "n_headline_c": shift.n_headline_c,
             "n_headline_nc": shift.n_headline_nc,
         }
-    _write_json(out_dir / "clickbait_shift.json", tables)
+    _write_json(Path(s["out"]) / "clickbait_shift.json", tables)
     print(f"scored {len(profiles)} records -> {profile_path}")
     return 0
 
@@ -341,29 +365,27 @@ def cmd_estimate(args) -> int:
     if not scenario_defs:
         raise UsageError("no scenarios configured (config key 'scenarios')")
     # every setting and scenario is checked before any input is read
-    jobs = _checked_setting(args, cfg, "jobs", 1)
-    seed = _checked_setting(args, cfg, "seed", 0)
-    run_cfg = causal.CausalConfig(**{
-        field: _checked_setting(args, cfg, name, getattr(causal.CausalConfig, field))
-        for name, (_, _, field) in _SETTINGS.items() if field is not None
-    })
+    s = _settings(args, cfg, "estimate")
+    run_cfg = causal.CausalConfig(**{f.name: s[f.name] for f in fields(causal.CausalConfig)
+                                     if s[f.name] is not None})
     try:
         scenarios = [causal.Scenario.from_dict(d)
                      for d in corpus_mod.json_value(scenario_defs, list, "scenarios")]
     except (KeyError, ValueError) as exc:
         raise CommandError(f"bad scenario definition: {exc}") from None
-    loaded, table = _load_inputs(args, cfg)
-    out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
-    _, profiles = _load_profiles(args, out_dir)
+    loaded = _load_corpus(s)
+    table = _load_table(s)
+    out_dir = Path(s["out"])
+    _, profiles = _load_profiles(s)
 
     # one table for all scenarios: workers get it once, at pool start (forked
     # workers inherit it), so each task carries only its scenario and settings
     units = causal.build_unit_table(loaded, profiles, table,
-                                    outlets={s.outlet for s in scenarios})
-    tasks = [(s, seed, run_cfg) for s in scenarios]
+                                    outlets={scenario.outlet for scenario in scenarios})
+    tasks = [(scenario, s["seed"], run_cfg) for scenario in scenarios]
     # the pool forks all its workers at start, so a worker with no scenario
     # would only cost a fork
-    workers = min(jobs, len(tasks))
+    workers = min(s["jobs"], len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(units,)) as pool:
@@ -407,24 +429,25 @@ def cmd_estimate(args) -> int:
 def cmd_synth(args) -> int:
     from . import embedding, synthbench
 
-    cfg = _load_config(args)
-    out_dir = Path(_setting(args, cfg, "out", "editlift-out"))
-    preset = None
-    if not getattr(args, "spec", None):
-        preset = {
-            "n_records": _checked_setting(args, cfg, "n_records", 5000),
-            "effect_likes": _checked_setting(args, cfg, "effect_likes", 0.0),
-            "seed": _checked_setting(args, cfg, "seed", 0),
-        }
+    s = _settings(args, _load_config(args), "synth")
+    preset = ("n_records", "effect_likes", "seed")
+    if s["spec"] is not None:
+        # a spec sets what these flags set for the preset; a config's values
+        # are defaults, so only a flag conflicts
+        for name in preset:
+            if getattr(args, name) is not None:
+                raise UsageError(f"--{name.replace('_', '-')} applies to the preset only, "
+                                 "not with a spec")
     try:
-        if preset is None:
-            spec = synthbench.load_spec(args.spec)
+        if s["spec"] is None:
+            spec = synthbench.confounded_spec(**{name: s[name] for name in preset})
         else:
-            spec = synthbench.confounded_spec(**preset)
+            spec = synthbench.load_spec(s["spec"])
         generated, truth = synthbench.generate(spec)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CommandError(f"invalid synthetic spec: {exc}") from None
 
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_corpus(generated, out_dir / "corpus.jsonl")
     synthbench.save_truth(truth, out_dir / "truth.jsonl")
@@ -438,14 +461,17 @@ def cmd_synth(args) -> int:
 # Argument wiring
 
 
-def _add_common(parser, *, embeddings=False):
-    parser.add_argument("--corpus", help="paired corpus file (JSONL unless --format csv)")
-    parser.add_argument("--format", choices=["jsonl", "csv"], help="corpus file format")
-    if embeddings:
-        parser.add_argument("--embeddings", help="word-vector text file")
-    parser.add_argument("--out", help="output directory (or file for `ingest`)")
-    parser.add_argument("--seed", type=int, help="seed for every random choice")
-    parser.add_argument("--config", help=f"JSON config file (default ${CONFIG_ENV_VAR})")
+def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """The subparser of `name` (its last word, under `sub`): a flag for each
+    table setting `name` reads, typed by its row, and --config."""
+    p = sub.add_parser(name.split()[-1], help=help)
+    for setting, row in _SETTINGS.items():
+        if name in row.commands and row.help is not None:
+            kind = {"choices": row.kind} if isinstance(row.kind, tuple) else {"type": row.kind}
+            p.add_argument("--" + setting.replace("_", "-"), dest=setting, help=row.help, **kind)
+    p.add_argument("--config", help=f"JSON config file (default ${CONFIG_ENV_VAR})")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,48 +480,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Headline-editing analytics and matched engagement-effect estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate a paired corpus file")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("profile", help="edit-distance/similarity profiles and summaries")
-    _add_common(p, embeddings=True)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("cluster", help="k-means++ editing-style clusters")
-    _add_common(p)
-    p.add_argument("--profiles", help="profile CSV (default <out>/profiles.csv)")
-    p.add_argument("--k", type=int, help="cluster count (omit for elbow selection)")
-    p.add_argument("--k-max", dest="k_max", type=int, help="elbow search bound")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("clickbait", help="train or apply the clickbait scorer")
-    p.add_argument("action", choices=["train", "score"])
-    _add_common(p)
-    p.add_argument("--train-data", dest="train_data", help="labeled CSV text,label")
-    p.add_argument("--model", help="model file (output of train, input of score)")
-    p.add_argument("--profiles", help="profile CSV (default <out>/profiles.csv)")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.set_defaults(func=cmd_clickbait)
-
-    p = sub.add_parser("estimate", help="run configured scenarios end to end")
-    _add_common(p, embeddings=True)
-    p.add_argument("--profiles", help="profile CSV (default <out>/profiles.csv)")
-    p.add_argument("--knn", type=int, help="matched controls per treatment unit")
-    p.add_argument("--alpha", type=float, help="balance-gate sensitivity")
-    p.add_argument("--tau", type=float, help="balance-gate floor")
-    p.add_argument("--min-group", dest="min_group", type=int, help="minimum units per arm")
-    p.add_argument("--jobs", type=int, help="scenarios to run concurrently")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")
-    _add_common(p)
-    p.add_argument("--spec", help="generator spec JSON (omit for the confounded preset)")
-    p.add_argument("--n-records", dest="n_records", type=int, help="records to generate")
-    p.add_argument("--effect-likes", dest="effect_likes", type=float,
-                   help="additive treated-likes effect in the preset")
-    p.set_defaults(func=cmd_synth)
+    p = _add_command(sub, "ingest", cmd_ingest, "validate a paired corpus file")
+    # a report file, not the output directory, so a flag only
+    p.add_argument("--out", help="JSON report file")
+    _add_command(sub, "profile", cmd_profile, "edit-distance/similarity profiles and summaries")
+    _add_command(sub, "cluster", cmd_cluster, "k-means++ editing-style clusters")
+    actions = sub.add_parser("clickbait", help="train or apply the clickbait scorer")
+    actions = actions.add_subparsers(dest="action", required=True)
+    _add_command(actions, "clickbait train", cmd_clickbait_train,
+                 "train the scorer on a labeled CSV")
+    _add_command(actions, "clickbait score", cmd_clickbait_score,
+                 "score each record's headline and post")
+    _add_command(sub, "estimate", cmd_estimate, "run configured scenarios end to end")
+    _add_command(sub, "synth", cmd_synth, "generate a synthetic benchmark corpus")
     return parser
 
 

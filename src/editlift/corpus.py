@@ -5,7 +5,7 @@ media outlet. JSONL is the canonical on-disk format; CSV is a convenience
 importer with identical field names. `write_bytes_atomic` is the one writer
 every artifact of the package goes through; `write_text_atomic` encodes text
 for it. `json_value` is the one type check of a value read from a JSON
-config, scenario or spec.
+config, scenario, spec or corpus record.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ REQUIRED_KEYS = ("id", "outlet", "headline", "body_text", "post_text",
                  "created_at", "replies", "retweets", "likes")
 
 _WS_RUN = re.compile(r"\s+")
+_DECIMAL = re.compile(r"-?[0-9]+")  # a CSV count cell
 
 
 class CorpusError(Exception):
@@ -41,6 +42,8 @@ def json_value(value, kind: type, what: str):
     """`value` checked to be of the JSON type `kind` (one of _JSON_KINDS);
     ValueError names `what`. A bool is no number, and a float is an integer
     only when it has no fractional part; numbers come back as `kind`."""
+    if kind is not float and isinstance(value, kind) and not isinstance(value, bool):
+        return value  # the common case, taken once per corpus field
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float:
         ok = is_number and math.isfinite(value)
@@ -140,53 +143,41 @@ def assign_time_block(record: PairedRecord) -> str:
     return "B3"
 
 
-def _coerce_record(obj: dict, line_no: int) -> PairedRecord:
-    """Validate one raw mapping into a PairedRecord; raises ValueError."""
+def _checked_record(obj: dict) -> PairedRecord:
+    """Validate one raw mapping into a PairedRecord; raises ValueError that
+    names the field. Values are checked with `json_value`, never coerced:
+    counts are integers, and the text, outlet, time and section fields are
+    strings."""
     missing = [k for k in REQUIRED_KEYS if k not in obj or obj[k] is None]
     if missing:
         raise ValueError(f"missing required field(s): {', '.join(missing)}")
 
+    if isinstance(obj["id"], bool) or not isinstance(obj["id"], (str, int)):
+        raise ValueError(f"id must be a string or an integer, got {obj['id']!r}")
     rid = str(obj["id"]).strip()
     if not rid:
         raise ValueError("empty id")
 
     counts = {}
     for metric in ENGAGEMENT_METRICS:
-        raw = obj[metric]
-        try:
-            n = int(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"{metric} is not an integer: {raw!r}") from None
+        n = json_value(obj[metric], int, metric)
         if n < 0:
             raise ValueError(f"{metric} is negative: {n}")
         counts[metric] = n
 
-    headline = str(obj["headline"])
-    post_text = str(obj["post_text"])
-    if not normalize(headline):
+    text = {key: json_value(obj[key], str, key)
+            for key in ("outlet", "headline", "body_text", "post_text", "created_at")}
+    if not normalize(text["headline"]):
         raise ValueError("headline empty after normalization")
-    if not normalize(post_text):
+    if not normalize(text["post_text"]):
         raise ValueError("post_text empty after normalization")
-
-    created_at = str(obj["created_at"])
-    parse_timestamp(created_at)  # validation only; stored verbatim
+    parse_timestamp(text["created_at"])  # validation only; stored verbatim
 
     section = obj.get("section")
     if section is not None:
-        section = str(section) or None
+        section = json_value(section, str, "section") or None
 
-    return PairedRecord(
-        id=rid,
-        outlet=str(obj["outlet"]),
-        headline=headline,
-        body_text=str(obj["body_text"]),
-        post_text=post_text,
-        created_at=created_at,
-        replies=counts["replies"],
-        retweets=counts["retweets"],
-        likes=counts["likes"],
-        section=section,
-    )
+    return PairedRecord(id=rid, **text, **counts, section=section)
 
 
 def _iter_jsonl(path: Path):
@@ -212,6 +203,12 @@ def _iter_csv(path: Path):
             return
         for line_no, row in enumerate(reader, start=2):  # header is line 1
             obj = {k: v for k, v in row.items() if v not in (None, "")}
+            # every cell is a string: a count cell reads as a decimal
+            # integer, and any other count cell is left for `_checked_record`
+            # to reject
+            for metric in ENGAGEMENT_METRICS:
+                if _DECIMAL.fullmatch(obj.get(metric, "")):
+                    obj[metric] = int(obj[metric])
             yield line_no, obj, None
 
 
@@ -236,7 +233,7 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> Corpus:
             rejects.append(RejectedLine(line_no, err))
             continue
         try:
-            record = _coerce_record(obj, line_no)
+            record = _checked_record(obj)
         except ValueError as exc:
             rejects.append(RejectedLine(line_no, str(exc)))
             continue

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import write_text_atomic
+from .corpus import normalize, write_text_atomic
 
 
 class EmbeddingError(ValueError):
@@ -25,8 +25,10 @@ _TOKEN_SPLIT = re.compile("[" + re.escape(string.punctuation) + r"\s]+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on whitespace plus ASCII punctuation."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    """`corpus.normalize` the text (so a word stored decomposed finds its
+    composed vector), lowercase it and split on whitespace plus ASCII
+    punctuation."""
+    return [t for t in _TOKEN_SPLIT.split(normalize(text).lower()) if t]
 
 
 @dataclass(frozen=True)

@@ -161,8 +161,44 @@ def profiles_to_csv(profiles: Profiles, path: str | Path) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
+def _finite_cell(cell: str) -> float | None:
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _unit_cell(cell: str) -> float | None:
+    value = _finite_cell(cell)
+    return value if value is not None and 0.0 <= value <= 1.0 else None
+
+
+def _label_cell(cell: str) -> float | None:
+    return float(cell) if cell.isascii() and cell.isdigit() else None
+
+
+def _blank_or(parse):
+    return lambda cell: math.nan if cell == "" else parse(cell)
+
+
+# each value column's one parse rule, and what it accepts; a rule returns
+# None for a cell it refuses. Similarity has no upper bound: a cosine of
+# equal vectors can read 1.0000000000000002
+_CELL_RULES = {
+    "edit_distance": (_unit_cell, "a finite number in [0, 1]"),
+    "embedding_similarity": (_finite_cell, "a finite number"),
+    "mirrored": ({"true": True, "false": False}.get, "true or false"),
+    "cluster": (_blank_or(_label_cell), "blank or a non-negative integer"),
+    "headline_clickbait": (_blank_or(_unit_cell), "blank or a number in [0, 1]"),
+    "post_clickbait": (_blank_or(_unit_cell), "blank or a number in [0, 1]"),
+}
+
+
 def profiles_from_csv(path: str | Path) -> Profiles:
-    """Read what `profiles_to_csv` wrote; a blank cell reads as unset (NaN)."""
+    """Read what `profiles_to_csv` wrote; a blank cell reads as unset (NaN).
+    A cell that breaks its column's rule (`_CELL_RULES`) raises ValueError
+    naming the file, line and column."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(PROFILE_COLUMNS) - set(reader.fieldnames or ())
@@ -179,21 +215,24 @@ def profiles_from_csv(path: str | Path) -> Profiles:
                 raise ValueError(f"{path} line {reader.line_num}: duplicate record_id "
                                  f"{row['record_id']!r}")
             seen.add(row["record_id"])
-            rows.append(tuple(row[c] for c in PROFILE_COLUMNS))
+            values = [row["record_id"]]
+            for column, (parse, rule) in _CELL_RULES.items():
+                value = parse(row[column])
+                if value is None:
+                    raise ValueError(f"{path} line {reader.line_num}: {column} must be "
+                                     f"{rule}, got {row[column]!r}")
+                values.append(value)
+            rows.append(values)
     ids, distance, similarity, mirrored, cluster, headline, post = (
         zip(*rows) if rows else ((),) * len(PROFILE_COLUMNS))
-
-    def floats(cells, parse=float) -> np.ndarray:
-        return np.array([np.nan if c == "" else parse(c) for c in cells], dtype=np.float64)
-
     return Profiles(
         record_ids=ids,
-        edit_distance=np.array([float(c) for c in distance], dtype=np.float64),
-        embedding_similarity=np.array([float(c) for c in similarity], dtype=np.float64),
-        mirrored=np.array([c == "true" for c in mirrored], dtype=bool),
-        cluster=floats(cluster, int),
-        headline_clickbait=floats(headline),
-        post_clickbait=floats(post),
+        edit_distance=np.array(distance, dtype=np.float64),
+        embedding_similarity=np.array(similarity, dtype=np.float64),
+        mirrored=np.array(mirrored, dtype=bool),
+        cluster=np.array(cluster, dtype=np.float64),
+        headline_clickbait=np.array(headline, dtype=np.float64),
+        post_clickbait=np.array(post, dtype=np.float64),
     )
 
 

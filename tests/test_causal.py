@@ -168,7 +168,7 @@ def reference_run_scenario(corpus, profiles, table, scenario, seed, config):
         train_t = [u for u, f in zip(treatments, t_folds) if f != fold]
         train_c = [u for u, f in zip(controls, c_folds) if f != fold]
         model = reference_train_propensity(
-            train_t, train_c, seed=seed * causal.N_FOLDS + fold + 1, epochs=config.epochs)
+            train_t, train_c, seed=seed * causal.N_FOLDS + fold + 1, epochs=config.propensity_epochs)
         matches = reference_match(held_out, train_c, model, config.knn)
         achieved = float(np.mean([m.mean_similarity for m in matches]))
         threshold = max(mu + config.alpha * sigma, config.tau)
@@ -620,7 +620,7 @@ class TestTrainPropensity:
         treatments, controls = separable_units(150, seed=0)
         fit_t, hold_t = treatments[:100], treatments[100:]
         fit_c, hold_c = controls[:100], controls[100:]
-        model = train_propensity(*xy(fit_t, fit_c), 1, CausalConfig(epochs=30))
+        model = train_propensity(*xy(fit_t, fit_c), 1, CausalConfig(propensity_epochs=30))
         auc = rank_auc(
             model.predict(np.array([u.features for u in hold_t])),
             model.predict(np.array([u.features for u in hold_c])),
@@ -635,7 +635,7 @@ class TestTrainPropensity:
         relabeled_t = [pool[i] for i in order[:150]]
         relabeled_c = [pool[i] for i in order[150:]]
         model = train_propensity(*xy(relabeled_t[:100], relabeled_c[:100]), 4,
-                                 CausalConfig(epochs=30))
+                                 CausalConfig(propensity_epochs=30))
         auc = rank_auc(
             model.predict(np.array([u.features for u in relabeled_t[100:]])),
             model.predict(np.array([u.features for u in relabeled_c[100:]])),
@@ -649,7 +649,7 @@ class TestTrainPropensity:
 
     def test_outputs_strictly_inside_unit_interval(self):
         treatments, controls = separable_units(50, seed=6)
-        model = train_propensity(*xy(treatments, controls), 7, CausalConfig(epochs=50))
+        model = train_propensity(*xy(treatments, controls), 7, CausalConfig(propensity_epochs=50))
         p = model.predict(np.array([u.features for u in treatments + controls]))
         assert np.all((p > 0) & (p < 1))
 
@@ -666,7 +666,7 @@ class TestTrainPropensity:
         rng = np.random.default_rng(dim)
         treatments = [RefUnit(f"t{i}", rng.normal(0.5, 1.0, size=dim), {}) for i in range(70)]
         controls = [RefUnit(f"c{i}", rng.normal(-0.5, 1.0, size=dim), {}) for i in range(90)]
-        got = train_propensity(*xy(treatments, controls), 3, CausalConfig(epochs=4))
+        got = train_propensity(*xy(treatments, controls), 3, CausalConfig(propensity_epochs=4))
         want = reference_train_propensity(treatments, controls, seed=3, epochs=4)
         assert got.buffer.values.size == 16 * dim + 16 + 16 * 8 + 8 + 8 + 1
         assert np.array_equal(got.buffer.values, want.buffer.values)

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import csv
 import dataclasses
@@ -381,7 +382,7 @@ class TestClickbaitCommand:
         def diverge(args):
             raise FloatingPointError("non-finite gradient for parameter 'w'")
 
-        monkeypatch.setattr(cli, "cmd_clickbait", diverge)
+        monkeypatch.setattr(cli, "cmd_clickbait_train", diverge)
         code = main(["clickbait", "train", "--train-data", str(tmp_path / "x.csv"),
                      "--out", str(tmp_path)])
         assert code == 1
@@ -415,9 +416,9 @@ class TestAtomicWrites:
 
 class TestEstimateCommand:
     def test_config_fields_are_the_settings_table_fields(self):
-        # one table maps CLI flag, config key and CausalConfig field
-        fields = {f.name for f in dataclasses.fields(causal.CausalConfig)}
-        assert fields == {field for _, _, field in cli._SETTINGS.values() if field is not None}
+        # `estimate` builds CausalConfig from its settings by name
+        for field in dataclasses.fields(causal.CausalConfig):
+            assert "estimate" in cli._SETTINGS[field.name].commands, field.name
 
     def test_no_scenarios_exit_two(self, pipeline_dir, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -593,6 +594,11 @@ class TestEstimateCommand:
                                   "treatment": {"kind": "edited"},
                                   "control": {"kind": "mirrored"}}],
          "bad scenario definition: outlet must be a string, got None"),
+        # a key that no command reads
+        ("config", "knnn", 7, "unknown config key(s): 'knnn'"),
+        ("cluster config", "kmax", 3, "unknown config key(s): 'kmax'"),
+        ("cluster config", "k", 0, "k must be at least 1, got 0"),
+        ("cluster config", "format", "xml", "format must be one of jsonl, csv, got 'xml'"),
     ])
     def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
         *command, route = route.split()
@@ -663,8 +669,8 @@ class TestEstimateCommand:
         capsys.readouterr()
         # every config key a command can read, given each JSON type it must not have
         wrong = {"list": [1], "object": {"a": 1}, "bool": True, "number": 3, "string": "x"}
-        right = {**{name: "number" for name in cli._SETTINGS},
-                 **{name: "string" for name in ("corpus", "embeddings", "out")},
+        right = {**{name: "number" if row.kind in (int, float) else "string"
+                    for name, row in cli._SETTINGS.items()},
                  "scenarios": "list"}
         cfg = tmp_path / "config.json"
         for name, right_type in right.items():
@@ -738,6 +744,99 @@ class TestEstimateCommand:
                      "--embeddings", pipeline_dir["vectors"],
                      "--out", pipeline_dir["out"]])
         assert code == 2  # empty scenario list is a usage error
+
+
+def parser_flags() -> dict[tuple[str, str], argparse.Action]:
+    """{(command, setting): flag} of every command's parser, clickbait's
+    two actions apart."""
+    flags = {}
+
+    def walk(parser, command):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, f"{command} {name}".strip())
+            elif action.dest != "help":
+                flags[command, action.dest] = action
+
+    walk(cli.build_parser(), "")
+    return flags
+
+
+class TestSettingsTable:
+    # not table settings: --config names the config file, and ingest's --out
+    # its report file
+    NO_SETTING = {("ingest", "out")} | {(c, "config") for c in (
+        "ingest", "profile", "cluster", "clickbait train", "clickbait score", "estimate", "synth")}
+    REMOVED = [("ingest", "seed", "7"), ("profile", "seed", "99"),
+               ("synth", "corpus", "c.jsonl"), ("synth", "format", "csv"),
+               ("clickbait train", "corpus", "c.jsonl"), ("clickbait train", "format", "csv"),
+               ("clickbait train", "profiles", "p.csv"), ("clickbait score", "seed", "5"),
+               ("clickbait score", "epochs", "3"), ("clickbait score", "train-data", "t.csv")]
+
+    def test_flags_are_the_table_rows(self):
+        flags = parser_flags()
+        assert len(flags) == 47
+        assert self.NO_SETTING <= set(flags)
+        rows = {(command, name) for name, row in cli._SETTINGS.items() for command in row.commands}
+        config_only = {name for name, row in cli._SETTINGS.items() if row.help is None}
+        assert config_only == {"propensity_epochs"}
+        assert set(flags) - self.NO_SETTING == {(c, n) for c, n in rows if n not in config_only}
+        # each flag's type or choices come from its row
+        for (command, name), flag in flags.items():
+            if (command, name) not in self.NO_SETTING:
+                kind = cli._SETTINGS[name].kind
+                assert (flag.choices, flag.type) == ((kind, None) if isinstance(kind, tuple)
+                                                     else (None, kind)), (command, name)
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED)
+    def test_flag_a_command_never_reads_exit_two(self, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), f"--{flag}", value, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and f"unrecognized arguments: --{flag} {value}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_k_fits_that_k(self, pipeline_dir, tmp_path, capsys):
+        assert main(["profile", "--corpus", pipeline_dir["corpus"],
+                     "--embeddings", pipeline_dir["vectors"], "--out", pipeline_dir["out"]]) == 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"k": 2}))
+        capsys.readouterr()
+        assert main(["cluster", "--corpus", pipeline_dir["corpus"], "--out", pipeline_dir["out"],
+                     "--config", str(cfg)]) == 0
+        assert "elbow" not in capsys.readouterr().out
+        assert json.loads(Path(pipeline_dir["out"], "cluster_model.json").read_text())["k"] == 2
+
+    def test_config_reads_csv_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "c.csv"
+        with open(corpus, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(record_row()))
+            writer.writeheader()
+            writer.writerows(record_row(rid=f"r{i}") for i in range(3))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus), "format": "csv"}))
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        assert "loaded 3 records" in capsys.readouterr().out
+
+    def test_k_max_checked_with_k(self, tmp_path, capsys):
+        # cluster reads k_max only to search, but checks it whenever given
+        code = main(["cluster", "--corpus", str(tmp_path / "missing.jsonl"), "--k", "2",
+                     "--k-max", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: k_max must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("flag", ["seed", "n-records", "effect-likes"])
+    def test_preset_flag_with_spec_exit_two(self, tmp_path, capsys, flag):
+        spec = tmp_path / "spec.json"
+        spec.write_text("{}")
+        out = tmp_path / "o"
+        code = main(["synth", "--spec", str(spec), f"--{flag}", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --{flag} applies to the preset only, not with a spec\n")
+        assert not out.exists()
 
 
 class TestEntryPoint:

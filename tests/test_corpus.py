@@ -178,12 +178,40 @@ class TestLoadCorpus:
         assert corpus.rejects[0].line_no == 1
 
     def test_negative_engagement_rejected(self, tmp_path):
-        path = write_jsonl(
-            tmp_path / "c.jsonl", [record_row(), record_row(rid="r2", likes=-1)]
-        )
-        corpus = load_corpus(path)
-        assert len(corpus) == 1
-        assert "likes" in corpus.rejects[0].reason
+        # (field values, reject reason): a value of the wrong JSON type is
+        # rejected, never coerced
+        cases = [
+            ({"likes": -1}, "likes is negative: -1"),
+            ({"likes": 3.7}, "likes must be an integer, got 3.7"),
+            ({"likes": True}, "likes must be an integer, got True"),
+            ({"replies": "3"}, "replies must be an integer, got '3'"),
+            ({"outlet": ["a"]}, "outlet must be a string, got ['a']"),
+            ({"headline": 7}, "headline must be a string, got 7"),
+            ({"body_text": 1.5}, "body_text must be a string, got 1.5"),
+            ({"post_text": {"a": 1}}, "post_text must be a string, got {'a': 1}"),
+            ({"created_at": 20180615}, "created_at must be a string, got 20180615"),
+            ({"section": 3}, "section must be a string, got 3"),
+            ({"id": 1.5}, "id must be a string or an integer, got 1.5"),
+            ({"id": True}, "id must be a string or an integer, got True"),
+        ]
+        rows = [record_row(id=7, retweets=2.0)]
+        rows += [record_row(rid=f"r{i}", **values) for i, (values, _) in enumerate(cases)]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        # an integer id and an integral float count are no coercion
+        assert [(r.id, r.retweets) for r in corpus] == [("7", 2)]
+        assert [(r.line_no, r.reason) for r in corpus.rejects] == [
+            (i + 2, reason) for i, (_, reason) in enumerate(cases)]
+
+        # a CSV count cell must read as a decimal integer
+        path = tmp_path / "c.csv"
+        path.write_text("id,outlet,headline,body_text,post_text,created_at,replies,retweets,likes\n"
+                        "a,w,H,B,P,2018-06-15T13:00:00Z,1,2,3\n"
+                        "b,w,H,B,P,2018-06-15T13:00:00Z,1,2,3.5\n"
+                        "c,w,H,B,P,2018-06-15T13:00:00Z,1,-2,3\n")
+        corpus = load_corpus(path, fmt="csv")
+        assert [r.likes for r in corpus] == [3]
+        assert [(r.line_no, r.reason) for r in corpus.rejects] == [
+            (3, "likes must be an integer, got '3.5'"), (4, "retweets is negative: -2")]
 
     def test_bad_timestamp_rejected(self, tmp_path):
         path = write_jsonl(

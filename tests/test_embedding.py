@@ -78,6 +78,13 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("...!!!") == []
 
+    def test_decomposed_text_finds_composed_vector(self):
+        # NFD "café" (e + combining acute) reads as the NFC token
+        composed = "caf\u00e9"
+        assert tokenize("Cafe\u0301 open") == [composed, "open"]
+        table = EmbeddingTable(dim=1, vocab={composed: np.ones(1)})
+        assert embed_text(table, "cafe\u0301")[1] == 1
+
 
 class TestEmbedText:
     def test_average_of_identical_vectors(self):

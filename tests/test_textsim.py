@@ -177,6 +177,38 @@ class TestProfile:
         with pytest.raises(ValueError, match="line 4: duplicate record_id 'r1'"):
             profiles_from_csv(path)
 
+    @pytest.mark.parametrize("column, cell, rule", [
+        ("edit_distance", "nan", "a finite number in [0, 1]"),
+        ("edit_distance", "inf", "a finite number in [0, 1]"),
+        ("edit_distance", "1.5", "a finite number in [0, 1]"),
+        ("edit_distance", "abc", "a finite number in [0, 1]"),
+        ("edit_distance", "", "a finite number in [0, 1]"),
+        ("embedding_similarity", "-inf", "a finite number"),
+        ("embedding_similarity", "nan", "a finite number"),
+        ("mirrored", "True", "true or false"),
+        ("mirrored", "yes", "true or false"),
+        ("cluster", "1.0", "blank or a non-negative integer"),
+        ("cluster", "-1", "blank or a non-negative integer"),
+        ("headline_clickbait", "1.5", "blank or a number in [0, 1]"),
+        ("post_clickbait", "nan", "blank or a number in [0, 1]"),
+        # accepted: a cosine a hair above 1, and blank cluster and scores
+        ("embedding_similarity", "1.0000000000000002", None),
+        ("cluster", "", None),
+        ("headline_clickbait", "", None),
+    ])
+    def test_bad_cell_names_path_line_and_column(self, tmp_path, column, cell, rule):
+        good = dict(zip(textsim.PROFILE_COLUMNS, ["r1", "0.25", "0.5", "false", "1", "0.9", "0.1"]))
+        path = tmp_path / "profiles.csv"
+        lines = [",".join(textsim.PROFILE_COLUMNS), ",".join(good.values()),
+                 ",".join({**good, "record_id": "r2", column: cell}.values())]
+        path.write_text("\n".join(lines) + "\n")
+        if rule is None:
+            assert len(profiles_from_csv(path)) == 2
+            return
+        with pytest.raises(ValueError) as exc:
+            profiles_from_csv(path)
+        assert str(exc.value) == f"{path} line 3: {column} must be {rule}, got {cell!r}"
+
 
 class TestCheckRows:
     """Profile row i must be corpus record i; the error names the first
