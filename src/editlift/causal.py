@@ -12,10 +12,10 @@ outlet) works on row indices into that table. `select_units` masks the rows
 and returns the treatment and control row arrays; `train_propensity` fits a
 feed-forward propensity model (treatment given body text) on the rows'
 feature matrix; `match` returns, for each treatment row, the table rows of
-its k nearest controls by propensity, as a [T, k] matrix, with their gaps and
-each treatment's mean body cosine to its matches; `balance_check` gates on
-those cosines; and `estimate_eate` averages the outcome gaps of every
-engagement metric at once. The robustness interval is cross-fitted over ten
+its k nearest controls by the propensities `run_scenario` passes in, as a
+[T, k] matrix, with each treatment's mean body cosine to its matches;
+`balance_check` gates on those cosines; and `estimate_eate` averages the
+outcome gaps of every engagement metric at once. The robustness interval is cross-fitted over ten
 folds: each fold's propensity model is trained on the other nine folds, and
 only the fold's own held-out treatment units are matched and estimated, so
 every treatment unit is estimated exactly once and the ten fold values rest
@@ -50,6 +50,11 @@ PAIR_SAMPLE_SIZE = 200_000  # pairs sampled above the cutoff
 PAIR_CHUNK = 8192  # sampled pairs per dot-product chunk
 MATCH_CHUNK_CELLS = 1 << 20  # treatment x control gaps held at once by `match`
 SHIFT_CLASSES = ("C", "NC")  # a shift selector's headline and post classes
+SCENARIO_KEYS = frozenset(("name", "outlet", "treatment", "control", "section", "time_block",
+                           "exclude_mirrored"))
+# the keys a selector of each kind reads, besides "kind"
+SELECTOR_KEYS = {"edited": (), "mirrored": (), "cluster": ("cluster",),
+                 "shift": ("headline", "post")}
 # the propensity network's training schedule (its epochs are a setting);
 # `train_propensity` says how the batch size and learning rate were chosen
 PROPENSITY_BATCH_SIZE = 64
@@ -100,6 +105,9 @@ class Selector:
     @classmethod
     def from_dict(cls, obj: dict) -> "Selector":
         kind = json_value(obj, dict, "selector").get("kind")
+        if kind not in SELECTOR_KEYS:
+            raise ScenarioError(f"unknown selector kind {kind!r}")
+        _reject_unknown_keys(obj, {"kind", *SELECTOR_KEYS[kind]}, f"{kind} selector")
         if kind == "cluster":
             index = obj["cluster"]
             if isinstance(index, bool) or not isinstance(index, int) or index < 0:
@@ -111,9 +119,7 @@ class Selector:
                     raise ScenarioError(f"shift {key} class must be \"C\" or \"NC\", "
                                         f"got {obj[key]!r}")
             return cls(kind="shift", headline_class=obj["headline"], post_class=obj["post"])
-        if kind in ("edited", "mirrored"):
-            return cls(kind=kind)
-        raise ScenarioError(f"unknown selector kind {kind!r}")
+        return cls(kind=kind)
 
     def describe(self) -> str:
         if self.kind == "cluster":
@@ -136,6 +142,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
         block = json_value(obj, dict, "scenario").get("time_block")
+        _reject_unknown_keys(obj, SCENARIO_KEYS, "scenario")
         if block is not None and block not in TIME_BLOCKS:
             raise ScenarioError(f"unknown time block {block!r}")
         for key in ("name", "outlet", "section"):
@@ -154,6 +161,13 @@ class Scenario:
             time_block=block,
             exclude_mirrored=bool(exclude_mirrored),
         )
+
+
+def _reject_unknown_keys(obj: dict, known, what: str) -> None:
+    """A misspelt key would otherwise drop a filter or selector field unseen."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ScenarioError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +304,15 @@ def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
     return net
 
 
-def match(treatment_rows: np.ndarray, control_rows: np.ndarray, model: Mlp,
-          units: UnitTable, k: int = DEFAULT_KNN
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k nearest controls by |propensity gap| for each treatment row of `units`;
-    `model` is a propensity network, its outputs clipped to [1e-9, 1 - 1e-9].
+def match(treatment_rows: np.ndarray, control_rows: np.ndarray, p_t: np.ndarray,
+          p_c: np.ndarray, units: UnitTable, k: int = DEFAULT_KNN
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """k nearest controls by |propensity gap| for each treatment row of `units`.
 
-    Returns (chosen, gaps, similarity): `chosen` [T, k] holds the table rows
-    of each treatment's matched controls, nearest first, `gaps` [T, k] their
-    absolute propensity gaps, and `similarity` [T] each treatment's mean
+    `p_t` [T] and `p_c` [C] are the propensities of the treatment and control
+    rows, clipped here to [1e-9, 1 - 1e-9]. Returns (chosen, similarity):
+    `chosen` [T, k] holds the table rows of each treatment's matched
+    controls, nearest first, and `similarity` [T] each treatment's mean
     body-vector cosine to its matches (0 for a pair with a zero vector).
     Matching is with replacement; gap ties break on ascending record id.
     """
@@ -306,19 +320,17 @@ def match(treatment_rows: np.ndarray, control_rows: np.ndarray, model: Mlp,
         raise ScenarioError(f"k must be at least 1, got {k}")
     if len(control_rows) < k:
         raise ScenarioError(f"need at least k={k} controls, got {len(control_rows)}")
-    t_vecs = units.features[treatment_rows]
-    p_t = np.clip(model.predict(t_vecs), 1e-9, 1.0 - 1e-9)
-    p_c = np.clip(model.predict(units.features[control_rows]), 1e-9, 1.0 - 1e-9)
-    nearest = _nearest_controls(p_t, p_c, units.id_rank[control_rows], k)
-    gaps = np.abs(p_c[nearest] - p_t[:, None])
-    chosen = control_rows[nearest]
+    p_t = np.clip(p_t, 1e-9, 1.0 - 1e-9)
+    p_c = np.clip(p_c, 1e-9, 1.0 - 1e-9)
+    chosen = control_rows[_nearest_controls(p_t, p_c, units.id_rank[control_rows], k)]
 
     # np.vecdot takes each dot product as the 1-D `@` does, bit for bit
+    t_vecs = units.features[treatment_rows]
     c_vecs = units.features[chosen]  # [T, k, dim]
     denom = np.sqrt(np.vecdot(t_vecs, t_vecs))[:, None] * np.linalg.norm(c_vecs, axis=-1)
     cosines = np.zeros_like(denom)
     np.divide(np.vecdot(c_vecs, t_vecs[:, None, :]), denom, out=cosines, where=denom > 0)
-    return chosen, gaps, cosines.mean(axis=1)
+    return chosen, cosines.mean(axis=1)
 
 
 def _nearest_controls(p_t: np.ndarray, p_c: np.ndarray, id_rank: np.ndarray,
@@ -407,7 +419,7 @@ def balance_check(similarity: np.ndarray, mu: float, sigma: float,
     """Semantic-balance gate on one fold's matches.
 
     `similarity` [T] holds each treatment unit's mean cosine to its matched
-    controls (the third array `match` returns). The achieved value is its
+    controls (the second array `match` returns). The achieved value is its
     mean; it must reach max(mu + alpha * sigma, tau).
     """
     if len(similarity) == 0:
@@ -541,7 +553,8 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
             seed * N_FOLDS + fold + 1,
             config,
         )
-        chosen, _, similarity = match(held_out, train_c, model, units, k=config.knn)
+        chosen, similarity = match(held_out, train_c, model.predict(units.features[held_out]),
+                                   model.predict(units.features[train_c]), units, k=config.knn)
         balances.append(balance_check(similarity, mu, sigma, config.alpha, config.tau))
         fold_eates[:, fold] = estimate_eate(held_out, chosen, units.outcomes)
 

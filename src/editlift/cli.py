@@ -265,19 +265,17 @@ def cmd_cluster(args) -> int:
     profiles.check_rows(loaded)
 
     pts = cluster.profile_points(profiles)
-    fit = None
-    if k is None:
-        fits: list[cluster.ClusterModel] = []
-        try:
-            k = cluster.elbow_select(pts, k_max=s["k_max"], seed=seed, fits=fits)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from None
-        fit = fits[k - 1]
-        print(f"elbow selected k={k}")
     try:
-        model, labels = cluster.fit_profiles(profiles, k=k, seed=seed, fit=fit)
+        if k is None:
+            fits: list[cluster.ClusterModel] = []
+            k = cluster.elbow_select(pts, k_max=s["k_max"], seed=seed, fits=fits)
+            fit = fits[k - 1]
+            print(f"elbow selected k={k}")
+        else:
+            fit = cluster.best_fit(pts, k, seed)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
+    model, labels = cluster.fit_profiles(profiles, fit)
 
     profiles = replace(profiles, cluster=labels.astype(float))
     fractions = cluster.cluster_fractions(profiles, loaded, k=model.k)

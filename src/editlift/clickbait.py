@@ -214,17 +214,25 @@ def conditional_shift_table(profiles: Profiles, rows, outlet: str) -> ShiftTable
 
 
 def load_labeled_csv(path: str | Path) -> list[LabeledHeadline]:
-    """Read training data from a `text,label` CSV (header required)."""
+    """Read training data from a `text,label` CSV (header required). A row
+    with fewer or more cells than the header, a blank text or a label other
+    than 0 or 1 raises ValueError naming the file and line."""
     out = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if not reader.fieldnames or not {"text", "label"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected columns text,label")
         for row in reader:
-            label = int(row["label"])
-            if label not in (0, 1):
-                raise ValueError(f"{path}: label must be 0 or 1, got {row['label']!r}")
-            out.append(LabeledHeadline(text=row["text"], label=label))
+            where = f"{path} line {reader.line_num}"
+            # DictReader fills a short row's missing cells with None and files
+            # a long row's surplus cells under the None key
+            if None in row or None in row.values():
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} cells")
+            if not row["text"].strip():
+                raise ValueError(f"{where}: missing text")
+            if row["label"].strip() not in ("0", "1"):
+                raise ValueError(f"{where}: label must be 0 or 1, got {row['label']!r}")
+            out.append(LabeledHeadline(text=row["text"], label=int(row["label"])))
     return out
 
 

@@ -179,18 +179,12 @@ def profile_points(profiles: Profiles) -> np.ndarray:
     return np.column_stack((profiles.embedding_similarity, profiles.edit_distance))
 
 
-def fit_profiles(profiles: Profiles, k: int, seed: int,
-                 fit: ClusterModel | None = None) -> tuple[ClusterModel, np.ndarray]:
-    """Cluster the profile points; returns the canonical model and the [n]
-    label of each profile row.
-
-    `fit`, when given, is `best_fit` of these profiles' points at k with the
-    same seed (as `elbow_select` hands it out), and is used instead of
-    fitting again.
-    """
-    pts = profile_points(profiles)
-    model = canonical_order(fit if fit is not None else best_fit(pts, k, seed))
-    return model, model.assign(pts)
+def fit_profiles(profiles: Profiles, fit: ClusterModel) -> tuple[ClusterModel, np.ndarray]:
+    """Label the profile rows with `fit`, a fit of their points (`best_fit`,
+    or the elbow's fit at the selected k); returns the canonical model and
+    the [n] label of each profile row."""
+    model = canonical_order(fit)
+    return model, model.assign(profile_points(profiles))
 
 
 def cluster_fractions(profiles: Profiles, corpus: Corpus, k: int) -> dict[str, list[float]]:

@@ -3,7 +3,9 @@ feed-forward propensity network (`Mlp`), the bidirectional GRU clickbait
 classifier with attention (`SequenceClassifier`), and Adam.
 
 Everything runs on float64 numpy arrays with handwritten backward passes,
-verified against central finite differences; there is no autodiff graph.
+which the tests verify against central finite differences; there is no
+autodiff graph. The GRU classifier always runs right-padded batches with a
+validity mask.
 
 Each network keeps its parameters in one flat buffer with named views, and
 its gradients in a second buffer of the same layout (`ParamBuffer`); the
@@ -14,7 +16,6 @@ from .layers import AttentionHead, GruCell, binary_cross_entropy
 from .models import Mlp, SequenceClassifier
 from .optim import AdamState, adam_step
 from .params import ParamBuffer
-from .gradcheck import check_gradients
 from .serialize import load_params, params_to_bytes
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "SequenceClassifier",
     "adam_step",
     "binary_cross_entropy",
-    "check_gradients",
     "load_params",
     "params_to_bytes",
 ]

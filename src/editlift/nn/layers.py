@@ -62,7 +62,7 @@ class GruCell:
     def hidden_size(self) -> int:
         return self.u.shape[0]
 
-    def run(self, xs: np.ndarray, valid: np.ndarray | None = None):
+    def run(self, xs: np.ndarray, valid: np.ndarray):
         """Run over a [T, B, I] sequence from zero state; returns
         (states [T, B, H], cache).
 
@@ -83,7 +83,8 @@ class GruCell:
         hs = np.zeros((t_len + 1, batch, hid), dtype=np.float64)
         gates = np.empty((t_len, batch, 3 * hid), dtype=np.float64)
         rh = np.empty((t_len, batch, hid), dtype=np.float64)
-        for t, partial in enumerate(_partial_steps(valid, t_len)):
+        # per step, whether some row of the batch is padding there
+        for t, partial in enumerate((~valid.all(axis=1)).tolist()):
             h, g = hs[t], gates[t]
             g[:, :2 * hid] = _sigmoid(xp[t, :, :2 * hid] + h @ u_zr)
             z = g[:, :hid]
@@ -114,7 +115,7 @@ class GruCell:
         u_zr_t, u_c_t = self.u[:, :2 * hid].T, self.u[:, 2 * hid:].T
         dpre = np.empty((t_len, batch, 3 * hid), dtype=np.float64)
         dh = np.zeros((batch, hid), dtype=np.float64)
-        partial = _partial_steps(valid, t_len)
+        partial = (~valid.all(axis=1)).tolist()
         for t in range(t_len - 1, -1, -1):
             d = dpre[t]
             dh_new = dstates[t] + dh
@@ -138,13 +139,6 @@ class GruCell:
         return (flat @ self.w.T).reshape(t_len, batch, n_in)
 
 
-def _partial_steps(valid: np.ndarray | None, t_len: int) -> list[bool]:
-    """Per step, whether some row of the batch is padding there."""
-    if valid is None:
-        return [False] * t_len
-    return (~valid.all(axis=1)).tolist()
-
-
 @dataclass
 class AttentionHead:
     """Additive attention: tanh-project states, score against a learned
@@ -162,15 +156,14 @@ class AttentionHead:
             context=xavier_uniform(rng, proj_size, 1, shape=(proj_size,)),
         )
 
-    def forward(self, states: np.ndarray, valid: np.ndarray | None = None):
+    def forward(self, states: np.ndarray, valid: np.ndarray):
         """states [T, B, D] -> (pooled [B, D], weights [T, B], cache).
 
         Positions outside `valid` [T, B] score -inf, so their weight is 0.
         """
         u = np.tanh(states @ self.projection + self.proj_bias)  # [T, B, P]
         scores = u @ self.context                               # [T, B]
-        if valid is not None:
-            scores = np.where(valid, scores, -np.inf)
+        scores = np.where(valid, scores, -np.inf)
         scores = scores - scores.max(axis=0, keepdims=True)
         e = np.exp(scores)
         weights = e / e.sum(axis=0, keepdims=True)

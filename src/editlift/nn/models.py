@@ -4,7 +4,7 @@ bidirectional GRU sequence classifier with attention pooling.
 Each network keeps its parameters in one flat float64 buffer with named
 views (`buffer`, a ParamBuffer) and writes its gradients into a second
 buffer of the same layout. `buffer` plus loss_and_grads() is the whole
-contract the optimizer and the gradient checker need. The gradients
+contract the optimizer and the tests' gradient checker need. The gradients
 loss_and_grads() returns are views into the gradient buffer, valid until the
 next call. `Mlp.gradients` is the training step: it fills the same gradient
 buffer from the same code, without the loss value or any input conversion.
@@ -49,13 +49,20 @@ class Mlp:
         self.l2_penalty = float(l2_penalty)
         self.l2_layer = len(self.layers) - 2
 
+    def _forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """The input of each layer, then the network's output [n, 1]; the one
+        forward pass of `predict` and `gradients`. x must be float64."""
+        acts = [x]
+        last = len(self.layers) - 1
+        for i, (weights, bias) in enumerate(self.layers):
+            z = acts[-1] @ weights
+            z += bias
+            acts.append(_sigmoid(z) if i == last else np.maximum(z, 0.0, out=z))
+        return acts
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         """[n] output of the network for x [n, features]."""
-        out = np.asarray(x, dtype=np.float64)
-        for weights, bias in self.layers[:-1]:
-            out = np.maximum(out @ weights + bias, 0.0)
-        weights, bias = self.layers[-1]
-        return _sigmoid(out @ weights + bias)[:, 0]
+        return self._forward(np.asarray(x, dtype=np.float64))[-1][:, 0]
 
     def gradients(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Write the gradient of the mean batch loss into the gradient buffer
@@ -65,12 +72,8 @@ class Mlp:
         this is the training step, so nothing is converted or checked, and
         no loss value is computed.
         """
-        acts = [x]  # input of each layer, then the network output
+        acts = self._forward(x)
         last = len(self.layers) - 1
-        for i, (weights, bias) in enumerate(self.layers):
-            z = acts[-1] @ weights
-            z += bias
-            acts.append(_sigmoid(z) if i == last else np.maximum(z, 0.0, out=z))
         pred = acts[-1][:, 0]
 
         # combined sigmoid+BCE gradient w.r.t. the output pre-activation
@@ -147,15 +150,14 @@ class SequenceClassifier:
         self.hidden_size = hidden_size
         self.seed = seed
 
-    def _forward_batch(self, ids: np.ndarray, valid: np.ndarray | None = None):
+    def _forward_batch(self, ids: np.ndarray, valid: np.ndarray):
         """ids [B, T] -> (scores [B], cache). `valid` [T, B] marks the real
-        tokens of a right-padded batch; None means every row has length T."""
+        tokens of a right-padded batch."""
         xs = self.embed[ids.T]  # [T, B, E]
         fwd_states, fwd_cache = self.fwd.run(xs, valid)
         # the backward direction reads the time-reversed batch, so a row's
         # padding comes first there and its state stays at zero through it
-        bwd_states, bwd_cache = self.bwd.run(
-            xs[::-1], None if valid is None else valid[::-1])
+        bwd_states, bwd_cache = self.bwd.run(xs[::-1], valid[::-1])
         states = np.concatenate([fwd_states, bwd_states[::-1]], axis=2)  # [T, B, 2H]
         pooled, weights, att_cache = self.attention.forward(states, valid)
         logits = pooled @ self.out_w + self.out_b[0]
@@ -166,7 +168,8 @@ class SequenceClassifier:
         """Score a list of variable-length id sequences.
 
         Each distinct sequence is scored once, in a batch of the distinct
-        sequences of its length, and its score is copied to every repeat.
+        sequences of its length (so its mask is all true), and its score is
+        copied to every repeat.
         """
         rows: dict[tuple, int] = {}
         inverse = np.fromiter((rows.setdefault(tuple(seq), len(rows)) for seq in sequences),
@@ -175,7 +178,7 @@ class SequenceClassifier:
         scores = np.empty(len(distinct), dtype=np.float64)
         for length, idxs in _group_by_length(distinct).items():
             batch = np.asarray([distinct[i] for i in idxs], dtype=np.int64)
-            s, _ = self._forward_batch(batch)
+            s, _ = self._forward_batch(batch, np.ones(batch.shape[::-1], dtype=bool))
             scores[idxs] = s
         return scores[inverse]
 
@@ -207,24 +210,19 @@ class SequenceClassifier:
         dxs_f = self.fwd.run_backward(dstates[:, :, :h], fwd_cache, grads, "f_")
         dxs_b = self.bwd.run_backward(dstates[::-1, :, h:], bwd_cache, grads, "b_")
         dxs = dxs_f + dxs_b[::-1]  # [T, B, E]
-        ids = ids.T
-        if valid is not None:
-            # padding uses id 0, the unknown token's id: scatter real tokens only
-            ids, dxs = ids[valid], dxs[valid]
-        np.add.at(grads["embed"], ids, dxs)
+        # padding uses id 0, the unknown token's id: scatter real tokens only
+        np.add.at(grads["embed"], ids.T[valid], dxs[valid])
 
 
-def _pad(sequences) -> tuple[np.ndarray, np.ndarray | None]:
-    """Right-pad id sequences with 0 into ids [B, T]; the validity mask is
-    [T, B], or None when every sequence has the same length."""
+def _pad(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id sequences with 0 into ids [B, T], with the validity mask
+    [T, B] of their real tokens."""
     lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
     if lengths.min() == 0:
         raise ValueError("cannot process an empty token sequence")
     ids = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
     for row, seq in zip(ids, sequences):
         row[:len(seq)] = seq
-    if lengths.min() == lengths.max():
-        return ids, None
     return ids, np.arange(ids.shape[1])[:, None] < lengths
 
 

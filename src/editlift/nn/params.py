@@ -3,8 +3,8 @@
 A network's parameters lie back to back in one flat array, in a fixed name
 order, and each named parameter is a reshaped view into it; the gradients
 use a second buffer with the same layout. The optimizer then updates the
-whole network with a few vector operations per step, and the gradient
-checker walks one flat array.
+whole network with a few vector operations per step, and the tests'
+gradient checker walks one flat array.
 """
 
 from __future__ import annotations

@@ -253,30 +253,18 @@ def _exact_u_pvalue(ranks: np.ndarray, nx: int, u_obs: float) -> float:
     from nx*ny/2 at least as much as the observed U. Doubled midranks are
     integers, so the count-per-rank-sum table is exact.
     """
-    n = len(ranks)
-    ny = n - nx
     doubled = np.rint(ranks * 2).astype(np.int64)
-    total = doubled.sum()
-    # ways[j][s] = number of size-j subsets with doubled-rank sum s
-    ways = [dict() for _ in range(nx + 1)]
-    ways[0][0] = 1
+    # ways[j, s] = number of size-j subsets with doubled-rank sum s
+    ways = np.zeros((nx + 1, doubled.sum() + 1), dtype=np.int64)
+    ways[0, 0] = 1
     for d in doubled:
-        for j in range(nx - 1, -1, -1):
-            if not ways[j]:
-                continue
-            nxt = ways[j + 1]
-            for s, c in ways[j].items():
-                nxt[s + d] = nxt.get(s + d, 0) + c
-    mu2 = nx * ny  # on the doubled scale: U2 = 2R - nx(nx+1), E[U2] = nx*ny
-    dev_obs = abs(2 * u_obs - mu2)
-    hits = 0
-    total_combos = 0
-    for s, c in ways[nx].items():
-        u2 = s - nx * (nx + 1)
-        total_combos += c
-        if abs(u2 - mu2) >= dev_obs - 1e-9:
-            hits += c
-    return hits / total_combos
+        # numpy reads overlapping operands as if copied first, so every
+        # subset takes this rank at most once
+        ways[1:, d:] += ways[:-1, :ways.shape[1] - d]
+    mu2 = nx * (len(ranks) - nx)  # on the doubled scale: U2 = 2R - nx(nx+1), E[U2] = nx*ny
+    u2 = np.arange(ways.shape[1]) - nx * (nx + 1)
+    extreme = np.abs(u2 - mu2) >= abs(2 * u_obs - mu2) - 1e-9
+    return int(ways[nx, extreme].sum()) / int(ways[nx].sum())
 
 
 def mann_whitney_u(x, y) -> TestResult:

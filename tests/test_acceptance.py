@@ -19,9 +19,9 @@ from editlift import clickbait, cluster, textsim
 from editlift.causal import balance_check, estimate_eate
 from editlift.cli import main as cli_main
 from editlift.embedding import cosine
-from editlift.nn import Mlp, SequenceClassifier, check_gradients
+from editlift.nn import Mlp, SequenceClassifier
 
-from conftest import load_script
+from conftest import check_gradients, load_script
 
 
 def report(criterion: str, passed: bool, detail: str = ""):

@@ -1,4 +1,5 @@
-"""The names `bench/layertrace.py` wraps must exist in the package.
+"""The names `bench/layertrace.py` wraps must exist in the package, with
+the arguments its per-call counts read.
 
 The trace launcher rebinds each `LAYER_FUNCTIONS` target and
 `cli._run_one_scenario` at start-up; a renamed or deleted target would only
@@ -7,6 +8,7 @@ show as a failed `bench/run.py --trace 1` run, so this test resolves them.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -35,3 +37,29 @@ def test_layer_trace_targets_resolve(monkeypatch):
     if not callable(getattr(cli, "_run_one_scenario", None)):
         missing.append("editlift.cli._run_one_scenario")
     assert not missing
+
+
+# layer -> the leading positional parameters `layertrace._call_attrs` reads
+# from `args`: a reordered signature would silently skew the per-layer counts
+CALL_ATTR_PARAMETERS = {
+    "causal.match": ("treatment_rows", "control_rows"),
+    "embedding.embed_text": ("table", "text"),
+    "clickbait.score_many": ("model", "texts"),
+    "textsim.normalized_edit_distance": ("a", "b"),
+}
+
+
+def test_call_attr_positions_match_signatures(monkeypatch):
+    layertrace = load_layertrace(monkeypatch)
+
+    def parameters(layer):
+        module_name, attr = layertrace.LAYER_FUNCTIONS[layer]
+        target = getattr(importlib.import_module(module_name), attr)
+        return list(inspect.signature(target).parameters.values())
+
+    for layer, expected in CALL_ATTR_PARAMETERS.items():
+        leading = parameters(layer)[:len(expected)]
+        assert [p.name for p in leading] == list(expected), layer
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in leading), layer
+    # the edit-distance counts take both arguments as the two strings compared
+    assert [p.name for p in parameters("textsim.normalized_edit_distance")] == ["a", "b"]

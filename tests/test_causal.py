@@ -51,7 +51,6 @@ class RefUnit:
 class RefMatch:
     treatment_id: str
     matched_control_ids: tuple[str, ...]
-    propensity_gaps: tuple[float, ...]
     mean_similarity: float
 
 
@@ -110,13 +109,13 @@ def reference_train_propensity(treatments, controls, seed=0, epochs=3):
     return net
 
 
-def reference_match(treatments, controls, model, k):
-    """Per-treatment full lexsort and a per-pair cosine loop, on propensities
-    clipped to [1e-9, 1 - 1e-9]."""
+def reference_match(treatments, controls, p_t, p_c, k):
+    """Per-treatment full lexsort and a per-pair cosine loop, on the units'
+    propensities p_t and p_c clipped to [1e-9, 1 - 1e-9]."""
     if len(controls) < k:
         raise ScenarioError(f"need at least k={k} controls, got {len(controls)}")
-    p_t = np.clip(model.predict(np.vstack([u.features for u in treatments])), 1e-9, 1 - 1e-9)
-    p_c = np.clip(model.predict(np.vstack([u.features for u in controls])), 1e-9, 1 - 1e-9)
+    p_t = np.clip(p_t, 1e-9, 1 - 1e-9)
+    p_c = np.clip(p_c, 1e-9, 1 - 1e-9)
     control_ids = [u.record_id for u in controls]
     id_rank = np.argsort(np.argsort(control_ids, kind="stable"), kind="stable")
     control_mat = np.vstack([u.features for u in controls])
@@ -134,7 +133,6 @@ def reference_match(treatments, controls, model, k):
         results.append(RefMatch(
             treatment_id=unit.record_id,
             matched_control_ids=tuple(control_ids[c] for c in chosen),
-            propensity_gaps=tuple(float(gaps[c]) for c in chosen),
             mean_similarity=float(np.mean(sims)),
         ))
     return results
@@ -169,7 +167,9 @@ def reference_run_scenario(corpus, profiles, table, scenario, seed, config):
         train_c = [u for u, f in zip(controls, c_folds) if f != fold]
         model = reference_train_propensity(
             train_t, train_c, seed=seed * causal.N_FOLDS + fold + 1, epochs=config.propensity_epochs)
-        matches = reference_match(held_out, train_c, model, config.knn)
+        matches = reference_match(
+            held_out, train_c, model.predict(np.vstack([u.features for u in held_out])),
+            model.predict(np.vstack([u.features for u in train_c])), config.knn)
         achieved = float(np.mean([m.mean_similarity for m in matches]))
         threshold = max(mu + config.alpha * sigma, config.tau)
         balances.append(causal.BalanceStats(
@@ -217,98 +217,75 @@ def hand_table(rows) -> UnitTable:
     )
 
 
-def match_units(treatments, controls, model, k):
-    """`match` on a hand table of RefUnits, returned as RefMatches."""
+def match_units(treatments, controls, p_t, p_c, k):
+    """`match` on a hand table of RefUnits with propensities p_t and p_c,
+    returned as RefMatches."""
     units = hand_table([(u.record_id, u.features, 0.0) for u in treatments + controls])
     t_rows = np.arange(len(treatments))
-    chosen, gaps, similarity = match(t_rows, len(treatments) + np.arange(len(controls)),
-                                     model, units, k=k)
+    chosen, similarity = match(t_rows, len(treatments) + np.arange(len(controls)),
+                               np.asarray(p_t, dtype=float), np.asarray(p_c, dtype=float),
+                               units, k=k)
     return [
-        RefMatch(units.record_ids[t], tuple(units.record_ids[c] for c in row),
-                 tuple(float(g) for g in row_gaps), float(sim))
-        for t, row, row_gaps, sim in zip(t_rows, chosen, gaps, similarity)
+        RefMatch(units.record_ids[t], tuple(units.record_ids[c] for c in row), float(sim))
+        for t, row, sim in zip(t_rows, chosen, similarity)
     ]
 
 
-class FixedScores:
-    """Propensity stub returning predeclared scores by feature value."""
-
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def predict(self, features):
-        features = np.atleast_2d(features)
-        return np.array([self.mapping[float(f[0])] for f in features])
-
-
-def unit(rid, score_key, likes=0.0, vec=None):
-    features = np.array([score_key]) if vec is None else np.asarray(vec, dtype=float)
-    return RefUnit(record_id=rid, features=features,
-                   outcomes={"replies": 0.0, "retweets": 0.0, "likes": likes})
+def unit(rid, key):
+    """A unit whose one body feature is `key`."""
+    return RefUnit(record_id=rid, features=np.array([key]), outcomes={})
 
 
 class TestMatch:
     def test_single_treatment_takes_all_five(self):
         controls = [unit(f"c{i}", float(i)) for i in range(5)]
-        model = FixedScores({float(i): 0.1 * i for i in range(5)} | {9.0: 0.25})
-        [result] = match_units([unit("t", 9.0)], controls, model, k=5)
+        [result] = match_units([unit("t", 9.0)], controls, [0.25], [0.1 * i for i in range(5)],
+                               k=5)
         assert set(result.matched_control_ids) == {f"c{i}" for i in range(5)}
 
     def test_excludes_farthest_propensity(self):
-        scores = {1.0: 0.1, 2.0: 0.2, 3.0: 0.8, 4.0: 0.85, 5.0: 0.9, 6.0: 0.95, 9.0: 0.88}
         controls = [unit(f"c{k}", k) for k in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
-        model = FixedScores(scores)
-        [result] = match_units([unit("t", 9.0)], controls, model, k=5)
+        [result] = match_units([unit("t", 9.0)], controls, [0.88],
+                               [0.1, 0.2, 0.8, 0.85, 0.9, 0.95], k=5)
         assert "c1.0" not in result.matched_control_ids  # gap 0.78 is the largest
 
     def test_with_replacement_across_treatments(self):
-        scores = {1.0: 0.5, 2.0: 0.5, 9.0: 0.5, 8.0: 0.5}
         controls = [unit("c1", 1.0), unit("c2", 2.0)]
-        model = FixedScores(scores)
-        results = match_units([unit("t1", 9.0), unit("t2", 8.0)], controls, model, k=2)
+        results = match_units([unit("t1", 9.0), unit("t2", 8.0)], controls, [0.5, 0.5],
+                              [0.5, 0.5], k=2)
         assert results[0].matched_control_ids == results[1].matched_control_ids
 
     def test_ties_break_on_ascending_record_id(self):
-        scores = {k: 0.5 for k in (1.0, 2.0, 3.0, 9.0)}
         controls = [unit("zeta", 1.0), unit("alpha", 2.0), unit("mid", 3.0)]
-        [result] = match_units([unit("t", 9.0)], controls, model=FixedScores(scores), k=2)
+        [result] = match_units([unit("t", 9.0)], controls, [0.5], [0.5, 0.5, 0.5], k=2)
         assert result.matched_control_ids == ("alpha", "mid")
 
     def test_too_few_controls(self):
         with pytest.raises(ScenarioError):
-            match_units([unit("t", 1.0)], [unit("c", 1.0)], FixedScores({1.0: 0.5}), k=5)
+            match_units([unit("t", 1.0)], [unit("c", 1.0)], [0.5], [0.5], k=5)
 
     def test_gap_values_recorded(self):
-        scores = {1.0: 0.4, 2.0: 0.7, 9.0: 0.5}
+        # nearest first: c2's gap 0.1 before c1's 0.2, against table order
         controls = [unit("c1", 1.0), unit("c2", 2.0)]
-        [result] = match_units([unit("t", 9.0)], controls, FixedScores(scores), k=2)
-        assert result.propensity_gaps == pytest.approx((0.1, 0.2))
+        [result] = match_units([unit("t", 9.0)], controls, [0.5], [0.7, 0.4], k=2)
+        assert result.matched_control_ids == ("c2", "c1")
 
     def test_returns_table_rows(self):
         # controls sit after unrelated rows; `chosen` indexes the whole table
         units = hand_table([("pad", 0.0, 0.0), ("c1", 1.0, 0.0), ("t", 9.0, 0.0),
                             ("c2", 2.0, 0.0)])
-        model = FixedScores({1.0: 0.4, 2.0: 0.45, 9.0: 0.5})
-        chosen, gaps, similarity = match(np.array([2]), np.array([1, 3]), model, units, k=2)
+        chosen, similarity = match(np.array([2]), np.array([1, 3]), np.array([0.5]),
+                                   np.array([0.4, 0.45]), units, k=2)
         assert chosen.tolist() == [[3, 1]]
-        assert gaps.shape == (1, 2) and similarity.shape == (1,)
-
-
-class KeyedScores:
-    """Propensity stub: feature 0 of a unit is the key of its score."""
-
-    def __init__(self, scores):
-        self.scores = np.asarray(scores, dtype=float)
-
-    def predict(self, features):
-        return self.scores[np.atleast_2d(features)[:, 0].astype(int)]
+        assert similarity.shape == (1,)
 
 
 @st.composite
 def match_problems(draw):
     n_t = draw(st.integers(1, 8))
     n_c = draw(st.integers(1, 25))
-    # quarter-step propensities make exact gap ties common, on both sides of a treatment
+    # quarter-step propensities make exact gap ties common, on both sides of a
+    # treatment; the ends are clipped into (0, 1)
     levels = draw(st.lists(st.integers(0, 4), min_size=n_t + n_c, max_size=n_t + n_c))
     ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=n_c, max_size=n_c,
                         unique=True))
@@ -325,20 +302,19 @@ class TestMatchVectorized:
         n_t, ids, scores, k, chunk_cells, seed = problem
         rng = np.random.default_rng(seed)
 
-        def make(key, rid):
-            vec = np.concatenate([[float(key)], rng.normal(size=3)])
-            return RefUnit(rid, vec, {})
+        def make(rid):
+            return RefUnit(rid, rng.normal(size=4), {})
 
-        treatments = [make(i, f"t{i}") for i in range(n_t)]
-        controls = [make(n_t + j, rid) for j, rid in enumerate(ids)]
-        model = KeyedScores(scores)
+        treatments = [make(f"t{i}") for i in range(n_t)]
+        controls = [make(rid) for rid in ids]
+        p_t, p_c = np.array(scores[:n_t]), np.array(scores[n_t:])
         with mock.patch.object(causal, "MATCH_CHUNK_CELLS", chunk_cells):
-            got = match_units(treatments, controls, model, k=k)
-        assert got == reference_match(treatments, controls, model, k)
+            got = match_units(treatments, controls, p_t, p_c, k=k)
+        assert got == reference_match(treatments, controls, p_t, p_c, k)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ScenarioError, match="at least 1"):
-            match_units([unit("t", 1.0)], [unit("c", 1.0)], FixedScores({1.0: 0.5}), k=0)
+            match_units([unit("t", 1.0)], [unit("c", 1.0)], [0.5], [0.5], k=0)
 
 
 def eate(spec, outcomes):
@@ -402,7 +378,7 @@ class TestEate:
         t_rows = rng.permutation(n_t)
         chosen = n_t + rng.integers(0, n_c, size=(n_t, k))
         got = estimate_eate(t_rows, chosen, outcomes)
-        matches = [RefMatch(ids[t], tuple(ids[c] for c in row), (), 0.0)
+        matches = [RefMatch(ids[t], tuple(ids[c] for c in row), 0.0)
                    for t, row in zip(t_rows, chosen)]
         assert got.shape == (n_metrics,)
         for i in range(n_metrics):

@@ -599,6 +599,20 @@ class TestEstimateCommand:
         ("cluster config", "kmax", 3, "unknown config key(s): 'kmax'"),
         ("cluster config", "k", 0, "k must be at least 1, got 0"),
         ("cluster config", "format", "xml", "format must be one of jsonl, csv, got 'xml'"),
+        # a misspelt or foreign scenario or selector key would drop a filter unseen
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire", "sectoin": "politics",
+                                  "treatment": {"kind": "edited"},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: unknown scenario key(s): 'sectoin'"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "edited", "cluster": 2},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: unknown edited selector key(s): 'cluster'"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "cluster", "cluster": 1},
+                                  "control": {"kind": "shift", "headline": "C", "post": "NC",
+                                              "cluster": 0, "Post": "C"}}],
+         "bad scenario definition: unknown shift selector key(s): 'Post', 'cluster'"),
     ])
     def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
         *command, route = route.split()

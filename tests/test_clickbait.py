@@ -5,6 +5,7 @@ import pytest
 
 from editlift import clickbait as cb
 from editlift.causal import Selector, build_unit_table
+from editlift.cli import main
 from editlift.embedding import EmbeddingTable
 from editlift.nn import SequenceClassifier, load_params
 
@@ -233,6 +234,28 @@ class TestPersistence:
         path.write_text("text,label\nhello,2\n", encoding="utf-8")
         with pytest.raises(ValueError):
             cb.load_labeled_csv(path)
+
+    @pytest.mark.parametrize("rows, line, error", [
+        ("hello world\n", 2, "expected 2 cells"),
+        ("good news,0\n" * 30 + "hello world\n", 32, "expected 2 cells"),
+        ("hello,1,extra\n", 2, "expected 2 cells"),
+        ("hello,1\n,0\n", 3, "missing text"),
+        ("  ,1\n", 2, "missing text"),
+        ("hello,1.0\n", 2, "label must be 0 or 1, got '1.0'"),
+        ("hello,\n", 2, "label must be 0 or 1, got ''"),
+    ])
+    def test_labeled_csv_names_bad_line(self, tmp_path, capsys, rows, line, error):
+        path = tmp_path / "data.csv"
+        path.write_text("text,label\n" + rows, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            cb.load_labeled_csv(path)
+        assert str(exc.value) == f"{path} line {line}: {error}"
+        # the command reports it as one error line, exit 1
+        code = main(["clickbait", "train", "--train-data", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path} line {line}: {error}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSyntheticCorpus:

@@ -18,6 +18,7 @@ from editlift.cluster import (
     elbow_select,
     fit_profiles,
     kmeanspp_fit,
+    profile_points,
     save_model,
 )
 from conftest import make_corpus, make_profiles, make_record
@@ -222,8 +223,8 @@ class TestElbow:
             assert model.inertia == fresh.inertia and model.seed == fresh.seed
             assert model.centroids.tobytes() == fresh.centroids.tobytes()
         profiles = make_profiles((f"r{i}", d, s, False) for i, (s, d) in enumerate(pts))
-        reused_model, reused = fit_profiles(profiles, k=k, seed=2, fit=fits[k - 1])
-        fresh_model, fresh = fit_profiles(profiles, k=k, seed=2)
+        reused_model, reused = fit_profiles(profiles, fits[k - 1])
+        fresh_model, fresh = fit_profiles(profiles, best_fit(pts, k, seed=2))
         assert np.array_equal(reused, fresh)
         assert reused_model.centroids.tobytes() == fresh_model.centroids.tobytes()
 
@@ -287,7 +288,8 @@ class TestProfilesPipeline:
             sim = [0.95, 0.85, 0.2][group] + rng.normal(0, 0.01)
             dist = [0.05, 0.6, 0.9][group] + rng.normal(0, 0.01)
             rows.append((f"r{i}", dist, sim, group == 0))
-        model, labels = fit_profiles(make_profiles(rows), k=3, seed=0)
+        profiles = make_profiles(rows)
+        model, labels = fit_profiles(profiles, best_fit(profile_points(profiles), k=3, seed=0))
         # cluster 0 must be the low-edit-distance (mirroring-like) group
         assert labels[:3].tolist() == [0, 1, 2]
 

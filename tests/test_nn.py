@@ -11,12 +11,13 @@ from editlift.nn import (
     SequenceClassifier,
     adam_step,
     binary_cross_entropy,
-    check_gradients,
     load_params,
     params_to_bytes,
 )
 from editlift.nn import optim
 from editlift.nn.layers import EPS, _sigmoid
+
+from conftest import check_gradients
 
 
 def forward_gru_bidirectional(forward_cell: GruCell, backward_cell: GruCell,
@@ -30,8 +31,9 @@ def forward_gru_bidirectional(forward_cell: GruCell, backward_cell: GruCell,
     if xs.ndim != 2 or xs.shape[0] < 1:
         raise ValueError("sequence must be a non-empty [T, features] array")
     batched = xs[:, None, :]
-    fwd, _ = forward_cell.run(batched)
-    bwd, _ = backward_cell.run(batched[::-1])
+    valid = np.ones((len(xs), 1), dtype=bool)
+    fwd, _ = forward_cell.run(batched, valid)
+    bwd, _ = backward_cell.run(batched[::-1], valid)
     return np.concatenate([fwd[:, 0, :], bwd[::-1][:, 0, :]], axis=1)
 
 
@@ -40,7 +42,7 @@ def attend(head: AttentionHead, states: np.ndarray):
     arr = np.asarray(states, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError("states must be a non-empty [T, D] array")
-    pooled, weights, _ = head.forward(arr[:, None, :])
+    pooled, weights, _ = head.forward(arr[:, None, :], np.ones((len(arr), 1), dtype=bool))
     return pooled[0], weights[:, 0]
 
 
@@ -125,7 +127,7 @@ def reference_loss_and_grads(model: SequenceClassifier, sequences, labels):
         fwd_states, fwd_caches = reference_gru_run(model.fwd, xs)
         bwd_states, bwd_caches = reference_gru_run(model.bwd, xs[::-1])
         states = np.concatenate([fwd_states, bwd_states[::-1]], axis=2)
-        pooled, _, att_cache = model.attention.forward(states)
+        pooled, _, att_cache = model.attention.forward(states, np.ones(ids.shape[::-1], bool))
         scores = _sigmoid(pooled @ model.out_w + model.out_b[0])
         p = np.clip(scores, EPS, 1.0 - EPS)
         total += float(np.sum(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
@@ -163,6 +165,13 @@ class TestDense:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             self.mlp(np.eye(3), np.ones((3, 1))).predict(np.ones((1, 4)))
+
+    def test_predict_is_the_training_forward_pass(self):
+        rng = np.random.default_rng(23)
+        net = Mlp([5, 7, 4, 1], seed=3, l2_penalty=0.001)
+        x = rng.normal(size=(9, 5))
+        y = (rng.random(9) > 0.5).astype(float)
+        assert np.array_equal(net.predict(x), net.gradients(x, y))
 
 
 class TestBce:
@@ -207,7 +216,7 @@ class TestGru:
         h = np.zeros((1, hidden))
         expected = np.zeros(hidden)
         xs = np.ones((4, 1, 2))
-        states, _ = cell.run(xs)
+        states, _ = cell.run(xs, np.ones((4, 1), dtype=bool))
         for _ in range(4):
             expected = 0.5 * expected + 0.5 * np.tanh(bc)
         assert np.allclose(states[-1][0], expected, atol=1e-12)
@@ -222,7 +231,7 @@ class TestGru:
         rng = np.random.default_rng(3)
         cell = GruCell.init(rng, 3, 4)
         xs = rng.normal(size=(5, 2, 3)) * 3
-        states, (_, hs, gates, _, _) = cell.run(xs)
+        states, (_, hs, gates, _, _) = cell.run(xs, np.ones((5, 2), dtype=bool))
         assert gates.shape == (5, 2, 3 * 4)
         z, r, c = gates[..., :4], gates[..., 4:8], gates[..., 8:]
         assert np.all((z > 0) & (z < 1))

@@ -252,7 +252,44 @@ def exact_u_by_enumeration(x, y):
     return u_obs, hits / total
 
 
+def reference_exact_u_pvalue(ranks, nx, u_obs):
+    """The count-per-rank-sum DP `textsim._exact_u_pvalue` replaced: one dict
+    of doubled-rank sums per subset size."""
+    n = len(ranks)
+    ny = n - nx
+    doubled = np.rint(ranks * 2).astype(np.int64)
+    ways = [dict() for _ in range(nx + 1)]
+    ways[0][0] = 1
+    for d in doubled:
+        for j in range(nx - 1, -1, -1):
+            if not ways[j]:
+                continue
+            nxt = ways[j + 1]
+            for s, c in ways[j].items():
+                nxt[s + d] = nxt.get(s + d, 0) + c
+    mu2 = nx * ny
+    dev_obs = abs(2 * u_obs - mu2)
+    hits = total = 0
+    for s, c in ways[nx].items():
+        total += c
+        if abs(s - nx * (nx + 1) - mu2) >= dev_obs - 1e-9:
+            hits += c
+    return hits / total
+
+
 class TestMannWhitney:
+    def test_exact_p_equals_dict_dp(self):
+        rng = np.random.default_rng(19)
+        for _ in range(3000):
+            n = int(rng.integers(2, textsim.EXACT_MAX_N + 1))
+            nx = int(rng.integers(1, n))
+            # few distinct values, so most samples carry ties
+            pooled = rng.integers(0, int(rng.integers(1, 8)), size=n).astype(float)
+            ranks = textsim._midranks(pooled)
+            u_obs = float(ranks[:nx].sum()) - nx * (nx + 1) / 2.0
+            assert (textsim._exact_u_pvalue(ranks, nx, u_obs)
+                    == reference_exact_u_pvalue(ranks, nx, u_obs))
+
     def test_no_wins(self):
         result = mann_whitney_u([1, 2], [3, 4])
         assert result.statistic == 0.0
