@@ -6,8 +6,11 @@ Each seed's inputs are built once, as acceptance criteria 3 and 4 build them
 likes), `synthetic_table(seed=999)`, `textsim.profile` and
 `causal.build_unit_table`. For every schedule in `CANDIDATES` the script
 rebinds `causal.PROPENSITY_BATCH_SIZE` and `causal.PROPENSITY_LEARNING_RATE`
-(which `train_propensity` reads when it is called) and runs
-`causal.run_scenario` on both corpora, in-process.
+and runs `causal.run_scenario` on both corpora, in-process. The whole
+schedule is `causal.PROPENSITY_*` constants, which `train_propensity`
+reads when it is called, so every candidate runs at the one epoch count,
+`causal.PROPENSITY_EPOCHS`, and a study of the epochs can rebind that
+constant the same way.
 
 Per candidate it prints one Markdown table row:
 - hits: +50-likes runs that `recovered` the effect (criterion 3's rule);

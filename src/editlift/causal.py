@@ -36,10 +36,6 @@ from .embedding import EmbeddingTable, embed_text
 from .nn import AdamState, Mlp, adam_step
 from .textsim import Profiles
 
-DEFAULT_ALPHA = 1.5
-DEFAULT_TAU = 0.8
-DEFAULT_KNN = 5
-DEFAULT_MIN_GROUP = 30
 N_FOLDS = 10
 # two-sided 95% Student-t quantile for N_FOLDS - 1 dof, i.e.
 # float(scipy.stats.t.ppf(0.975, N_FOLDS - 1)); a constant keeps scipy.stats
@@ -55,8 +51,9 @@ SCENARIO_KEYS = frozenset(("name", "outlet", "treatment", "control", "section", 
 # the keys a selector of each kind reads, besides "kind"
 SELECTOR_KEYS = {"edited": (), "mirrored": (), "cluster": ("cluster",),
                  "shift": ("headline", "post")}
-# the propensity network's training schedule (its epochs are a setting);
-# `train_propensity` says how the batch size and learning rate were chosen
+# the propensity network's training schedule; `train_propensity` says how
+# the batch size and learning rate were chosen
+PROPENSITY_EPOCHS = 3
 PROPENSITY_BATCH_SIZE = 64
 PROPENSITY_HIDDEN = (128, 64)  # ReLU hidden layer widths
 PROPENSITY_LEARNING_RATE = 2e-3
@@ -268,12 +265,11 @@ class EateReport:
     n_control: int
 
 
-def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
-                     config: CausalConfig) -> Mlp:
+def train_propensity(x: np.ndarray, y: np.ndarray, seed: int) -> Mlp:
     """Fit the propensity network, treatment (y = 1) vs control (y = 0), on
-    the body vectors x [n, dim] with binary cross-entropy, for
-    `config.propensity_epochs` epochs of the PROPENSITY_* schedule: ReLU
-    hidden layers of PROPENSITY_HIDDEN units, Adam.
+    the body vectors x [n, dim] with binary cross-entropy, on the
+    PROPENSITY_* schedule: PROPENSITY_EPOCHS epochs, ReLU hidden layers of
+    PROPENSITY_HIDDEN units, Adam.
 
     Each epoch shuffles the rows once and steps through consecutive batches
     of the shuffled arrays. The L2 penalty applies to the last hidden
@@ -284,9 +280,9 @@ def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
     does that by estimating each fold on treatment units its model never
     saw.
 
-    `scripts/propensity_schedule.py` chose the batch size and learning rate;
-    they are read here, when the function is called, so the script can
-    rebind them.
+    `scripts/propensity_schedule.py` chose the batch size and learning rate
+    at PROPENSITY_EPOCHS epochs; the schedule is read here, when the
+    function is called, so the script can rebind it.
     """
     n_treated = int(np.count_nonzero(y))
     if n_treated == 0 or n_treated == len(y):
@@ -294,7 +290,7 @@ def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
     net = Mlp([x.shape[1], *PROPENSITY_HIDDEN, 1], seed=seed, l2_penalty=PROPENSITY_L2_PENALTY)
     opt = AdamState(learning_rate=PROPENSITY_LEARNING_RATE)
     rng = np.random.default_rng(seed)
-    for _ in range(config.propensity_epochs):
+    for _ in range(PROPENSITY_EPOCHS):
         order = rng.permutation(len(x))
         x_epoch, y_epoch = x[order], y[order]
         for start in range(0, len(x), PROPENSITY_BATCH_SIZE):
@@ -305,8 +301,7 @@ def train_propensity(x: np.ndarray, y: np.ndarray, seed: int,
 
 
 def match(treatment_rows: np.ndarray, control_rows: np.ndarray, p_t: np.ndarray,
-          p_c: np.ndarray, units: UnitTable, k: int = DEFAULT_KNN
-          ) -> tuple[np.ndarray, np.ndarray]:
+          p_c: np.ndarray, units: UnitTable, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k nearest controls by |propensity gap| for each treatment row of `units`.
 
     `p_t` [T] and `p_c` [C] are the propensities of the treatment and control
@@ -415,7 +410,7 @@ def mean_std_in_place(values: np.ndarray) -> tuple[float, float]:
 
 
 def balance_check(similarity: np.ndarray, mu: float, sigma: float,
-                  alpha: float = DEFAULT_ALPHA, tau: float = DEFAULT_TAU) -> BalanceStats:
+                  alpha: float, tau: float) -> BalanceStats:
     """Semantic-balance gate on one fold's matches.
 
     `similarity` [T] holds each treatment unit's mean cosine to its matched
@@ -455,11 +450,10 @@ def estimate_eate(treatment_rows: np.ndarray, chosen: np.ndarray,
 
 @dataclass(frozen=True)
 class CausalConfig:
-    knn: int = DEFAULT_KNN
-    alpha: float = DEFAULT_ALPHA
-    tau: float = DEFAULT_TAU
-    min_group: int = DEFAULT_MIN_GROUP
-    propensity_epochs: int = 3
+    knn: int = 5
+    alpha: float = 1.5
+    tau: float = 0.8
+    min_group: int = 30
 
 
 def select_units(units: UnitTable, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -526,11 +520,15 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
             f"[{scenario.treatment.describe()}] yields {len(t_rows)} units "
             f"(minimum {min_treatments})"
         )
-    if len(c_rows) < max(config.min_group, config.knn):
+    # every fold matches against the other folds' controls; of n controls the
+    # smallest such set holds floor(9n / 10), which reaches knn from
+    # n = ceil(10 knn / 9)
+    min_controls = max(config.min_group, -(-N_FOLDS * config.knn // (N_FOLDS - 1)))
+    if len(c_rows) < min_controls:
         raise ScenarioError(
             f"scenario {scenario.name!r}: control selector "
             f"[{scenario.control.describe()}] yields {len(c_rows)} units "
-            f"(minimum {config.min_group})"
+            f"(minimum {min_controls})"
         )
 
     mu, sigma = pairwise_similarity_stats(units.features[np.concatenate([t_rows, c_rows])],
@@ -551,7 +549,6 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
             units.features[np.concatenate([train_t, train_c])],
             np.concatenate([np.ones(len(train_t)), np.zeros(len(train_c))]),
             seed * N_FOLDS + fold + 1,
-            config,
         )
         chosen, similarity = match(held_out, train_c, model.predict(units.features[held_out]),
                                    model.predict(units.features[train_c]), units, k=config.knn)

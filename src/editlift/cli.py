@@ -42,18 +42,18 @@ class Setting(NamedTuple):
     minimum: int | None
     default: object
     commands: tuple[str, ...]  # the commands that read it
-    help: str | None  # of its flag; None for a config key with no flag
+    help: str  # of its flag
 
 
 _READ_CORPUS = ("ingest", "profile", "cluster", "clickbait score", "estimate")
 _WRITE_OUT = ("profile", "cluster", "clickbait train", "clickbait score", "estimate", "synth")
 
 # every setting: a flag of each command that reads it, and a config key of
-# the same name. `propensity_epochs` and `scenarios` (not a table setting)
-# are config keys only; `ingest --out` is a flag only, since it names a
-# report file where a shared config's `out` names the output directory. The
-# five fields of `causal.CausalConfig` default to None, which keeps its
-# defaults, read only when `estimate` runs
+# the same name. `scenarios` (not a table setting) is a config key only;
+# `ingest --out` is a flag only, since it names a report file where a shared
+# config's `out` names the output directory. The four fields of
+# `causal.CausalConfig` default to None, which keeps its defaults, read only
+# when `estimate` runs
 _SETTINGS = {
     "corpus": Setting(str, None, None, _READ_CORPUS, "paired corpus file"),
     "format": Setting(("jsonl", "csv"), None, "jsonl", _READ_CORPUS, "corpus file format"),
@@ -73,7 +73,6 @@ _SETTINGS = {
     "alpha": Setting(float, None, None, ("estimate",), "balance-gate sensitivity"),
     "tau": Setting(float, None, None, ("estimate",), "balance-gate floor"),
     "min_group": Setting(int, 0, None, ("estimate",), "minimum units per arm"),
-    "propensity_epochs": Setting(int, 1, None, ("estimate",), None),
     "jobs": Setting(int, 1, 1, ("estimate",), "scenarios to run concurrently"),
     "spec": Setting(str, None, None, ("synth",), "generator spec JSON (omit for the preset)"),
     "n_records": Setting(int, None, 5000, ("synth",), "records to generate"),
@@ -138,7 +137,7 @@ def _settings(args, cfg: dict, command: str) -> dict:
     resolved = {}
     for name, row in _SETTINGS.items():
         if command in row.commands:
-            value = getattr(args, name, None)  # a config-only setting has no flag
+            value = getattr(args, name)
             if value is None:
                 value = cfg.get(name)
             resolved[name] = row.default if value is None else _checked(name, value)
@@ -148,10 +147,7 @@ def _settings(args, cfg: dict, command: str) -> dict:
 def _load_corpus(s: dict):
     if s["corpus"] is None:
         raise CommandError("no corpus given (use --corpus or the config file)")
-    try:
-        return corpus_mod.load_corpus(s["corpus"], s["format"])
-    except corpus_mod.CorpusError as exc:
-        raise CommandError(str(exc)) from None
+    return corpus_mod.load_corpus(s["corpus"], s["format"])
 
 
 def _load_table(s: dict):
@@ -159,10 +155,7 @@ def _load_table(s: dict):
 
     if s["embeddings"] is None:
         raise CommandError("no embedding table given (use --embeddings or the config file)")
-    try:
-        return embedding.load_table(s["embeddings"])
-    except (OSError, embedding.EmbeddingError) as exc:
-        raise CommandError(str(exc)) from None
+    return embedding.load_table(s["embeddings"])
 
 
 def _load_profiles(s: dict):
@@ -265,16 +258,13 @@ def cmd_cluster(args) -> int:
     profiles.check_rows(loaded)
 
     pts = cluster.profile_points(profiles)
-    try:
-        if k is None:
-            fits: list[cluster.ClusterModel] = []
-            k = cluster.elbow_select(pts, k_max=s["k_max"], seed=seed, fits=fits)
-            fit = fits[k - 1]
-            print(f"elbow selected k={k}")
-        else:
-            fit = cluster.best_fit(pts, k, seed)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from None
+    if k is None:
+        fits: list[cluster.ClusterModel] = []
+        k = cluster.elbow_select(pts, k_max=s["k_max"], seed=seed, fits=fits)
+        fit = fits[k - 1]
+        print(f"elbow selected k={k}")
+    else:
+        fit = cluster.best_fit(pts, k, seed)
     model, labels = cluster.fit_profiles(profiles, fit)
 
     profiles = replace(profiles, cluster=labels.astype(float))
@@ -292,11 +282,8 @@ def cmd_clickbait_train(args) -> int:
     s = _settings(args, _load_config(args), "clickbait train")
     if s["train_data"] is None:
         raise CommandError("no training data given (use --train-data or the config file)")
-    try:
-        dataset = clickbait.load_labeled_csv(s["train_data"])
-        model, f1 = clickbait.train(dataset, split_seed=s["seed"], epochs=s["epochs"])
-    except (OSError, ValueError) as exc:
-        raise CommandError(str(exc)) from None
+    dataset = clickbait.load_labeled_csv(s["train_data"])
+    model, f1 = clickbait.train(dataset, split_seed=s["seed"], epochs=s["epochs"])
     clickbait.save_model(model, _model_path(s))
     print(f"held-out F1: {f1:.4f}")
     print(f"model -> {_model_path(s)}")
@@ -316,16 +303,9 @@ def cmd_clickbait_score(args) -> int:
     profiles = clickbait.score_profiles(model, loaded, profiles)
     textsim.profiles_to_csv(profiles, profile_path)
 
-    tables = {}
-    for outlet, rows in loaded.outlet_rows().items():
-        shift = clickbait.conditional_shift_table(profiles, rows, outlet)
-        tables[outlet] = {
-            "p_nc_given_c": shift.p_nc_given_c,
-            "p_c_given_nc": shift.p_c_given_nc,
-            "n_headline_c": shift.n_headline_c,
-            "n_headline_nc": shift.n_headline_nc,
-        }
-    _write_json(Path(s["out"]) / "clickbait_shift.json", tables)
+    _write_json(Path(s["out"]) / "clickbait_shift.json",
+                {outlet: clickbait.conditional_shift_table(profiles, rows)
+                 for outlet, rows in loaded.outlet_rows().items()})
     print(f"scored {len(profiles)} records -> {profile_path}")
     return 0
 
@@ -369,6 +349,12 @@ def cmd_estimate(args) -> int:
     try:
         scenarios = [causal.Scenario.from_dict(d)
                      for d in corpus_mod.json_value(scenario_defs, list, "scenarios")]
+        # the reports of two scenarios of one name could not be told apart
+        names = set()
+        for scenario in scenarios:
+            if scenario.name in names:
+                raise ValueError(f"duplicate scenario name {scenario.name!r}")
+            names.add(scenario.name)
     except (KeyError, ValueError) as exc:
         raise CommandError(f"bad scenario definition: {exc}") from None
     loaded = _load_corpus(s)
@@ -464,7 +450,7 @@ def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
     table setting `name` reads, typed by its row, and --config."""
     p = sub.add_parser(name.split()[-1], help=help)
     for setting, row in _SETTINGS.items():
-        if name in row.commands and row.help is not None:
+        if name in row.commands:
             kind = {"choices": row.kind} if isinstance(row.kind, tuple) else {"type": row.kind}
             p.add_argument("--" + setting.replace("_", "-"), dest=setting, help=row.help, **kind)
     p.add_argument("--config", help=f"JSON config file (default ${CONFIG_ENV_VAR})")

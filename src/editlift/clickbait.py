@@ -55,21 +55,6 @@ class ClickbaitModel:
         return ids or [SequenceClassifier.UNKNOWN_ID]
 
 
-@dataclass(frozen=True)
-class ShiftTable:
-    """Conditional probabilities of the post's class given the headline's.
-
-    Cells with an empty conditioning class are None and reported with their
-    zero denominator.
-    """
-
-    outlet: str
-    p_nc_given_c: float | None
-    p_c_given_nc: float | None
-    n_headline_c: int
-    n_headline_nc: int
-
-
 def is_clickbait(scores) -> np.ndarray:
     """Whether each score puts its text in class C; a NaN score reads as
     not C."""
@@ -115,8 +100,8 @@ def _build_vocab(texts) -> dict[str, int]:
     return ids
 
 
-def train(dataset: list[LabeledHeadline], split_seed: int = 0,
-          epochs: int = 10) -> tuple[ClickbaitModel, float]:
+def train(dataset: list[LabeledHeadline], split_seed: int,
+          epochs: int) -> tuple[ClickbaitModel, float]:
     """Train on a 90:10 stratified split; returns (model, held-out F1).
 
     Token vectors are trained from their seeded initialization. Training
@@ -191,9 +176,12 @@ def score_profiles(model: ClickbaitModel, corpus: Corpus, profiles: Profiles) ->
                    post_clickbait=score_many(model, [r.post_text for r in corpus]))
 
 
-def conditional_shift_table(profiles: Profiles, rows, outlet: str) -> ShiftTable:
+def conditional_shift_table(profiles: Profiles, rows) -> dict:
     """Empirical P(post class | headline class) over the given row positions
-    of `profiles`, which hold the records of `outlet`."""
+    of `profiles` (one outlet's records), as `clickbait_shift.json` holds it
+    per outlet: `p_nc_given_c`, `p_c_given_nc`, and their denominators
+    `n_headline_c` and `n_headline_nc`. A cell whose conditioning class is
+    empty is None."""
     headline = profiles.headline_clickbait[rows]
     post = profiles.post_clickbait[rows]
     unscored = np.flatnonzero(np.isnan(headline) | np.isnan(post))
@@ -204,13 +192,12 @@ def conditional_shift_table(profiles: Profiles, rows, outlet: str) -> ShiftTable
     post_c = is_clickbait(post)
     n_c = int(np.count_nonzero(headline_c))
     n_nc = len(rows) - n_c
-    return ShiftTable(
-        outlet=outlet,
-        p_nc_given_c=int(np.count_nonzero(headline_c & ~post_c)) / n_c if n_c else None,
-        p_c_given_nc=int(np.count_nonzero(post_c & ~headline_c)) / n_nc if n_nc else None,
-        n_headline_c=n_c,
-        n_headline_nc=n_nc,
-    )
+    return {
+        "p_nc_given_c": int(np.count_nonzero(headline_c & ~post_c)) / n_c if n_c else None,
+        "p_c_given_nc": int(np.count_nonzero(post_c & ~headline_c)) / n_nc if n_nc else None,
+        "n_headline_c": n_c,
+        "n_headline_nc": n_nc,
+    }
 
 
 def load_labeled_csv(path: str | Path) -> list[LabeledHeadline]:

@@ -206,8 +206,7 @@ def synthetic_table(spec: SynthSpec, seed: int) -> EmbeddingTable:
     return EmbeddingTable(dim=TABLE_DIM, vocab=vocab)
 
 
-def confounded_spec(n_records: int = 5000, effect_likes: float = 0.0,
-                    seed: int = 0) -> SynthSpec:
+def confounded_spec(n_records: int, effect_likes: float, seed: int) -> SynthSpec:
     """Benchmark layout: five treatment-probability levels, each a family of
     two semantically close topics with very different engagement scales.
 

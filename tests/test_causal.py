@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
@@ -88,7 +89,7 @@ def reference_loss_and_grads(net, x, y):
     return value, grads
 
 
-def reference_train_propensity(treatments, controls, seed=0, epochs=3):
+def reference_train_propensity(treatments, controls, seed=0):
     """Stacked unit features, one permutation per epoch, a gather per batch,
     on the `causal.PROPENSITY_*` schedule."""
     if not treatments or not controls:
@@ -100,7 +101,7 @@ def reference_train_propensity(treatments, controls, seed=0, epochs=3):
               l2_penalty=causal.PROPENSITY_L2_PENALTY)
     opt = AdamState(learning_rate=causal.PROPENSITY_LEARNING_RATE)
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
+    for _ in range(causal.PROPENSITY_EPOCHS):
         order = rng.permutation(len(x))
         for start in range(0, len(order), batch_size):
             chunk = order[start:start + batch_size]
@@ -150,7 +151,10 @@ def reference_estimate_eate(matches, outcomes: dict[str, float]) -> float:
 def reference_run_scenario(corpus, profiles, table, scenario, seed, config):
     treatments, controls = reference_select_units(corpus, profiles, scenario, table)
     min_treatments = max(config.min_group, causal.N_FOLDS)
-    if len(treatments) < min_treatments or len(controls) < max(config.min_group, config.knn):
+    # the largest fold leaves the fewest controls to match against
+    fewest_controls = len(controls) - math.ceil(len(controls) / causal.N_FOLDS)
+    if (len(treatments) < min_treatments or len(controls) < config.min_group
+            or fewest_controls < config.knn):
         raise ScenarioError("too few units")
     all_vectors = np.vstack([u.features for u in treatments] + [u.features for u in controls])
     mu, sigma = pairwise_similarity_stats(all_vectors, seed=seed)
@@ -165,8 +169,7 @@ def reference_run_scenario(corpus, profiles, table, scenario, seed, config):
         held_out = [u for u, f in zip(treatments, t_folds) if f == fold]
         train_t = [u for u, f in zip(treatments, t_folds) if f != fold]
         train_c = [u for u, f in zip(controls, c_folds) if f != fold]
-        model = reference_train_propensity(
-            train_t, train_c, seed=seed * causal.N_FOLDS + fold + 1, epochs=config.propensity_epochs)
+        model = reference_train_propensity(train_t, train_c, seed=seed * causal.N_FOLDS + fold + 1)
         matches = reference_match(
             held_out, train_c, model.predict(np.vstack([u.features for u in held_out])),
             model.predict(np.vstack([u.features for u in train_c])), config.knn)
@@ -592,26 +595,27 @@ def rank_auc(pos_scores, neg_scores) -> float:
 
 
 class TestTrainPropensity:
-    def test_separable_groups_high_auc(self):
+    def test_separable_groups_high_auc(self, monkeypatch):
+        monkeypatch.setattr(causal, "PROPENSITY_EPOCHS", 30)
         treatments, controls = separable_units(150, seed=0)
         fit_t, hold_t = treatments[:100], treatments[100:]
         fit_c, hold_c = controls[:100], controls[100:]
-        model = train_propensity(*xy(fit_t, fit_c), 1, CausalConfig(propensity_epochs=30))
+        model = train_propensity(*xy(fit_t, fit_c), 1)
         auc = rank_auc(
             model.predict(np.array([u.features for u in hold_t])),
             model.predict(np.array([u.features for u in hold_c])),
         )
         assert auc > 0.9
 
-    def test_shuffled_labels_near_chance_auc(self):
+    def test_shuffled_labels_near_chance_auc(self, monkeypatch):
+        monkeypatch.setattr(causal, "PROPENSITY_EPOCHS", 30)
         treatments, controls = separable_units(150, seed=2)
         pool = treatments + controls
         rng = np.random.default_rng(3)
         order = rng.permutation(len(pool))
         relabeled_t = [pool[i] for i in order[:150]]
         relabeled_c = [pool[i] for i in order[150:]]
-        model = train_propensity(*xy(relabeled_t[:100], relabeled_c[:100]), 4,
-                                 CausalConfig(propensity_epochs=30))
+        model = train_propensity(*xy(relabeled_t[:100], relabeled_c[:100]), 4)
         auc = rank_auc(
             model.predict(np.array([u.features for u in relabeled_t[100:]])),
             model.predict(np.array([u.features for u in relabeled_c[100:]])),
@@ -621,11 +625,12 @@ class TestTrainPropensity:
     def test_one_class_rejected(self):
         treatments, _ = separable_units(5, seed=5)
         with pytest.raises(ScenarioError):
-            train_propensity(*xy(treatments, []), 0, CausalConfig())
+            train_propensity(*xy(treatments, []), 0)
 
-    def test_outputs_strictly_inside_unit_interval(self):
+    def test_outputs_strictly_inside_unit_interval(self, monkeypatch):
+        monkeypatch.setattr(causal, "PROPENSITY_EPOCHS", 50)
         treatments, controls = separable_units(50, seed=6)
-        model = train_propensity(*xy(treatments, controls), 7, CausalConfig(propensity_epochs=50))
+        model = train_propensity(*xy(treatments, controls), 7)
         p = model.predict(np.array([u.features for u in treatments + controls]))
         assert np.all((p > 0) & (p < 1))
 
@@ -639,11 +644,12 @@ class TestTrainPropensity:
         monkeypatch.setattr(causal, "PROPENSITY_BATCH_SIZE", batch_size)
         monkeypatch.setattr(causal, "PROPENSITY_HIDDEN", (16, 8))
         monkeypatch.setattr(causal, "PROPENSITY_LEARNING_RATE", learning_rate)
+        monkeypatch.setattr(causal, "PROPENSITY_EPOCHS", 4)
         rng = np.random.default_rng(dim)
         treatments = [RefUnit(f"t{i}", rng.normal(0.5, 1.0, size=dim), {}) for i in range(70)]
         controls = [RefUnit(f"c{i}", rng.normal(-0.5, 1.0, size=dim), {}) for i in range(90)]
-        got = train_propensity(*xy(treatments, controls), 3, CausalConfig(propensity_epochs=4))
-        want = reference_train_propensity(treatments, controls, seed=3, epochs=4)
+        got = train_propensity(*xy(treatments, controls), 3)
+        want = reference_train_propensity(treatments, controls, seed=3)
         assert got.buffer.values.size == 16 * dim + 16 + 16 * 8 + 8 + 8 + 1
         assert np.array_equal(got.buffer.values, want.buffer.values)
 
@@ -1002,6 +1008,16 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match=r"edited\] yields 8 units \(minimum 10\)"):
             run_scenario(build_unit_table(corpus, profiles, table, corpus.outlet_rows()),
                          few, seed=0, config=CausalConfig(min_group=1))
+        # each fold matches against the other nine folds' controls: of 30
+        # controls the smallest such set holds 27, enough for knn=27 only
+        corpus, profiles, _, table = small_benchmark(seed=1, n=300)
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
+        for knn, minimum in ((28, 32), (30, 34)):
+            with pytest.raises(ScenarioError, match=rf"^scenario 'few': control selector "
+                               rf"\[mirrored\] yields 30 units \(minimum {minimum}\)$"):
+                run_scenario(units, few, seed=0, config=CausalConfig(knn=knn, min_group=0))
+        reports = run_scenario(units, few, seed=0, config=CausalConfig(knn=27, min_group=0))
+        assert (reports[0].n_treatment, reports[0].n_control) == (28, 30)
 
     def test_discard_flag_matches_interval_and_balance(self):
         corpus, profiles, scenario, table = small_benchmark(seed=4, delta=0.0)

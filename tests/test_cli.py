@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import pickle
@@ -509,8 +510,10 @@ class TestEstimateCommand:
         ("config", "jobs", 2.5, "jobs must be an integer, got 2.5"),
         ("config", "knn", 2.7, "knn must be an integer, got 2.7"),
         ("config", "knn", True, "knn must be an integer, got True"),
-        ("config", "propensity_epochs", 0, "propensity_epochs must be at least 1, got 0"),
-        ("config", "propensity_epochs", "3", "propensity_epochs must be an integer, got '3'"),
+        # the propensity schedule is fixed, since its batch size and learning
+        # rate were chosen at its epoch count: any value is an unknown key
+        ("config", "propensity_epochs", 0, "unknown config key(s): 'propensity_epochs'"),
+        ("config", "propensity_epochs", "3", "unknown config key(s): 'propensity_epochs'"),
         ("config", "min_group", -1, "min_group must be at least 0, got -1"),
         ("config", "min_group", 1.5, "min_group must be an integer, got 1.5"),
         ("config", "alpha", float("nan"), "alpha must be a finite number, got nan"),
@@ -613,6 +616,11 @@ class TestEstimateCommand:
                                   "control": {"kind": "shift", "headline": "C", "post": "NC",
                                               "cluster": 0, "Post": "C"}}],
          "bad scenario definition: unknown shift selector key(s): 'Post', 'cluster'"),
+        # the reports of two scenarios of one name cannot be told apart
+        ("config", "scenarios", [{"name": name, "outlet": "synthwire",
+                                  "treatment": {"kind": "edited"},
+                                  "control": {"kind": "mirrored"}} for name in "aba"],
+         "bad scenario definition: duplicate scenario name 'a'"),
     ])
     def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
         *command, route = route.split()
@@ -709,7 +717,9 @@ class TestEstimateCommand:
              "treatment": {"kind": "edited"}, "control": {"kind": "mirrored"}},
             {"name": "politics", "outlet": "synthwire", "section": "politics",
              "treatment": {"kind": "mirrored"}, "control": {"kind": "edited"}},
-        ], "min_group": 20, "propensity_epochs": 1}))
+        ], "min_group": 20}))
+        # forked workers inherit the shortened schedule
+        monkeypatch.setattr(causal, "PROPENSITY_EPOCHS", 1)
 
         submitted = []
         pool_sizes = []
@@ -793,15 +803,26 @@ class TestSettingsTable:
         assert len(flags) == 47
         assert self.NO_SETTING <= set(flags)
         rows = {(command, name) for name, row in cli._SETTINGS.items() for command in row.commands}
-        config_only = {name for name, row in cli._SETTINGS.items() if row.help is None}
-        assert config_only == {"propensity_epochs"}
-        assert set(flags) - self.NO_SETTING == {(c, n) for c, n in rows if n not in config_only}
+        assert set(flags) - self.NO_SETTING == rows
         # each flag's type or choices come from its row
         for (command, name), flag in flags.items():
             if (command, name) not in self.NO_SETTING:
                 kind = cli._SETTINGS[name].kind
                 assert (flag.choices, flag.type) == ((kind, None) if isinstance(kind, tuple)
                                                      else (None, kind)), (command, name)
+
+    def test_defaults_declared_once(self):
+        # a setting's default is its row's, or CausalConfig's field's; the
+        # library functions the CLI passes settings to declare none, and
+        # every setting has a flag
+        from editlift import clickbait, synthbench
+
+        for fn in (clickbait.train, synthbench.confounded_spec, causal.match,
+                   causal.balance_check):
+            params = inspect.signature(fn).parameters.values()
+            assert [p.name for p in params if p.default is not p.empty] == [], fn.__name__
+        assert [name for name in vars(causal) if name.startswith("DEFAULT_")] == []
+        assert all(row.help for row in cli._SETTINGS.values())
 
     @pytest.mark.parametrize("command, flag, value", REMOVED)
     def test_flag_a_command_never_reads_exit_two(self, tmp_path, capsys, command, flag, value):
@@ -851,6 +872,49 @@ class TestSettingsTable:
         assert capsys.readouterr().err == (
             f"error: --{flag} applies to the preset only, not with a spec\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "profile", "cluster", "clickbait train"])
+def test_library_error_printed_once(pipeline_dir, tmp_path, capsys, command):
+    """A library error exits 1 and prints one line: `error: ` and the
+    library's own message, with no traceback."""
+    from editlift import clickbait, cluster, corpus, embedding, textsim
+
+    c, out = pipeline_dir["corpus"], pipeline_dir["out"]
+    if command == "ingest":
+        missing = tmp_path / "missing.jsonl"
+        argv = ["--corpus", str(missing)]
+
+        def library():
+            corpus.load_corpus(missing)
+    elif command == "profile":
+        vectors = tmp_path / "nan.txt"
+        vectors.write_text("2 2\nbudget 1.0 nan\nvote 0.5 0.5\n")
+        argv = ["--corpus", c, "--embeddings", str(vectors), "--out", out]
+
+        def library():
+            embedding.load_table(vectors)
+    elif command == "cluster":
+        assert main(["profile", "--corpus", c, "--embeddings", pipeline_dir["vectors"],
+                     "--out", out]) == 0
+        argv = ["--corpus", c, "--out", out, "--k", "7"]  # the corpus holds 6 records
+
+        def library():
+            profiles = textsim.profiles_from_csv(Path(out) / "profiles.csv")
+            cluster.best_fit(cluster.profile_points(profiles), 7, 0)
+    else:
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("text,label\n" + "".join(
+            f"{ex.text},{ex.label}\n" for ex in clickbait.synthetic_headlines(10, seed=0)))
+        argv = ["--train-data", str(train_csv), "--out", out]
+
+        def library():
+            clickbait.train(clickbait.load_labeled_csv(train_csv), split_seed=0, epochs=10)
+    with pytest.raises((corpus.CorpusError, ValueError)) as raised:
+        library()
+    capsys.readouterr()
+    assert main([*command.split(), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 class TestEntryPoint:

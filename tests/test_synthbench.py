@@ -138,7 +138,7 @@ class TestGenerate:
 
 class TestSyntheticTable:
     def test_topics_separate_families_close(self):
-        spec = sb.confounded_spec(n_records=500, seed=0)
+        spec = sb.confounded_spec(n_records=500, effect_likes=0.0, seed=0)
         table = sb.synthetic_table(spec, seed=1)
         corpus, truth = sb.generate(spec)
         topic_by_id = {t.id: t.topic for t in truth}
