@@ -2,10 +2,10 @@
 
 A `UnitTable` is built once per corpus (per `estimate` command): one row per
 record with body text in the scenarios' outlets, holding its filter columns,
-the profile columns the selectors read, its body vector (each body embedded
-exactly once) and its outcomes. The `estimate` command gives that one table
-to its `--jobs` workers when the pool starts, so a scenario task carries only
-the scenario, the seed and the settings.
+its profile row (which the selectors read), its body vector (each body
+embedded exactly once) and its outcomes. The `estimate` command gives that
+one table to its `--jobs` workers when the pool starts, so a scenario task
+carries only the scenario, the seed and the settings.
 
 Every step of a scenario (treatment selector vs control selector within one
 outlet) works on row indices into that table. `select_units` masks the rows
@@ -83,20 +83,20 @@ class Selector:
     headline_class: str | None = None
     post_class: str | None = None
 
-    def mask(self, units: "UnitTable") -> np.ndarray:
-        """Rows of `units` the selector picks. A shift selector picks no row
-        that lacks clickbait scores; `select_units` reports those rows."""
+    def mask(self, profiles: Profiles) -> np.ndarray:
+        """Rows of `profiles` the selector picks. A shift selector picks no
+        row that lacks clickbait scores; `select_units` reports those rows."""
         if self.kind == "edited":
-            return ~units.mirrored
+            return ~profiles.mirrored
         if self.kind == "mirrored":
-            return units.mirrored
+            return profiles.mirrored
         if self.kind == "cluster":
-            return units.cluster == self.cluster  # NaN (unclustered) never equals
+            return profiles.cluster == self.cluster  # NaN (unclustered) never equals
         if self.kind == "shift":
             # a NaN score reads as NC; those rows are errors, so none is picked
-            return ((is_clickbait(units.headline_clickbait) == (self.headline_class == "C"))
-                    & (is_clickbait(units.post_clickbait) == (self.post_class == "C"))
-                    & ~units.lacks_scores)
+            return ((is_clickbait(profiles.headline_clickbait) == (self.headline_class == "C"))
+                    & (is_clickbait(profiles.post_clickbait) == (self.post_class == "C"))
+                    & ~profiles.lacks_scores)
         raise ScenarioError(f"unknown selector kind {self.kind!r}")
 
     @classmethod
@@ -176,30 +176,22 @@ class UnitTable:
     """Per-record inputs of every scenario, one row per record with non-blank
     body text, in corpus order. Unset profile fields are NaN."""
 
-    record_ids: tuple[str, ...]
+    profiles: Profiles  # each row's profile row
     outlet: np.ndarray  # [n] object: str
     section: np.ndarray  # [n] object: str or None
     time_block: np.ndarray  # [n] object: "B1" | "B2" | "B3"
-    mirrored: np.ndarray  # [n] bool
-    cluster: np.ndarray  # [n] float64
-    headline_clickbait: np.ndarray  # [n] float64
-    post_clickbait: np.ndarray  # [n] float64
     features: np.ndarray  # [n, dim] body vectors
     zero_hit: np.ndarray  # [n] bool: body has no in-vocabulary token
     outcomes: np.ndarray  # [n, len(ENGAGEMENT_METRICS)]
 
     def __len__(self) -> int:
-        return len(self.record_ids)
-
-    @property
-    def lacks_scores(self) -> np.ndarray:
-        return np.isnan(self.headline_clickbait) | np.isnan(self.post_clickbait)
+        return len(self.profiles)
 
     @cached_property
     def id_rank(self) -> np.ndarray:
         """[n] position of each row's record id in sorted id order; `match`
         breaks propensity ties on it."""
-        order = sorted(range(len(self)), key=self.record_ids.__getitem__)
+        order = sorted(range(len(self)), key=self.profiles.record_ids.__getitem__)
         rank = np.empty(len(self), dtype=np.int64)
         rank[order] = np.arange(len(self))
         return rank
@@ -224,14 +216,10 @@ def build_unit_table(corpus: Corpus, profiles: Profiles, table: EmbeddingTable,
         features[i], hits = embed_text(table, record.body_text)
         zero_hit[i] = hits == 0
     return UnitTable(
-        record_ids=tuple(r.id for r in records),
+        profiles=profiles.take(rows),
         outlet=np.array([r.outlet for r in records], dtype=object),
         section=np.array([r.section for r in records], dtype=object),
         time_block=np.array([assign_time_block(r) for r in records], dtype=object),
-        mirrored=profiles.mirrored[rows],
-        cluster=profiles.cluster[rows],
-        headline_clickbait=profiles.headline_clickbait[rows],
-        post_clickbait=profiles.post_clickbait[rows],
         features=features,
         zero_hit=zero_hit,
         outcomes=np.array([float(r.engagement(m)) for r in records for m in ENGAGEMENT_METRICS],
@@ -349,7 +337,7 @@ def _nearest_controls(p_t: np.ndarray, p_c: np.ndarray, id_rank: np.ndarray,
     return chosen
 
 
-def pairwise_similarity_stats(vectors: np.ndarray, seed: int = 0) -> tuple[float, float]:
+def pairwise_similarity_stats(vectors: np.ndarray, seed: int) -> tuple[float, float]:
     """Mean and standard deviation of cosine similarity over document pairs.
 
     Exact over all n(n-1)/2 pairs up to PAIR_SAMPLE_CUTOFF documents; beyond
@@ -465,25 +453,26 @@ def select_units(units: UnitTable, scenario: Scenario) -> tuple[np.ndarray, np.n
     corpus order, that a shift selector cannot read (no clickbait scores) or
     that both selectors pick raises `ScenarioError`, zero-hit or not.
     """
+    profiles = units.profiles
     rows = units.outlet == scenario.outlet
     if scenario.section is not None:
         rows &= units.section == scenario.section
     if scenario.time_block is not None:
         rows &= units.time_block == scenario.time_block
     if scenario.exclude_mirrored:
-        rows &= ~units.mirrored
-    in_t = scenario.treatment.mask(units) & rows
-    in_c = scenario.control.mask(units) & rows
+        rows &= ~profiles.mirrored
+    in_t = scenario.treatment.mask(profiles) & rows
+    in_c = scenario.control.mask(profiles) & rows
     unreadable = np.zeros(len(units), dtype=bool)
     if "shift" in (scenario.treatment.kind, scenario.control.kind):
-        unreadable = units.lacks_scores & rows
+        unreadable = profiles.lacks_scores & rows
     errors = np.flatnonzero(unreadable | (in_t & in_c))
     if len(errors):
         i = errors[0]
         if unreadable[i]:
-            raise ScenarioError(f"record {units.record_ids[i]!r} lacks clickbait scores "
+            raise ScenarioError(f"record {profiles.record_ids[i]!r} lacks clickbait scores "
                                 "required by a shift selector")
-        raise ScenarioError(f"scenario {scenario.name!r}: record {units.record_ids[i]!r} "
+        raise ScenarioError(f"scenario {scenario.name!r}: record {profiles.record_ids[i]!r} "
                             "matches both selectors")
     return np.flatnonzero(in_t & ~units.zero_hit), np.flatnonzero(in_c & ~units.zero_hit)
 
@@ -495,7 +484,7 @@ def _fold_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     return labels
 
 
-def run_scenario(units: UnitTable, scenario: Scenario, seed: int = 0,
+def run_scenario(units: UnitTable, scenario: Scenario, seed: int,
                  config: CausalConfig = CausalConfig()) -> list[EateReport]:
     """Full protocol for one scenario of the unit table; one report per
     engagement metric.

@@ -182,14 +182,12 @@ def conditional_shift_table(profiles: Profiles, rows) -> dict:
     per outlet: `p_nc_given_c`, `p_c_given_nc`, and their denominators
     `n_headline_c` and `n_headline_nc`. A cell whose conditioning class is
     empty is None."""
-    headline = profiles.headline_clickbait[rows]
-    post = profiles.post_clickbait[rows]
-    unscored = np.flatnonzero(np.isnan(headline) | np.isnan(post))
+    unscored = np.flatnonzero(profiles.lacks_scores[rows])
     if len(unscored):
         rid = profiles.record_ids[rows[unscored[0]]]
         raise ValueError(f"record {rid!r} lacks clickbait scores")
-    headline_c = is_clickbait(headline)
-    post_c = is_clickbait(post)
+    headline_c = is_clickbait(profiles.headline_clickbait[rows])
+    post_c = is_clickbait(profiles.post_clickbait[rows])
     n_c = int(np.count_nonzero(headline_c))
     n_nc = len(rows) - n_c
     return {

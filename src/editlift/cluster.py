@@ -204,10 +204,6 @@ def cluster_fractions(profiles: Profiles, corpus: Corpus, k: int) -> dict[str, l
 
 
 def save_model(model: ClusterModel, path: str | Path) -> None:
-    payload = {
-        "k": model.k,
-        "centroids": [[float(v) for v in row] for row in model.centroids],
-        "inertia": model.inertia,
-        "seed": model.seed,
-    }
+    """The `ClusterModel` fields as one JSON object, centroids as nested lists."""
+    payload = {**vars(model), "centroids": model.centroids.tolist()}
     write_text_atomic(path, json.dumps(payload, indent=2) + "\n")

@@ -17,14 +17,11 @@ import os
 import re
 import tempfile
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 ENGAGEMENT_METRICS = ("replies", "retweets", "likes")
-
-REQUIRED_KEYS = ("id", "outlet", "headline", "body_text", "post_text",
-                 "created_at", "replies", "retweets", "likes")
 
 _WS_RUN = re.compile(r"\s+")
 _DECIMAL = re.compile(r"-?[0-9]+")  # a CSV count cell
@@ -75,6 +72,10 @@ class PairedRecord:
         if metric not in ENGAGEMENT_METRICS:
             raise ValueError(f"unknown engagement metric: {metric!r}")
         return getattr(self, metric)
+
+
+# the fields a record must give: those of `PairedRecord` without a default
+REQUIRED_KEYS = tuple(f.name for f in fields(PairedRecord) if f.default is MISSING)
 
 
 @dataclass(frozen=True)
@@ -201,15 +202,22 @@ def _iter_csv(path: Path):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return
-        for line_no, row in enumerate(reader, start=2):  # header is line 1
-            obj = {k: v for k, v in row.items() if v not in (None, "")}
+        for row in reader:
+            # a record is named by the file line it ends on; a quoted cell
+            # may span lines. DictReader fills a short row's missing cells
+            # with None and files a long row's surplus cells under the None
+            # key
+            if None in row or None in row.values():
+                yield reader.line_num, None, f"expected {len(reader.fieldnames)} cells"
+                continue
+            obj = {k: v for k, v in row.items() if v != ""}
             # every cell is a string: a count cell reads as a decimal
             # integer, and any other count cell is left for `_checked_record`
             # to reject
             for metric in ENGAGEMENT_METRICS:
                 if _DECIMAL.fullmatch(obj.get(metric, "")):
                     obj[metric] = int(obj[metric])
-            yield line_no, obj, None
+            yield reader.line_num, obj, None
 
 
 def load_corpus(path: str | Path, fmt: str = "jsonl") -> Corpus:
@@ -272,21 +280,14 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write records back out as canonical JSONL (round-trips with load_corpus)."""
+    """Write records back out as canonical JSONL (round-trips with load_corpus):
+    one object per record, its keys the `PairedRecord` fields in order, with
+    no `section` key when the record has none."""
     lines = []
     for r in corpus.records:
-        obj = {
-            "id": r.id,
-            "outlet": r.outlet,
-            "headline": r.headline,
-            "body_text": r.body_text,
-            "post_text": r.post_text,
-            "created_at": r.created_at,
-            "replies": r.replies,
-            "retweets": r.retweets,
-            "likes": r.likes,
-        }
-        if r.section is not None:
-            obj["section"] = r.section
+        obj = vars(r)
+        if r.section is None:
+            obj = obj.copy()
+            del obj["section"]
         lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
     write_text_atomic(path, "".join(lines))

@@ -253,16 +253,8 @@ def confounded_spec(n_records: int, effect_likes: float, seed: int) -> SynthSpec
 
 
 def save_truth(truth: list[TruthRecord], path: str | Path) -> None:
-    write_text_atomic(path, "".join(
-        json.dumps({
-            "id": t.id,
-            "topic": t.topic,
-            "treated": t.treated,
-            "expected": t.expected,
-            "clamped": t.clamped,
-        }, sort_keys=True) + "\n"
-        for t in truth
-    ))
+    """One JSON object per record, its keys the `TruthRecord` fields, sorted."""
+    write_text_atomic(path, "".join(json.dumps(vars(t), sort_keys=True) + "\n" for t in truth))
 
 
 def load_spec(path: str | Path) -> SynthSpec:

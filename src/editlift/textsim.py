@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +23,6 @@ from .corpus import Corpus, normalize, write_text_atomic
 from .embedding import EmbeddingTable, cosine, embed_text
 
 EXACT_MAX_N = 20  # combined sample size up to which `mann_whitney_u` enumerates
-PROFILE_COLUMNS = (
-    "record_id",
-    "edit_distance",
-    "embedding_similarity",
-    "mirrored",
-    "cluster",
-    "headline_clickbait",
-    "post_clickbait",
-)
 
 
 def normalized_edit_distance(a: str, b: str) -> float:
@@ -73,21 +65,84 @@ def normalized_edit_distance(a: str, b: str) -> float:
     return dist / len(a)
 
 
+def _finite_cell(cell: str) -> float | None:
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _unit_cell(cell: str) -> float | None:
+    value = _finite_cell(cell)
+    return value if value is not None and 0.0 <= value <= 1.0 else None
+
+
+def _label_cell(cell: str) -> float | None:
+    return float(cell) if cell.isascii() and cell.isdigit() else None
+
+
+def _blank_or(parse):
+    return lambda cell: math.nan if cell == "" else parse(cell)
+
+
+def _nan_blank(write):
+    return lambda value: "" if math.isnan(value) else write(value)
+
+
+@dataclass(frozen=True)
+class Cell:
+    """How one value column of the profile CSV is written and read. `parse`
+    returns None for a cell that breaks `rule`; `dtype` is the column's
+    array type."""
+
+    write: Callable[[object], str]
+    parse: Callable[[str], object]
+    rule: str
+    dtype: type = np.float64
+
+
+def _column(cell: Cell):
+    """A `Profiles` field that is a value column of the profile CSV."""
+    return field(metadata={"cell": cell})
+
+
 @dataclass(frozen=True)
 class Profiles:
     """One profile row per record, as columns. Cluster and clickbait values
-    are NaN until the `cluster` and `clickbait score` commands set them."""
+    are NaN until the `cluster` and `clickbait score` commands set them.
+
+    The fields are the profile CSV's columns, in order; each value column
+    declares its `Cell`, which is the one parse rule of its cells.
+    """
 
     record_ids: tuple[str, ...]
-    edit_distance: np.ndarray  # [n] float64
-    embedding_similarity: np.ndarray  # [n] float64
-    mirrored: np.ndarray  # [n] bool
-    cluster: np.ndarray  # [n] float64: an integer label, or NaN
-    headline_clickbait: np.ndarray  # [n] float64
-    post_clickbait: np.ndarray  # [n] float64
+    edit_distance: np.ndarray = _column(Cell(repr, _unit_cell, "a finite number in [0, 1]"))
+    # no upper bound: a cosine of equal vectors can read 1.0000000000000002
+    embedding_similarity: np.ndarray = _column(Cell(repr, _finite_cell, "a finite number"))
+    mirrored: np.ndarray = _column(Cell({True: "true", False: "false"}.get,
+                                        {"true": True, "false": False}.get, "true or false",
+                                        bool))
+    # an integer label, or NaN
+    cluster: np.ndarray = _column(Cell(_nan_blank(lambda label: str(int(label))),
+                                       _blank_or(_label_cell), "blank or a non-negative integer"))
+    headline_clickbait: np.ndarray = _column(Cell(_nan_blank(repr), _blank_or(_unit_cell),
+                                                  "blank or a number in [0, 1]"))
+    post_clickbait: np.ndarray = _column(Cell(_nan_blank(repr), _blank_or(_unit_cell),
+                                              "blank or a number in [0, 1]"))
 
     def __len__(self) -> int:
         return len(self.record_ids)
+
+    @property
+    def lacks_scores(self) -> np.ndarray:
+        """[n] bool: the row lacks a headline or a post clickbait score."""
+        return np.isnan(self.headline_clickbait) | np.isnan(self.post_clickbait)
+
+    def take(self, rows: np.ndarray) -> "Profiles":
+        """The table of the given rows, in the given order."""
+        return Profiles(tuple(self.record_ids[i] for i in rows),
+                        **{name: getattr(self, name)[rows] for name in _CELLS})
 
     def check_rows(self, corpus: Corpus) -> None:
         """Raise ValueError unless row i of this table is corpus record i, for
@@ -104,6 +159,12 @@ class Profiles:
                              "names no corpus record")
         raise ValueError(f"profile row {i + 1} (record {self.record_ids[i]!r}) is out of "
                          "corpus order: row i must be corpus record i")
+
+
+# each value column's cell codec, in column order; the id column is named in
+# the singular, one id per row
+_CELLS = {f.name: f.metadata["cell"] for f in fields(Profiles)[1:]}
+PROFILE_COLUMNS = ("record_id", *_CELLS)
 
 
 @dataclass(frozen=True)
@@ -140,71 +201,29 @@ def profile(corpus: Corpus, table: EmbeddingTable) -> Profiles:
     )
 
 
-def _float_cell(value: float) -> str:
-    return "" if math.isnan(value) else repr(value)
-
-
 def profiles_to_csv(profiles: Profiles, path: str | Path) -> None:
     """Fixed-column CSV export, written atomically; unset values are left
     blank."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(PROFILE_COLUMNS)
-    writer.writerows(
-        (rid, repr(d), repr(s), "true" if m else "false",
-         "" if math.isnan(c) else int(c), _float_cell(h), _float_cell(p))
-        for rid, d, s, m, c, h, p in zip(
-            profiles.record_ids, profiles.edit_distance.tolist(),
-            profiles.embedding_similarity.tolist(), profiles.mirrored.tolist(),
-            profiles.cluster.tolist(), profiles.headline_clickbait.tolist(),
-            profiles.post_clickbait.tolist()))
+    writer.writerows(zip(profiles.record_ids,
+                         *(map(cell.write, getattr(profiles, name).tolist())
+                           for name, cell in _CELLS.items())))
     write_text_atomic(path, buf.getvalue())
-
-
-def _finite_cell(cell: str) -> float | None:
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _unit_cell(cell: str) -> float | None:
-    value = _finite_cell(cell)
-    return value if value is not None and 0.0 <= value <= 1.0 else None
-
-
-def _label_cell(cell: str) -> float | None:
-    return float(cell) if cell.isascii() and cell.isdigit() else None
-
-
-def _blank_or(parse):
-    return lambda cell: math.nan if cell == "" else parse(cell)
-
-
-# each value column's one parse rule, and what it accepts; a rule returns
-# None for a cell it refuses. Similarity has no upper bound: a cosine of
-# equal vectors can read 1.0000000000000002
-_CELL_RULES = {
-    "edit_distance": (_unit_cell, "a finite number in [0, 1]"),
-    "embedding_similarity": (_finite_cell, "a finite number"),
-    "mirrored": ({"true": True, "false": False}.get, "true or false"),
-    "cluster": (_blank_or(_label_cell), "blank or a non-negative integer"),
-    "headline_clickbait": (_blank_or(_unit_cell), "blank or a number in [0, 1]"),
-    "post_clickbait": (_blank_or(_unit_cell), "blank or a number in [0, 1]"),
-}
 
 
 def profiles_from_csv(path: str | Path) -> Profiles:
     """Read what `profiles_to_csv` wrote; a blank cell reads as unset (NaN).
-    A cell that breaks its column's rule (`_CELL_RULES`) raises ValueError
+    A cell that breaks its column's rule (`Cell.rule`) raises ValueError
     naming the file, line and column."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(PROFILE_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"profile CSV missing columns: {sorted(missing)}")
-        rows, seen = [], set()
+        ids, seen = [], set()
+        columns = {name: [] for name in _CELLS}
         for row in reader:
             # DictReader fills a short row's missing cells with None and files
             # a long row's surplus cells under the None key
@@ -215,25 +234,15 @@ def profiles_from_csv(path: str | Path) -> Profiles:
                 raise ValueError(f"{path} line {reader.line_num}: duplicate record_id "
                                  f"{row['record_id']!r}")
             seen.add(row["record_id"])
-            values = [row["record_id"]]
-            for column, (parse, rule) in _CELL_RULES.items():
-                value = parse(row[column])
+            ids.append(row["record_id"])
+            for name, cell in _CELLS.items():
+                value = cell.parse(row[name])
                 if value is None:
-                    raise ValueError(f"{path} line {reader.line_num}: {column} must be "
-                                     f"{rule}, got {row[column]!r}")
-                values.append(value)
-            rows.append(values)
-    ids, distance, similarity, mirrored, cluster, headline, post = (
-        zip(*rows) if rows else ((),) * len(PROFILE_COLUMNS))
-    return Profiles(
-        record_ids=ids,
-        edit_distance=np.array(distance, dtype=np.float64),
-        embedding_similarity=np.array(similarity, dtype=np.float64),
-        mirrored=np.array(mirrored, dtype=bool),
-        cluster=np.array(cluster, dtype=np.float64),
-        headline_clickbait=np.array(headline, dtype=np.float64),
-        post_clickbait=np.array(post, dtype=np.float64),
-    )
+                    raise ValueError(f"{path} line {reader.line_num}: {name} must be "
+                                     f"{cell.rule}, got {row[name]!r}")
+                columns[name].append(value)
+    return Profiles(tuple(ids), **{name: np.array(values, dtype=_CELLS[name].dtype)
+                                   for name, values in columns.items()})
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 from collections import namedtuple
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,38 +57,21 @@ def make_corpus(records, source="test://corpus") -> Corpus:
 
 def make_profiles(rows) -> Profiles:
     """A profile table of `ProfileRow`s (or plain tuples in that column
-    order), in order."""
+    order), in order; None is unset (NaN)."""
     rows = [ProfileRow(*row) for row in rows]
-
-    def floats(name):
-        return np.array([np.nan if getattr(r, name) is None else float(getattr(r, name))
-                         for r in rows], dtype=np.float64)
-
     return Profiles(
-        record_ids=tuple(r.record_id for r in rows),
-        edit_distance=floats("edit_distance"),
-        embedding_similarity=floats("embedding_similarity"),
-        mirrored=np.array([bool(r.mirrored) for r in rows], dtype=bool),
-        cluster=floats("cluster"),
-        headline_clickbait=floats("headline_clickbait"),
-        post_clickbait=floats("post_clickbait"),
+        tuple(r.record_id for r in rows),
+        *(np.array([np.nan if getattr(r, f.name) is None else getattr(r, f.name) for r in rows],
+                   dtype=f.metadata["cell"].dtype)
+          for f in fields(Profiles)[1:]),
     )
 
 
 def profile_rows(profiles: Profiles) -> list[ProfileRow]:
-    """The rows of a profile table, NaN read back as None and each cluster
-    as an int."""
-    def value(v):
-        return None if np.isnan(v) else v
-
-    return [
-        ProfileRow(rid, d, s, m, None if np.isnan(c) else int(c), value(h), value(p))
-        for rid, d, s, m, c, h, p in zip(
-            profiles.record_ids, profiles.edit_distance.tolist(),
-            profiles.embedding_similarity.tolist(), profiles.mirrored.tolist(),
-            profiles.cluster.tolist(), profiles.headline_clickbait.tolist(),
-            profiles.post_clickbait.tolist())
-    ]
+    """The rows of a profile table, NaN read back as None."""
+    columns = [getattr(profiles, f.name).tolist() for f in fields(Profiles)[1:]]
+    return [ProfileRow(rid, *(None if v != v else v for v in values))  # NaN != NaN
+            for rid, *values in zip(profiles.record_ids, *columns)]
 
 
 def write_jsonl(path, rows):

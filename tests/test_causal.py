@@ -206,14 +206,10 @@ def hand_table(rows) -> UnitTable:
     outcomes = np.zeros((n, len(ENGAGEMENT_METRICS)))
     outcomes[:, ENGAGEMENT_METRICS.index("likes")] = [likes for _, _, likes in rows]
     return UnitTable(
-        record_ids=tuple(rid for rid, _, _ in rows),
+        profiles=make_profiles((rid, 0.0, 0.0, False) for rid, _, _ in rows),
         outlet=np.full(n, "x", dtype=object),
         section=np.full(n, None, dtype=object),
         time_block=np.full(n, "B1", dtype=object),
-        mirrored=np.zeros(n, dtype=bool),
-        cluster=np.full(n, np.nan),
-        headline_clickbait=np.full(n, np.nan),
-        post_clickbait=np.full(n, np.nan),
         features=np.array([np.atleast_1d(np.asarray(v, dtype=float)) for _, v, _ in rows]),
         zero_hit=np.zeros(n, dtype=bool),
         outcomes=outcomes,
@@ -228,8 +224,9 @@ def match_units(treatments, controls, p_t, p_c, k):
     chosen, similarity = match(t_rows, len(treatments) + np.arange(len(controls)),
                                np.asarray(p_t, dtype=float), np.asarray(p_c, dtype=float),
                                units, k=k)
+    ids = units.profiles.record_ids
     return [
-        RefMatch(units.record_ids[t], tuple(units.record_ids[c] for c in row), float(sim))
+        RefMatch(ids[t], tuple(ids[c] for c in row), float(sim))
         for t, row, sim in zip(t_rows, chosen, similarity)
     ]
 
@@ -503,7 +500,7 @@ class TestPairwiseStats:
     @settings(max_examples=40, deadline=None)
     @given(pair_vectors())
     def test_exact_equals_triu_indices_reference(self, vecs):
-        assert pairwise_similarity_stats(vecs) == reference_pairwise_similarity_stats(vecs)
+        assert pairwise_similarity_stats(vecs, seed=0) == reference_pairwise_similarity_stats(vecs)
 
     @settings(max_examples=20, deadline=None)
     @given(pair_vectors(), st.integers(1, 3 * causal.PAIR_CHUNK), st.integers(0, 2**16))
@@ -518,7 +515,7 @@ class TestPairwiseStats:
         vecs = np.random.default_rng(5).normal(size=(n, 50))
         tracemalloc.start()
         try:
-            pairwise_similarity_stats(vecs)
+            pairwise_similarity_stats(vecs, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -526,7 +523,7 @@ class TestPairwiseStats:
 
     def test_exact_small(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        mu, sigma = pairwise_similarity_stats(vecs)
+        mu, sigma = pairwise_similarity_stats(vecs, seed=0)
         sims = [0.0, 1 / np.sqrt(2), 1 / np.sqrt(2)]
         assert mu == pytest.approx(np.mean(sims))
         assert sigma == pytest.approx(np.std(sims))
@@ -534,7 +531,7 @@ class TestPairwiseStats:
     def test_sampled_close_to_exact(self, monkeypatch):
         rng = np.random.default_rng(1)
         vecs = rng.normal(size=(300, 8))
-        mu_exact, sd_exact = pairwise_similarity_stats(vecs)
+        mu_exact, sd_exact = pairwise_similarity_stats(vecs, seed=0)
         monkeypatch.setattr(causal, "PAIR_SAMPLE_CUTOFF", 10)
         monkeypatch.setattr(causal, "PAIR_SAMPLE_SIZE", 100_000)
         mu_sample, sd_sample = pairwise_similarity_stats(vecs, seed=2)
@@ -561,7 +558,7 @@ class TestPairwiseStats:
 
     def test_zero_norm_rows_tolerated(self):
         vecs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        mu, sigma = pairwise_similarity_stats(vecs)
+        mu, sigma = pairwise_similarity_stats(vecs, seed=0)
         assert np.isfinite(mu) and np.isfinite(sigma)
 
 
@@ -683,8 +680,8 @@ class TestSelectUnits:
         units = build_unit_table(corpus, make_profiles(profiles), self.table(),
                                  corpus.outlet_rows())
         treatments, controls = select_units(units, scenario)
-        assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}  # r5 has no body
-        assert {units.record_ids[i] for i in controls} == {"r0", "r2", "r4"}
+        assert {units.profiles.record_ids[i] for i in treatments} == {"r1", "r3"}  # r5 has no body
+        assert {units.profiles.record_ids[i] for i in controls} == {"r0", "r2", "r4"}
 
     def test_section_filter(self):
         corpus, profiles = self.corpus_and_profiles()
@@ -693,8 +690,8 @@ class TestSelectUnits:
         units = build_unit_table(corpus, make_profiles(profiles), self.table(),
                                  corpus.outlet_rows())
         treatments, controls = select_units(units, scenario)
-        assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}
-        assert {units.record_ids[i] for i in controls} == {"r0", "r2"}
+        assert {units.profiles.record_ids[i] for i in treatments} == {"r1", "r3"}
+        assert {units.profiles.record_ids[i] for i in controls} == {"r0", "r2"}
 
     def test_cluster_selectors(self):
         corpus, profiles = self.corpus_and_profiles()
@@ -704,8 +701,8 @@ class TestSelectUnits:
         units = build_unit_table(corpus, make_profiles(profiles), self.table(),
                                  corpus.outlet_rows())
         treatments, controls = select_units(units, scenario)
-        assert {units.record_ids[i] for i in treatments} == {"r1", "r4"}
-        assert {units.record_ids[i] for i in controls} == {"r0", "r3"}
+        assert {units.profiles.record_ids[i] for i in treatments} == {"r1", "r4"}
+        assert {units.profiles.record_ids[i] for i in controls} == {"r0", "r3"}
 
     def test_shift_selectors_and_exclude_mirrored(self):
         corpus, profiles = self.corpus_and_profiles()
@@ -723,10 +720,10 @@ class TestSelectUnits:
         units = build_unit_table(corpus, make_profiles(profiles), self.table(),
                                  corpus.outlet_rows())
         treatments, controls = select_units(units, scenario)
-        assert {units.record_ids[i] for i in treatments} == {"r1", "r3"}
+        assert {units.profiles.record_ids[i] for i in treatments} == {"r1", "r3"}
         # mirrored records are excluded and the only NC->NC candidate (r5)
         # has no body text, so the control side comes back empty
-        assert {units.record_ids[i] for i in controls} == set()
+        assert {units.profiles.record_ids[i] for i in controls} == set()
 
     def test_scenario_parsing(self):
         scenario = Scenario.from_dict({
@@ -861,7 +858,7 @@ class TestUnitTableSelection:
             return "error"
         got = select_units(units, scenario)
         for exp_arm, rows in zip(expected, got):
-            assert [units.record_ids[i] for i in rows] == [u.record_id for u in exp_arm]
+            assert [units.profiles.record_ids[i] for i in rows] == [u.record_id for u in exp_arm]
             assert ([dict(zip(ENGAGEMENT_METRICS, units.outcomes[i].tolist())) for i in rows]
                     == [u.outcomes for u in exp_arm])
             for e, i in zip(exp_arm, rows):
@@ -925,11 +922,11 @@ class TestUnitTableSelection:
         corpus, profiles, table, scenario = self.zero_hit_case(
             Selector("mirrored"), Selector("shift", headline_class="C", post_class="C"))
         units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
-        assert units.record_ids == ("a", "z")  # the blank body has no row
+        assert units.profiles.record_ids == ("a", "z")  # the blank body has no row
         assert units.zero_hit.tolist() == [False, True]
         assert self.assert_same(corpus, profiles, table, scenario, units) == 1
         treatments, controls = select_units(units, scenario)
-        assert [units.record_ids[i] for i in treatments] == ["a"] and len(controls) == 0
+        assert [units.profiles.record_ids[i] for i in treatments] == ["a"] and len(controls) == 0
 
     def test_each_eligible_body_embedded_once(self, monkeypatch):
         corpus, profiles, table = selection_corpus(0)
@@ -943,7 +940,7 @@ class TestUnitTableSelection:
         eligible = [r for r in corpus if r.outlet == "x" and r.body_text.strip()]
         units = build_unit_table(corpus, profiles, table, {"x"})
         assert len(calls) == len(units) == len(eligible)
-        assert units.record_ids == tuple(r.id for r in eligible)
+        assert units.profiles.record_ids == tuple(r.id for r in eligible)
         assert calls == [r.body_text for r in eligible]
         for scenario in SELECTION_SCENARIOS[:3]:
             select_units(units, scenario)

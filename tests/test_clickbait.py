@@ -116,7 +116,8 @@ class TestClassify:
         corpus = make_corpus([make_record(rid=f"r{i}", outlet="x") for i in range(3)])
         units = build_unit_table(corpus, profiles,
                                  EmbeddingTable(dim=1, vocab={"budget": np.ones(1)}), {"x"})
-        picks = {(h, p): Selector("shift", headline_class=h, post_class=p).mask(units).tolist()
+        picks = {(h, p): Selector("shift", headline_class=h,
+                                  post_class=p).mask(units.profiles).tolist()
                  for h in ("C", "NC") for p in ("C", "NC")}
         assert picks == {("NC", "C"): [True, False, False], ("C", "NC"): [False, True, False],
                          ("C", "C"): [False] * 3, ("NC", "NC"): [False] * 3}

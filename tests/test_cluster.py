@@ -302,3 +302,12 @@ class TestProfilesPipeline:
         assert np.allclose(again.centroids, model.centroids)
         assert again.inertia == pytest.approx(model.inertia)
         assert again.seed == model.seed
+
+    def test_model_json_pinned(self, tmp_path):
+        model = ClusterModel(k=2, centroids=np.array([[0.1, 0.25], [0.9, 1 / 3]]),
+                             inertia=0.5, seed=4)
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_text() == (
+            '{\n  "k": 2,\n  "centroids": [\n    [\n      0.1,\n      0.25\n    ],\n'
+            '    [\n      0.9,\n      0.3333333333333333\n    ]\n  ],\n'
+            '  "inertia": 0.5,\n  "seed": 4\n}\n')

@@ -234,6 +234,31 @@ class TestLoadCorpus:
         assert len(corpus) == 2
         assert corpus.records[0].likes == 3
 
+    def test_csv_rejects_named_by_file_line(self, tmp_path):
+        # the quoted body of record a spans lines 2-4; a record is named by the
+        # file line it ends on, and a row of more or fewer cells than the
+        # header is rejected, not read with a cell dropped or missing
+        header = ("id,outlet,headline,body_text,post_text,created_at,replies,retweets,likes,"
+                  "section\n")
+        path = tmp_path / "c.csv"
+        path.write_text(header
+                        + 'a,w,H,"one\ntwo\nthree",P,2018-06-15T13:00:00Z,1,2,3,politics\n'
+                        + "b,w,H,B,P,2018-06-15T13:00:00Z,1,2,x,politics\n"
+                        + "c,w,H,B,P,2018-06-15T13:00:00Z,1,2,3,politics,EXTRA\n"
+                        + "d,w,H,B,P,2018-06-15T13:00:00Z,1,2,3\n", encoding="utf-8")
+        corpus = load_corpus(path, fmt="csv")
+        assert [(r.id, r.body_text) for r in corpus] == [("a", "one\ntwo\nthree")]
+        assert [(r.line_no, r.reason) for r in corpus.rejects] == [
+            (5, "likes must be an integer, got 'x'"), (6, "expected 10 cells"),
+            (7, "expected 10 cells")]
+
+        path.write_text(header
+                        + 'a,w,H,"one\ntwo\nthree",P,2018-06-15T13:00:00Z,1,2,3,politics\n'
+                        + "a,w,H,B,P,2018-06-15T13:00:00Z,1,2,3,politics\n", encoding="utf-8")
+        with pytest.raises(CorpusError,
+                           match=r"c\.csv:5: duplicate id 'a' \(first seen on line 4\)"):
+            load_corpus(path, fmt="csv")
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             load_corpus(tmp_path / "c.xml", fmt="xml")
@@ -250,3 +275,19 @@ class TestRoundTrip:
         save_corpus(first, tmp_path / "b.jsonl")
         second = load_corpus(tmp_path / "b.jsonl")
         assert first.records == second.records
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        # a record with no section writes no section key, and non-ASCII text
+        # is written as itself, not escaped
+        records = [make_record(rid="r1", headline="Café “news”", post_text="Café news — now"),
+                   make_record(rid="r2", section="politics")]
+        save_corpus(make_corpus(records), tmp_path / "c.jsonl")
+        assert (tmp_path / "c.jsonl").read_bytes() == (
+            '{"id": "r1", "outlet": "wire", "headline": "Café “news”", "body_text": '
+            '"The committee approved the annual budget today.", "post_text": '
+            '"Café news — now", "created_at": "2018-06-15T13:00:00Z", "replies": 1, '
+            '"retweets": 2, "likes": 3}\n'
+            '{"id": "r2", "outlet": "wire", "headline": "Budget vote passes", "body_text": '
+            '"The committee approved the annual budget today.", "post_text": '
+            '"Budget vote passes", "created_at": "2018-06-15T13:00:00Z", "replies": 1, '
+            '"retweets": 2, "likes": 3, "section": "politics"}\n').encode("utf-8")

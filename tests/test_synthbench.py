@@ -195,6 +195,14 @@ class TestSpecIO:
         first = json.loads(lines[0])
         assert set(first) == {"id", "topic", "treated", "expected", "clamped"}
 
+    def test_save_truth_line_pinned(self, tmp_path):
+        truth = sb.TruthRecord(id="r1", topic="t0", treated=True, clamped=False,
+                               expected={"retweets": 3.75, "likes": 12.5, "replies": 1.0})
+        sb.save_truth([truth], tmp_path / "truth.jsonl")
+        assert (tmp_path / "truth.jsonl").read_text() == (
+            '{"clamped": false, "expected": {"likes": 12.5, "replies": 1.0, "retweets": 3.75}, '
+            '"id": "r1", "topic": "t0", "treated": true}\n')
+
 
 class TestPresetStream:
     """The confounded preset's draws are pinned: criteria 3, 4 and 9 read

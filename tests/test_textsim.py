@@ -163,6 +163,13 @@ class TestProfile:
         profiles_to_csv(again, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
+    def test_columns_pinned(self):
+        # the header follows the `Profiles` fields, so renaming a field would
+        # change the file format
+        assert textsim.PROFILE_COLUMNS == (
+            "record_id", "edit_distance", "embedding_similarity", "mirrored", "cluster",
+            "headline_clickbait", "post_clickbait")
+
     def test_short_row_and_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "profiles.csv"
         path.write_text(",".join(textsim.PROFILE_COLUMNS) + "\nr1,0.25,0.5,false,,,\nr2,0.5\n")
