@@ -25,13 +25,14 @@ that fails balance on any fold, is discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .clickbait import is_clickbait
-from .corpus import ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block, json_value
+from .corpus import (ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block, json_value,
+                     reject_unknown_keys)
 from .embedding import EmbeddingTable, embed_text
 from .nn import AdamState, Mlp, adam_step
 from .textsim import Profiles
@@ -46,8 +47,6 @@ PAIR_SAMPLE_SIZE = 200_000  # pairs sampled above the cutoff
 PAIR_CHUNK = 8192  # sampled pairs per dot-product chunk
 MATCH_CHUNK_CELLS = 1 << 20  # treatment x control gaps held at once by `match`
 SHIFT_CLASSES = ("C", "NC")  # a shift selector's headline and post classes
-SCENARIO_KEYS = frozenset(("name", "outlet", "treatment", "control", "section", "time_block",
-                           "exclude_mirrored"))
 # the keys a selector of each kind reads, besides "kind"
 SELECTOR_KEYS = {"edited": (), "mirrored": (), "cluster": ("cluster",),
                  "shift": ("headline", "post")}
@@ -104,7 +103,7 @@ class Selector:
         kind = json_value(obj, dict, "selector").get("kind")
         if kind not in SELECTOR_KEYS:
             raise ScenarioError(f"unknown selector kind {kind!r}")
-        _reject_unknown_keys(obj, {"kind", *SELECTOR_KEYS[kind]}, f"{kind} selector")
+        reject_unknown_keys(obj, {"kind", *SELECTOR_KEYS[kind]}, f"{kind} selector")
         if kind == "cluster":
             index = obj["cluster"]
             if isinstance(index, bool) or not isinstance(index, int) or index < 0:
@@ -139,7 +138,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
         block = json_value(obj, dict, "scenario").get("time_block")
-        _reject_unknown_keys(obj, SCENARIO_KEYS, "scenario")
+        reject_unknown_keys(obj, [f.name for f in fields(cls)], "scenario")
         if block is not None and block not in TIME_BLOCKS:
             raise ScenarioError(f"unknown time block {block!r}")
         for key in ("name", "outlet", "section"):
@@ -158,13 +157,6 @@ class Scenario:
             time_block=block,
             exclude_mirrored=bool(exclude_mirrored),
         )
-
-
-def _reject_unknown_keys(obj: dict, known, what: str) -> None:
-    """A misspelt key would otherwise drop a filter or selector field unseen."""
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ScenarioError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,6 @@ if TYPE_CHECKING:
 CONFIG_ENV_VAR = "EDITLIFT_CONFIG"
 
 
-class CommandError(Exception):
-    """Runtime failure that should exit with status 1."""
-
-
 class UsageError(Exception):
     """Bad setting or missing configuration that should exit with status 2."""
 
@@ -90,19 +86,20 @@ def _load_config(args) -> dict:
         return {}
     p = Path(path)
     if not p.is_file():
-        raise CommandError(f"config file not found: {p}")
+        raise ValueError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        cfg = json.loads(p.read_text(encoding=corpus_mod.TEXT_ENCODING))
     except json.JSONDecodeError as exc:
-        raise CommandError(f"config file {p} is not valid JSON: {exc}") from None
+        raise ValueError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
-        raise CommandError(f"config file {p} must hold a JSON object")
+        raise ValueError(f"config file {p} must hold a JSON object")
     # a key that no command reads is a misspelling, not a default; a bad value
     # is reported even where a flag overrides it. `scenarios` is the one key
     # that is no table setting
-    unknown = sorted(set(cfg) - set(_SETTINGS) - {"scenarios"})
-    if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    try:
+        corpus_mod.reject_unknown_keys(cfg, [*_SETTINGS, "scenarios"], "config")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     for name, value in cfg.items():
         if name in _SETTINGS and value is not None:
             _checked(name, value)
@@ -146,7 +143,7 @@ def _settings(args, cfg: dict, command: str) -> dict:
 
 def _load_corpus(s: dict):
     if s["corpus"] is None:
-        raise CommandError("no corpus given (use --corpus or the config file)")
+        raise ValueError("no corpus given (use --corpus or the config file)")
     return corpus_mod.load_corpus(s["corpus"], s["format"])
 
 
@@ -154,7 +151,7 @@ def _load_table(s: dict):
     from . import embedding
 
     if s["embeddings"] is None:
-        raise CommandError("no embedding table given (use --embeddings or the config file)")
+        raise ValueError("no embedding table given (use --embeddings or the config file)")
     return embedding.load_table(s["embeddings"])
 
 
@@ -164,7 +161,7 @@ def _load_profiles(s: dict):
 
     path = Path(s["profiles"] or Path(s["out"]) / "profiles.csv")
     if not path.is_file():
-        raise CommandError(f"profile CSV not found: {path} (run `profile` first)")
+        raise ValueError(f"profile CSV not found: {path} (run `profile` first)")
     return path, textsim.profiles_from_csv(path)
 
 
@@ -281,7 +278,7 @@ def cmd_clickbait_train(args) -> int:
 
     s = _settings(args, _load_config(args), "clickbait train")
     if s["train_data"] is None:
-        raise CommandError("no training data given (use --train-data or the config file)")
+        raise ValueError("no training data given (use --train-data or the config file)")
     dataset = clickbait.load_labeled_csv(s["train_data"])
     model, f1 = clickbait.train(dataset, split_seed=s["seed"], epochs=s["epochs"])
     clickbait.save_model(model, _model_path(s))
@@ -296,7 +293,7 @@ def cmd_clickbait_score(args) -> int:
     s = _settings(args, _load_config(args), "clickbait score")
     model_path = _model_path(s)
     if not model_path.is_file():
-        raise CommandError(f"clickbait model not found: {model_path} (train first)")
+        raise ValueError(f"clickbait model not found: {model_path} (train first)")
     profile_path, profiles = _load_profiles(s)
     loaded = _load_corpus(s)
     model = clickbait.load_model(model_path)
@@ -356,7 +353,7 @@ def cmd_estimate(args) -> int:
                 raise ValueError(f"duplicate scenario name {scenario.name!r}")
             names.add(scenario.name)
     except (KeyError, ValueError) as exc:
-        raise CommandError(f"bad scenario definition: {exc}") from None
+        raise ValueError(f"bad scenario definition: {exc}") from None
     loaded = _load_corpus(s)
     table = _load_table(s)
     out_dir = Path(s["out"])
@@ -428,8 +425,8 @@ def cmd_synth(args) -> int:
         else:
             spec = synthbench.load_spec(s["spec"])
         generated, truth = synthbench.generate(spec)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CommandError(f"invalid synthetic spec: {exc}") from None
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"invalid synthetic spec: {exc}") from None
 
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -488,8 +485,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CommandError, corpus_mod.CorpusError, ValueError, OSError,
-            FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

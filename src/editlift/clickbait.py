@@ -11,13 +11,12 @@ table and the `shift` scenario selectors all classify through it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, write_bytes_atomic
+from .corpus import Corpus, csv_rows, write_bytes_atomic
 from .embedding import tokenize
 from .nn import AdamState, SequenceClassifier, adam_step, load_params, params_to_bytes
 from .textsim import Profiles
@@ -203,21 +202,15 @@ def load_labeled_csv(path: str | Path) -> list[LabeledHeadline]:
     with fewer or more cells than the header, a blank text or a label other
     than 0 or 1 raises ValueError naming the file and line."""
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or not {"text", "label"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns text,label")
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            # DictReader fills a short row's missing cells with None and files
-            # a long row's surplus cells under the None key
-            if None in row or None in row.values():
-                raise ValueError(f"{where}: expected {len(reader.fieldnames)} cells")
-            if not row["text"].strip():
-                raise ValueError(f"{where}: missing text")
-            if row["label"].strip() not in ("0", "1"):
-                raise ValueError(f"{where}: label must be 0 or 1, got {row['label']!r}")
-            out.append(LabeledHeadline(text=row["text"], label=int(row["label"])))
+    for line, row, problem in csv_rows(path, ("text", "label")):
+        where = f"{path} line {line}"
+        if problem is not None:
+            raise ValueError(f"{where}: {problem}")
+        if not row["text"].strip():
+            raise ValueError(f"{where}: missing text")
+        if row["label"].strip() not in ("0", "1"):
+            raise ValueError(f"{where}: label must be 0 or 1, got {row['label']!r}")
+        out.append(LabeledHeadline(text=row["text"], label=int(row["label"])))
     return out
 
 

@@ -4,8 +4,11 @@ A corpus is a list of (headline, body, post, engagement) records tied to a
 media outlet. JSONL is the canonical on-disk format; CSV is a convenience
 importer with identical field names. `write_bytes_atomic` is the one writer
 every artifact of the package goes through; `write_text_atomic` encodes text
-for it. `json_value` is the one type check of a value read from a JSON
-config, scenario, spec or corpus record.
+for it. Every text input is read as UTF-8 with an optional byte-order mark
+(`TEXT_ENCODING`, as spreadsheet exports write), and `csv_rows` is the one
+reader of a CSV input. `json_value` is the one type check of a value read
+from a JSON config, scenario, spec or corpus record, and `reject_unknown_keys`
+the one check of its keys.
 """
 
 from __future__ import annotations
@@ -25,10 +28,7 @@ ENGAGEMENT_METRICS = ("replies", "retweets", "likes")
 
 _WS_RUN = re.compile(r"\s+")
 _DECIMAL = re.compile(r"-?[0-9]+")  # a CSV count cell
-
-
-class CorpusError(Exception):
-    """Fatal problem with a corpus file (unreadable, duplicate ids, nothing valid)."""
+TEXT_ENCODING = "utf-8-sig"  # UTF-8, a leading byte-order mark dropped
 
 
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a string",
@@ -51,6 +51,35 @@ def json_value(value, kind: type, what: str):
     if not ok:
         raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return kind(value) if kind in (int, float) else value
+
+
+def reject_unknown_keys(obj: dict, known, what: str) -> None:
+    """ValueError naming the keys of `obj` outside `known`: a misspelt key
+    would otherwise drop its value unseen."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
+def csv_rows(path: str | Path, columns):
+    """(file line, row, problem) of each record of the CSV file `path`, whose
+    header must hold every name of `columns` (ValueError names the file and
+    the missing ones). `row` maps each header name to its cell; a row of
+    more or fewer cells than the header comes as (line, None, "expected N
+    cells"). A record is named by the file line it ends on, since a quoted
+    cell may span lines."""
+    with open(path, encoding=TEXT_ENCODING, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: header lacks column(s) {', '.join(missing)}")
+        for row in reader:
+            # DictReader fills a short row's missing cells with None and files
+            # a long row's surplus cells under the None key
+            if None in row or None in row.values():
+                yield reader.line_num, None, f"expected {len(reader.fieldnames)} cells"
+            else:
+                yield reader.line_num, row, None
 
 
 @dataclass(frozen=True)
@@ -182,7 +211,7 @@ def _checked_record(obj: dict) -> PairedRecord:
 
 
 def _iter_jsonl(path: Path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=TEXT_ENCODING) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -198,39 +227,31 @@ def _iter_jsonl(path: Path):
 
 
 def _iter_csv(path: Path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return
-        for row in reader:
-            # a record is named by the file line it ends on; a quoted cell
-            # may span lines. DictReader fills a short row's missing cells
-            # with None and files a long row's surplus cells under the None
-            # key
-            if None in row or None in row.values():
-                yield reader.line_num, None, f"expected {len(reader.fieldnames)} cells"
-                continue
-            obj = {k: v for k, v in row.items() if v != ""}
-            # every cell is a string: a count cell reads as a decimal
-            # integer, and any other count cell is left for `_checked_record`
-            # to reject
-            for metric in ENGAGEMENT_METRICS:
-                if _DECIMAL.fullmatch(obj.get(metric, "")):
-                    obj[metric] = int(obj[metric])
-            yield reader.line_num, obj, None
+    for line_no, row, problem in csv_rows(path, REQUIRED_KEYS):
+        if problem is not None:
+            yield line_no, None, problem
+            continue
+        obj = {k: v for k, v in row.items() if v != ""}
+        # every cell is a string: a count cell reads as a decimal integer,
+        # and any other count cell is left for `_checked_record` to reject
+        for metric in ENGAGEMENT_METRICS:
+            if _DECIMAL.fullmatch(obj.get(metric, "")):
+                obj[metric] = int(obj[metric])
+        yield line_no, obj, None
 
 
-def load_corpus(path: str | Path, fmt: str = "jsonl") -> Corpus:
+def load_corpus(path: str | Path, fmt: str) -> Corpus:
     """Load and validate a paired corpus.
 
     Malformed lines are skipped and reported in Corpus.rejects with their
-    line numbers. Duplicate ids and an empty result are fatal.
+    line numbers. A missing file, a CSV header without a required column,
+    duplicate ids and an empty result raise ValueError.
     """
     path = Path(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown corpus format {fmt!r} (expected jsonl or csv)")
     if not path.is_file():
-        raise CorpusError(f"corpus file not found: {path}")
+        raise ValueError(f"corpus file not found: {path}")
 
     rows = _iter_jsonl(path) if fmt == "jsonl" else _iter_csv(path)
     records: list[PairedRecord] = []
@@ -246,7 +267,7 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> Corpus:
             rejects.append(RejectedLine(line_no, str(exc)))
             continue
         if record.id in seen_ids:
-            raise CorpusError(
+            raise ValueError(
                 f"{path}:{line_no}: duplicate id {record.id!r} "
                 f"(first seen on line {seen_ids[record.id]})"
             )
@@ -254,7 +275,7 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> Corpus:
         records.append(record)
 
     if not records:
-        raise CorpusError(f"{path}: no valid records ({len(rejects)} rejected)")
+        raise ValueError(f"{path}: no valid records ({len(rejects)} rejected)")
     return Corpus(records=tuple(records), source_path=str(path), rejects=tuple(rejects))
 
 

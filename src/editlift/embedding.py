@@ -14,12 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import normalize, write_text_atomic
-
-
-class EmbeddingError(ValueError):
-    """Malformed vector file."""
-
+from .corpus import TEXT_ENCODING, normalize, write_text_atomic
 
 _TOKEN_SPLIT = re.compile("[" + re.escape(string.punctuation) + r"\s]+")
 
@@ -42,10 +37,10 @@ def load_table(path: str | Path) -> EmbeddingTable:
 
     The header line, when present, must agree with the per-line dimension;
     any line whose float count disagrees, or that holds a nan/inf entry, is
-    a fatal error with its line number.
+    a ValueError with its line number.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=TEXT_ENCODING) as fh:
         raw = fh.readlines()
 
     dim: int | None = None
@@ -70,20 +65,20 @@ def load_table(path: str | Path) -> EmbeddingTable:
         try:
             vec = np.asarray([float(x) for x in parts[1:] if x != ""], dtype=np.float64)
         except ValueError:
-            raise EmbeddingError(f"{path} line {line_no}: non-numeric vector entry") from None
+            raise ValueError(f"{path} line {line_no}: non-numeric vector entry") from None
         if not np.all(np.isfinite(vec)):
-            raise EmbeddingError(f"{path} line {line_no}: non-finite vector entry")
+            raise ValueError(f"{path} line {line_no}: non-finite vector entry")
         if dim is None:
             if vec.size == 0:
-                raise EmbeddingError(f"{path} line {line_no}: no vector values")
+                raise ValueError(f"{path} line {line_no}: no vector values")
             dim = int(vec.size)
         if vec.size != dim:
-            raise EmbeddingError(
+            raise ValueError(
                 f"{path} line {line_no}: expected {dim} floats, found {vec.size}"
             )
         vocab[token] = vec
     if not vocab:
-        raise EmbeddingError(f"{path}: empty vector file")
+        raise ValueError(f"{path}: empty vector file")
     return EmbeddingTable(dim=int(dim), vocab=vocab)
 
 

@@ -13,13 +13,14 @@ heavier tails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import ENGAGEMENT_METRICS, Corpus, PairedRecord, json_value, write_text_atomic
+from .corpus import (ENGAGEMENT_METRICS, TEXT_ENCODING, Corpus, PairedRecord, json_value,
+                     reject_unknown_keys, write_text_atomic)
 from .embedding import EmbeddingTable
 
 HEADLINE_TOKENS = (4, 9)  # [low, high) words of a generated headline
@@ -62,6 +63,11 @@ class SynthSpec:
                 raise ValueError(f"topic {topic.topic_id!r} lacks base means for {missing}")
             if topic.topic_id not in self.treatment_rule:
                 raise ValueError(f"no treatment probability for topic {topic.topic_id!r}")
+            reject_unknown_keys(topic.base_means, ENGAGEMENT_METRICS,
+                                f"topic {topic.topic_id!r} base_means")
+        reject_unknown_keys(self.treatment_rule, [t.topic_id for t in self.topics],
+                            "treatment_rule")
+        reject_unknown_keys(self.true_effect, ENGAGEMENT_METRICS, "true_effect")
         for tid, prob in self.treatment_rule.items():
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"treatment probability for {tid!r} outside [0, 1]: {prob}")
@@ -258,12 +264,17 @@ def save_truth(truth: list[TruthRecord], path: str | Path) -> None:
 
 
 def load_spec(path: str | Path) -> SynthSpec:
-    """Parse a generator spec from JSON. A value of the wrong JSON type
-    raises ValueError naming its key; a missing required key, KeyError."""
-    payload = json_value(json.loads(Path(path).read_text(encoding="utf-8")), dict, "the spec")
+    """Parse a generator spec from JSON, whose keys are the `SynthSpec`
+    fields and each topic's the `TopicSpec` fields. A value of the wrong
+    JSON type or an unknown key raises ValueError naming the key; a missing
+    required key, KeyError."""
+    payload = json_value(json.loads(Path(path).read_text(encoding=TEXT_ENCODING)), dict,
+                         "the spec")
+    reject_unknown_keys(payload, [f.name for f in fields(SynthSpec)], "spec")
     topics = []
     for t in json_value(payload["topics"], list, "topics"):
         t = json_value(t, dict, "topics entry")
+        reject_unknown_keys(t, [f.name for f in fields(TopicSpec)], "topic")
         topics.append(TopicSpec(
             topic_id=json_value(t["topic_id"], str, "topic_id"),
             vocabulary=tuple(json_value(w, str, "vocabulary entry")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, normalize, write_text_atomic
+from .corpus import Corpus, csv_rows, normalize, write_text_atomic
 from .embedding import EmbeddingTable, cosine, embed_text
 
 EXACT_MAX_N = 20  # combined sample size up to which `mann_whitney_u` enumerates
@@ -217,30 +217,21 @@ def profiles_from_csv(path: str | Path) -> Profiles:
     """Read what `profiles_to_csv` wrote; a blank cell reads as unset (NaN).
     A cell that breaks its column's rule (`Cell.rule`) raises ValueError
     naming the file, line and column."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(PROFILE_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"profile CSV missing columns: {sorted(missing)}")
-        ids, seen = [], set()
-        columns = {name: [] for name in _CELLS}
-        for row in reader:
-            # DictReader fills a short row's missing cells with None and files
-            # a long row's surplus cells under the None key
-            if None in row or None in row.values():
-                raise ValueError(f"{path} line {reader.line_num}: expected "
-                                 f"{len(PROFILE_COLUMNS)} cells")
-            if row["record_id"] in seen:  # named by its file line, unlike `check_rows`
-                raise ValueError(f"{path} line {reader.line_num}: duplicate record_id "
-                                 f"{row['record_id']!r}")
-            seen.add(row["record_id"])
-            ids.append(row["record_id"])
-            for name, cell in _CELLS.items():
-                value = cell.parse(row[name])
-                if value is None:
-                    raise ValueError(f"{path} line {reader.line_num}: {name} must be "
-                                     f"{cell.rule}, got {row[name]!r}")
-                columns[name].append(value)
+    ids, seen = [], set()
+    columns = {name: [] for name in _CELLS}
+    for line, row, problem in csv_rows(path, PROFILE_COLUMNS):
+        if problem is not None:
+            raise ValueError(f"{path} line {line}: {problem}")
+        if row["record_id"] in seen:  # named by its file line, unlike `check_rows`
+            raise ValueError(f"{path} line {line}: duplicate record_id {row['record_id']!r}")
+        seen.add(row["record_id"])
+        ids.append(row["record_id"])
+        for name, cell in _CELLS.items():
+            value = cell.parse(row[name])
+            if value is None:
+                raise ValueError(f"{path} line {line}: {name} must be {cell.rule}, "
+                                 f"got {row[name]!r}")
+            columns[name].append(value)
     return Profiles(tuple(ids), **{name: np.array(values, dtype=_CELLS[name].dtype)
                                    for name, values in columns.items()})
 

@@ -726,15 +726,22 @@ class TestSelectUnits:
         assert {units.profiles.record_ids[i] for i in controls} == set()
 
     def test_scenario_parsing(self):
-        scenario = Scenario.from_dict({
+        # every `Scenario` field is a scenario key, set away from its default
+        obj = {
             "name": "clusters", "outlet": "x",
             "treatment": {"kind": "cluster", "cluster": 2},
             "control": {"kind": "cluster", "cluster": 0},
+            "section": "politics",
             "time_block": "B2",
             "exclude_mirrored": True,
-        })
+        }
+        assert set(obj) == {f.name for f in dataclasses.fields(Scenario)}
+        scenario = Scenario.from_dict(obj)
         assert scenario.treatment.cluster == 2
-        assert scenario.time_block == "B2"
+        assert scenario.control.cluster == 0
+        for f in dataclasses.fields(Scenario):
+            if f.name not in ("treatment", "control"):
+                assert getattr(scenario, f.name) == obj[f.name] != f.default, f.name
         with pytest.raises(ScenarioError):
             Scenario.from_dict({"name": "bad", "outlet": "x",
                                 "treatment": {"kind": "nope"},

@@ -245,7 +245,8 @@ class TestSynthCommand:
                  "base_means": {"replies": 1, "retweets": 2, "likes": 5}}
         valid = {"n_records": 60, "topics": [topic], "treatment_rule": {"a": 0.5}}
         # (spec, what the error names); the first fails validation, the
-        # others are values of the wrong JSON type
+        # next are values of the wrong JSON type, and the last keys that
+        # name no field, metric or topic, whose values would be dropped
         cases = [
             ({"n_records": 10, "topics": [], "treatment_rule": {}}, "n_records"),
             ({**valid, "topics": 5}, "topics must be a JSON list, got 5"),
@@ -260,6 +261,13 @@ class TestSynthCommand:
             ({**valid, "topics": [{**topic, "base_means": {"likes": "nan"}}]},
              "base_means['likes'] must be a finite number, got 'nan'"),
             ({**valid, "outlet": 5}, "outlet must be a string, got 5"),
+            ({**valid, "dispersal": 0.5}, "unknown spec key(s): 'dispersal'"),
+            ({**valid, "topics": [{**topic, "famly": "f"}]}, "unknown topic key(s): 'famly'"),
+            ({**valid, "true_effect": {"like": 50}}, "unknown true_effect key(s): 'like'"),
+            ({**valid, "treatment_rule": {"a": 0.5, "c": 0.5}},
+             "unknown treatment_rule key(s): 'c'"),
+            ({**valid, "topics": [{**topic, "base_means": {**topic["base_means"], "like": 5}}]},
+             "unknown topic 'a' base_means key(s): 'like'"),
         ]
         spec = tmp_path / "spec.json"
         for payload, named in cases:
@@ -815,10 +823,10 @@ class TestSettingsTable:
         # a setting's default is its row's, or CausalConfig's field's; the
         # library functions the CLI passes settings to declare none, and
         # every setting has a flag
-        from editlift import clickbait, synthbench
+        from editlift import clickbait, corpus, synthbench
 
         for fn in (clickbait.train, synthbench.confounded_spec, causal.match,
-                   causal.balance_check):
+                   causal.balance_check, corpus.load_corpus):
             params = inspect.signature(fn).parameters.values()
             assert [p.name for p in params if p.default is not p.empty] == [], fn.__name__
         for fn in (causal.run_scenario, causal.pairwise_similarity_stats):
@@ -889,7 +897,7 @@ def test_library_error_printed_once(pipeline_dir, tmp_path, capsys, command):
         argv = ["--corpus", str(missing)]
 
         def library():
-            corpus.load_corpus(missing)
+            corpus.load_corpus(missing, "jsonl")
     elif command == "profile":
         vectors = tmp_path / "nan.txt"
         vectors.write_text("2 2\nbudget 1.0 nan\nvote 0.5 0.5\n")
@@ -913,11 +921,110 @@ def test_library_error_printed_once(pipeline_dir, tmp_path, capsys, command):
 
         def library():
             clickbait.train(clickbait.load_labeled_csv(train_csv), split_seed=0, epochs=10)
-    with pytest.raises((corpus.CorpusError, ValueError)) as raised:
+    with pytest.raises(ValueError) as raised:
         library()
     capsys.readouterr()
     assert main([*command.split(), *argv]) == 1
     assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+def write_csv(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def labeled_rows(n):
+    from editlift import clickbait
+
+    return [("text", "label"), *((ex.text, ex.label)
+                                 for ex in clickbait.synthetic_headlines(n, seed=0))]
+
+
+def corpus_csv_rows(corpus):
+    records = [json.loads(line) for line in Path(corpus).read_text().splitlines()]
+    return [list(records[0]), *(list(r.values()) for r in records)]
+
+
+@pytest.mark.parametrize("name", ["corpus jsonl", "corpus csv", "profiles", "labeled csv",
+                                  "vectors", "config", "spec"])
+def test_byte_order_mark_read_like_plain(tmp_path, tiny_vectors, capsys, name):
+    """Each text input may start with a UTF-8 byte-order mark, as spreadsheet
+    exports write one; its command's outputs are those of its plain copy."""
+    from editlift import embedding
+
+    corpus = make_corpus_file(tmp_path)
+    out = tmp_path / "out"
+    report = ["--out", str(out / "report.json")]
+    if name == "corpus jsonl":
+        path, argv = corpus, ["ingest", "--corpus", str(corpus), *report]
+    elif name == "corpus csv":
+        path = write_csv(tmp_path / "c.csv", corpus_csv_rows(corpus))
+        argv = ["ingest", "--corpus", str(path), "--format", "csv", *report]
+    elif name == "profiles":
+        work = tmp_path / "work"
+        assert main(["profile", "--corpus", str(corpus), "--embeddings", str(tiny_vectors),
+                     "--out", str(work)]) == 0
+        path = out / "profiles.csv"  # the input `cluster` rewrites
+        out.mkdir()
+        path.write_bytes((work / "profiles.csv").read_bytes())
+        argv = ["cluster", "--corpus", str(corpus), "--k", "2", "--out", str(out)]
+    elif name == "labeled csv":
+        path = write_csv(tmp_path / "train.csv", labeled_rows(40))
+        argv = ["clickbait", "train", "--train-data", str(path), "--epochs", "1",
+                "--out", str(out)]
+    elif name == "vectors":
+        # no header line, so the first line names a word: "budget"
+        path = tmp_path / "v.txt"
+        path.write_text(tiny_vectors.read_text().split("\n", 1)[1])
+        argv = ["profile", "--corpus", str(corpus), "--embeddings", str(path),
+                "--out", str(out)]
+    elif name == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"corpus": str(corpus)}))
+        argv = ["ingest", "--config", str(path), *report]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "n_records": 60, "treatment_rule": {"a": 0.5},
+            "topics": [{"topic_id": "a", "vocabulary": ["a1", "a2"],
+                        "base_means": {"replies": 1, "retweets": 2, "likes": 5}}]}))
+        argv = ["synth", "--spec", str(path), "--out", str(out)]
+    plain = path.read_bytes()
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + plain)
+        assert main(argv) == 0, capsys.readouterr().err
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[1] == outputs[0]
+    if name == "vectors":
+        assert "budget" in embedding.load_table(path).vocab
+
+
+@pytest.mark.parametrize("command, column", [
+    ("ingest", "likes"), ("cluster", "cluster"), ("clickbait train", "label")])
+def test_csv_header_lacking_a_column_exit_one(tmp_path, tiny_vectors, capsys, command, column):
+    """A CSV input whose header lacks a column its reader needs is one error
+    naming the file and the column, not a rejected or misread row."""
+    corpus = make_corpus_file(tmp_path)
+    out = tmp_path / "out"
+    if command == "ingest":
+        path, rows = tmp_path / "c.csv", corpus_csv_rows(corpus)
+        argv = ["--corpus", str(path), "--format", "csv"]
+    elif command == "cluster":
+        assert main(["profile", "--corpus", str(corpus), "--embeddings", str(tiny_vectors),
+                     "--out", str(out)]) == 0
+        path = out / "profiles.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        argv = ["--corpus", str(corpus), "--k", "2", "--out", str(out)]
+    else:
+        path, rows = tmp_path / "train.csv", labeled_rows(40)
+        argv = ["--train-data", str(path), "--out", str(out)]
+    drop = list(rows[0]).index(column)
+    write_csv(path, [[*row[:drop], *row[drop + 1:]] for row in rows])
+    capsys.readouterr()
+    assert main([*command.split(), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {path}: header lacks column(s) {column}\n"
 
 
 class TestEntryPoint:

@@ -8,7 +8,6 @@ from editlift import cli
 from editlift import corpus as cm
 from editlift.corpus import (
     Corpus,
-    CorpusError,
     assign_time_block,
     load_corpus,
     normalize,
@@ -136,7 +135,7 @@ class TestOutletRows:
 class TestLoadCorpus:
     def test_three_valid_lines(self, tmp_path):
         path = write_jsonl(tmp_path / "c.jsonl", [record_row(rid=f"r{i}") for i in range(3)])
-        corpus = load_corpus(path)
+        corpus = load_corpus(path, "jsonl")
         assert len(corpus) == 3
         assert corpus.rejects == ()
 
@@ -145,7 +144,7 @@ class TestLoadCorpus:
         bad = record_row(rid="r3")
         del bad["post_text"]
         path = write_jsonl(tmp_path / "c.jsonl", rows + [bad])
-        corpus = load_corpus(path)
+        corpus = load_corpus(path, "jsonl")
         assert len(corpus) == 2
         assert len(corpus.rejects) == 1
         assert corpus.rejects[0].line_no == 3
@@ -155,17 +154,17 @@ class TestLoadCorpus:
         path = write_jsonl(
             tmp_path / "c.jsonl", [record_row(rid="a1"), record_row(rid="a1")]
         )
-        with pytest.raises(CorpusError, match="duplicate id"):
-            load_corpus(path)
+        with pytest.raises(ValueError, match="duplicate id"):
+            load_corpus(path, "jsonl")
 
     def test_no_valid_records_fatal(self, tmp_path):
         path = write_jsonl(tmp_path / "c.jsonl", [{"id": "x"}])
-        with pytest.raises(CorpusError, match="no valid records"):
-            load_corpus(path)
+        with pytest.raises(ValueError, match="no valid records"):
+            load_corpus(path, "jsonl")
 
     def test_missing_file_fatal(self, tmp_path):
-        with pytest.raises(CorpusError):
-            load_corpus(tmp_path / "absent.jsonl")
+        with pytest.raises(ValueError):
+            load_corpus(tmp_path / "absent.jsonl", "jsonl")
 
     def test_invalid_json_line_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -173,7 +172,7 @@ class TestLoadCorpus:
             fh.write("{not json\n")
             import json
             fh.write(json.dumps(record_row()) + "\n")
-        corpus = load_corpus(path)
+        corpus = load_corpus(path, "jsonl")
         assert len(corpus) == 1
         assert corpus.rejects[0].line_no == 1
 
@@ -196,7 +195,7 @@ class TestLoadCorpus:
         ]
         rows = [record_row(id=7, retweets=2.0)]
         rows += [record_row(rid=f"r{i}", **values) for i, (values, _) in enumerate(cases)]
-        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows), "jsonl")
         # an integer id and an integral float count are no coercion
         assert [(r.id, r.retweets) for r in corpus] == [("7", 2)]
         assert [(r.line_no, r.reason) for r in corpus.rejects] == [
@@ -218,7 +217,7 @@ class TestLoadCorpus:
             tmp_path / "c.jsonl",
             [record_row(), record_row(rid="r2", created_at="yesterday")],
         )
-        corpus = load_corpus(path)
+        corpus = load_corpus(path, "jsonl")
         assert len(corpus) == 1
 
     def test_csv_import(self, tmp_path):
@@ -255,7 +254,7 @@ class TestLoadCorpus:
         path.write_text(header
                         + 'a,w,H,"one\ntwo\nthree",P,2018-06-15T13:00:00Z,1,2,3,politics\n'
                         + "a,w,H,B,P,2018-06-15T13:00:00Z,1,2,3,politics\n", encoding="utf-8")
-        with pytest.raises(CorpusError,
+        with pytest.raises(ValueError,
                            match=r"c\.csv:5: duplicate id 'a' \(first seen on line 4\)"):
             load_corpus(path, fmt="csv")
 
@@ -271,9 +270,9 @@ class TestRoundTrip:
             record_row(rid="r2", headline="Café news", post_text="Café news"),
             record_row(rid="r3", post_text="totally different"),
         ]
-        first = load_corpus(write_jsonl(tmp_path / "a.jsonl", rows))
+        first = load_corpus(write_jsonl(tmp_path / "a.jsonl", rows), "jsonl")
         save_corpus(first, tmp_path / "b.jsonl")
-        second = load_corpus(tmp_path / "b.jsonl")
+        second = load_corpus(tmp_path / "b.jsonl", "jsonl")
         assert first.records == second.records
 
     def test_saved_bytes_pinned(self, tmp_path):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from editlift.embedding import (
-    EmbeddingError,
     cosine,
     embed_text,
     load_table,
@@ -33,20 +32,20 @@ class TestLoadTable:
     def test_dimension_mismatch_fatal(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("a 1 0 0\nb 1 0\n", encoding="utf-8")
-        with pytest.raises(EmbeddingError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             load_table(path)
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_entry_fatal(self, tmp_path, entry):
         path = tmp_path / "v.txt"
         path.write_text(f"bar 1 0 2\nfoo 1 {entry} 2\n", encoding="utf-8")
-        with pytest.raises(EmbeddingError, match=r"v\.txt line 2: non-finite"):
+        with pytest.raises(ValueError, match=r"v\.txt line 2: non-finite"):
             load_table(path)
 
     def test_header_disagreement_fatal(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("1 3\na 1 0\n", encoding="utf-8")
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(ValueError):
             load_table(path)
 
     def test_dim_inferred_without_header(self, tmp_path):
@@ -57,7 +56,7 @@ class TestLoadTable:
     def test_empty_file_fatal(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(EmbeddingError, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             load_table(path)
 
     def test_round_trip(self, tmp_path, tiny_vectors):

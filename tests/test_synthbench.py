@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ class TestGenerate:
     def test_passes_corpus_validation(self, tmp_path):
         corpus, _ = sb.generate(tiny_spec(n=100, seed=1))
         save_corpus(corpus, tmp_path / "c.jsonl")
-        loaded = load_corpus(tmp_path / "c.jsonl")
+        loaded = load_corpus(tmp_path / "c.jsonl", "jsonl")
         assert len(loaded) == 100
         assert loaded.rejects == ()
 
@@ -169,21 +170,17 @@ class TestSyntheticTable:
 
 class TestSpecIO:
     def test_load_spec_round_trip(self, tmp_path):
-        spec = tiny_spec(true_effect={"likes": 25.0}, dispersion=0.1)
-        payload = {
-            "n_records": spec.n_records,
-            "topics": [
-                {"topic_id": t.topic_id, "vocabulary": list(t.vocabulary),
-                 "base_means": t.base_means, "family": t.family}
-                for t in spec.topics
-            ],
-            "treatment_rule": spec.treatment_rule,
-            "true_effect": spec.true_effect,
-            "dispersion": spec.dispersion,
-            "seed": spec.seed,
-        }
+        # every `SynthSpec` and `TopicSpec` field is a spec key, and each is
+        # set away from its default, so a field `load_spec` does not read fails
+        topics = tuple(replace(t, family="fam") for t in tiny_spec().topics)
+        spec = tiny_spec(topics=topics, true_effect={"likes": 25.0}, dispersion=0.1, seed=4,
+                         outlet="wire")
+        for obj in (spec, *spec.topics):
+            for f in fields(obj):
+                default = f.default if f.default_factory is MISSING else f.default_factory()
+                assert getattr(obj, f.name) != default, f.name
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_text(json.dumps(asdict(spec)), encoding="utf-8")
         loaded = sb.load_spec(path)
         assert loaded == spec
 
