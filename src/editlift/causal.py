@@ -25,15 +25,15 @@ that fails balance on any fold, is discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .clickbait import is_clickbait
-from .corpus import (ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block, json_value,
-                     reject_unknown_keys)
-from .embedding import EmbeddingTable, embed_text
+from .corpus import (ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block,
+                     check_field_keys, json_value, normalize, reject_unknown_keys, require_keys)
+from .embedding import EmbeddingTable, embed_many
 from .nn import AdamState, Mlp, adam_step
 from .textsim import Profiles
 
@@ -104,6 +104,7 @@ class Selector:
         if kind not in SELECTOR_KEYS:
             raise ScenarioError(f"unknown selector kind {kind!r}")
         reject_unknown_keys(obj, {"kind", *SELECTOR_KEYS[kind]}, f"{kind} selector")
+        require_keys(obj, SELECTOR_KEYS[kind], f"{kind} selector")
         if kind == "cluster":
             index = obj["cluster"]
             if isinstance(index, bool) or not isinstance(index, int) or index < 0:
@@ -138,7 +139,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
         block = json_value(obj, dict, "scenario").get("time_block")
-        reject_unknown_keys(obj, [f.name for f in fields(cls)], "scenario")
+        check_field_keys(obj, cls, "scenario")
         if block is not None and block not in TIME_BLOCKS:
             raise ScenarioError(f"unknown time block {block!r}")
         for key in ("name", "outlet", "section"):
@@ -201,19 +202,14 @@ def build_unit_table(corpus: Corpus, profiles: Profiles, table: EmbeddingTable,
     rows = np.array([i for i, r in enumerate(corpus)
                      if r.outlet in outlets and r.body_text.strip()], dtype=np.int64)
     records = [corpus.records[i] for i in rows]
-
-    features = np.zeros((len(records), table.dim), dtype=np.float64)
-    zero_hit = np.zeros(len(records), dtype=bool)
-    for i, record in enumerate(records):
-        features[i], hits = embed_text(table, record.body_text)
-        zero_hit[i] = hits == 0
+    features, hits = embed_many(table, [normalize(r.body_text) for r in records])
     return UnitTable(
         profiles=profiles.take(rows),
         outlet=np.array([r.outlet for r in records], dtype=object),
         section=np.array([r.section for r in records], dtype=object),
         time_block=np.array([assign_time_block(r) for r in records], dtype=object),
         features=features,
-        zero_hit=zero_hit,
+        zero_hit=hits == 0,
         outcomes=np.array([float(r.engagement(m)) for r in records for m in ENGAGEMENT_METRICS],
                           dtype=np.float64).reshape(len(records), len(ENGAGEMENT_METRICS)),
     )

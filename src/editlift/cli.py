@@ -331,7 +331,6 @@ def _run_one_scenario(payload):
 def cmd_estimate(args) -> int:
     import csv
     import io
-    from concurrent.futures import ProcessPoolExecutor
 
     from . import causal
 
@@ -352,7 +351,7 @@ def cmd_estimate(args) -> int:
             if scenario.name in names:
                 raise ValueError(f"duplicate scenario name {scenario.name!r}")
             names.add(scenario.name)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad scenario definition: {exc}") from None
     loaded = _load_corpus(s)
     table = _load_table(s)
@@ -368,6 +367,9 @@ def cmd_estimate(args) -> int:
     # would only cost a fork
     workers = min(s["jobs"], len(tasks))
     if workers > 1:
+        # loading multiprocessing costs start-up that --jobs 1 does not need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(units,)) as pool:
             results = list(pool.map(_run_one_scenario, tasks))
@@ -425,7 +427,7 @@ def cmd_synth(args) -> int:
         else:
             spec = synthbench.load_spec(s["spec"])
         generated, truth = synthbench.generate(spec)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"invalid synthetic spec: {exc}") from None
 
     out_dir = Path(s["out"])

@@ -8,7 +8,8 @@ for it. Every text input is read as UTF-8 with an optional byte-order mark
 (`TEXT_ENCODING`, as spreadsheet exports write), and `csv_rows` is the one
 reader of a CSV input. `json_value` is the one type check of a value read
 from a JSON config, scenario, spec or corpus record, and `reject_unknown_keys`
-the one check of its keys.
+and `require_keys` the checks of its keys (`check_field_keys` applies both
+to the fields of a dataclass).
 """
 
 from __future__ import annotations
@@ -59,6 +60,22 @@ def reject_unknown_keys(obj: dict, known, what: str) -> None:
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
+def require_keys(obj: dict, required, what: str) -> None:
+    """ValueError naming the keys of `required` that `obj` lacks: indexing
+    would raise a KeyError that shows only the key."""
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"missing {what} key(s): {', '.join(map(repr, missing))}")
+
+
+def check_field_keys(obj: dict, cls, what: str) -> None:
+    """ValueError unless the keys of `obj` are fields of the dataclass `cls`
+    and include every field that has no default."""
+    reject_unknown_keys(obj, [f.name for f in fields(cls)], what)
+    require_keys(obj, [f.name for f in fields(cls)
+                       if f.default is MISSING and f.default_factory is MISSING], what)
 
 
 def csv_rows(path: str | Path, columns):
@@ -197,9 +214,12 @@ def _checked_record(obj: dict) -> PairedRecord:
 
     text = {key: json_value(obj[key], str, key)
             for key in ("outlet", "headline", "body_text", "post_text", "created_at")}
-    if not normalize(text["headline"]):
+    # `normalize` leaves a text empty exactly when `strip` does: both drop
+    # the code points `str.isspace` accepts, and NFC maps no other code
+    # point to one of them
+    if not text["headline"].strip():
         raise ValueError("headline empty after normalization")
-    if not normalize(text["post_text"]):
+    if not text["post_text"].strip():
         raise ValueError("post_text empty after normalization")
     parse_timestamp(text["created_at"])  # validation only; stored verbatim
 

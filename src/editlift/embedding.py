@@ -2,34 +2,56 @@
 
 The on-disk format is the common word-vector text layout: an optional
 "<count> <dim>" header line, then one token followed by `dim` floats per
-line. Documents embed as the average of their in-vocabulary token vectors.
+line. Documents embed as the average of their in-vocabulary token vectors,
+many at a time (`embed_many`).
 """
 
 from __future__ import annotations
 
-import re
 import string
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import TEXT_ENCODING, normalize, write_text_atomic
 
-_TOKEN_SPLIT = re.compile("[" + re.escape(string.punctuation) + r"\s]+")
+_PUNCTUATION_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
+# cells (documents x (longest document + dim)) of token ids and partial sums
+# `embed_many` holds at a time
+EMBED_CHUNK_CELLS = 1 << 15
 
 
 def tokenize(text: str) -> list[str]:
     """`corpus.normalize` the text (so a word stored decomposed finds its
     composed vector), lowercase it and split on whitespace plus ASCII
     punctuation."""
-    return [t for t in _TOKEN_SPLIT.split(normalize(text).lower()) if t]
+    return _tokens(normalize(text))
+
+
+def _tokens(normalized: str) -> list[str]:
+    # `str.split` splits on the code points `str.isspace` accepts, as the
+    # regex class `\s` does
+    return normalized.lower().translate(_PUNCTUATION_TO_SPACE).split()
 
 
 @dataclass(frozen=True)
 class EmbeddingTable:
     dim: int
     vocab: dict[str, np.ndarray]
+
+    @cached_property
+    def rows(self) -> tuple[dict[str, int], np.ndarray]:
+        """({token: row}, [1 + len(vocab), dim] matrix): the vocabulary's
+        vectors as rows 1.., under a zero row 0 that pads short documents.
+        The empty token, which `tokenize` never yields, is left out."""
+        index = {token: row for row, token in enumerate(self.vocab, start=1) if token}
+        matrix = np.zeros((len(self.vocab) + 1, self.dim), dtype=np.float64)
+        if self.vocab:
+            matrix[1:] = list(self.vocab.values())
+        return index, matrix
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
@@ -90,31 +112,68 @@ def save_table(table: EmbeddingTable, path: str | Path) -> None:
     write_text_atomic(path, "".join(lines))
 
 
-def embed_text(table: EmbeddingTable, text: str) -> tuple[np.ndarray, int]:
-    """(vector [dim], hits): the average of the vectors of the text's
-    in-vocabulary tokens (bag of words), and how many tokens hit.
+def embed_many(table: EmbeddingTable, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """([n, dim] vectors, [n] hits) of `corpus.normalize`d texts: row i is the
+    average of the vectors of text i's in-vocabulary tokens (bag of words),
+    and hits[i] how many tokens hit.
 
-    Out-of-vocabulary tokens are dropped; a document with no hits gets the
-    zero vector and 0 hits, so callers can exclude it.
+    Out-of-vocabulary tokens are dropped; a text with no hits gets the zero
+    vector and 0 hits, so callers can exclude it. Each text is tokenized
+    once. Texts are summed in chunks of at most EMBED_CHUNK_CELLS id and sum
+    cells, ordered by hit count so that one long text pads few others: one
+    `total += rows[ids[:, j]]` per token position, padding with the zero
+    row. Each vector is still a left-to-right sum from +0.0, then divided by
+    its hits, as a loop over its tokens would compute it.
     """
-    total = np.zeros(table.dim, dtype=np.float64)
-    hits = 0
-    for token in tokenize(text):
-        vec = table.vocab.get(token)
-        if vec is not None:
-            total += vec
-            hits += 1
-    if hits:
-        total /= hits
-    return total, hits
+    index, matrix = table.rows
+    lookup = index.get
+    # the rows of every text's hits, text after text, as one compact buffer;
+    # row ids are >= 1, so `if row` drops exactly the misses
+    packed, counts = array("i"), []
+    for text in texts:
+        before = len(packed)
+        packed.extend([row for row in map(lookup, _tokens(text)) if row])
+        counts.append(len(packed) - before)
+    token_rows = np.frombuffer(packed, dtype=np.int32)
+    hits = np.array(counts, dtype=np.int64)
+    starts = np.cumsum(hits) - hits
+    vectors = np.zeros((len(texts), table.dim), dtype=np.float64)
+    order = np.argsort(hits, kind="stable")
+    lengths = hits[order]
+    start = 0
+    while start < len(texts):
+        # a chunk of rows start..s holds (s - start) x (longest + dim) cells of
+        # ids and sums; ascending lengths make that non-decreasing in s
+        cells = np.arange(1, len(texts) - start + 1) * (lengths[start:] + table.dim)
+        stop = start + max(1, int(np.searchsorted(cells, EMBED_CHUNK_CELLS, side="right")))
+        chunk = order[start:stop]
+        width = int(lengths[stop - 1])
+        ids = np.zeros((len(chunk), width), dtype=np.intp)
+        mask = np.arange(width) < lengths[start:stop, None]
+        ids[mask] = token_rows[(starts[chunk, None] + np.arange(width))[mask]]
+        total = np.zeros((len(chunk), table.dim), dtype=np.float64)
+        for j in range(width):
+            total += matrix[ids[:, j]]
+        vectors[chunk] = total
+        start = stop
+    np.divide(vectors, hits[:, None], out=vectors, where=hits[:, None] > 0)
+    return vectors, hits
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two float arrays; 0.0 when either has zero norm."""
+def embed_text(table: EmbeddingTable, text: str) -> tuple[np.ndarray, int]:
+    """(vector [dim], hits) of one text, as `embed_many` embeds its
+    `corpus.normalize`d form."""
+    vectors, hits = embed_many(table, [normalize(text)])
+    return vectors[0], int(hits[0])
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
+    """Cosine similarity of two float arrays along their last axis; 0.0
+    where either side has zero norm. 1-D arrays give a scalar."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    na = np.sqrt(np.vecdot(a, a))
+    nb = np.sqrt(np.vecdot(b, b))
+    out = np.zeros(na.shape, dtype=np.float64)
+    np.divide(np.vecdot(a, b), na * nb, out=out, where=(na != 0.0) & (nb != 0.0))
+    return out[()]

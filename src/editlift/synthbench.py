@@ -13,14 +13,14 @@ heavier tails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import (ENGAGEMENT_METRICS, TEXT_ENCODING, Corpus, PairedRecord, json_value,
-                     reject_unknown_keys, write_text_atomic)
+from .corpus import (ENGAGEMENT_METRICS, TEXT_ENCODING, Corpus, PairedRecord,
+                     check_field_keys, json_value, reject_unknown_keys, write_text_atomic)
 from .embedding import EmbeddingTable
 
 HEADLINE_TOKENS = (4, 9)  # [low, high) words of a generated headline
@@ -265,34 +265,40 @@ def save_truth(truth: list[TruthRecord], path: str | Path) -> None:
 
 def load_spec(path: str | Path) -> SynthSpec:
     """Parse a generator spec from JSON, whose keys are the `SynthSpec`
-    fields and each topic's the `TopicSpec` fields. A value of the wrong
-    JSON type or an unknown key raises ValueError naming the key; a missing
-    required key, KeyError."""
+    fields and each topic's the `TopicSpec` fields; a key left out takes the
+    field's default. A value of the wrong JSON type, an unknown key or a
+    missing required key raises ValueError naming the key."""
     payload = json_value(json.loads(Path(path).read_text(encoding=TEXT_ENCODING)), dict,
                          "the spec")
-    reject_unknown_keys(payload, [f.name for f in fields(SynthSpec)], "spec")
-    topics = []
-    for t in json_value(payload["topics"], list, "topics"):
-        t = json_value(t, dict, "topics entry")
-        reject_unknown_keys(t, [f.name for f in fields(TopicSpec)], "topic")
-        topics.append(TopicSpec(
-            topic_id=json_value(t["topic_id"], str, "topic_id"),
-            vocabulary=tuple(json_value(w, str, "vocabulary entry")
-                             for w in json_value(t["vocabulary"], list, "vocabulary")),
-            base_means=_floats(t["base_means"], "base_means"),
-            family=None if t.get("family") is None else json_value(t["family"], str, "family"),
-        ))
-    return SynthSpec(
-        n_records=json_value(payload["n_records"], int, "n_records"),
-        topics=tuple(topics),
-        treatment_rule=_floats(payload["treatment_rule"], "treatment_rule"),
-        true_effect=_floats(payload.get("true_effect", {}), "true_effect"),
-        dispersion=json_value(payload.get("dispersion", 0.0), float, "dispersion"),
-        seed=json_value(payload.get("seed", 0), int, "seed"),
-        outlet=json_value(payload.get("outlet", "synthwire"), str, "outlet"),
-    )
+    check_field_keys(payload, SynthSpec, "spec")
+    return SynthSpec(**{key: _SPEC_VALUES[key](value) for key, value in payload.items()})
+
+
+def _topic(value) -> TopicSpec:
+    t = json_value(value, dict, "topics entry")
+    check_field_keys(t, TopicSpec, "topic")
+    return TopicSpec(**{key: _TOPIC_VALUES[key](value) for key, value in t.items()})
 
 
 def _floats(value, key: str) -> dict[str, float]:
     return {k: json_value(v, float, f"{key}[{k!r}]")
             for k, v in json_value(value, dict, key).items()}
+
+
+# each spec and topic key's value check and conversion
+_SPEC_VALUES = {
+    "n_records": lambda v: json_value(v, int, "n_records"),
+    "topics": lambda v: tuple(map(_topic, json_value(v, list, "topics"))),
+    "treatment_rule": lambda v: _floats(v, "treatment_rule"),
+    "true_effect": lambda v: _floats(v, "true_effect"),
+    "dispersion": lambda v: json_value(v, float, "dispersion"),
+    "seed": lambda v: json_value(v, int, "seed"),
+    "outlet": lambda v: json_value(v, str, "outlet"),
+}
+_TOPIC_VALUES = {
+    "topic_id": lambda v: json_value(v, str, "topic_id"),
+    "vocabulary": lambda v: tuple(json_value(w, str, "vocabulary entry")
+                                  for w in json_value(v, list, "vocabulary")),
+    "base_means": lambda v: _floats(v, "base_means"),
+    "family": lambda v: None if v is None else json_value(v, str, "family"),
+}

@@ -20,26 +20,50 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, csv_rows, normalize, write_text_atomic
-from .embedding import EmbeddingTable, cosine, embed_text
+from .embedding import EmbeddingTable, cosine, embed_many
 
 EXACT_MAX_N = 20  # combined sample size up to which `mann_whitney_u` enumerates
+
+
+def _shared_length(same, limit: int) -> int:
+    """The largest k <= limit with same(k), for a `same` that holds up to
+    some length and fails beyond it: try k = 1, 2, 4, ..., then bisect."""
+    low, high = 0, 1
+    while high <= limit and same(high):
+        low, high = high, 2 * high
+    high = min(high, limit + 1)  # same(high) fails, or high exceeds limit
+    while high - low > 1:
+        mid = (low + high) // 2
+        if same(mid):
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 def normalized_edit_distance(a: str, b: str) -> float:
     """Levenshtein distance over Unicode scalar values, divided by max length.
 
     Unit-cost insert/delete/substitute. Returns 0.0 for two empty strings.
-    Bit-parallel: Myers' algorithm (J. ACM 46(3), 1999) in the Levenshtein
-    form of Hyyrö (Nordic J. Computing 10, 2003). DP rows index the shorter
-    string; bit i of `pv`/`mv` marks a +1/-1 step from row i to row i+1 of
-    the current DP column, and one pass of word operations per character
-    of the longer string advances to the next column. Python ints are
-    unbounded, so every `~` and `<<` is masked to the shorter length.
+    A shared prefix and suffix leave the distance unchanged, so they are
+    stripped first, by slice comparisons (one character's on a pair that
+    differs at the start). The rest is bit-parallel: Myers' algorithm (J.
+    ACM 46(3), 1999) in the Levenshtein form of Hyyrö (Nordic J. Computing
+    10, 2003). DP rows index the shorter string; bit i of `pv`/`mv` marks a
+    +1/-1 step from row i to row i+1 of the current DP column, and one pass
+    of word operations per character of the longer string advances to the
+    next column. Python ints are unbounded, so every `~` and `<<` is masked
+    to the shorter length.
     """
     if a == b:
         return 0.0
+    longest = max(len(a), len(b))
+    head = _shared_length(lambda k: a[:k] == b[:k], min(len(a), len(b)))
+    a, b = a[head:], b[head:]
+    tail = _shared_length(lambda k: a[-k:] == b[-k:], min(len(a), len(b)))
+    a, b = a[:len(a) - tail], b[:len(b) - tail]
     if not a or not b:
-        return 1.0
+        return max(len(a), len(b)) / longest
     if len(b) > len(a):
         a, b = b, a
     peq: dict[str, int] = {}
@@ -62,7 +86,7 @@ def normalized_edit_distance(a: str, b: str) -> float:
         mh = (mh << 1) & mask
         pv = mh | (~(xv | ph) & mask)
         mv = ph & xv
-    return dist / len(a)
+    return dist / longest
 
 
 def _finite_cell(cell: str) -> float | None:
@@ -182,19 +206,22 @@ def profile(corpus: Corpus, table: EmbeddingTable) -> Profiles:
     whitespace and Unicode composition differences are forgiven). Cluster and
     clickbait columns stay unset here.
     """
-    distance, similarity, mirrored = [], [], []
-    for record in corpus:
-        headline = normalize(record.headline)
-        post = normalize(record.post_text)
-        distance.append(normalized_edit_distance(headline, post))
-        similarity.append(cosine(embed_text(table, headline)[0], embed_text(table, post)[0]))
-        mirrored.append(headline == post)
+    headlines = [normalize(r.headline) for r in corpus]
+    posts = [normalize(r.post_text) for r in corpus]
+    mirrored = np.array([h == p for h, p in zip(headlines, posts)], dtype=bool)
+    # one embedding per headline and per edited post; a mirrored post's
+    # vector is its headline's
     n = len(corpus)
+    edited = np.flatnonzero(~mirrored)
+    vectors, _ = embed_many(table, headlines + [posts[i] for i in edited.tolist()])
+    similarity = cosine(vectors[:n], vectors[:n])
+    similarity[edited] = cosine(vectors[edited], vectors[n:])
     return Profiles(
         record_ids=tuple(r.id for r in corpus),
-        edit_distance=np.array(distance, dtype=np.float64),
-        embedding_similarity=np.array(similarity, dtype=np.float64),
-        mirrored=np.array(mirrored, dtype=bool),
+        edit_distance=np.array([normalized_edit_distance(h, p)
+                                for h, p in zip(headlines, posts)], dtype=np.float64),
+        embedding_similarity=similarity,
+        mirrored=mirrored,
         cluster=np.full(n, np.nan),
         headline_clickbait=np.full(n, np.nan),
         post_clickbait=np.full(n, np.nan),

@@ -26,8 +26,8 @@ from editlift.causal import (
     select_units,
     train_propensity,
 )
-from editlift.corpus import ENGAGEMENT_METRICS, assign_time_block
-from editlift.embedding import EmbeddingTable, embed_text
+from editlift.corpus import ENGAGEMENT_METRICS, assign_time_block, normalize
+from editlift.embedding import EmbeddingTable, embed_many, embed_text
 from editlift.nn import AdamState, Mlp, adam_step
 from editlift.nn.layers import _sigmoid
 from editlift.textsim import mann_whitney_u
@@ -937,21 +937,21 @@ class TestUnitTableSelection:
 
     def test_each_eligible_body_embedded_once(self, monkeypatch):
         corpus, profiles, table = selection_corpus(0)
-        calls = []
+        calls = []  # the texts of each embed_many call
 
-        def counting_embed(tbl, text):
-            calls.append(text)
-            return embed_text(tbl, text)
+        def counting_embed(tbl, texts):
+            calls.append(list(texts))
+            return embed_many(tbl, texts)
 
-        monkeypatch.setattr(causal, "embed_text", counting_embed)
+        monkeypatch.setattr(causal, "embed_many", counting_embed)
         eligible = [r for r in corpus if r.outlet == "x" and r.body_text.strip()]
         units = build_unit_table(corpus, profiles, table, {"x"})
-        assert len(calls) == len(units) == len(eligible)
+        assert len(calls) == 1 and len(calls[0]) == len(units) == len(eligible)
         assert units.profiles.record_ids == tuple(r.id for r in eligible)
-        assert calls == [r.body_text for r in eligible]
+        assert calls[0] == [normalize(r.body_text) for r in eligible]
         for scenario in SELECTION_SCENARIOS[:3]:
             select_units(units, scenario)
-        assert len(calls) == len(eligible)  # selection embeds nothing
+        assert len(calls) == 1  # selection embeds nothing
 
 
 def small_benchmark(seed=0, delta=0.0, n=1200):

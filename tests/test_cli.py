@@ -268,6 +268,10 @@ class TestSynthCommand:
              "unknown treatment_rule key(s): 'c'"),
             ({**valid, "topics": [{**topic, "base_means": {**topic["base_means"], "like": 5}}]},
              "unknown topic 'a' base_means key(s): 'like'"),
+            # a required key left out is named, not shown as a bare repr
+            ({"n_records": 60}, "missing spec key(s): 'topics', 'treatment_rule'"),
+            ({**valid, "topics": [{"topic_id": "a", "base_means": topic["base_means"]}]},
+             "missing topic key(s): 'vocabulary'"),
         ]
         spec = tmp_path / "spec.json"
         for payload, named in cases:
@@ -629,6 +633,18 @@ class TestEstimateCommand:
                                   "treatment": {"kind": "edited"},
                                   "control": {"kind": "mirrored"}} for name in "aba"],
          "bad scenario definition: duplicate scenario name 'a'"),
+        # a required scenario or selector key left out is named
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: missing scenario key(s): 'treatment'"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "cluster"},
+                                  "control": {"kind": "mirrored"}}],
+         "bad scenario definition: missing cluster selector key(s): 'cluster'"),
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "edited"},
+                                  "control": {"kind": "shift", "post": "C"}}],
+         "bad scenario definition: missing shift selector key(s): 'headline'"),
     ])
     def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
         *command, route = route.split()
@@ -819,7 +835,7 @@ class TestSettingsTable:
                 assert (flag.choices, flag.type) == ((kind, None) if isinstance(kind, tuple)
                                                      else (None, kind)), (command, name)
 
-    def test_defaults_declared_once(self):
+    def test_defaults_declared_once(self, tmp_path):
         # a setting's default is its row's, or CausalConfig's field's; the
         # library functions the CLI passes settings to declare none, and
         # every setting has a flag
@@ -834,6 +850,15 @@ class TestSettingsTable:
             assert seed.default is seed.empty, fn.__name__
         assert [name for name in vars(causal) if name.startswith("DEFAULT_")] == []
         assert all(row.help for row in cli._SETTINGS.values())
+        # a spec of only the required keys loads with every other field at
+        # its `SynthSpec` or `TopicSpec` default
+        topic = {"topic_id": "a", "vocabulary": ["a1"], "base_means": {"likes": 5.0}}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_records": 60, "topics": [topic],
+                                    "treatment_rule": {"a": 0.5}}))
+        assert synthbench.load_spec(spec) == synthbench.SynthSpec(
+            n_records=60, topics=(synthbench.TopicSpec("a", ("a1",), {"likes": 5.0}),),
+            treatment_rule={"a": 0.5})
 
     @pytest.mark.parametrize("command, flag, value", REMOVED)
     def test_flag_a_command_never_reads_exit_two(self, tmp_path, capsys, command, flag, value):

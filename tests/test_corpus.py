@@ -41,6 +41,19 @@ class TestNormalize:
         composed = "café"
         assert normalize(decomposed) == normalize(composed)
 
+    # the corpus reader rejects a blank headline or post with `strip`, which
+    # must agree with `normalize` on which texts are empty
+    @given(st.text(max_size=40))
+    def test_empty_exactly_when_strip_is(self, text):
+        assert bool(normalize(text)) == bool(text.strip())
+
+    def test_empty_exactly_when_strip_is_at_every_space(self):
+        spaces = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+        assert len(spaces) > 20
+        for space in spaces:
+            for text in (space, " " + space, space + " ", space + "\u3000", space + "\u0301"):
+                assert bool(normalize(text)) == bool(text.strip()), hex(ord(space))
+
 
 class TestMirroring:
     def test_whitespace_normalized_equality(self):

@@ -49,13 +49,16 @@ def edit_pairs(draw):
         return draw(st.text(alphabet=alphabet, min_size=n, max_size=n))
 
     a = text()
-    kind = draw(st.sampled_from(["free", "prefix", "suffix", "repeat"]))
+    kind = draw(st.sampled_from(["free", "prefix", "suffix", "both", "repeat"]))
     if kind == "free":
         b = text()
     elif kind == "prefix":
         b = a[:draw(st.integers(0, len(a)))] + text(40)
     elif kind == "suffix":
         b = text(40) + a[draw(st.integers(0, len(a))):]
+    elif kind == "both":
+        head = draw(st.integers(0, len(a)))
+        b = a[:head] + text(40) + a[draw(st.integers(head, len(a))):]
     else:
         b = alphabet[0] * draw(st.integers(0, 160))
     return a, b
@@ -99,12 +102,50 @@ class TestEditDistance:
             )
             assert normalized_edit_distance(a, b) == pytest.approx(expected, abs=1e-12)
 
+    def test_shared_length_finds_the_whole_affix(self):
+        # an affix stripped short still gives the right distance, only slower
+        for limit in range(40):
+            for shared in range(limit + 1):
+                assert textsim._shared_length(lambda k: k <= shared, limit) == shared
+
     @given(edit_pairs())
     @settings(max_examples=200, deadline=None)
     def test_bit_parallel_matches_reference_dp(self, pair):
         a, b = pair
         expected = 0.0 if not a and not b else reference_levenshtein(a, b) / max(len(a), len(b))
         assert normalized_edit_distance(a, b) == expected
+
+
+def reference_profile(corpus, table):
+    """The per-record loop `profile` replaces: (distance, similarity,
+    mirrored) of each record, each text normalized and embedded alone."""
+    rows = []
+    for record in corpus:
+        headline, post = normalize(record.headline), normalize(record.post_text)
+        u, v = embed_text(table, headline)[0], embed_text(table, post)[0]
+        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+        similarity = 0.0 if nu == 0.0 or nv == 0.0 else float(np.dot(u, v) / (nu * nv))
+        distance = (0.0 if headline == post else
+                    reference_levenshtein(headline, post) / max(len(headline), len(post)))
+        rows.append((distance, similarity, headline == post))
+    return rows
+
+
+words = st.lists(st.sampled_from(["alpha", "beta", "Alpha", "zq", "e\u0301", "beta,"]),
+                 min_size=1, max_size=8).map(" ".join)
+
+
+@st.composite
+def headline_post_pairs(draw):
+    headline = draw(words)
+    kind = draw(st.sampled_from(["mirrored", "spaced", "appended", "free"]))
+    if kind == "mirrored":
+        return headline, headline
+    if kind == "spaced":  # mirrored once normalized
+        return headline, " " + headline.replace(" ", " \t ")
+    if kind == "appended":
+        return headline, headline + " " + draw(words)
+    return headline, draw(words)
 
 
 class TestProfile:
@@ -132,6 +173,20 @@ class TestProfile:
         assert profiles[0].edit_distance == pytest.approx(0.8)
         assert embed_text(self.table(), normalize("zq"))[1] == 0  # misses the vocabulary
         assert profiles[1].embedding_similarity == 0.0
+
+    @given(st.lists(headline_post_pairs(), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_columns_equal_per_record_loop(self, pairs):
+        table = EmbeddingTable(dim=2, vocab={
+            "alpha": np.array([1.0, 0.3]), "beta": np.array([-0.2, 1.0]),
+            "\u00e9": np.array([0.7, 0.7])})
+        corpus = make_corpus([make_record(rid=f"r{i}", headline=h, post_text=p)
+                              for i, (h, p) in enumerate(pairs)])
+        profiles = profile(corpus, table)
+        want = reference_profile(corpus, table)
+        for column, values in zip(("edit_distance", "embedding_similarity", "mirrored"),
+                                  zip(*want) if want else ((), (), ())):
+            assert np.array_equal(getattr(profiles, column), values), column
 
     def test_cardinality_and_order(self):
         corpus = make_corpus([make_record(rid=f"r{i}") for i in range(5)])
