@@ -19,7 +19,6 @@ import json
 import math
 import os
 import re
-import tempfile
 import unicodedata
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timedelta, timezone
@@ -27,7 +26,6 @@ from pathlib import Path
 
 ENGAGEMENT_METRICS = ("replies", "retweets", "likes")
 
-_WS_RUN = re.compile(r"\s+")
 _DECIMAL = re.compile(r"-?[0-9]+")  # a CSV count cell
 TEXT_ENCODING = "utf-8-sig"  # UTF-8, a leading byte-order mark dropped
 
@@ -154,9 +152,11 @@ class Corpus:
 def normalize(text: str) -> str:
     """Canonical text normalization: NFC compose, trim, collapse whitespace runs.
 
-    Idempotent: normalize(normalize(x)) == normalize(x).
+    Idempotent: normalize(normalize(x)) == normalize(x). `str.split` splits
+    on the code points for which `str.isspace` holds, the ones a `\\s+` regex
+    collapses and `str.strip` trims.
     """
-    return _WS_RUN.sub(" ", unicodedata.normalize("NFC", text)).strip()
+    return " ".join(unicodedata.normalize("NFC", text).split())
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -304,7 +304,10 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     it over `path`, so readers see either the old file or the whole new one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    # created as `open(path, "w")` would create it, 0o666 less the umask
+    # (`tempfile.mkstemp` makes 0o600); O_EXCL refuses a name that exists
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -324,11 +327,12 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write records back out as canonical JSONL (round-trips with load_corpus):
     one object per record, its keys the `PairedRecord` fields in order, with
     no `section` key when the record has none."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # `json.dumps` makes one per call
     lines = []
     for r in corpus.records:
         obj = vars(r)
         if r.section is None:
             obj = obj.copy()
             del obj["section"]
-        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+        lines.append(encode(obj) + "\n")
     write_text_atomic(path, "".join(lines))

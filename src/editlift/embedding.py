@@ -107,7 +107,7 @@ def load_table(path: str | Path) -> EmbeddingTable:
 def save_table(table: EmbeddingTable, path: str | Path) -> None:
     """Write a table, atomically, in the same text format load_table reads."""
     lines = [f"{len(table.vocab)} {table.dim}\n"]
-    lines.extend(token + " " + " ".join(repr(float(x)) for x in vec) + "\n"
+    lines.extend(token + " " + " ".join(map(repr, vec.tolist())) + "\n"
                  for token, vec in table.vocab.items())
     write_text_atomic(path, "".join(lines))
 

@@ -12,11 +12,10 @@ EPS = 1e-12
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from e^-|x|,
-    # so neither branch overflows
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, neither exp
+    # overflowing: at x >= 0 the numerator e^min(x, 0) is exactly 1.0, and
+    # below 0 it is e^-|x|, so both branches take one division
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,

@@ -90,6 +90,20 @@ def generate(spec: SynthSpec) -> tuple[Corpus, list[TruthRecord]]:
     Topic sizes and per-topic treated counts are stratified to their exact
     expected values (probabilities realized as counts, assignment seeded), so
     repeated seeds differ only in text composition and outcome noise.
+
+    The draws, in the order taken from one `default_rng(spec.seed)`, are
+    pinned by tests, so a change here must keep them:
+    1. per topic, in spec order, `permutation(size)`: its treated records;
+    2. `permutation(n_records)`: the record order;
+    3. per record, in order:
+       - `integers(*HEADLINE_TOKENS)`, then that many word indices;
+       - `integers(*BODY_TOKENS)`, then that many word indices;
+       - for a treated record, 2 word indices (the words the post appends);
+       - `integers(0, 365 * 24 * 60)`: the minute of the year it was posted;
+       - per metric of ENGAGEMENT_METRICS, in order, a `gamma` multiplier
+         when `dispersion` > 0, then `poisson` of the (clamped) mean.
+    Word indices are `integers(0, len(vocabulary), size=k)`, which draws
+    what `choice(len(vocabulary), size=k)` does at less cost per call.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -108,26 +122,22 @@ def generate(spec: SynthSpec) -> tuple[Corpus, list[TruthRecord]]:
         offset += size
 
     order = rng.permutation(n)
-    topic_of = topic_of[order]
-    treated = treated[order]
+    topic_of = topic_of[order].tolist()
+    treated = treated[order].tolist()
 
     records = []
     truth = []
     width = len(str(n))
     for i in range(n):
-        topic = spec.topics[topic_of[i]]
+        t_index = topic_of[i]
+        is_treated = treated[i]
+        topic = spec.topics[t_index]
         rid = f"s{i + 1:0{width}d}"
         vocab = topic.vocabulary
 
-        h_len = int(rng.integers(*HEADLINE_TOKENS))
-        headline = " ".join(vocab[j] for j in rng.choice(len(vocab), size=h_len))
-        b_len = int(rng.integers(*BODY_TOKENS))
-        body = " ".join(vocab[j] for j in rng.choice(len(vocab), size=b_len))
-        if treated[i]:
-            extra = " ".join(vocab[j] for j in rng.choice(len(vocab), size=2))
-            post = f"{headline} {extra}"
-        else:
-            post = headline
+        headline = _words(rng, vocab, int(rng.integers(*HEADLINE_TOKENS)))
+        body = _words(rng, vocab, int(rng.integers(*BODY_TOKENS)))
+        post = f"{headline} {_words(rng, vocab, 2)}" if is_treated else headline
 
         minute = int(rng.integers(0, 365 * 24 * 60))
         created = (YEAR_START + timedelta(minutes=minute)).strftime("%Y-%m-%dT%H:%M:00Z")
@@ -137,7 +147,7 @@ def generate(spec: SynthSpec) -> tuple[Corpus, list[TruthRecord]]:
         clamped = False
         for metric in ENGAGEMENT_METRICS:
             mean = topic.base_means[metric]
-            if treated[i]:
+            if is_treated:
                 mean += spec.true_effect.get(metric, 0.0)
             expected[metric] = mean
             lam = mean
@@ -159,20 +169,25 @@ def generate(spec: SynthSpec) -> tuple[Corpus, list[TruthRecord]]:
                 replies=counts["replies"],
                 retweets=counts["retweets"],
                 likes=counts["likes"],
-                section="politics" if topic_of[i] % 2 == 0 else "entertainment",
+                section="politics" if t_index % 2 == 0 else "entertainment",
             )
         )
         truth.append(
             TruthRecord(
                 id=rid,
                 topic=topic.topic_id,
-                treated=bool(treated[i]),
+                treated=is_treated,
                 expected=expected,
                 clamped=clamped,
             )
         )
     corpus = Corpus(records=tuple(records), source_path=f"synthetic:seed={spec.seed}")
     return corpus, truth
+
+
+def _words(rng: np.random.Generator, vocab: tuple[str, ...], k: int) -> str:
+    """`k` words of `vocab` drawn uniformly with replacement, space-joined."""
+    return " ".join([vocab[j] for j in rng.integers(0, len(vocab), size=k).tolist()])
 
 
 def synthetic_table(spec: SynthSpec, seed: int) -> EmbeddingTable:
@@ -260,7 +275,8 @@ def confounded_spec(n_records: int, effect_likes: float, seed: int) -> SynthSpec
 
 def save_truth(truth: list[TruthRecord], path: str | Path) -> None:
     """One JSON object per record, its keys the `TruthRecord` fields, sorted."""
-    write_text_atomic(path, "".join(json.dumps(vars(t), sort_keys=True) + "\n" for t in truth))
+    encode = json.JSONEncoder(sort_keys=True).encode  # `json.dumps` makes one per call
+    write_text_atomic(path, "".join(encode(vars(t)) + "\n" for t in truth))
 
 
 def load_spec(path: str | Path) -> SynthSpec:

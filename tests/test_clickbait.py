@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -260,6 +261,13 @@ class TestPersistence:
 class TestSyntheticCorpus:
     def test_deterministic(self):
         assert cb.synthetic_headlines(50, seed=9) == cb.synthetic_headlines(50, seed=9)
+
+    def test_stream_pinned(self):
+        # the clickbait model of every describe chain trains on this stream
+        data = cb.synthetic_headlines(250, seed=0)
+        text = "".join(f"{ex.label} {ex.text}\n" for ex in data)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "880921754337c98faa91a4955830c7c8cd760358acd1013d2029b7b3a71d2703")
 
     def test_balanced_and_disjoint(self):
         data = cb.synthetic_headlines(100, seed=2)

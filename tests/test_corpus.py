@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import stat
+import unicodedata
 
 import numpy as np
 import pytest
@@ -25,6 +29,10 @@ def is_mirrored(record) -> bool:
     return bool(profile(make_corpus([record]), table).mirrored[0])
 
 
+# every code point for which `str.isspace()` holds
+SPACES = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+
+
 class TestNormalize:
     def test_whitespace_rule(self):
         assert normalize("  Hello\t world ") == "Hello world"
@@ -48,11 +56,44 @@ class TestNormalize:
         assert bool(normalize(text)) == bool(text.strip())
 
     def test_empty_exactly_when_strip_is_at_every_space(self):
-        spaces = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
-        assert len(spaces) > 20
-        for space in spaces:
+        assert len(SPACES) > 20
+        for space in SPACES:
             for text in (space, " " + space, space + " ", space + "\u3000", space + "\u0301"):
                 assert bool(normalize(text)) == bool(text.strip()), hex(ord(space))
+
+    # `normalize` splits on `str.split`'s whitespace, which must be the
+    # whitespace the `\s` regex matches and `strip` trims
+    @given(st.text(alphabet=st.one_of(st.sampled_from(SPACES), st.characters()), max_size=60))
+    def test_same_as_regex_collapse(self, text):
+        expected = re.sub(r"\s+", " ", unicodedata.normalize("NFC", text)).strip()
+        assert normalize(text) == expected
+
+    def test_every_space_collapses(self):
+        text = "a" + "b".join(SPACES) + " c" + "".join(SPACES)
+        assert normalize(text) == " ".join(["a"] + ["b"] * (len(SPACES) - 1) + ["c"])
+
+
+class TestWriteAtomic:
+    """An artifact gets the mode a plain `open(path, "w")` would give a new
+    file, whatever mode the file it replaces had."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            cm.write_bytes_atomic(tmp_path / "new.txt", b"x")
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            (tmp_path / "old.txt").write_bytes(b"")
+            os.chmod(tmp_path / "old.txt", 0o640)
+            cm.write_text_atomic(tmp_path / "old.txt", "y")
+        finally:
+            os.umask(old)
+        modes = {name: stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("new.txt", "plain.txt", "old.txt")}
+        assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+        assert (tmp_path / "old.txt").read_text() == "y"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.txt", "old.txt", "plain.txt"]
 
 
 class TestMirroring:

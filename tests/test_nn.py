@@ -174,6 +174,27 @@ class TestDense:
         assert np.array_equal(net.predict(x), net.gradients(x, y))
 
 
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The two-branch form: 1 / (1 + e^-x) at x >= 0, e^x / (1 + e^x) below."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("shape", [(32, 128), (64, 1)])
+    def test_bits_equal_two_branch_form(self, shape):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   745.0, -745.0, 800.0, -800.0]
+        draws = np.random.default_rng(0).normal(scale=6.0, size=800_000)
+        values = np.concatenate([special, draws])
+        size = int(np.prod(shape))
+        values = np.resize(values, -(-len(values) // size) * size).reshape(-1, *shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in values:
+                assert np.array_equal(_sigmoid(block), reference_sigmoid(block), equal_nan=True)
+
+
 class TestBce:
     def test_ln2_at_half(self):
         assert binary_cross_entropy(0.5, 1.0) == pytest.approx(np.log(2.0), abs=1e-12)

@@ -4,6 +4,7 @@ from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from editlift import synthbench as sb
 from editlift.cli import main
@@ -204,7 +205,7 @@ class TestSpecIO:
 class TestPresetStream:
     """The confounded preset's draws are pinned: criteria 3, 4 and 9 read
     this stream, so a change to the generator must leave these files
-    byte-identical."""
+    byte-identical. A spec with dispersion pins the `gamma` draws too."""
 
     @pytest.mark.parametrize("argv,digests", [
         (["--n-records", "300", "--seed", "0"], {
@@ -222,3 +223,45 @@ class TestPresetStream:
         assert main(["synth", *argv, "--out", str(tmp_path)]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in digests} == digests
+
+    def test_spec_outputs_pinned(self, tmp_path):
+        # the spec path draws the gamma multipliers the preset never does,
+        # and clamps the beta replies mean of 1 - 3 at zero
+        spec = {
+            "n_records": 120, "seed": 3, "dispersion": 0.4, "outlet": "specwire",
+            "topics": [
+                {"topic_id": "alpha", "vocabulary": [f"a{i}" for i in range(30)],
+                 "base_means": {"replies": 4.0, "retweets": 9.0, "likes": 40.0}},
+                {"topic_id": "beta", "vocabulary": [f"b{i}" for i in range(45)],
+                 "base_means": {"replies": 1.0, "retweets": 3.0, "likes": 15.0}},
+            ],
+            "treatment_rule": {"alpha": 0.6, "beta": 0.3},
+            "true_effect": {"likes": 12.0, "replies": -3.0},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == 0
+        truth = [json.loads(line) for line in (out / "truth.jsonl").read_text().splitlines()]
+        assert any(t["clamped"] for t in truth)
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("corpus.jsonl", "truth.jsonl", "vectors.txt")} == {
+            "corpus.jsonl": "dea600d121040d451cc70199b4fbe7ab715d58f2804c1a7b398d93491ed46f4b",
+            "truth.jsonl": "d9859215ecc7409e9bcfcc39c9fc15bb7ad35ab42fc8d0733896230777fe7a05",
+            "vectors.txt": "db7d1e28e47947af28d800eff73a0c5038d0a2a9f384926e5689a933670d49db",
+        }
+
+
+class TestDrawEquivalence:
+    """`generate` draws word indices with `integers(0, n, size=k)`, which
+    must take the same values from the bit generator that `choice(n,
+    size=k)` does, or every pinned stream moves."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 49))
+    def test_integers_draws_what_choice_draws(self, seed, n, k):
+        by_choice = np.random.default_rng(seed)
+        by_integers = np.random.default_rng(seed)
+        a = by_choice.choice(n, size=k)
+        b = by_integers.integers(0, n, size=k)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert by_choice.bit_generator.state == by_integers.bit_generator.state
