@@ -42,9 +42,6 @@ N_FOLDS = 10
 # float(scipy.stats.t.ppf(0.975, N_FOLDS - 1)); a constant keeps scipy.stats
 # (about a second to import) off every command's start-up
 T_CRIT_95 = 2.262157162798205
-PAIR_SAMPLE_CUTOFF = 2000  # documents above which pair statistics are sampled
-PAIR_SAMPLE_SIZE = 200_000  # pairs sampled above the cutoff
-PAIR_CHUNK = 8192  # sampled pairs per dot-product chunk
 MATCH_CHUNK_CELLS = 1 << 20  # treatment x control gaps held at once by `match`
 SHIFT_CLASSES = ("C", "NC")  # a shift selector's headline and post classes
 # the keys a selector of each kind reads, besides "kind"
@@ -235,6 +232,9 @@ class EateReport:
     ci_low: float
     ci_high: float
     discarded: bool
+    # "balance_failed" if any fold fails balance, else "covers_zero" if the
+    # interval covers 0, else None (kept)
+    discard_reason: str | None
     balance: tuple[BalanceStats, ...]
     naive_difference: float
     n_treatment: int
@@ -325,64 +325,30 @@ def _nearest_controls(p_t: np.ndarray, p_c: np.ndarray, id_rank: np.ndarray,
     return chosen
 
 
-def pairwise_similarity_stats(vectors: np.ndarray, seed: int) -> tuple[float, float]:
-    """Mean and standard deviation of cosine similarity over document pairs.
+def pairwise_similarity_stats(vectors: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of cosine similarity over all n(n-1)/2
+    document pairs; a pair with a zero vector has cosine 0.
 
-    Exact over all n(n-1)/2 pairs up to PAIR_SAMPLE_CUTOFF documents; beyond
-    that, a seeded uniform sample of PAIR_SAMPLE_SIZE pairs, whose dot
-    products are taken in chunks of PAIR_CHUNK rows.
-
-    The exact path holds no more than the n x n Gram matrix: the strict upper
-    triangle is packed, row by row, into the front of the Gram's own buffer,
-    in the order of `gram[np.triu_indices(n, 1)]`, and the deviation is taken
-    in place. The Gram stays one `unit @ unit.T` (a symmetric rank-k update):
-    a Gram assembled from row-block products differs from it in the last bit.
+    Exact at every n, from the unit rows' second moments rather than the
+    pairs themselves: with s the sum of the unit rows u_i, q_i = u_i . u_i
+    and G = U^T U ([dim, dim]), the pair cosines sum to (s . s - sum q_i) / 2
+    and their squares to (||G||_F^2 - sum q_i^2) / 2. That is O(n dim^2)
+    time and O(n dim + dim^2) memory, with no n x n Gram matrix.
     """
     vec = np.asarray(vectors, dtype=np.float64)
     n = len(vec)
     if n < 2:
         raise ValueError("need at least two documents for pair statistics")
     norms = np.linalg.norm(vec, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = vec / safe[:, None]
+    unit = vec / np.where(norms == 0.0, 1.0, norms)[:, None]
     unit[norms == 0.0] = 0.0
-    if n <= PAIR_SAMPLE_CUTOFF:
-        flat = (unit @ unit.T).reshape(-1)
-        packed = 0
-        for row in range(n - 1):
-            # the row's source offset row * n + row + 1 is never below
-            # `packed`, so the (possibly overlapping) copy reads no packed slot
-            width = n - 1 - row
-            source = row * (n + 1) + 1
-            flat[packed:packed + width] = flat[source:source + width]
-            packed += width
-        sims = flat[:packed]
-    else:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=PAIR_SAMPLE_SIZE)
-        j = rng.integers(0, n - 1, size=PAIR_SAMPLE_SIZE)
-        j = np.where(j >= i, j + 1, j)  # uniform over ordered pairs with i != j
-        sims = np.empty(PAIR_SAMPLE_SIZE, dtype=np.float64)
-        left = np.empty((PAIR_CHUNK, unit.shape[1]), dtype=np.float64)
-        right = np.empty_like(left)
-        for start in range(0, PAIR_SAMPLE_SIZE, PAIR_CHUNK):
-            stop = min(start + PAIR_CHUNK, PAIR_SAMPLE_SIZE)
-            # every index is in range, so "clip" changes nothing; unlike the
-            # default "raise" it gathers straight into `out`, unbuffered
-            a = np.take(unit, i[start:stop], axis=0, out=left[:stop - start], mode="clip")
-            b = np.take(unit, j[start:stop], axis=0, out=right[:stop - start], mode="clip")
-            np.einsum("nd,nd->n", a, b, out=sims[start:stop])
-    return mean_std_in_place(sims)
-
-
-def mean_std_in_place(values: np.ndarray) -> tuple[float, float]:
-    """`(float(values.mean()), float(values.std()))` bit for bit, through
-    np.std's own steps (subtract the mean, square, add, divide, root), but
-    overwriting the 1-D `values` instead of allocating a deviation array."""
-    mean = values.mean()
-    values -= mean
-    np.square(values, out=values)
-    return float(mean), float(np.sqrt(np.add.reduce(values) / len(values)))
+    total = unit.sum(axis=0)
+    sq_norms = np.vecdot(unit, unit)
+    moments = unit.T @ unit
+    pairs2 = n * (n - 1)  # twice the pair count
+    mean = (total @ total - sq_norms.sum()) / pairs2
+    var = (np.vdot(moments, moments) - sq_norms @ sq_norms) / pairs2 - mean * mean
+    return float(mean), float(np.sqrt(max(var, 0.0)))
 
 
 def balance_check(similarity: np.ndarray, mu: float, sigma: float,
@@ -487,7 +453,8 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int,
     estimate's sampling error rather than only the variability of training
     and matching. The report's mean is the mean of the ten fold values and
     its interval is Student-t (9 dof) over them; `discarded` is set when the
-    interval covers zero or any fold fails balance.
+    interval covers zero or any fold fails balance, and `discard_reason`
+    says which (a balance failure first).
     """
     t_rows, c_rows = select_units(units, scenario)
     min_treatments = max(config.min_group, N_FOLDS)  # every fold needs a held-out unit
@@ -508,8 +475,7 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int,
             f"(minimum {min_controls})"
         )
 
-    mu, sigma = pairwise_similarity_stats(units.features[np.concatenate([t_rows, c_rows])],
-                                          seed=seed)
+    mu, sigma = pairwise_similarity_stats(units.features[np.concatenate([t_rows, c_rows])])
 
     rng = np.random.default_rng(seed)
     t_folds = _fold_indices(len(t_rows), rng)
@@ -540,6 +506,8 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int,
         spread = float(values.std(ddof=1))
         half = T_CRIT_95 * spread / np.sqrt(N_FOLDS)
         ci_low, ci_high = float(mean - half), float(mean + half)
+        reason = ("balance_failed" if any_balance_failure
+                  else "covers_zero" if ci_low <= 0.0 <= ci_high else None)
         naive = (float(np.mean(units.outcomes[t_rows, i]))
                  - float(np.mean(units.outcomes[c_rows, i])))
         reports.append(
@@ -550,7 +518,8 @@ def run_scenario(units: UnitTable, scenario: Scenario, seed: int,
                 mean_eate=mean,
                 ci_low=ci_low,
                 ci_high=ci_high,
-                discarded=bool(ci_low <= 0.0 <= ci_high or any_balance_failure),
+                discarded=reason is not None,
+                discard_reason=reason,
                 balance=tuple(balances),
                 naive_difference=naive,
                 n_treatment=len(t_rows),

@@ -157,7 +157,7 @@ def reference_run_scenario(corpus, profiles, table, scenario, seed, config):
             or fewest_controls < config.knn):
         raise ScenarioError("too few units")
     all_vectors = np.vstack([u.features for u in treatments] + [u.features for u in controls])
-    mu, sigma = pairwise_similarity_stats(all_vectors, seed=seed)
+    mu, sigma = pairwise_similarity_stats(all_vectors)
     rng = np.random.default_rng(seed)
     t_folds = causal._fold_indices(len(treatments), rng)
     c_folds = causal._fold_indices(len(controls), rng)
@@ -187,11 +187,14 @@ def reference_run_scenario(corpus, profiles, table, scenario, seed, config):
         mean = float(values.mean())
         half = causal.T_CRIT_95 * float(values.std(ddof=1)) / np.sqrt(causal.N_FOLDS)
         ci_low, ci_high = float(mean - half), float(mean + half)
+        covers_zero = ci_low <= 0.0 <= ci_high
         reports.append(EateReport(
             scenario=scenario.name, metric=metric,
             fold_eates=tuple(float(v) for v in values), mean_eate=mean,
-            ci_low=ci_low, ci_high=ci_high,
-            discarded=bool(ci_low <= 0.0 <= ci_high or failed), balance=tuple(balances),
+            ci_low=ci_low, ci_high=ci_high, discarded=bool(covers_zero or failed),
+            discard_reason=("balance_failed" if failed
+                            else "covers_zero" if covers_zero else None),
+            balance=tuple(balances),
             naive_difference=(float(np.mean([u.outcomes[metric] for u in treatments]))
                               - float(np.mean([u.outcomes[metric] for u in controls]))),
             n_treatment=len(treatments), n_control=len(controls),
@@ -442,52 +445,25 @@ class TestVecdotGuard:
                               np.array([np.linalg.norm(v) for v in b]))
 
 
-def reference_pairwise_similarity_stats(vectors, seed=0):
-    """`pairwise_similarity_stats` as it was before it packed the Gram matrix
-    in place: the upper triangle gathered through `np.triu_indices`, the
-    sampled pairs through fancy indexing, and the deviation from `np.std`."""
-    exact_cutoff, sample_size = causal.PAIR_SAMPLE_CUTOFF, causal.PAIR_SAMPLE_SIZE
+def reference_pairwise_similarity_stats(vectors):
+    """Pair statistics the O(n^2) way: every cosine of the upper triangle of
+    the unit rows' Gram matrix, gathered through `np.triu_indices`."""
     vec = np.asarray(vectors, dtype=np.float64)
-    n = len(vec)
     norms = np.linalg.norm(vec, axis=1)
     safe = np.where(norms == 0.0, 1.0, norms)
     unit_vecs = vec / safe[:, None]
     unit_vecs[norms == 0.0] = 0.0
-    if n <= exact_cutoff:
-        sims = (unit_vecs @ unit_vecs.T)[np.triu_indices(n, k=1)]
-    else:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=sample_size)
-        j = rng.integers(0, n - 1, size=sample_size)
-        j = np.where(j >= i, j + 1, j)
-        sims = np.empty(sample_size, dtype=np.float64)
-        for start in range(0, sample_size, causal.PAIR_CHUNK):
-            stop = start + causal.PAIR_CHUNK
-            np.einsum("nd,nd->n", unit_vecs[i[start:stop]], unit_vecs[j[start:stop]],
-                      out=sims[start:stop])
+    sims = (unit_vecs @ unit_vecs.T)[np.triu_indices(len(vec), k=1)]
     return float(sims.mean()), float(sims.std())
-
-
-class TestMeanStdGuard:
-    """`pairwise_similarity_stats` takes its deviation in place, in np.std's
-    own steps, and relies on that matching `np.std` bit for bit. A numpy whose
-    std took other steps would drift every balance threshold."""
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 20_001])
-    def test_equals_numpy_mean_and_std(self, n):
-        rng = np.random.default_rng(n)
-        for x in (rng.normal(size=n), rng.uniform(-1, 1, size=n) * 1e-3 + 0.7,
-                  np.full(n, 0.1)):
-            want = (float(x.mean()), float(np.std(x)))
-            assert causal.mean_std_in_place(x.copy()) == want
 
 
 @st.composite
 def pair_vectors(draw):
-    n = draw(st.one_of(st.sampled_from([2, 3]), st.integers(2, causal.PAIR_SAMPLE_CUTOFF)))
+    n = draw(st.one_of(st.sampled_from([2, 3]), st.integers(2, 2500)))
     dim = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    vecs = rng.normal(size=(n, dim))
+    # an offset shared by every row moves the mean cosine away from 0
+    vecs = rng.normal(size=(n, dim)) + draw(st.sampled_from([0.0, 0.5, 3.0])) * rng.normal(size=dim)
     zero = draw(st.lists(st.integers(0, n - 1), max_size=3))
     vecs[zero] = 0.0
     for _ in range(draw(st.integers(0, 3))):  # a row repeated, scaled or not
@@ -500,66 +476,50 @@ class TestPairwiseStats:
     @settings(max_examples=40, deadline=None)
     @given(pair_vectors())
     def test_exact_equals_triu_indices_reference(self, vecs):
-        assert pairwise_similarity_stats(vecs, seed=0) == reference_pairwise_similarity_stats(vecs)
+        (mu, sigma), (want_mu, want_sigma) = (pairwise_similarity_stats(vecs),
+                                              reference_pairwise_similarity_stats(vecs))
+        assert mu == pytest.approx(want_mu, rel=0.0, abs=1e-12)
+        # sigma^2 to 1e-13 is sigma to 1e-12 wherever sigma >= 0.05; below
+        # that the square root magnifies the rounding of a variance near 0
+        # (one pair, or every row parallel) up to ~1e-8
+        assert sigma**2 == pytest.approx(want_sigma**2, rel=0.0, abs=1e-13)
 
-    @settings(max_examples=20, deadline=None)
-    @given(pair_vectors(), st.integers(1, 3 * causal.PAIR_CHUNK), st.integers(0, 2**16))
-    def test_sampled_equals_gather_reference(self, vecs, sample_size, seed):
-        with (mock.patch.object(causal, "PAIR_SAMPLE_CUTOFF", 1),
-              mock.patch.object(causal, "PAIR_SAMPLE_SIZE", sample_size)):
-            assert (pairwise_similarity_stats(vecs, seed=seed)
-                    == reference_pairwise_similarity_stats(vecs, seed=seed))
+    def test_parallel_rows_sigma_finite(self):
+        # every cosine is 1: the moment form's variance cancels to rounding
+        rng = np.random.default_rng(7)
+        vecs = rng.normal(size=(1, 32)) * rng.uniform(0.5, 2.0, size=(1000, 1))
+        mu, sigma = pairwise_similarity_stats(vecs)
+        want_mu, want_sigma = reference_pairwise_similarity_stats(vecs)
+        assert mu == pytest.approx(want_mu, rel=0.0, abs=1e-12)
+        assert math.isfinite(sigma) and sigma >= 0.0
+        assert sigma == pytest.approx(want_sigma, rel=0.0, abs=1e-7)
 
-    def test_exact_path_peak_is_the_gram_matrix(self):
-        n = 1000
-        vecs = np.random.default_rng(5).normal(size=(n, 50))
+    def test_peak_memory_is_a_few_rows(self):
+        n, dim = 5000, 32
+        vecs = np.random.default_rng(5).normal(size=(n, dim))
         tracemalloc.start()
         try:
-            pairwise_similarity_stats(vecs, seed=0)
+            pairwise_similarity_stats(vecs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * n * n * 8
+        assert peak <= 2 * n * dim * 8
 
     def test_exact_small(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        mu, sigma = pairwise_similarity_stats(vecs, seed=0)
+        mu, sigma = pairwise_similarity_stats(vecs)
         sims = [0.0, 1 / np.sqrt(2), 1 / np.sqrt(2)]
         assert mu == pytest.approx(np.mean(sims))
         assert sigma == pytest.approx(np.std(sims))
 
-    def test_sampled_close_to_exact(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        vecs = rng.normal(size=(300, 8))
-        mu_exact, sd_exact = pairwise_similarity_stats(vecs, seed=0)
-        monkeypatch.setattr(causal, "PAIR_SAMPLE_CUTOFF", 10)
-        monkeypatch.setattr(causal, "PAIR_SAMPLE_SIZE", 100_000)
-        mu_sample, sd_sample = pairwise_similarity_stats(vecs, seed=2)
-        assert mu_sample == pytest.approx(mu_exact, abs=0.01)
-        assert sd_sample == pytest.approx(sd_exact, abs=0.01)
-
-    def test_chunked_sample_equals_unchunked_einsum(self):
-        n = causal.PAIR_SAMPLE_CUTOFF + 1
-        rng = np.random.default_rng(3)
-        vecs = rng.normal(size=(n, 32))
-        vecs[5] = 0.0
-        # the unchunked computation: one gather of every sampled pair
-        norms = np.linalg.norm(vecs, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        unit_vecs = vecs / safe[:, None]
-        unit_vecs[norms == 0.0] = 0.0
-        draw = np.random.default_rng(4)
-        i = draw.integers(0, n, size=causal.PAIR_SAMPLE_SIZE)
-        j = draw.integers(0, n - 1, size=causal.PAIR_SAMPLE_SIZE)
-        j = np.where(j >= i, j + 1, j)
-        sims = np.einsum("nd,nd->n", unit_vecs[i], unit_vecs[j])
-        assert causal.PAIR_SAMPLE_SIZE % causal.PAIR_CHUNK != 0  # a partial last chunk
-        assert pairwise_similarity_stats(vecs, seed=4) == (float(sims.mean()), float(sims.std()))
-
     def test_zero_norm_rows_tolerated(self):
         vecs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        mu, sigma = pairwise_similarity_stats(vecs, seed=0)
+        mu, sigma = pairwise_similarity_stats(vecs)
         assert np.isfinite(mu) and np.isfinite(sigma)
+
+    def test_fewer_than_two_documents_rejected(self):
+        with pytest.raises(ValueError, match="at least two documents"):
+            pairwise_similarity_stats(np.ones((1, 4)))
 
 
 def separable_units(n_per, seed, gap=3.0, base_likes=100.0, effect=0.0):
@@ -979,10 +939,46 @@ class TestRunScenario:
     def test_zero_variance_folds_not_discarded(self):
         report = causal.EateReport(
             scenario="s", metric="likes", fold_eates=(3.0,) * 10, mean_eate=3.0,
-            ci_low=3.0, ci_high=3.0, discarded=False, balance=(),
+            ci_low=3.0, ci_high=3.0, discarded=False, discard_reason=None, balance=(),
             naive_difference=0.0, n_treatment=10, n_control=10,
         )
         assert report.ci_low == report.ci_high == report.mean_eate
+
+    def test_discard_reason_names_the_first_failing_rule(self):
+        corpus, profiles, scenario, table = small_benchmark(seed=1, delta=40.0)
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
+        reports = {r.metric: r for r in run_scenario(units, scenario, seed=5)}
+        assert all(b.passed for b in reports["likes"].balance)
+        # the +40 likes effect is kept; replies and retweets carry none
+        assert reports["likes"].ci_low > 0.0
+        assert (reports["likes"].discard_reason, reports["likes"].discarded) == (None, False)
+        for metric in ("replies", "retweets"):
+            assert reports[metric].ci_low <= 0.0 <= reports[metric].ci_high
+            assert (reports[metric].discard_reason, reports[metric].discarded) == (
+                "covers_zero", True)
+        # no achievable cosine reaches tau = 1.5: a balance failure is
+        # named even where the interval also covers 0
+        for r in run_scenario(units, scenario, seed=5, config=CausalConfig(tau=1.5)):
+            assert (r.discard_reason, r.discarded) == ("balance_failed", True)
+
+    @pytest.mark.parametrize("config", [CausalConfig(), CausalConfig(tau=0.0)],
+                             ids=["tau-binds", "mu-alpha-sigma-binds"])
+    def test_quadratic_pair_stats_change_only_the_balance_baseline(self, monkeypatch, config):
+        corpus, profiles, scenario, table = small_benchmark(seed=6, delta=40.0, n=900)
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
+        got = run_scenario(units, scenario, seed=11, config=config)
+        monkeypatch.setattr(causal, "pairwise_similarity_stats",
+                            reference_pairwise_similarity_stats)
+        want = run_scenario(units, scenario, seed=11, config=config)
+        baseline = ("mu", "sigma", "threshold")
+        for g, w in zip(got, want, strict=True):
+            assert dataclasses.replace(g, balance=()) == dataclasses.replace(w, balance=())
+            for gb, wb in zip(g.balance, w.balance, strict=True):
+                blank = dict.fromkeys(baseline, 0.0)
+                assert dataclasses.replace(gb, **blank) == dataclasses.replace(wb, **blank)
+                for name in baseline:
+                    assert getattr(gb, name) == pytest.approx(getattr(wb, name),
+                                                              rel=0.0, abs=1e-12)
 
     def test_ci_uses_student_t_9dof(self):
         corpus, profiles, scenario, table = small_benchmark(seed=2, delta=0.0)

@@ -845,9 +845,8 @@ class TestSettingsTable:
                    causal.balance_check, corpus.load_corpus):
             params = inspect.signature(fn).parameters.values()
             assert [p.name for p in params if p.default is not p.empty] == [], fn.__name__
-        for fn in (causal.run_scenario, causal.pairwise_similarity_stats):
-            seed = inspect.signature(fn).parameters["seed"]
-            assert seed.default is seed.empty, fn.__name__
+        seed = inspect.signature(causal.run_scenario).parameters["seed"]
+        assert seed.default is seed.empty
         assert [name for name in vars(causal) if name.startswith("DEFAULT_")] == []
         assert all(row.help for row in cli._SETTINGS.values())
         # a spec of only the required keys loads with every other field at
