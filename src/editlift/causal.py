@@ -7,26 +7,25 @@ embedded exactly once) and its outcomes. The `estimate` command gives that
 one table to its `--jobs` workers when the pool starts, so a scenario task
 carries only the scenario, the seed and the settings.
 
-Every step of a scenario (treatment selector vs control selector within one
-outlet) works on row indices into that table. `select_units` masks the rows
-and returns the treatment and control row arrays; `train_propensity` fits a
-feed-forward propensity model (treatment given body text) on the rows'
-feature matrix; `match` returns, for each treatment row, the table rows of
-its k nearest controls by the propensities `run_scenario` passes in, as a
-[T, k] matrix, with each treatment's mean body cosine to its matches;
-`balance_check` gates on those cosines; and `estimate_eate` averages the
-outcome gaps of every engagement metric at once. The robustness interval is cross-fitted over ten
-folds: each fold's propensity model is trained on the other nine folds, and
-only the fold's own held-out treatment units are matched and estimated, so
-every treatment unit is estimated exactly once and the ten fold values rest
-on disjoint treatment outcomes. A scenario whose interval covers zero, or
-that fails balance on any fold, is discarded.
+A scenario (treatment selector vs control selector within one outlet) runs
+in three steps on row indices into that table, chained by `run_scenario`.
+`select_units` masks the rows into treatment and control arrays.
+`fold_matches` cross-fits over ten folds: fold f trains a feed-forward
+propensity model (`train_propensity`) on the other nine folds, and `match`
+gives each held-out treatment row its k nearest training controls. Each
+`FoldMatch` keeps `held_out`, `train_controls`, `chosen` [T_f, k] and
+`similarity` [T_f], the mean body cosine to the matches. `scenario_reports`
+trains and draws nothing: it runs `balance_check` on each fold's cosines and
+`estimate_eate` on its outcome gaps, then a Student-t interval over the ten
+fold values, which rest on disjoint treatment outcomes. A scenario whose
+interval covers zero, or that fails balance on any fold, is discarded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,9 +251,9 @@ def train_propensity(x: np.ndarray, y: np.ndarray, seed: int) -> Mlp:
     layer's weights only. The few-epoch default is deliberate: the matching
     step needs the coarse topic-level treatment rates, and longer schedules
     mostly memorize individual assignments, which destabilizes matching.
-    The schedule does not calibrate the robustness interval; `run_scenario`
-    does that by estimating each fold on treatment units its model never
-    saw.
+    The schedule does not calibrate the robustness interval; cross-fitting
+    does that: `fold_matches` matches each fold's treatment units with a
+    model that never saw them.
 
     `scripts/propensity_schedule.py` chose the batch size and learning rate
     at PROPENSITY_EPOCHS epochs; the schedule is read here, when the
@@ -438,93 +437,93 @@ def _fold_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     return labels
 
 
-def run_scenario(units: UnitTable, scenario: Scenario, seed: int,
-                 config: CausalConfig = CausalConfig()) -> list[EateReport]:
-    """Full protocol for one scenario of the unit table; one report per
-    engagement metric.
+class FoldMatch(NamedTuple):
+    """One cross-fitting fold's matches, all as table rows."""
 
-    Treatment and control rows are each dealt into ten folds. Fold f trains
-    its own propensity model on the other nine folds of both arms (fold-
-    specific initialization and batch order), matches fold f's held-out
-    treatment rows against those nine folds' control rows, runs the balance
-    gate on those matches, and records the effect estimate over them. Every
-    treatment unit is thus estimated once, by a model it did not train, and
-    the fold values share no treatment outcome, so their spread carries the
-    estimate's sampling error rather than only the variability of training
-    and matching. The report's mean is the mean of the ten fold values and
-    its interval is Student-t (9 dof) over them; `discarded` is set when the
-    interval covers zero or any fold fails balance, and `discard_reason`
-    says which (a balance failure first).
+    held_out: np.ndarray  # [T_f] the fold's treatment rows, ascending
+    train_controls: np.ndarray  # [C_f] the other nine folds' control rows, ascending
+    chosen: np.ndarray  # [T_f, k] each held-out row's matched controls, nearest first
+    similarity: np.ndarray  # [T_f] each held-out row's mean body cosine to its matches
+
+
+def fold_matches(units: UnitTable, t_rows: np.ndarray, c_rows: np.ndarray, seed: int,
+                 knn: int) -> list[FoldMatch]:
+    """Cross-fitted matches of the treatment rows, one `FoldMatch` per fold.
+
+    Both arms' rows are dealt into ten folds by `seed`. Fold f trains its
+    propensity model (seed `seed * N_FOLDS + f + 1`) on the other nine folds
+    and matches its held-out treatment rows to their control rows, so every
+    treatment row is matched once, by a model it did not train.
     """
-    t_rows, c_rows = select_units(units, scenario)
-    min_treatments = max(config.min_group, N_FOLDS)  # every fold needs a held-out unit
-    if len(t_rows) < min_treatments:
-        raise ScenarioError(
-            f"scenario {scenario.name!r}: treatment selector "
-            f"[{scenario.treatment.describe()}] yields {len(t_rows)} units "
-            f"(minimum {min_treatments})"
-        )
-    # every fold matches against the other folds' controls; of n controls the
-    # smallest such set holds floor(9n / 10), which reaches knn from
-    # n = ceil(10 knn / 9)
-    min_controls = max(config.min_group, -(-N_FOLDS * config.knn // (N_FOLDS - 1)))
-    if len(c_rows) < min_controls:
-        raise ScenarioError(
-            f"scenario {scenario.name!r}: control selector "
-            f"[{scenario.control.describe()}] yields {len(c_rows)} units "
-            f"(minimum {min_controls})"
-        )
-
-    mu, sigma = pairwise_similarity_stats(units.features[np.concatenate([t_rows, c_rows])])
-
     rng = np.random.default_rng(seed)
     t_folds = _fold_indices(len(t_rows), rng)
     c_folds = _fold_indices(len(c_rows), rng)
-
-    # one row per metric, so each metric's ten fold values lie contiguous
-    fold_eates = np.empty((len(ENGAGEMENT_METRICS), N_FOLDS))
-    balances: list[BalanceStats] = []
+    folds = []
     for fold in range(N_FOLDS):
         held_out = t_rows[t_folds == fold]
         train_t = t_rows[t_folds != fold]
         train_c = c_rows[c_folds != fold]
-        model = train_propensity(
-            units.features[np.concatenate([train_t, train_c])],
-            np.concatenate([np.ones(len(train_t)), np.zeros(len(train_c))]),
-            seed * N_FOLDS + fold + 1,
-        )
-        chosen, similarity = match(held_out, train_c, model.predict(units.features[held_out]),
-                                   model.predict(units.features[train_c]), units, k=config.knn)
-        balances.append(balance_check(similarity, mu, sigma, config.alpha, config.tau))
-        fold_eates[:, fold] = estimate_eate(held_out, chosen, units.outcomes)
+        model = train_propensity(units.features[np.concatenate([train_t, train_c])],
+                                 np.concatenate([np.ones(len(train_t)), np.zeros(len(train_c))]),
+                                 seed * N_FOLDS + fold + 1)
+        folds.append(FoldMatch(held_out, train_c, *match(
+            held_out, train_c, model.predict(units.features[held_out]),
+            model.predict(units.features[train_c]), units, k=knn)))
+    return folds
 
+
+def scenario_reports(units: UnitTable, name: str, t_rows: np.ndarray, c_rows: np.ndarray,
+                     folds: list[FoldMatch], config: CausalConfig) -> list[EateReport]:
+    """One report per engagement metric of scenario `name` from its fold
+    matches; trains nothing and draws no random number.
+
+    Each fold gates balance against the pair statistics of all the
+    scenario's rows and gives one effect estimate per metric. The folds
+    share no treatment outcome, so the spread of their values carries the
+    estimate's sampling error: the report's interval is Student-t (9 dof)
+    over them. `discarded` is set when the interval covers zero or any fold
+    fails balance, and `discard_reason` says which (a balance failure first).
+    """
+    mu, sigma = pairwise_similarity_stats(units.features[np.concatenate([t_rows, c_rows])])
+    balances = tuple(balance_check(f.similarity, mu, sigma, config.alpha, config.tau)
+                     for f in folds)
+    # one row per metric, so each metric's fold values lie contiguous
+    fold_eates = np.stack([estimate_eate(f.held_out, f.chosen, units.outcomes)
+                           for f in folds], axis=1)
     any_balance_failure = any(not b.passed for b in balances)
     reports = []
     for i, metric in enumerate(ENGAGEMENT_METRICS):
         values = fold_eates[i]
         mean = float(values.mean())
-        spread = float(values.std(ddof=1))
-        half = T_CRIT_95 * spread / np.sqrt(N_FOLDS)
+        half = T_CRIT_95 * float(values.std(ddof=1)) / np.sqrt(N_FOLDS)
         ci_low, ci_high = float(mean - half), float(mean + half)
         reason = ("balance_failed" if any_balance_failure
                   else "covers_zero" if ci_low <= 0.0 <= ci_high else None)
         naive = (float(np.mean(units.outcomes[t_rows, i]))
                  - float(np.mean(units.outcomes[c_rows, i])))
-        reports.append(
-            EateReport(
-                scenario=scenario.name,
-                metric=metric,
-                fold_eates=tuple(float(v) for v in values),
-                mean_eate=mean,
-                ci_low=ci_low,
-                ci_high=ci_high,
-                discarded=reason is not None,
-                discard_reason=reason,
-                balance=tuple(balances),
-                naive_difference=naive,
-                n_treatment=len(t_rows),
-                n_control=len(c_rows),
-            )
-        )
+        reports.append(EateReport(
+            scenario=name, metric=metric, fold_eates=tuple(float(v) for v in values),
+            mean_eate=mean, ci_low=ci_low, ci_high=ci_high, discarded=reason is not None,
+            discard_reason=reason, balance=balances, naive_difference=naive,
+            n_treatment=len(t_rows), n_control=len(c_rows)))
     return reports
 
+
+def run_scenario(units: UnitTable, scenario: Scenario, seed: int,
+                 config: CausalConfig = CausalConfig()) -> list[EateReport]:
+    """`select_units`, `fold_matches`, then `scenario_reports`: the reports
+    of one scenario. An arm too small for the protocol raises `ScenarioError`."""
+    t_rows, c_rows = select_units(units, scenario)
+    # every fold needs a held-out treatment unit, and matches against the
+    # other folds' controls: of n controls the smallest such set holds
+    # floor(9n / 10), which reaches knn from n = ceil(10 knn / 9)
+    for arm, selector, rows, minimum in (
+            ("treatment", scenario.treatment, t_rows, N_FOLDS),
+            ("control", scenario.control, c_rows, -(-N_FOLDS * config.knn // (N_FOLDS - 1)))):
+        minimum = max(config.min_group, minimum)
+        if len(rows) < minimum:
+            raise ScenarioError(f"scenario {scenario.name!r}: {arm} selector "
+                                f"[{selector.describe()}] yields {len(rows)} units "
+                                f"(minimum {minimum})")
+    folds = fold_matches(units, t_rows, c_rows, seed, config.knn)
+    return scenario_reports(units, scenario.name, t_rows, c_rows, folds, config)

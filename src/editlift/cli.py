@@ -328,11 +328,19 @@ def _run_one_scenario(payload):
         return exc
 
 
+def _pin_blas_threads(jobs: int) -> None:
+    """With more than one worker, give each process one BLAS thread unless
+    the user set the count: BLAS sizes its thread pool from these variables
+    when numpy loads, and workers that each start a thread per core fight
+    over the cores. Call before numpy is imported."""
+    if jobs > 1:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(name, "1")
+
+
 def cmd_estimate(args) -> int:
     import csv
     import io
-
-    from . import causal
 
     cfg = _load_config(args)
     scenario_defs = cfg.get("scenarios", [])
@@ -340,6 +348,9 @@ def cmd_estimate(args) -> int:
         raise UsageError("no scenarios configured (config key 'scenarios')")
     # every setting and scenario is checked before any input is read
     s = _settings(args, cfg, "estimate")
+    _pin_blas_threads(s["jobs"])
+    from . import causal
+
     run_cfg = causal.CausalConfig(**{f.name: s[f.name] for f in fields(causal.CausalConfig)
                                      if s[f.name] is not None})
     try:

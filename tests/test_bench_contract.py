@@ -63,3 +63,31 @@ def test_call_attr_positions_match_signatures(monkeypatch):
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in leading), layer
     # the edit-distance counts take both arguments as the two strings compared
     assert [p.name for p in parameters("textsim.normalized_edit_distance")] == ["a", "b"]
+
+
+def test_fold_step_calls_rebound_helpers(monkeypatch):
+    # the tracer counts `causal.train_propensity` and `causal.match` by
+    # rebinding them on the module; a fold step that bound either locally
+    # would silently drop its calls from the per-layer counts
+    from editlift import causal, synthbench, textsim
+
+    calls = dict.fromkeys(("train_propensity", "match"), 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(causal, name, counting(name, getattr(causal, name)))
+    monkeypatch.setattr(causal, "PROPENSITY_EPOCHS", 1)
+    spec = synthbench.confounded_spec(n_records=300, effect_likes=0.0, seed=1)
+    corpus, _ = synthbench.generate(spec)
+    table = synthbench.synthetic_table(spec, seed=999)
+    units = causal.build_unit_table(corpus, textsim.profile(corpus, table), table,
+                                    corpus.outlet_rows())
+    scenario = causal.Scenario("s", "synthwire", causal.Selector("edited"),
+                               causal.Selector("mirrored"))
+    causal.run_scenario(units, scenario, seed=0)
+    assert calls == {"train_propensity": causal.N_FOLDS, "match": causal.N_FOLDS}

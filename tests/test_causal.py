@@ -20,9 +20,11 @@ from editlift.causal import (
     balance_check,
     build_unit_table,
     estimate_eate,
+    fold_matches,
     match,
     pairwise_similarity_stats,
     run_scenario,
+    scenario_reports,
     select_units,
     train_propensity,
 )
@@ -936,14 +938,6 @@ class TestRunScenario:
             assert len(ra.fold_eates) == 10
             assert ra.mean_eate == pytest.approx(np.mean(ra.fold_eates), abs=1e-12)
 
-    def test_zero_variance_folds_not_discarded(self):
-        report = causal.EateReport(
-            scenario="s", metric="likes", fold_eates=(3.0,) * 10, mean_eate=3.0,
-            ci_low=3.0, ci_high=3.0, discarded=False, discard_reason=None, balance=(),
-            naive_difference=0.0, n_treatment=10, n_control=10,
-        )
-        assert report.ci_low == report.ci_high == report.mean_eate
-
     def test_discard_reason_names_the_first_failing_rule(self):
         corpus, profiles, scenario, table = small_benchmark(seed=1, delta=40.0)
         units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
@@ -1030,6 +1024,80 @@ class TestRunScenario:
             # plain Python scalars, so the CLI can serialize the report
             assert type(r.discarded) is bool
             assert type(r.ci_low) is type(r.ci_high) is float
+
+
+class TestFoldMatches:
+    def test_cross_fitting_invariant(self, monkeypatch):
+        monkeypatch.setattr(causal, "PROPENSITY_EPOCHS", 1)
+        corpus, profiles, scenario, table = small_benchmark(seed=1, n=300)
+        units = build_unit_table(corpus, profiles, table, corpus.outlet_rows())
+        t_rows, c_rows = select_units(units, scenario)
+        folds = fold_matches(units, t_rows, c_rows, seed=3, knn=5)
+        assert len(folds) == causal.N_FOLDS
+        # the ten held-out sets partition the treatment rows, near evenly
+        held_out = np.concatenate([f.held_out for f in folds])
+        assert np.array_equal(np.sort(held_out), t_rows)
+        sizes = [len(f.held_out) for f in folds]
+        assert max(sizes) - min(sizes) <= 1
+        # the controls are dealt into folds the same way, and each fold
+        # trains and matches on all the controls but its own
+        rng = np.random.default_rng(3)
+        causal._fold_indices(len(t_rows), rng)
+        c_folds = causal._fold_indices(len(c_rows), rng)
+        for fold, f in enumerate(folds):
+            assert np.array_equal(f.train_controls, c_rows[c_folds != fold])
+            assert f.chosen.shape == (len(f.held_out), 5)
+            assert f.similarity.shape == (len(f.held_out),)
+            assert np.isin(f.chosen, f.train_controls).all()
+
+
+def hand_folds(gaps, similarities):
+    """(units, t_rows, c_rows, folds) of ten hand-built folds: fold f holds
+    out treatment row f, whose likes exceed those of its one matched control
+    by gaps[f], at similarity similarities[f]. Every body vector is
+    orthogonal to every other, so the pair statistics are mu = sigma = 0."""
+    n = causal.N_FOLDS
+    units = hand_table([(f"t{f}", np.eye(2 * n)[f], 10.0 + gaps[f]) for f in range(n)]
+                       + [(f"c{f}", np.eye(2 * n)[n + f], 10.0) for f in range(n)])
+    t_rows, c_rows = np.arange(n), n + np.arange(n)
+    folds = [causal.FoldMatch(np.array([f]), np.delete(c_rows, f),
+                              np.array([[c_rows[(f + 1) % n]]]), np.array([similarities[f]]))
+             for f in range(n)]
+    return units, t_rows, c_rows, folds
+
+
+class TestScenarioReports:
+    @pytest.mark.parametrize("gap, reason", [(3.0, None), (0.0, "covers_zero")])
+    def test_equal_fold_gaps_give_a_point_interval(self, gap, reason):
+        units, t_rows, c_rows, folds = hand_folds([gap] * 10, [0.9] * 10)
+        reports = {r.metric: r for r in scenario_reports(units, "s", t_rows, c_rows, folds,
+                                                         CausalConfig())}
+        likes = reports["likes"]
+        assert likes.fold_eates == (gap,) * 10
+        assert likes.ci_low == likes.ci_high == likes.mean_eate == gap
+        assert (likes.discard_reason, likes.discarded) == (reason, reason is not None)
+        assert likes.naive_difference == gap
+        assert (likes.n_treatment, likes.n_control) == (10, 10)
+        assert all(b.passed and (b.mu, b.sigma, b.threshold) == (0.0, 0.0, 0.8)
+                   for b in likes.balance)
+
+    def test_one_unbalanced_fold_discards_every_metric(self):
+        units, t_rows, c_rows, folds = hand_folds([3.0] * 10, [0.9] * 9 + [0.79])
+        reports = scenario_reports(units, "s", t_rows, c_rows, folds, CausalConfig())
+        assert [b.passed for b in reports[0].balance] == [True] * 9 + [False]
+        for r in reports:
+            # replies and retweets carry no gap, so their intervals cover 0 too
+            assert (r.discard_reason, r.discarded) == ("balance_failed", True), r.metric
+
+    def test_trains_and_draws_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scenario_reports must not train, match or draw")
+
+        for name in ("train_propensity", "match"):
+            monkeypatch.setattr(causal, name, forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        units, t_rows, c_rows, folds = hand_folds([3.0] * 10, [0.9] * 10)
+        assert len(scenario_reports(units, "s", t_rows, c_rows, folds, CausalConfig())) == 3
 
 
 def reference_case(name):

@@ -744,6 +744,8 @@ class TestEstimateCommand:
         ], "min_group": 20}))
         # forked workers inherit the shortened schedule
         monkeypatch.setattr(causal, "PROPENSITY_EPOCHS", 1)
+        # `--jobs 2` pins BLAS threads in os.environ; keep that out of later tests
+        monkeypatch.setattr(os, "environ", dict(os.environ))
 
         submitted = []
         pool_sizes = []
@@ -783,6 +785,49 @@ class TestEstimateCommand:
         for initargs, args in submitted:
             assert isinstance(initargs[0], causal.UnitTable)
             assert len(pickle.dumps(args)) < 4096
+
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("jobs, before, after", [
+        (1, {}, {}),
+        (2, {}, dict.fromkeys(BLAS_VARS, "1")),
+        # a count the user set is kept; the others are still pinned
+        (3, {"OMP_NUM_THREADS": "4", "HOME": "/h"},
+         {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "1",
+          "HOME": "/h"}),
+    ])
+    def test_blas_pin_rule(self, monkeypatch, jobs, before, after):
+        environ = dict(before)
+        monkeypatch.setattr(os, "environ", environ)
+        cli._pin_blas_threads(jobs)
+        assert environ == after
+
+    @pytest.mark.parametrize("jobs, pinned", [("1", None), ("2", "1")])
+    def test_blas_pinned_before_numpy_loads(self, tmp_path, jobs, pinned):
+        # BLAS reads the variable when numpy loads, so record it then; the
+        # command fails afterwards, on the missing corpus
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenarios": [
+            {"name": "s", "outlet": "o", "treatment": {"kind": "edited"},
+             "control": {"kind": "mirrored"}}]}))
+        script = (
+            "import os, sys\n"
+            "from editlift import cli\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            f"assert cli.main(['estimate', '--corpus', {str(tmp_path / 'none.jsonl')!r}, "
+            f"'--config', {str(cfg)!r}, '--jobs', {jobs!r}]) == 1\n"
+            "print(seen[0])\n"
+        )
+        env = {k: v for k, v in SUBPROCESS_ENV.items() if k not in self.BLAS_VARS}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{pinned}\n"
 
     def test_config_env_var(self, pipeline_dir, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "config.json"
