@@ -102,9 +102,9 @@ class Selector:
         reject_unknown_keys(obj, {"kind", *SELECTOR_KEYS[kind]}, f"{kind} selector")
         require_keys(obj, SELECTOR_KEYS[kind], f"{kind} selector")
         if kind == "cluster":
-            index = obj["cluster"]
-            if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-                raise ScenarioError(f"bad cluster index {index!r}")
+            index = json_value(obj["cluster"], int, "cluster index")
+            if index < 0:
+                raise ScenarioError(f"cluster index must be at least 0, got {index}")
             return cls(kind="cluster", cluster=index)
         if kind == "shift":
             for key in ("headline", "post"):
@@ -142,9 +142,8 @@ class Scenario:
             if key != "section" or obj.get(key) is not None:
                 json_value(obj.get(key), str, key)
         exclude_mirrored = obj.get("exclude_mirrored")
-        if exclude_mirrored is not None and not isinstance(exclude_mirrored, bool):
-            raise ScenarioError(f"exclude_mirrored must be true or false, "
-                                f"got {exclude_mirrored!r}")
+        if exclude_mirrored is not None:
+            json_value(exclude_mirrored, bool, "exclude_mirrored")
         return cls(
             name=obj["name"],
             outlet=obj["outlet"],

@@ -19,9 +19,10 @@ import json
 import math
 import os
 import re
+import sys
 import unicodedata
 from dataclasses import MISSING, dataclass, fields
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 ENGAGEMENT_METRICS = ("replies", "retweets", "likes")
@@ -31,18 +32,22 @@ TEXT_ENCODING = "utf-8-sig"  # UTF-8, a leading byte-order mark dropped
 
 
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a string",
-               int: "an integer", float: "a finite number"}
+               int: "an integer", float: "a finite number", bool: "true or false"}
 
 
 def json_value(value, kind: type, what: str):
     """`value` checked to be of the JSON type `kind` (one of _JSON_KINDS);
     ValueError names `what`. A bool is no number, and a float is an integer
-    only when it has no fractional part; numbers come back as `kind`."""
+    only when it has no fractional part, and an integer beyond the float
+    range is no finite number; numbers come back as `kind`."""
     if kind is not float and isinstance(value, kind) and not isinstance(value, bool):
         return value  # the common case, taken once per corpus field
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float:
-        ok = is_number and math.isfinite(value)
+        try:
+            ok = is_number and math.isfinite(value)
+        except OverflowError:  # an int that no float can hold
+            ok = False
     elif kind is int:
         ok = is_number and (isinstance(value, int) or value.is_integer())
     else:
@@ -167,13 +172,15 @@ def parse_timestamp(value: str) -> datetime:
         raise ValueError(f"invalid created_at timestamp {value!r}: {exc}") from None
     if dt.tzinfo is None:
         raise ValueError(f"created_at {value!r} has no UTC offset")
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"created_at {value!r} is outside the UTC date range") from None
 
 
 # Posting-time blocks on a fixed UTC-4 clock (eastern daylight offset,
 # applied year-round for determinism).
 TIME_BLOCKS = ("B1", "B2", "B3")
-_EASTERN_OFFSET = timedelta(hours=-4)
 
 
 def assign_time_block(record: PairedRecord) -> str:
@@ -182,10 +189,11 @@ def assign_time_block(record: PairedRecord) -> str:
     B1 = [00:00, 09:00), B2 = [09:00, 17:00), B3 = [17:00, 24:00), measured
     on a fixed UTC-4 clock.
     """
-    local = parse_timestamp(record.created_at) + _EASTERN_OFFSET
-    if local.hour < 9:
+    # the hour alone: shifting the instant could leave the date range
+    hour = (parse_timestamp(record.created_at).hour - 4) % 24
+    if hour < 9:
         return "B1"
-    if local.hour < 17:
+    if hour < 17:
         return "B2"
     return "B3"
 
@@ -210,6 +218,8 @@ def _checked_record(obj: dict) -> PairedRecord:
         n = json_value(obj[metric], int, metric)
         if n < 0:
             raise ValueError(f"{metric} is negative: {n}")
+        if n > sys.float_info.max:  # each count is read as a float later
+            raise ValueError(f"{metric} is beyond the float range: {n}")
         counts[metric] = n
 
     text = {key: json_value(obj[key], str, key)

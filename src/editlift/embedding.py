@@ -19,9 +19,6 @@ import numpy as np
 from .corpus import TEXT_ENCODING, normalize, write_text_atomic
 
 _PUNCTUATION_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
-# cells (documents x (longest document + dim)) of token ids and partial sums
-# `embed_many` holds at a time
-EMBED_CHUNK_CELLS = 1 << 15
 
 
 def tokenize(text: str) -> list[str]:
@@ -45,7 +42,7 @@ class EmbeddingTable:
     @cached_property
     def rows(self) -> tuple[dict[str, int], np.ndarray]:
         """({token: row}, [1 + len(vocab), dim] matrix): the vocabulary's
-        vectors as rows 1.., under a zero row 0 that pads short documents.
+        vectors as rows 1.., under a zero row 0 that no token maps to.
         The empty token, which `tokenize` never yields, is left out."""
         index = {token: row for row, token in enumerate(self.vocab, start=1) if token}
         matrix = np.zeros((len(self.vocab) + 1, self.dim), dtype=np.float64)
@@ -119,11 +116,9 @@ def embed_many(table: EmbeddingTable, texts: list[str]) -> tuple[np.ndarray, np.
 
     Out-of-vocabulary tokens are dropped; a text with no hits gets the zero
     vector and 0 hits, so callers can exclude it. Each text is tokenized
-    once. Texts are summed in chunks of at most EMBED_CHUNK_CELLS id and sum
-    cells, ordered by hit count so that one long text pads few others: one
-    `total += rows[ids[:, j]]` per token position, padding with the zero
-    row. Each vector is still a left-to-right sum from +0.0, then divided by
-    its hits, as a loop over its tokens would compute it.
+    once, then all texts are summed one token position at a time, so each
+    vector is still a left-to-right sum from +0.0, then divided by its hits,
+    as a loop over its tokens would compute it.
     """
     index, matrix = table.rows
     lookup = index.get
@@ -136,26 +131,17 @@ def embed_many(table: EmbeddingTable, texts: list[str]) -> tuple[np.ndarray, np.
         counts.append(len(packed) - before)
     token_rows = np.frombuffer(packed, dtype=np.int32)
     hits = np.array(counts, dtype=np.int64)
-    starts = np.cumsum(hits) - hits
-    vectors = np.zeros((len(texts), table.dim), dtype=np.float64)
     order = np.argsort(hits, kind="stable")
-    lengths = hits[order]
-    start = 0
-    while start < len(texts):
-        # a chunk of rows start..s holds (s - start) x (longest + dim) cells of
-        # ids and sums; ascending lengths make that non-decreasing in s
-        cells = np.arange(1, len(texts) - start + 1) * (lengths[start:] + table.dim)
-        stop = start + max(1, int(np.searchsorted(cells, EMBED_CHUNK_CELLS, side="right")))
-        chunk = order[start:stop]
-        width = int(lengths[stop - 1])
-        ids = np.zeros((len(chunk), width), dtype=np.intp)
-        mask = np.arange(width) < lengths[start:stop, None]
-        ids[mask] = token_rows[(starts[chunk, None] + np.arange(width))[mask]]
-        total = np.zeros((len(chunk), table.dim), dtype=np.float64)
-        for j in range(width):
-            total += matrix[ids[:, j]]
-        vectors[chunk] = total
-        start = stop
+    # in hit order, the texts with more than j hits are the suffix first[j]:,
+    # and at[i] is sorted text i's offset of its next token in token_rows
+    first = np.searchsorted(hits[order], np.arange(hits.max(initial=0)), "right")
+    at = (np.cumsum(hits) - hits)[order]
+    sums = np.zeros((len(texts), table.dim), dtype=np.float64)
+    for f in first.tolist():
+        sums[f:] += matrix[token_rows[at[f:]]]
+        at[f:] += 1
+    vectors = np.empty_like(sums)
+    vectors[order] = sums
     np.divide(vectors, hits[:, None], out=vectors, where=hits[:, None] > 0)
     return vectors, hits
 

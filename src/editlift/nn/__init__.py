@@ -8,8 +8,10 @@ autodiff graph. The GRU classifier always runs right-padded batches with a
 validity mask.
 
 Each network keeps its parameters in one flat buffer with named views, and
-its gradients in a second buffer of the same layout (`ParamBuffer`); the
-gradients a network returns are valid until its next loss_and_grads() call.
+its gradients in a second buffer of the same layout (`ParamBuffer`). Adam
+(`adam_step`) reads only that buffer, after `Mlp.gradients` or
+`SequenceClassifier.loss_and_grads` has filled its gradients; the gradients
+a network returns are valid until its next gradient call.
 """
 
 from .layers import AttentionHead, GruCell, binary_cross_entropy

@@ -3,11 +3,12 @@ bidirectional GRU sequence classifier with attention pooling.
 
 Each network keeps its parameters in one flat float64 buffer with named
 views (`buffer`, a ParamBuffer) and writes its gradients into a second
-buffer of the same layout. `buffer` plus loss_and_grads() is the whole
-contract the optimizer and the tests' gradient checker need. The gradients
-loss_and_grads() returns are views into the gradient buffer, valid until the
-next call. `Mlp.gradients` is the training step: it fills the same gradient
-buffer from the same code, without the loss value or any input conversion.
+buffer of the same layout. The optimizer reads only `buffer`, after a call
+has filled its gradients: `Mlp.gradients` for the propensity network (no
+loss value, no input conversion) and `SequenceClassifier.loss_and_grads`
+for the classifier. Each network's loss_and_grads() also returns the loss,
+for the tests' gradient checker; the gradients it returns are views into
+the gradient buffer, valid until the next call.
 """
 
 from __future__ import annotations

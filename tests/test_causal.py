@@ -709,6 +709,12 @@ class TestSelectUnits:
                                 "treatment": {"kind": "nope"},
                                 "control": {"kind": "mirrored"}})
 
+    def test_cluster_index_is_a_json_integer(self):
+        # an integral float is an integer, as for every other JSON integer;
+        # `test_cli` checks the messages of the rejected values
+        index = Selector.from_dict({"kind": "cluster", "cluster": 2.0}).cluster
+        assert index == 2 and type(index) is int
+
 
 def reference_matches(selector, profile):
     """Per-profile selector predicate, as selection ran before the unit table."""

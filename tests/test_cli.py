@@ -258,6 +258,8 @@ class TestSynthCommand:
             ({**valid, "n_records": 60.9}, "n_records must be an integer, got 60.9"),
             ({**valid, "seed": True}, "seed must be an integer, got True"),
             ({**valid, "dispersion": "0.5"}, "dispersion must be a finite number, got '0.5'"),
+            ({**valid, "dispersion": 10 ** 400},
+             f"dispersion must be a finite number, got {10 ** 400}"),
             ({**valid, "topics": [{**topic, "base_means": {"likes": "nan"}}]},
              "base_means['likes'] must be a finite number, got 'nan'"),
             ({**valid, "outlet": 5}, "outlet must be a string, got 5"),
@@ -575,19 +577,19 @@ class TestEstimateCommand:
         ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
                                   "treatment": {"kind": "cluster", "cluster": True},
                                   "control": {"kind": "mirrored"}}],
-         "bad scenario definition: bad cluster index True"),
+         "bad scenario definition: cluster index must be an integer, got True"),
         ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
                                   "treatment": {"kind": "cluster", "cluster": "2"},
                                   "control": {"kind": "mirrored"}}],
-         "bad scenario definition: bad cluster index '2'"),
+         "bad scenario definition: cluster index must be an integer, got '2'"),
         ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
                                   "treatment": {"kind": "cluster", "cluster": 2.7},
                                   "control": {"kind": "mirrored"}}],
-         "bad scenario definition: bad cluster index 2.7"),
+         "bad scenario definition: cluster index must be an integer, got 2.7"),
         ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
                                   "treatment": {"kind": "cluster", "cluster": -1},
                                   "control": {"kind": "mirrored"}}],
-         "bad scenario definition: bad cluster index -1"),
+         "bad scenario definition: cluster index must be at least 0, got -1"),
         # accepted: an integral float, zero minimum group, a negative alpha
         ("config", "knn", 5.0, None),
         ("config", "min_group", 0, None),
@@ -645,6 +647,13 @@ class TestEstimateCommand:
                                   "treatment": {"kind": "edited"},
                                   "control": {"kind": "shift", "post": "C"}}],
          "bad scenario definition: missing shift selector key(s): 'headline'"),
+        pytest.param("config", "alpha", 10 ** 400,
+                     f"alpha must be a finite number, got {10 ** 400}",
+                     id="config-alpha-beyond-float-range"),
+        # a cluster index is a JSON integer, so an integral float is accepted
+        ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                  "treatment": {"kind": "cluster", "cluster": 2.0},
+                                  "control": {"kind": "mirrored"}}], None),
     ])
     def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
         *command, route = route.split()
@@ -1094,6 +1103,36 @@ def test_csv_header_lacking_a_column_exit_one(tmp_path, tiny_vectors, capsys, co
     capsys.readouterr()
     assert main([*command.split(), *argv]) == 1
     assert capsys.readouterr().err == f"error: {path}: header lacks column(s) {column}\n"
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    ({"likes": 10 ** 400}, f"likes is beyond the float range: {10 ** 400}"),
+    ({"created_at": "9999-12-31T23:00:00-05:00"},
+     "created_at '9999-12-31T23:00:00-05:00' is outside the UTC date range"),
+    ({"created_at": "0001-01-01T01:00:00Z"}, None),  # loads, in block B3
+], ids=["count beyond float range", "late instant", "early instant"])
+def test_corpus_values_at_the_ends_of_their_range(tmp_path, tiny_vectors, capsys,
+                                                  overrides, reason):
+    """A count no float can hold, or an instant at the ends of the datetime
+    range, is a reject line or a record like any other, never a traceback."""
+    rows = [json.loads(line) for line in make_corpus_file(tmp_path).read_text().splitlines()]
+    corpus = write_jsonl(tmp_path / "corpus.jsonl",
+                         rows + [record_row(rid="edge", outlet="alpha", **overrides)])
+    out = tmp_path / "out"
+    assert main(["ingest", "--corpus", str(corpus)]) == 0
+    printed = capsys.readouterr().out
+    assert (f"line 7: {reason}" in printed) if reason else "(0 rejected)" in printed
+    # `estimate` embeds and blocks every record of the scenario's outlet
+    # before the group-size check skips the scenario
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"min_group": 10_000, "scenarios": [
+        {"name": "s", "outlet": "alpha",
+         "treatment": {"kind": "edited"}, "control": {"kind": "mirrored"}}]}))
+    assert main(["profile", "--corpus", str(corpus), "--embeddings", str(tiny_vectors),
+                 "--out", str(out)]) == 0
+    assert main(["estimate", "--corpus", str(corpus), "--embeddings", str(tiny_vectors),
+                 "--out", str(out), "--config", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -3,6 +3,8 @@ import os
 import re
 import stat
 import unicodedata
+from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,6 +178,27 @@ class TestTimeBlocks:
         created = f"2018-03-02T{minute // 60:02d}:{minute % 60:02d}:00Z"
         assert assign_time_block(make_record(created_at=created)) in cm.TIME_BLOCKS
 
+    def test_same_blocks_as_shifted_clock(self):
+        # every minute of a year: the local hour taken mod 24 is the hour of
+        # the instant shifted by -4 h, as blocks were first assigned
+        start = datetime(2018, 1, 1, tzinfo=timezone.utc)
+        for hours in range(365 * 24):
+            instant = start + timedelta(hours=hours)
+            local = (instant - timedelta(hours=4)).hour
+            block = "B1" if local < 9 else "B2" if local < 17 else "B3"
+            stem = instant.strftime("%Y-%m-%dT%H")
+            for minute in range(60):
+                # `assign_time_block` reads only `created_at`
+                record = SimpleNamespace(created_at=f"{stem}:{minute:02d}:00Z")
+                assert assign_time_block(record) == block
+
+    @pytest.mark.parametrize("created", ["0001-01-01T00:00:00Z", "0001-01-01T03:59:00Z",
+                                         "9999-12-31T23:59:59Z", "9999-12-31T18:59:00-05:00"])
+    def test_ends_of_the_date_range(self, created):
+        # local 19:59 up to 23:59, from instants whose -4 h shift would leave
+        # the date range, or whose offset reaches into its last hour
+        assert assign_time_block(make_record(created_at=created)) == "B3"
+
 
 class TestOutletRows:
     def test_positions_in_first_appearance_order(self):
@@ -235,6 +258,7 @@ class TestLoadCorpus:
         # rejected, never coerced
         cases = [
             ({"likes": -1}, "likes is negative: -1"),
+            ({"likes": 10 ** 400}, f"likes is beyond the float range: {10 ** 400}"),
             ({"likes": 3.7}, "likes must be an integer, got 3.7"),
             ({"likes": True}, "likes must be an integer, got True"),
             ({"replies": "3"}, "replies must be an integer, got '3'"),
@@ -269,10 +293,13 @@ class TestLoadCorpus:
     def test_bad_timestamp_rejected(self, tmp_path):
         path = write_jsonl(
             tmp_path / "c.jsonl",
-            [record_row(), record_row(rid="r2", created_at="yesterday")],
+            [record_row(), record_row(rid="r2", created_at="yesterday"),
+             record_row(rid="r3", created_at="9999-12-31T23:00:00-05:00")],
         )
         corpus = load_corpus(path, "jsonl")
         assert len(corpus) == 1
+        assert corpus.rejects[1].reason == (
+            "created_at '9999-12-31T23:00:00-05:00' is outside the UTC date range")
 
     def test_csv_import(self, tmp_path):
         import csv

@@ -1,11 +1,11 @@
 import re
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from editlift import embedding
 from editlift.corpus import normalize
 from editlift.embedding import (
     cosine,
@@ -146,22 +146,23 @@ def random_table(seed=0, words=12, dim=5):
     return EmbeddingTable(dim=dim, vocab={f"w{i}": rng.normal(size=dim) for i in range(words)})
 
 
-# documents of in- and out-of-vocabulary words: empty, zero-hit, repeated
-# and long ones
-documents = st.lists(
-    st.lists(st.sampled_from([f"w{i}" for i in range(12)] + ["oov", "Zz"]), max_size=70)
-    .map(" , ".join),
-    max_size=25)
+# words of documents: in- and out-of-vocabulary ones, repeated
+words = st.lists(st.sampled_from([f"w{i}" for i in range(12)] + ["oov", "Zz"]), max_size=70)
+# documents: empty, zero-hit and long ones; and sets of very unequal
+# length, short ones beside a few of hundreds of words
+documents = st.one_of(
+    st.lists(words.map(" , ".join), max_size=25),
+    st.lists(st.one_of(words.map(" ".join),
+                       st.tuples(words, st.integers(5, 20)).map(lambda w: " ".join(w[0] * w[1]))),
+             max_size=12))
 
 
 class TestEmbedMany:
-    @given(documents, st.sampled_from([1, 40, 200, embedding.EMBED_CHUNK_CELLS]))
+    @given(documents)
     @settings(max_examples=150, deadline=None)
-    def test_equal_to_per_text_loop(self, texts, cells):
+    def test_equal_to_per_text_loop(self, texts):
         table = random_table()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embedding, "EMBED_CHUNK_CELLS", cells)
-            vectors, hits = embed_many(table, [normalize(t) for t in texts])
+        vectors, hits = embed_many(table, [normalize(t) for t in texts])
         want = [reference_embed(table, t) for t in texts]
         assert vectors.shape == (len(texts), table.dim) and hits.shape == (len(texts),)
         assert np.array_equal(vectors, np.array([v for v, _ in want]).reshape(vectors.shape))
@@ -170,10 +171,8 @@ class TestEmbedMany:
             got, got_hits = embed_text(table, text)
             assert np.array_equal(got, vector) and got_hits == count
 
-    def test_edge_documents(self, monkeypatch):
-        # chunks of 11 cells at dim 5: the two zero-hit texts share one, and
-        # the 7-hit text (12 cells) is a chunk of its own, wider than the limit
-        monkeypatch.setattr(embedding, "EMBED_CHUNK_CELLS", 11)
+    def test_edge_documents(self):
+        # two zero-hit texts, a 7-hit text among short ones, and a text twice
         table = random_table()
         texts = ["", "oov zz", "w1", "w1 w1 w1", " ".join(["w2", "w3", "oov"] * 3) + " w4",
                  "w5 w6", "w1"]
@@ -182,6 +181,23 @@ class TestEmbedMany:
         assert not vectors[:2].any() and np.array_equal(vectors[2], vectors[6])
         for vector, text in zip(vectors, texts):
             assert np.array_equal(vector, reference_embed(table, text)[0])
+
+    def test_memory_is_tokens_plus_output(self):
+        # 46,000 hits against a [250, 16] output: the peak is the packed hit
+        # rows (4 bytes a hit) and a few output-sized arrays, never a
+        # [hits, dim] gather or a padded [texts, longest] id matrix
+        table = random_table(dim=16)
+        rng = np.random.default_rng(0)
+        texts = [" ".join(rng.choice([*table.vocab, "oov"], 200)) for _ in range(250)]
+        embed_many(table, texts[:1])  # builds `table.rows` outside the trace
+        tracemalloc.start()
+        try:
+            vectors, hits = embed_many(table, texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits.sum() > 10 * vectors.size
+        assert peak <= 4 * hits.sum() + 6 * vectors.nbytes
 
     def test_no_texts(self):
         vectors, hits = embed_many(random_table(), [])
