@@ -19,8 +19,9 @@ Per candidate it prints one Markdown table row:
 - balance passes: runs, of both corpora, in which all ten folds pass balance;
 - the median `run_scenario` wall time over both corpora;
 - against the first candidate: one-sided Fisher exact p-values that the
-  hits and the null discards are lower, and each count's difference in
-  proportion with its 95% Newcombe interval.
+  hits and the null discards are lower (`scipy.stats.fisher_exact`), and
+  each count's difference in proportion with its 95% Newcombe interval,
+  built from scipy's Wilson intervals.
 
 `SEEDS` must be seeds that the acceptance criteria do not use (they use
 0-19). Run it as
@@ -34,6 +35,8 @@ import math
 import statistics
 import time
 
+from scipy.stats import binomtest, fisher_exact
+
 from editlift import causal, synthbench, textsim
 
 SEEDS = range(140, 180)
@@ -44,7 +47,6 @@ SCENARIO = causal.Scenario("edited-vs-mirrored", "synthwire",
                            causal.Selector("edited"), causal.Selector("mirrored"))
 EFFECT_LIKES = 50.0
 BAND = 0.15  # criterion 3's relative band around EFFECT_LIKES
-Z95 = 1.959963984540054  # the standard normal's 97.5% quantile
 
 
 def preset_inputs(seed: int, effect_likes: float):
@@ -81,29 +83,13 @@ def timed_report(units: causal.UnitTable, seed: int, batch_size: int,
         causal.PROPENSITY_BATCH_SIZE, causal.PROPENSITY_LEARNING_RATE = saved
 
 
-def fisher_lower_p(successes: int, base_successes: int, trials: int) -> float:
-    """One-sided Fisher exact p-value that `successes` of `trials` is lower
-    than `base_successes` of `trials`: the hypergeometric lower tail."""
-    total = successes + base_successes
-    norm = math.comb(2 * trials, total)
-    return sum(math.comb(trials, k) * math.comb(trials, total - k)
-               for k in range(max(0, total - trials), successes + 1)) / norm
-
-
-def wilson(successes: int, trials: int) -> tuple[float, float]:
-    """The 95% Wilson score interval of a proportion."""
-    z2 = Z95 * Z95
-    center = (successes + z2 / 2) / (trials + z2)
-    half = Z95 * math.sqrt(successes * (trials - successes) / trials + z2 / 4) / (trials + z2)
-    return center - half, center + half
-
-
 def newcombe_diff(a: int, n_a: int, b: int, n_b: int) -> tuple[float, float, float]:
     """a/n_a - b/n_b and its 95% interval by Newcombe's hybrid score method
     (1998, method 10). It treats the two samples as independent, so on the
     same seeds it is wider than a paired interval would be."""
     p, q = a / n_a, b / n_b
-    (lo_p, hi_p), (lo_q, hi_q) = wilson(a, n_a), wilson(b, n_b)
+    (lo_p, hi_p), (lo_q, hi_q) = (binomtest(k, n).proportion_ci(method="wilson")
+                                  for k, n in ((a, n_a), (b, n_b)))
     diff = p - q
     return (diff, diff - math.hypot(p - lo_p, hi_q - q), diff + math.hypot(hi_p - p, q - lo_q))
 
@@ -138,7 +124,9 @@ def main() -> int:
         if c == base:
             return "- | -"
         diff, low, high = newcombe_diff(counts[c], n, counts[base], n)
-        return f"{fisher_lower_p(counts[c], counts[base], n):.3f} | {diff:+.3f} [{low:+.3f}, {high:+.3f}]"
+        p = fisher_exact([[counts[c], n - counts[c]], [counts[base], n - counts[base]]],
+                         alternative="less").pvalue
+        return f"{p:.3f} | {diff:+.3f} [{low:+.3f}, {high:+.3f}]"
 
     print(f"\nseeds {SEEDS.start}-{SEEDS.stop - 1}, n_records={N_RECORDS}\n")
     print("| batch | lr | hits | null discarded | mean | SD | balance passes | median run (s) "

@@ -23,6 +23,7 @@ interval covers zero, or that fails balance on any fold, is discarded.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -30,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .clickbait import is_clickbait
-from .corpus import (ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block,
-                     check_field_keys, json_value, normalize, reject_unknown_keys, require_keys)
+from .corpus import (ENGAGEMENT_METRICS, TIME_BLOCKS, Corpus, assign_time_block, json_object,
+                     json_value, normalize, reject_unknown_keys, require_keys)
 from .embedding import EmbeddingTable, embed_many
 from .nn import AdamState, Mlp, adam_step
 from .textsim import Profiles
@@ -105,6 +106,8 @@ class Selector:
             index = json_value(obj["cluster"], int, "cluster index")
             if index < 0:
                 raise ScenarioError(f"cluster index must be at least 0, got {index}")
+            if index > sys.float_info.max:  # it is compared with a float column
+                raise ScenarioError(f"cluster index is beyond the float range: {index}")
             return cls(kind="cluster", cluster=index)
         if kind == "shift":
             for key in ("headline", "post"):
@@ -134,25 +137,10 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
-        block = json_value(obj, dict, "scenario").get("time_block")
-        check_field_keys(obj, cls, "scenario")
-        if block is not None and block not in TIME_BLOCKS:
-            raise ScenarioError(f"unknown time block {block!r}")
-        for key in ("name", "outlet", "section"):
-            if key != "section" or obj.get(key) is not None:
-                json_value(obj.get(key), str, key)
-        exclude_mirrored = obj.get("exclude_mirrored")
-        if exclude_mirrored is not None:
-            json_value(exclude_mirrored, bool, "exclude_mirrored")
-        return cls(
-            name=obj["name"],
-            outlet=obj["outlet"],
-            treatment=Selector.from_dict(obj["treatment"]),
-            control=Selector.from_dict(obj["control"]),
-            section=obj.get("section"),
-            time_block=block,
-            exclude_mirrored=bool(exclude_mirrored),
-        )
+        scenario = json_object(cls, obj, "scenario")
+        if scenario.time_block is not None and scenario.time_block not in TIME_BLOCKS:
+            raise ScenarioError(f"unknown time block {scenario.time_block!r}")
+        return scenario
 
 
 # ---------------------------------------------------------------------------

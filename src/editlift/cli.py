@@ -89,7 +89,7 @@ def _load_config(args) -> dict:
         raise ValueError(f"config file not found: {p}")
     try:
         cfg = json.loads(p.read_text(encoding=corpus_mod.TEXT_ENCODING))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for `int`
         raise ValueError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {p} must hold a JSON object")
@@ -354,8 +354,8 @@ def cmd_estimate(args) -> int:
     run_cfg = causal.CausalConfig(**{f.name: s[f.name] for f in fields(causal.CausalConfig)
                                      if s[f.name] is not None})
     try:
-        scenarios = [causal.Scenario.from_dict(d)
-                     for d in corpus_mod.json_value(scenario_defs, list, "scenarios")]
+        scenarios = corpus_mod.json_value(scenario_defs, tuple[causal.Scenario, ...],
+                                          "scenarios")
         # the reports of two scenarios of one name could not be told apart
         names = set()
         for scenario in scenarios:

@@ -8,8 +8,9 @@ for it. Every text input is read as UTF-8 with an optional byte-order mark
 (`TEXT_ENCODING`, as spreadsheet exports write), and `csv_rows` is the one
 reader of a CSV input. `json_value` is the one type check of a value read
 from a JSON config, scenario, spec or corpus record, and `reject_unknown_keys`
-and `require_keys` the checks of its keys (`check_field_keys` applies both
-to the fields of a dataclass).
+and `require_keys` the checks of its keys. `json_object` is the one decoder
+of a JSON object into a dataclass (a spec, topic or scenario): its fields'
+annotations alone declare what each key holds.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import unicodedata
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 ENGAGEMENT_METRICS = ("replies", "retweets", "likes")
 
@@ -35,13 +38,28 @@ _JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a string",
                int: "an integer", float: "a finite number", bool: "true or false"}
 
 
-def json_value(value, kind: type, what: str):
-    """`value` checked to be of the JSON type `kind` (one of _JSON_KINDS);
-    ValueError names `what`. A bool is no number, and a float is an integer
-    only when it has no fractional part, and an integer beyond the float
-    range is no finite number; numbers come back as `kind`."""
-    if kind is not float and isinstance(value, kind) and not isinstance(value, bool):
+def json_value(value, kind, what: str):
+    """`value` checked to be of the JSON type `kind`; ValueError names
+    `what`. `kind` is one of _JSON_KINDS, `X | None`, `tuple[X, ...]` (a JSON
+    list, its entries named `<what> entry`), `dict[str, X]` (its values named
+    `<what>[<key>]`) or a type with a `from_dict` classmethod, which checks
+    the object itself. A bool is no number, and a float is an integer only
+    when it has no fractional part, and an integer beyond the float range is
+    no finite number; numbers come back as `kind`."""
+    if type(value) is kind and kind is not float:
         return value  # the common case, taken once per corpus field
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple:
+        return tuple(json_value(entry, args[0], f"{what} entry")
+                     for entry in json_value(value, list, what))
+    if origin is dict:
+        return {key: json_value(entry, args[1], f"{what}[{key!r}]")
+                for key, entry in json_value(value, dict, what).items()}
+    if origin is UnionType:
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return None if value is None else json_value(value, inner, what)
+    if hasattr(kind, "from_dict"):
+        return kind.from_dict(value)
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float:
         try:
@@ -55,6 +73,22 @@ def json_value(value, kind: type, what: str):
     if not ok:
         raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return kind(value) if kind in (int, float) else value
+
+
+def json_object(cls, obj, what: str):
+    """The dataclass `cls` decoded from the JSON object `obj`, whose keys are
+    its fields, each value read by its field's annotation (`json_value`).
+    ValueError names `what` when `obj` is no object, has a key that is no
+    field, or lacks a field that has no default. A key left out, or null
+    where the field has a default, takes the field's default."""
+    json_value(obj, dict, what)
+    reject_unknown_keys(obj, [f.name for f in fields(cls)], what)
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    require_keys(obj, required, what)
+    hints = get_type_hints(cls)
+    return cls(**{key: json_value(value, hints[key], key) for key, value in obj.items()
+                  if value is not None or key in required})
 
 
 def reject_unknown_keys(obj: dict, known, what: str) -> None:
@@ -71,14 +105,6 @@ def require_keys(obj: dict, required, what: str) -> None:
     missing = [key for key in required if key not in obj]
     if missing:
         raise ValueError(f"missing {what} key(s): {', '.join(map(repr, missing))}")
-
-
-def check_field_keys(obj: dict, cls, what: str) -> None:
-    """ValueError unless the keys of `obj` are fields of the dataclass `cls`
-    and include every field that has no default."""
-    reject_unknown_keys(obj, [f.name for f in fields(cls)], what)
-    require_keys(obj, [f.name for f in fields(cls)
-                       if f.default is MISSING and f.default_factory is MISSING], what)
 
 
 def csv_rows(path: str | Path, columns):
@@ -247,8 +273,8 @@ def _iter_jsonl(path: Path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield line_no, None, f"invalid JSON: {exc.msg}"
+            except ValueError as exc:  # a JSONDecodeError, or an integer too long for `int`
+                yield line_no, None, f"invalid JSON: {getattr(exc, 'msg', exc)}"
                 continue
             if not isinstance(obj, dict):
                 yield line_no, None, "line is not a JSON object"
@@ -264,9 +290,13 @@ def _iter_csv(path: Path):
         obj = {k: v for k, v in row.items() if v != ""}
         # every cell is a string: a count cell reads as a decimal integer,
         # and any other count cell is left for `_checked_record` to reject
-        for metric in ENGAGEMENT_METRICS:
-            if _DECIMAL.fullmatch(obj.get(metric, "")):
-                obj[metric] = int(obj[metric])
+        try:
+            for metric in ENGAGEMENT_METRICS:
+                if _DECIMAL.fullmatch(obj.get(metric, "")):
+                    obj[metric] = int(obj[metric])
+        except ValueError as exc:  # more digits than `int` converts
+            yield line_no, None, f"{metric}: {exc}"
+            continue
         yield line_no, obj, None
 
 

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (ENGAGEMENT_METRICS, TEXT_ENCODING, Corpus, PairedRecord,
-                     check_field_keys, json_value, reject_unknown_keys, write_text_atomic)
+from .corpus import (ENGAGEMENT_METRICS, TEXT_ENCODING, Corpus, PairedRecord, json_object,
+                     json_value, reject_unknown_keys, write_text_atomic)
 from .embedding import EmbeddingTable
 
 HEADLINE_TOKENS = (4, 9)  # [low, high) words of a generated headline
@@ -39,6 +39,10 @@ class TopicSpec:
     base_means: dict[str, float]  # metric -> expected count for controls
     family: str | None = None  # topics in one family embed close together
 
+    @classmethod
+    def from_dict(cls, obj: dict) -> "TopicSpec":
+        return json_object(cls, obj, "topic")
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -53,6 +57,9 @@ class SynthSpec:
     def validate(self) -> None:
         if self.n_records < 60:
             raise ValueError("n_records must be at least 60")
+        if self.n_records > np.iinfo(np.intp).max:  # no array could be that long
+            raise ValueError(f"n_records must be at most {np.iinfo(np.intp).max}, "
+                             f"got {self.n_records}")
         if not self.topics:
             raise ValueError("at least one topic required")
         for topic in self.topics:
@@ -281,40 +288,10 @@ def save_truth(truth: list[TruthRecord], path: str | Path) -> None:
 
 def load_spec(path: str | Path) -> SynthSpec:
     """Parse a generator spec from JSON, whose keys are the `SynthSpec`
-    fields and each topic's the `TopicSpec` fields; a key left out takes the
-    field's default. A value of the wrong JSON type, an unknown key or a
-    missing required key raises ValueError naming the key."""
+    fields and each topic's the `TopicSpec` fields (`json_object`); a key
+    left out, or null where the field has a default, takes the field's
+    default. A value of the wrong JSON type, an unknown key or a missing
+    required key raises ValueError naming the key."""
     payload = json_value(json.loads(Path(path).read_text(encoding=TEXT_ENCODING)), dict,
                          "the spec")
-    check_field_keys(payload, SynthSpec, "spec")
-    return SynthSpec(**{key: _SPEC_VALUES[key](value) for key, value in payload.items()})
-
-
-def _topic(value) -> TopicSpec:
-    t = json_value(value, dict, "topics entry")
-    check_field_keys(t, TopicSpec, "topic")
-    return TopicSpec(**{key: _TOPIC_VALUES[key](value) for key, value in t.items()})
-
-
-def _floats(value, key: str) -> dict[str, float]:
-    return {k: json_value(v, float, f"{key}[{k!r}]")
-            for k, v in json_value(value, dict, key).items()}
-
-
-# each spec and topic key's value check and conversion
-_SPEC_VALUES = {
-    "n_records": lambda v: json_value(v, int, "n_records"),
-    "topics": lambda v: tuple(map(_topic, json_value(v, list, "topics"))),
-    "treatment_rule": lambda v: _floats(v, "treatment_rule"),
-    "true_effect": lambda v: _floats(v, "true_effect"),
-    "dispersion": lambda v: json_value(v, float, "dispersion"),
-    "seed": lambda v: json_value(v, int, "seed"),
-    "outlet": lambda v: json_value(v, str, "outlet"),
-}
-_TOPIC_VALUES = {
-    "topic_id": lambda v: json_value(v, str, "topic_id"),
-    "vocabulary": lambda v: tuple(json_value(w, str, "vocabulary entry")
-                                  for w in json_value(v, list, "vocabulary")),
-    "base_means": lambda v: _floats(v, "base_means"),
-    "family": lambda v: None if v is None else json_value(v, str, "family"),
-}
+    return json_object(SynthSpec, payload, "spec")

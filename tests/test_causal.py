@@ -709,6 +709,26 @@ class TestSelectUnits:
                                 "treatment": {"kind": "nope"},
                                 "control": {"kind": "mirrored"}})
 
+    @pytest.mark.parametrize("selector_json, selector", [
+        ({"kind": "edited"}, Selector("edited")),
+        ({"kind": "mirrored"}, Selector("mirrored")),
+        ({"kind": "cluster", "cluster": 3}, Selector("cluster", cluster=3)),
+        ({"kind": "shift", "headline": "NC", "post": "C"},
+         Selector("shift", headline_class="NC", post_class="C")),
+    ], ids=["edited", "mirrored", "cluster", "shift"])
+    @pytest.mark.parametrize("filters, want", [
+        ({}, {}),
+        ({"section": "politics", "time_block": "B3", "exclude_mirrored": True},
+         {"section": "politics", "time_block": "B3", "exclude_mirrored": True}),
+        # null reads as the key left out
+        ({"section": None, "time_block": None, "exclude_mirrored": None}, {}),
+    ], ids=["left-out", "set", "null"])
+    def test_scenario_decodes_every_selector_and_filter(self, selector_json, selector,
+                                                        filters, want):
+        obj = {"name": "s", "outlet": "x", "treatment": selector_json,
+               "control": selector_json, **filters}
+        assert Scenario.from_dict(obj) == Scenario("s", "x", selector, selector, **want)
+
     def test_cluster_index_is_a_json_integer(self):
         # an integral float is an integer, as for every other JSON integer;
         # `test_cli` checks the messages of the rejected values

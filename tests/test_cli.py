@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from editlift import causal, cli
@@ -274,6 +275,7 @@ class TestSynthCommand:
             ({"n_records": 60}, "missing spec key(s): 'topics', 'treatment_rule'"),
             ({**valid, "topics": [{"topic_id": "a", "base_means": topic["base_means"]}]},
              "missing topic key(s): 'vocabulary'"),
+            ({**valid, "topics": [topic, 5]}, "topic must be a JSON object, got 5"),
         ]
         spec = tmp_path / "spec.json"
         for payload, named in cases:
@@ -283,6 +285,24 @@ class TestSynthCommand:
             assert code == 1, payload
             assert err.startswith("error: invalid synthetic spec: ") and named in err, err
             assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("n_records", [
+        int(np.iinfo(np.intp).max) + 1, 10 ** 400], ids=["intp-max-plus-one", "10**400"])
+    def test_n_records_beyond_any_array_exit_one(self, tmp_path, capsys, n_records):
+        # the preset's flag and a spec reach the one bound; only values
+        # beyond it are tried, so no record is ever allocated
+        topic = {"topic_id": "a", "vocabulary": ["a1"],
+                 "base_means": {"replies": 1, "retweets": 2, "likes": 5}}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_records": n_records, "topics": [topic],
+                                    "treatment_rule": {"a": 0.5}}))
+        for argv in (["--n-records", str(n_records)], ["--spec", str(spec)]):
+            code = main(["synth", *argv, "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err == ("error: invalid synthetic spec: n_records must be at most "
+                           f"{np.iinfo(np.intp).max}, got {n_records}\n")
         assert not (tmp_path / "o").exists()
 
     def test_custom_spec_file(self, tmp_path):
@@ -654,6 +674,13 @@ class TestEstimateCommand:
         ("config", "scenarios", [{"name": "s", "outlet": "synthwire",
                                   "treatment": {"kind": "cluster", "cluster": 2.0},
                                   "control": {"kind": "mirrored"}}], None),
+        # the index is compared with the float cluster column
+        pytest.param("config", "scenarios", [{"name": "s", "outlet": "synthwire",
+                                              "treatment": {"kind": "cluster",
+                                                            "cluster": 10 ** 400},
+                                              "control": {"kind": "mirrored"}}],
+                     "bad scenario definition: cluster index is beyond the float range: "
+                     f"{10 ** 400}", id="config-cluster-beyond-float-range"),
     ])
     def test_settings_checked_before_inputs(self, tmp_path, capsys, route, name, value, error):
         *command, route = route.split()
@@ -1133,6 +1160,39 @@ def test_corpus_values_at_the_ends_of_their_range(tmp_path, tiny_vectors, capsys
     assert main(["estimate", "--corpus", str(corpus), "--embeddings", str(tiny_vectors),
                  "--out", str(out), "--config", str(cfg)]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_count_of_more_digits_than_int_reads_is_one_reject(tmp_path, capsys, fmt):
+    """A count of more digits than `int` converts (`sys.get_int_max_str_digits`)
+    makes `json.loads` and `int` raise: its line is rejected, and the other
+    lines load."""
+    digits = "9" * 5001
+    good, big = record_row(rid="a"), record_row(rid="b", likes=0)
+    if fmt == "jsonl":
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps(big).replace('"likes": 0', f'"likes": {digits}') + "\n")
+    else:
+        # the header is line 1
+        path = write_csv(tmp_path / "c.csv",
+                         [list(good), [*list(big.values())[:-1], digits], list(good.values())])
+    assert main(["ingest", "--corpus", str(path), "--format", fmt]) == 0
+    printed = capsys.readouterr()
+    lines = printed.out.splitlines()
+    assert lines[0].endswith("(1 rejected)") and lines[0].startswith("loaded 1 records")
+    assert len(lines) == 2 and lines[1].startswith("  line 2: ")
+    assert "Exceeds the limit (4300 digits)" in lines[1]
+    assert "Traceback" not in printed.err
+
+
+def test_config_integer_of_more_digits_than_int_reads(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"knn": ' + "9" * 5001 + "}")
+    assert main(["ingest", "--corpus", str(tmp_path / "c.jsonl"), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {cfg} is not valid JSON: Exceeds the limit")
+    assert err.count("\n") == 1
 
 
 class TestEntryPoint:

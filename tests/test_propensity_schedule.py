@@ -1,7 +1,6 @@
 """scripts/propensity_schedule.py: its interval statistics and one small run."""
 
 import pytest
-from scipy import stats as sps
 
 from conftest import load_script
 
@@ -9,14 +8,6 @@ from conftest import load_script
 @pytest.fixture
 def schedule():
     return load_script("propensity_schedule")
-
-
-@pytest.mark.parametrize("successes,base,trials",
-                         [(37, 37, 40), (37, 39, 40), (30, 39, 40), (40, 35, 40), (0, 0, 5)])
-def test_fisher_lower_p_equals_scipy(schedule, successes, base, trials):
-    want = sps.fisher_exact([[successes, trials - successes], [base, trials - base]],
-                            alternative="less").pvalue
-    assert schedule.fisher_lower_p(successes, base, trials) == pytest.approx(want, rel=1e-12)
 
 
 # Newcombe (1998), Statistics in Medicine 17:873-890, Table II, method 10

@@ -185,6 +185,30 @@ class TestSpecIO:
         loaded = sb.load_spec(path)
         assert loaded == spec
 
+    @pytest.mark.parametrize("spec", [
+        sb.confounded_spec(n_records=300, effect_likes=50.0, seed=3),
+        # a family of None is written as null, which reads as the default
+        replace(sb.confounded_spec(n_records=300, effect_likes=0.0, seed=0),
+                topics=tuple(replace(t, family=None)
+                             for t in sb.confounded_spec(300, 0.0, 0).topics),
+                dispersion=0.25, true_effect={"likes": 12.5, "replies": -1.0},
+                outlet="elsewhere"),
+    ], ids=["preset", "custom"])
+    def test_load_spec_reads_what_asdict_writes(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(asdict(spec)), encoding="utf-8")
+        assert sb.load_spec(path) == spec
+
+    def test_null_reads_as_the_default(self, tmp_path):
+        obj = asdict(tiny_spec())
+        defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                    for f in fields(sb.SynthSpec)
+                    if f.default is not MISSING or f.default_factory is not MISSING}
+        assert set(defaults) == {"true_effect", "dispersion", "seed", "outlet"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**obj, **dict.fromkeys(defaults)}), encoding="utf-8")
+        assert sb.load_spec(path) == replace(tiny_spec(), **defaults)
+
     def test_save_truth_jsonl(self, tmp_path):
         _, truth = sb.generate(tiny_spec(seed=11))
         sb.save_truth(truth, tmp_path / "truth.jsonl")
